@@ -91,7 +91,7 @@ def load_config(path):
 
 
 def resolved_config_text(config):
-    lines = [f"stpca.threads={threads_cap()}"]
+    lines = []
     for key in sorted(config):
         value = config[key]
         if value is None:
@@ -100,19 +100,6 @@ def resolved_config_text(config):
             value = "true" if value else "false"
         lines.append(f"{key}={value}")
     return "\n".join(lines) + "\n"
-
-
-def threads_cap() -> int:
-    """STPCA_THREADS caps internal parallelism; this build runs sequentially,
-    so any cap >= 1 is honored as-is."""
-    raw = os.environ.get("STPCA_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"STPCA_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError("STPCA_THREADS must be >= 1")
-    return value
 
 
 def parse_ratios(text):
@@ -482,7 +469,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        threads_cap()
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

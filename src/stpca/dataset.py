@@ -177,6 +177,8 @@ def ingest_csv(path, adjacency_path=None) -> TrafficSeries:
                     v = float(cell)
                 except ValueError:
                     raise DataError(f"{path}:{lineno}: bad value {cell!r}") from None
+                if not math.isfinite(v):
+                    raise DataError(f"{path}:{lineno}: non-finite value {cell!r}")
                 if v < 0:
                     raise DataError(f"{path}:{lineno}: negative reading {v}")
                 vals.append(v)

@@ -55,10 +55,14 @@ def build_adaptive_graph(embedding) -> AdaptiveGraph:
 
 
 def graph_mix(g: AdaptiveGraph, h: np.ndarray) -> np.ndarray:
-    """One propagation step: each node receives the weighted mean of its neighbors."""
+    """One propagation step: each node receives the weighted mean of its neighbors.
+
+    h is [N x F] or a batch [B x N x F]; a batch is one BLAS matmul per row.
+    """
     h = np.asarray(h, dtype=np.float64)
-    if h.shape[0] != g.num_nodes:
+    rows = h.shape[-2] if h.ndim > 1 else len(h)
+    if rows != g.num_nodes:
         raise ValueError(
-            f"feature rows ({h.shape[0]}) do not match graph nodes ({g.num_nodes})"
+            f"feature rows ({rows}) do not match graph nodes ({g.num_nodes})"
         )
     return g.weights @ h

@@ -58,24 +58,32 @@ def masked_metrics(pred: np.ndarray, target: np.ndarray) -> MetricSet:
     mask = target != 0
     if not mask.any():
         raise ValueError("no valid targets: all ground-truth cells are zero")
-    diff = pred[mask] - target[mask]
-    return MetricSet(
-        mae=float(np.abs(diff).mean()),
-        rmse=float(np.sqrt((diff * diff).mean())),
-        mape=float((np.abs(diff) / np.abs(target[mask])).mean()),
-    )
+    # in-place steps keep at most three masked-cell arrays alive at once
+    valid = target[mask]
+    diff = pred[mask] - valid
+    abs_diff = np.abs(diff)
+    mae = float(abs_diff.mean())
+    diff *= diff
+    rmse = float(np.sqrt(diff.mean()))
+    abs_diff /= np.abs(valid, out=valid)
+    return MetricSet(mae=mae, rmse=rmse, mape=float(abs_diff.mean()))
 
 
 def predictions_and_targets(params, embedding, windows, normalizer,
                             batch_size: int = 256):
-    """De-normalized predictions and raw targets stacked over a window list."""
-    preds, targets = [], []
+    """De-normalized predictions and raw targets stacked over a window list.
+
+    Batches are written into arrays allocated once, so no list of per-batch
+    copies is concatenated at the end.
+    """
+    target = np.stack([w.target for w in windows])
+    pred = np.empty_like(target)
     for lo in range(0, len(windows), batch_size):
         chunk = windows[lo : lo + batch_size]
-        x, y, tod_idx, dow_idx = batch_arrays(chunk, normalizer)
-        preds.append(normalizer.invert(forward(params, embedding, x, tod_idx, dow_idx)))
-        targets.append(y)
-    return np.concatenate(preds), np.concatenate(targets)
+        x, _, tod_idx, dow_idx = batch_arrays(chunk, normalizer)
+        pred[lo : lo + len(chunk)] = normalizer.invert(
+            forward(params, embedding, x, tod_idx, dow_idx))
+    return pred, target
 
 
 def horizon_report_from_arrays(pred, target, horizons=DEFAULT_HORIZONS,

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import build_adaptive_graph
+from .graph import build_adaptive_graph, graph_mix
 from .pca import EmbeddingTable, zero_embedding
 
 
@@ -167,7 +167,8 @@ def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
     if emb.dim != cfg.embed_dim:
         raise ValueError(f"embedding dim {emb.dim} != embed_dim {cfg.embed_dim}")
 
-    u = x @ params.w_x.T + params.b_x
+    u = x @ params.w_x.T
+    u += params.b_x
     tod_vec = params.tod[tod_idx]  # [B x Ct]
     dow_vec = params.dow[dow_idx]
     h = np.concatenate(
@@ -180,36 +181,39 @@ def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
         axis=2,
     )
 
-    adp = None
-    gram = None
-    if cfg.use_graph:
-        gram = np.maximum(emb.values @ emb.values.T, 0.0)
-        adp = build_adaptive_graph(emb)
+    adp = build_adaptive_graph(emb) if cfg.use_graph else None
 
-    hs, zs, rs = [h], [], []
+    # intermediates are kept only when the backward pass will need them
+    hs, rs = [h], []
     h_premix = None
     for i, blk in enumerate(params.blocks):
-        z = hs[-1] @ blk["w1"].T + blk["b1"]
-        r = np.maximum(z, 0.0)
-        h_next = hs[-1] + r @ blk["w2"].T + blk["b2"]
+        r = h @ blk["w1"].T
+        r += blk["b1"]
+        np.maximum(r, 0.0, out=r)  # relu in place: r > 0 exactly where z > 0
+        h_next = r @ blk["w2"].T
+        h_next += h
+        h_next += blk["b2"]
         if cfg.use_graph and i == 0:
-            h_premix = h_next
-            h_next = np.einsum("uv,bvf->buf", adp.weights, h_next)
+            if cache:
+                h_premix = h_next
+            h_next = graph_mix(adp, h_next)
         if not np.isfinite(h_next).all():
             raise FloatingPointError(f"non-finite activations in block {i}")
-        zs.append(z)
-        rs.append(r)
-        hs.append(h_next)
+        if cache:
+            rs.append(r)
+            hs.append(h_next)
+        h = h_next
 
-    y = hs[-1] @ params.w_o.T + params.b_o
+    y = h @ params.w_o.T
+    y += params.b_o
     if not np.isfinite(y).all():
         raise FloatingPointError("non-finite output")
     if not cache:
         return y
     return y, {
-        "x": x, "tod_idx": tod_idx, "dow_idx": dow_idx, "u": u,
-        "hs": hs, "zs": zs, "rs": rs, "h_premix": h_premix,
-        "graph": adp, "gram": gram, "embedding": emb,
+        "x": x, "tod_idx": tod_idx, "dow_idx": dow_idx,
+        "hs": hs, "rs": rs, "h_premix": h_premix,
+        "graph": adp, "embedding": emb,
     }
 
 

@@ -5,6 +5,7 @@ serialize to identical bytes. All writers go through an atomic temp-then-rename
 so interrupted runs never leave partial artifacts behind.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -38,7 +39,12 @@ def load_projection(path) -> PcaProjection:
         raw = fh.read()
     if raw[:5] != PROJECTION_MAGIC:
         raise ValueError(f"{path}: not a projection checkpoint")
-    t, c = struct.unpack_from("<II", raw, 5)
+    try:
+        t, c = struct.unpack_from("<II", raw, 5)
+    except struct.error:
+        raise ValueError(f"{path}: truncated projection checkpoint") from None
+    if not 1 <= c <= t:
+        raise ValueError(f"{path}: bad projection shape T={t}, C={c}")
     off = 5 + 8
     expect = off + 8 * (t + t * c + t)
     if len(raw) != expect:
@@ -55,14 +61,37 @@ def _pack_tensor(arr: np.ndarray) -> bytes:
     return head + _f64(arr)
 
 
-def _unpack_tensor(raw: bytes, off: int):
+def _unpack_tensor(raw: bytes, off: int, shape, where: str):
+    """Read one tensor whose shape must be `shape`; None matches any positive size."""
+    want = "x".join(str(d) if d else "N" for d in shape)
     (rank,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    dims = struct.unpack_from(f"<{rank}I", raw, off)
-    off += 4 * rank
-    size = int(np.prod(dims)) if rank else 1
+    if rank != len(shape):
+        raise ValueError(f"{where}: rank {rank} does not match the header "
+                         f"config ({want})")
+    dims = struct.unpack_from(f"<{rank}I", raw, off + 4)
+    if any(d < 1 or expected not in (None, d) for d, expected in zip(dims, shape)):
+        raise ValueError(f"{where}: shape {'x'.join(map(str, dims))} does not "
+                         f"match the header config ({want})")
+    off += 4 + 4 * rank
+    size = math.prod(dims)
+    if off + 8 * size > len(raw):
+        raise struct.error("tensor data past the end of the file")
     arr = np.frombuffer(raw, "<f8", size, off).reshape(dims).copy()
     return arr, off + 8 * size
+
+
+def _tensor_shapes(cfg: ModelConfig) -> dict:
+    """Shape of every tensor in serialization order; None is the node count."""
+    cm = cfg.mix_dim
+    shapes = {"w_x": (cfg.hidden_dim, cfg.l1), "b_x": (cfg.hidden_dim,),
+              "embedding": (None, cfg.embed_dim),
+              "tod": (cfg.steps_per_day, cfg.tod_dim), "dow": (7, cfg.dow_dim)}
+    for i in range(cfg.num_blocks):
+        shapes.update({f"w1_{i}": (cm, cm), f"b1_{i}": (cm,),
+                       f"w2_{i}": (cm, cm), f"b2_{i}": (cm,)})
+    shapes["w_o"] = (cfg.l2, cm)
+    shapes["b_o"] = (cfg.l2,)
+    return shapes
 
 
 def save_model(params: ModelParams, normalizer: Normalizer, path):
@@ -82,32 +111,44 @@ def save_model(params: ModelParams, normalizer: Normalizer, path):
 
 
 def load_model(path):
-    """Returns (params, normalizer)."""
+    """Returns (params, normalizer).
+
+    A cut file, or tensors whose shapes disagree with the header config,
+    raise ValueError naming the path.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:5] != MODEL_MAGIC:
         raise ValueError(f"{path}: not a model checkpoint")
+    try:
+        return _parse_model(raw, path)
+    except struct.error:
+        raise ValueError(f"{path}: truncated model checkpoint") from None
+
+
+def _parse_model(raw: bytes, path):
     (version,) = struct.unpack_from("<I", raw, 5)
     if version != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     fields = struct.unpack_from("<9I", raw, 9)
-    cfg = ModelConfig(
-        l1=fields[0], l2=fields[1], embed_dim=fields[2], tod_dim=fields[3],
-        dow_dim=fields[4], hidden_dim=fields[5], num_blocks=fields[6],
-        use_graph=bool(fields[7]), steps_per_day=fields[8],
-    )
+    try:
+        cfg = ModelConfig(
+            l1=fields[0], l2=fields[1], embed_dim=fields[2], tod_dim=fields[3],
+            dow_dim=fields[4], hidden_dim=fields[5], num_blocks=fields[6],
+            use_graph=bool(fields[7]), steps_per_day=fields[8],
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad header config: {exc}") from None
     off = 9 + 36
     mean, std = struct.unpack_from("<2d", raw, off)
     off += 16
 
-    names = ["w_x", "b_x", "embedding", "tod", "dow"]
-    for i in range(cfg.num_blocks):
-        names += [f"w1_{i}", f"b1_{i}", f"w2_{i}", f"b2_{i}"]
-    names += ["w_o", "b_o"]
     tensors = {}
-    for name in names:
-        tensors[name], off = _unpack_tensor(raw, off)
+    for name, shape in _tensor_shapes(cfg).items():
+        tensors[name], off = _unpack_tensor(raw, off, shape, f"{path}: {name}")
     (tag,) = struct.unpack_from("<B", raw, off)
+    if tag not in TAG_STRATEGIES:
+        raise ValueError(f"{path}: unknown embedding strategy tag {tag}")
     if off + 1 != len(raw):
         raise ValueError(f"{path}: trailing bytes in checkpoint")
 

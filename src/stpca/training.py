@@ -1,5 +1,6 @@
 """Masked loss, exact reverse-mode gradients, Adam, and the training loop."""
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -57,45 +58,65 @@ def masked_mae_loss(pred: np.ndarray, target: np.ndarray, normalizer: Normalizer
     return loss, grad
 
 
+def _flat(a: np.ndarray) -> np.ndarray:
+    """[B x N x F] -> [B*N x F] view: batch and node axes contract together."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _node_major(a: np.ndarray) -> np.ndarray:
+    """[B x N x F] -> [N x B*F] copy, so a node-pair contraction is one matmul."""
+    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+
 def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
              trainable=None):
-    """Exact gradients of the cached forward pass for every trainable tensor."""
+    """Exact gradients of the cached forward pass for every trainable tensor.
+
+    Batch and node axes are contracted as one flat [B*N] axis, so every
+    weight gradient is a single BLAS matmul and every bias sum a ones-vector
+    product.
+    """
     cfg = params.config
     names = params.trainable_names() if trainable is None else list(trainable)
-    hs, zs, rs = cache["hs"], cache["zs"], cache["rs"]
+    hs, rs = cache["hs"], cache["rs"]
     x = cache["x"]
+    b, n, _ = x.shape
     ch, ce, ct = cfg.hidden_dim, cfg.embed_dim, cfg.tod_dim
+    ones = np.ones(b * n)
 
     grads = {}
-    dy = loss_grad
-    grads["w_o"] = np.einsum("bnl,bnm->lm", dy, hs[-1])
-    grads["b_o"] = dy.sum(axis=(0, 1))
-    dh = dy @ params.w_o
+    dy = _flat(loss_grad)
+    grads["w_o"] = dy.T @ _flat(hs[-1])
+    grads["b_o"] = ones @ dy
+    dh = dy @ params.w_o  # [B*N x mix_dim] from here on
 
     d_emb_graph = None
     for i in range(cfg.num_blocks - 1, -1, -1):
         if cfg.use_graph and i == 0:
             adp, h_pre = cache["graph"], cache["h_premix"]
-            d_adj = np.einsum("buf,bvf->uv", dh, h_pre)
-            dh = np.einsum("uv,buf->bvf", adp.weights, dh)
+            dh_mixed = dh.reshape(b, n, -1)
+            d_adj = _node_major(dh_mixed) @ _node_major(h_pre).T
+            dh = _flat(adp.weights.T @ dh_mixed)
             # softmax rows -> relu -> gram -> embedding
             a = adp.weights
+            e = cache["embedding"].values
             d_logits = a * (d_adj - (a * d_adj).sum(axis=1, keepdims=True))
-            d_gram = d_logits * (cache["gram"] > 0)
-            d_emb_graph = (d_gram + d_gram.T) @ cache["embedding"].values
+            d_gram = d_logits * (e @ e.T > 0)
+            d_emb_graph = (d_gram + d_gram.T) @ e
         blk = params.blocks[i]
-        grads[f"b2_{i}"] = dh.sum(axis=(0, 1))
-        grads[f"w2_{i}"] = np.einsum("bnm,bnk->mk", dh, rs[i])
-        dr = dh @ blk["w2"]
-        dz = dr * (zs[i] > 0)
-        grads[f"b1_{i}"] = dz.sum(axis=(0, 1))
-        grads[f"w1_{i}"] = np.einsum("bnm,bnk->mk", dz, hs[i])
-        dh = dh + dz @ blk["w1"]
+        grads[f"b2_{i}"] = ones @ dh
+        grads[f"w2_{i}"] = dh.T @ _flat(rs[i])
+        dz = dh @ blk["w2"]
+        dz *= _flat(rs[i]) > 0
+        grads[f"b1_{i}"] = ones @ dz
+        grads[f"w1_{i}"] = dz.T @ _flat(hs[i])
+        dh += dz @ blk["w1"]
 
-    du = dh[:, :, :ch]
-    grads["w_x"] = np.einsum("bnc,bnl->cl", du, x)
-    grads["b_x"] = du.sum(axis=(0, 1))
+    du = dh[:, :ch]
+    grads["w_x"] = du.T @ _flat(x)
+    grads["b_x"] = ones @ du
 
+    dh = dh.reshape(b, n, -1)
     d_emb = dh[:, :, ch : ch + ce].sum(axis=0)
     if d_emb_graph is not None:
         d_emb = d_emb + d_emb_graph
@@ -116,37 +137,65 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
 
 
 def clip_gradients(grads: dict, max_norm: float):
-    """Scale the whole gradient set down if its global norm exceeds max_norm."""
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    """Scale the whole gradient set down, in place, if its global norm
+    exceeds max_norm. Returns (grads, pre-clip norm)."""
+    total = math.sqrt(sum(float(g.ravel() @ g.ravel()) for g in grads.values()))
     if total > max_norm:
         scale = max_norm / total
-        return {k: g * scale for k, g in grads.items()}, total
+        for g in grads.values():
+            g *= scale
     return grads, total
 
 
 @dataclass
 class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    """Adam moments of every trained tensor, concatenated in gradient order."""
+
+    m: Optional[np.ndarray] = None
+    v: Optional[np.ndarray] = None
     t: int = 0
+    names: tuple = ()  # the gradient names m and v were laid out for
 
 
 def adam_step(state: AdamState, params: ModelParams, grads: dict, lr: float,
               beta1=0.9, beta2=0.999, eps=1e-8, grad_clip_norm=None):
-    """One bias-corrected Adam update, applied in place."""
+    """One bias-corrected Adam update, applied in place (clipping scales
+    `grads` in place too).
+
+    The moments live in one flat buffer each, updated in place, and both bias
+    corrections fold into two scalars: lr * m_hat / (sqrt(v_hat) + eps)
+    equals step * m / (sqrt(v) + eps_hat) with step = lr * sqrt(c2) / c1 and
+    eps_hat = eps * sqrt(c2), where c1, c2 are 1 - beta1**t, 1 - beta2**t.
+    """
     if grad_clip_norm is not None:
         grads, _ = clip_gradients(grads, grad_clip_norm)
+    names = tuple(grads)
+    if state.m is None:
+        size = sum(g.size for g in grads.values())
+        state.m, state.v, state.names = np.zeros(size), np.zeros(size), names
+    elif names != state.names:
+        raise ValueError(f"Adam state holds {state.names}, got gradients for {names}")
+    flat = np.concatenate([g.ravel() for g in grads.values()])
     state.t += 1
+    root_c2 = math.sqrt(1 - beta2 ** state.t)
+    step = lr * root_c2 / (1 - beta1 ** state.t)
+    eps_hat = eps * root_c2
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1 - beta1) * flat
+    flat *= flat
+    v *= beta2
+    v += (1 - beta2) * flat
+    update = np.sqrt(v)
+    update += eps_hat
+    np.divide(m, update, out=update)
+    update *= step
     tensors = params.tensors()
-    for name, g in grads.items():
-        if name not in state.m:
-            state.m[name] = np.zeros_like(g)
-            state.v[name] = np.zeros_like(g)
-        state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1 - beta2) * g * g
-        m_hat = state.m[name] / (1 - beta1 ** state.t)
-        v_hat = state.v[name] / (1 - beta2 ** state.t)
-        tensors[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    lo = 0
+    for name, grad in grads.items():
+        hi = lo + grad.size
+        tensors[name] -= update[lo:hi].reshape(grad.shape)
+        lo = hi
 
 
 class EarlyStopping:
@@ -169,12 +218,15 @@ class EarlyStopping:
         return self.stale >= self.patience
 
 
-def _val_masked_mae(params, windows, normalizer, batch_size=512):
+def _val_masked_mae(params, val_arrays, normalizer, batch_size=512):
+    """Masked MAE over validation arrays stacked once per fit by batch_arrays."""
+    x_all, y_all, tod_all, dow_all = val_arrays
     total_abs, total_cnt = 0.0, 0
-    for lo in range(0, len(windows), batch_size):
-        chunk = windows[lo : lo + batch_size]
-        x, y, tod_idx, dow_idx = batch_arrays(chunk, normalizer)
-        pred = normalizer.invert(forward(params, None, x, tod_idx, dow_idx))
+    for lo in range(0, len(x_all), batch_size):
+        hi = lo + batch_size
+        y = y_all[lo:hi]
+        pred = normalizer.invert(forward(params, None, x_all[lo:hi],
+                                         tod_all[lo:hi], dow_all[lo:hi]))
         mask = y != 0
         total_abs += float(np.abs(pred - y)[mask].sum())
         total_cnt += int(mask.sum())
@@ -201,6 +253,7 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
         )
     names = params.trainable_names() if trainable is None else list(trainable)
     x_all, y_all, tod_all, dow_all = batch_arrays(train_windows, normalizer)
+    val_arrays = batch_arrays(val_windows, normalizer)
     n_train = len(train_windows)
 
     rng = np.random.default_rng(config.seed)
@@ -231,7 +284,7 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
                       grad_clip_norm=config.grad_clip_norm)
             losses.append(loss)
 
-        val_mae = _val_masked_mae(params, val_windows, normalizer)
+        val_mae = _val_masked_mae(params, val_arrays, normalizer)
         train_loss = float(np.mean(losses)) if losses else float("nan")
         report.epochs.append((epoch, train_loss, val_mae))
         improved = val_mae < stopper.best

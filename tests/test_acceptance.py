@@ -25,6 +25,8 @@ from stpca.transfer import (TransferPlan, cross_year_eval,
                             historical_average_baseline, split_adaptation,
                             zero_shot_transfer)
 
+pytestmark = pytest.mark.acceptance
+
 SEEDS = (1, 2, 3, 4, 5)
 
 # shift-scenario model: the one-dimensional history channel keeps the
@@ -362,8 +364,7 @@ run.out_dir={out_dir}
 """
 
 
-def test_criterion_11_end_to_end_determinism(tmp_path, monkeypatch):
-    monkeypatch.setenv("STPCA_THREADS", "1")
+def test_criterion_11_end_to_end_determinism(tmp_path):
     synth = tmp_path / "data"
     assert cli_main(["synth", "--nodes", "8", "--roles", "4", "--days", "10",
                      "--steps-per-day", "24", "--seed", "4",
@@ -397,10 +398,9 @@ def test_criterion_11_end_to_end_determinism(tmp_path, monkeypatch):
                    + ", ".join(f"{k}={v}" for k, v in same.items()))
 
 
-def test_criterion_12_real_data_smoke(tmp_path, monkeypatch):
+def test_criterion_12_real_data_smoke(tmp_path):
     # stands in for any user CSV meeting the ingest contract (PEMS-style
     # 15-minute export); no numeric targets asserted
-    monkeypatch.setenv("STPCA_THREADS", "1")
     data_dir = tmp_path / "data"
     assert cli_main(["synth", "--nodes", "6", "--roles", "3", "--days", "6",
                      "--steps-per-day", "96", "--noise-std", "8",

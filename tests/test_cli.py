@@ -1,9 +1,14 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from stpca.cli import main
+from stpca.cli import load_config, main
+from stpca.dataset import DayTensor, Normalizer
+from stpca.model import ModelConfig, init_params
+from stpca.pca import fit_projection
+from stpca.serialize import save_model, save_projection
 
 SMALL_CONFIG = """
 data.csv={data}
@@ -87,6 +92,8 @@ class TestTrain:
         log = (out / "train_log.csv").read_text().splitlines()
         assert log[0] == "epoch,train_loss,val_mae"
         assert len(log) == 3  # 2 epochs
+        # the resolved config is itself a valid config for a rerun
+        assert load_config(out / "config.resolved") == load_config(cfg)
 
     def test_rerun_byte_identical(self, synth_dir, tmp_path):
         outs = []
@@ -281,8 +288,36 @@ class TestExportAndReport:
         assert "Average" in text and "&" in text
 
 
-def test_threads_env_validation(synth_dir, monkeypatch):
-    monkeypatch.setenv("STPCA_THREADS", "banana")
-    assert run_cli("ingest", "--data", str(synth_dir / "train.csv")) == 2
-    monkeypatch.setenv("STPCA_THREADS", "1")
-    assert run_cli("ingest", "--data", str(synth_dir / "train.csv")) == 0
+class TestCutCheckpoints:
+    """A checkpoint cut at any byte ends in exit 1 with one line, no traceback."""
+
+    def assert_every_cut_exits_1(self, raw, cut, argv, capsys):
+        for size in range(len(raw)):
+            cut.write_bytes(raw[:size])
+            assert run_cli(*argv) == 1, size
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (size, err)
+
+    def test_model(self, synth_dir, tmp_path, capsys):
+        cfg = ModelConfig(l1=1, l2=1, embed_dim=1, tod_dim=1, dow_dim=1,
+                          hidden_dim=1, num_blocks=1, use_graph=True,
+                          steps_per_day=1)
+        good = tmp_path / "good.stpf"
+        save_model(init_params(cfg, 2, seed=0), Normalizer(0.0, 1.0), good)
+        cut = tmp_path / "cut.stpf"
+        self.assert_every_cut_exits_1(
+            good.read_bytes(), cut,
+            ("eval", "--model", str(cut), "--data", str(synth_dir / "train.csv"),
+             "--out", str(tmp_path / "r.json")), capsys)
+
+    def test_projection(self, synth_dir, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        z = DayTensor(data=rng.normal(size=(3, 5, 4)), step_range=(0, 12))
+        good = tmp_path / "good.stpj"
+        save_projection(fit_projection(z, n_components=2), good)
+        cut = tmp_path / "cut.stpj"
+        self.assert_every_cut_exits_1(
+            good.read_bytes(), cut,
+            ("export-embeddings", "--proj", str(cut),
+             "--data", str(synth_dir / "train.csv"),
+             "--out", str(tmp_path / "e.csv")), capsys)

@@ -64,6 +64,16 @@ class TestIngest:
         with pytest.raises(DataError, match="negative reading"):
             ingest_csv(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_value_rejected_with_line(self, tmp_path, cell):
+        p = tmp_path / "flow.csv"
+        rows = csv_rows(576)
+        rows[10] = rows[10].rsplit(",", 1)[0] + "," + cell
+        write_csv(p, rows)
+        with pytest.raises(DataError,
+                           match=rf"flow.csv:12: non-finite value '{cell}'$"):
+            ingest_csv(p)
+
     def test_less_than_one_day(self, tmp_path):
         p = tmp_path / "flow.csv"
         write_csv(p, csv_rows(100))

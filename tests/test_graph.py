@@ -89,6 +89,16 @@ class TestGraphMix:
         h = rng.normal(size=(5, 7))
         np.testing.assert_array_equal(graph_mix(g, h), g.weights @ h)
 
+    def test_batch_mixes_each_row(self):
+        rng = np.random.default_rng(6)
+        g = build_adaptive_graph(rng.normal(size=(5, 3)))
+        h = rng.normal(size=(4, 5, 7))
+        mixed = graph_mix(g, h)
+        for b in range(4):
+            np.testing.assert_allclose(mixed[b], g.weights @ h[b], rtol=1e-14)
+        with pytest.raises(ValueError, match=r"feature rows \(6\)"):
+            graph_mix(g, np.zeros((4, 6, 7)))
+
     def test_preserves_constant_vectors(self):
         rng = np.random.default_rng(5)
         g = build_adaptive_graph(rng.normal(size=(6, 2)))

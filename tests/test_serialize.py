@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,42 @@ class TestModelCheckpoint:
         (tmp_path / "fat.stpf").write_bytes(p.read_bytes() + b"x")
         with pytest.raises(ValueError, match="trailing"):
             load_model(tmp_path / "fat.stpf")
+
+    def test_cut_after_magic_is_value_error(self, tmp_path):
+        params = self.make_params()
+        p = tmp_path / "model.stpf"
+        save_model(params, Normalizer(0.0, 1.0), p)
+        (tmp_path / "cut.stpf").write_bytes(p.read_bytes()[:7])
+        with pytest.raises(ValueError, match="truncated model checkpoint"):
+            load_model(tmp_path / "cut.stpf")
+
+    def test_header_config_must_match_tensor_shapes(self, tmp_path):
+        params = self.make_params()  # embed_dim 2
+        p = tmp_path / "model.stpf"
+        save_model(params, Normalizer(0.0, 1.0), p)
+        raw = bytearray(p.read_bytes())
+        raw[17:21] = struct.pack("<I", 3)  # header embed_dim: 2 -> 3
+        (tmp_path / "lie.stpf").write_bytes(bytes(raw))
+        with pytest.raises(ValueError,
+                           match=r"embedding: shape 6x2 does not match .*\(Nx3\)"):
+            load_model(tmp_path / "lie.stpf")
+
+    def test_embedding_columns_checked_against_embed_dim(self, tmp_path):
+        cfg = ModelConfig(l1=4, l2=3, embed_dim=2, tod_dim=2, dow_dim=2,
+                          hidden_dim=5, num_blocks=1, steps_per_day=12)
+        params = init_params(cfg, 6, seed=1)
+        params.embedding = EmbeddingTable(values=np.ones((6, 3)), strategy="pca")
+        p = tmp_path / "model.stpf"
+        save_model(params, Normalizer(0.0, 1.0), p)
+        with pytest.raises(ValueError, match="embedding: shape 6x3 .*Nx2"):
+            load_model(p)
+
+    def test_unknown_strategy_tag(self, tmp_path):
+        p = tmp_path / "model.stpf"
+        save_model(self.make_params(), Normalizer(0.0, 1.0), p)
+        (tmp_path / "tag.stpf").write_bytes(p.read_bytes()[:-1] + b"\x09")
+        with pytest.raises(ValueError, match="strategy tag 9"):
+            load_model(tmp_path / "tag.stpf")
 
 
 class TestCsvExports:

@@ -34,6 +34,52 @@ def toy_windows(n_windows, n_nodes=5, l1=4, l2=4, t=8, seed=0, zero_frac=0.15):
     return out
 
 
+def einsum_backward(params, cache, loss_grad):
+    """Reference gradients in per-axis einsum form, one contraction per tensor.
+
+    The production backward contracts batch and nodes as one flat axis through
+    BLAS matmuls; this slow form sums the same products in another order.
+    """
+    cfg = params.config
+    hs, rs, x = cache["hs"], cache["rs"], cache["x"]
+    ch, ce, ct = cfg.hidden_dim, cfg.embed_dim, cfg.tod_dim
+    grads = {}
+    dy = loss_grad
+    grads["w_o"] = np.einsum("bnl,bnm->lm", dy, hs[-1])
+    grads["b_o"] = dy.sum(axis=(0, 1))
+    dh = dy @ params.w_o
+    d_emb_graph = None
+    for i in range(cfg.num_blocks - 1, -1, -1):
+        if cfg.use_graph and i == 0:
+            adp, h_pre = cache["graph"], cache["h_premix"]
+            e = cache["embedding"].values
+            d_adj = np.einsum("buf,bvf->uv", dh, h_pre)
+            dh = np.einsum("uv,buf->bvf", adp.weights, dh)
+            a = adp.weights
+            d_logits = a * (d_adj - (a * d_adj).sum(axis=1, keepdims=True))
+            d_gram = d_logits * (np.maximum(e @ e.T, 0.0) > 0)
+            d_emb_graph = (d_gram + d_gram.T) @ e
+        blk = params.blocks[i]
+        grads[f"b2_{i}"] = dh.sum(axis=(0, 1))
+        grads[f"w2_{i}"] = np.einsum("bnm,bnk->mk", dh, rs[i])
+        dz = (dh @ blk["w2"]) * (rs[i] > 0)
+        grads[f"b1_{i}"] = dz.sum(axis=(0, 1))
+        grads[f"w1_{i}"] = np.einsum("bnm,bnk->mk", dz, hs[i])
+        dh = dh + dz @ blk["w1"]
+    du = dh[:, :, :ch]
+    grads["w_x"] = np.einsum("bnc,bnl->cl", du, x)
+    grads["b_x"] = du.sum(axis=(0, 1))
+    grads["embedding"] = dh[:, :, ch : ch + ce].sum(axis=0)
+    if d_emb_graph is not None:
+        grads["embedding"] = grads["embedding"] + d_emb_graph
+    grads["tod"] = np.zeros_like(params.tod)
+    np.add.at(grads["tod"], cache["tod_idx"],
+              dh[:, :, ch + ce : ch + ce + ct].sum(axis=1))
+    grads["dow"] = np.zeros_like(params.dow)
+    np.add.at(grads["dow"], cache["dow_idx"], dh[:, :, ch + ce + ct :].sum(axis=1))
+    return grads
+
+
 class TestMaskedMaeLoss:
     def test_hand_computed(self):
         # denorm(pred) = (5, 8), target = (0, 10): only the second cell counts
@@ -122,9 +168,14 @@ class TestBackward:
         for name in g1:
             np.testing.assert_allclose(g2[name], 2 * g1[name], atol=1e-12)
 
-    @pytest.mark.parametrize("use_graph", [False, True])
-    def test_finite_difference_toy(self, use_graph):
-        cfg = toy_config(num_blocks=1, use_graph=use_graph)
+    # with two blocks the graph block (block 0) receives block 1's gradient
+    @pytest.mark.parametrize("num_blocks,use_graph", [
+        pytest.param(1, False, id="False"),
+        pytest.param(1, True, id="True"),
+        pytest.param(2, True, id="two_blocks-True"),
+    ])
+    def test_finite_difference_toy(self, num_blocks, use_graph):
+        cfg = toy_config(num_blocks=num_blocks, use_graph=use_graph)
         params = init_params(cfg, 5, seed=11)
         rng = np.random.default_rng(3)
         for name, tensor in params.tensors().items():
@@ -132,6 +183,34 @@ class TestBackward:
                 tensor += rng.normal(0, 0.05, size=tensor.shape)
         errs = finite_difference_check(params, toy_windows(6, seed=4), NORM)
         assert max(errs.values()) < 1e-4
+
+    @pytest.mark.parametrize("use_graph", [False, True])
+    def test_matches_einsum_reference(self, use_graph):
+        cfg = toy_config(num_blocks=2, use_graph=use_graph)
+        params = init_params(cfg, 5, seed=5)
+        rng = np.random.default_rng(6)
+        for name, tensor in params.tensors().items():
+            tensor += rng.normal(0, 0.3, size=tensor.shape)
+        x, y, ti, di = batch_arrays(toy_windows(7, seed=8), NORM)
+        pred, cache = forward(params, None, x, ti, di, cache=True)
+        _, lgrad = masked_mae_loss(pred, y, NORM)
+        grads = backward(params, cache, lgrad)
+        reference = einsum_backward(params, cache, lgrad)
+        assert set(grads) == set(params.trainable_names())
+        for name, g in grads.items():
+            scale = np.abs(reference[name]).max()
+            assert scale > 0, name
+            assert np.abs(g - reference[name]).max() <= 1e-12 * scale, name
+
+    def test_non_finite_gradient_names_tensor(self):
+        params = init_params(toy_config(), 5, seed=0)
+        x, _, ti, di = batch_arrays(toy_windows(3), NORM)
+        _, cache = forward(params, None, x, ti, di, cache=True)
+        lgrad = np.zeros((3, 5, 4))
+        lgrad[0, 0, 0] = np.inf
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="gradient for b_o"):
+            backward(params, cache, lgrad, trainable=["b_o"])
 
     def test_frozen_embedding_gets_no_gradient(self):
         params = init_params(toy_config(), 5, seed=0)
@@ -144,7 +223,42 @@ class TestBackward:
         assert "embedding" not in grads
 
 
+def textbook_adam(params, grads_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Reference Adam: per-tensor moments, explicit bias-corrected m_hat, v_hat."""
+    m, v = {}, {}
+    tensors = params.tensors()
+    for t, grads in enumerate(grads_seq, start=1):
+        for name, g in grads.items():
+            m[name] = beta1 * m.get(name, 0.0) + (1 - beta1) * g
+            v[name] = beta2 * v.get(name, 0.0) + (1 - beta2) * g * g
+            m_hat = m[name] / (1 - beta1 ** t)
+            v_hat = v[name] / (1 - beta2 ** t)
+            tensors[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 class TestAdam:
+    def test_matches_textbook_adam(self):
+        rng = np.random.default_rng(0)
+        fast = init_params(toy_config(num_blocks=2), 5, seed=0)
+        slow = fast.clone()
+        grads_seq = [{name: rng.normal(size=t.shape) * 10.0 ** rng.integers(-4, 2)
+                      for name, t in fast.tensors().items()} for _ in range(20)]
+        state = AdamState()
+        for grads in grads_seq:
+            adam_step(state, fast, {k: g.copy() for k, g in grads.items()}, lr=1e-2)
+        textbook_adam(slow, grads_seq, lr=1e-2)
+        assert state.t == 20
+        for name, tensor in fast.tensors().items():
+            ref = slow.tensors()[name]
+            assert np.abs(tensor - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+    def test_gradient_set_must_not_change(self):
+        params = init_params(toy_config(), 2, seed=0)
+        state = AdamState()
+        adam_step(state, params, {"w_x": np.ones_like(params.w_x)}, lr=1e-3)
+        with pytest.raises(ValueError, match="Adam state"):
+            adam_step(state, params, {"b_x": np.ones_like(params.b_x)}, lr=1e-3)
+
     def test_first_step_magnitude(self):
         cfg = toy_config()
         params = init_params(cfg, 2, seed=0)
