@@ -3,29 +3,19 @@
 The package trains a node-shared forecaster whose per-node knowledge lives in
 a swappable embedding table, and provides the evaluation protocols (cross-year
 shift, cross-city zero-shot) that show why a frozen statistical table
-generalizes where a trained one does not.
+generalizes where a trained one does not. The rest of the API lives in the
+submodules (`stpca.dataset`, `stpca.model`, `stpca.training`, ...).
 """
 
-from .dataset import (DataError, DayTensor, Normalizer, TrafficSeries, Window,
-                      fit_normalizer, ingest_csv, load_adjacency, make_windows,
-                      normalize_day_tensor, split_chronological, to_day_tensor,
-                      write_series_csv)
-from .graph import AdaptiveGraph, build_adaptive_graph, graph_mix
-from .metrics import (HorizonReport, MetricSet, evaluate,
-                      horizon_report_from_arrays, masked_metrics, render_report)
-from .model import (ModelConfig, ModelParams, batch_arrays, forward,
-                    init_params, predict_windows, set_embedding)
-from .pca import (EmbeddingTable, PcaProjection, average_embeddings, embed_days,
-                  fit_projection, refresh_embedding, select_components, sym_eig,
-                  zero_embedding)
-from .pipeline import (DataBundle, TrainedRun, fit_training_embedding,
-                       prepare_data, train_run)
-from .synth import SynthSpec, generate, role_profile, write_roles_csv
-from .training import (AdamState, EarlyStopping, TrainConfig, TrainReport,
-                       adam_step, backward, clip_gradients,
-                       finite_difference_check, fit, masked_mae_loss)
-from .transfer import (TransferPlan, cross_year_eval,
-                       historical_average_baseline, split_adaptation,
-                       zero_shot_transfer)
+from .dataset import (fit_normalizer, ingest_csv, normalize_day_tensor,
+                      split_chronological, to_day_tensor, write_series_csv)
+from .graph import build_adaptive_graph
+from .metrics import evaluate
+from .model import ModelConfig
+from .pca import fit_projection, refresh_embedding, select_components
+from .pipeline import train_run
+from .synth import SynthSpec, generate
+from .training import TrainConfig
+from .transfer import TransferPlan
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ from datetime import datetime, timedelta
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .ioutil import atomic_write_text
 
@@ -79,10 +80,12 @@ class TrafficSeries:
     def num_nodes(self) -> int:
         return self.values.shape[1]
 
-    def slot_of(self, step: int) -> int:
+    def slot_of(self, step):
+        """Within-day slot of a step index (or of each entry of an index array)."""
         return (self.start_slot + step) % self.steps_per_day
 
-    def dow_of(self, step: int) -> int:
+    def dow_of(self, step):
+        """Day of week of a step index (or of each entry of an index array)."""
         return (self.start_dow + (self.start_slot + step) // self.steps_per_day) % 7
 
 
@@ -115,24 +118,31 @@ class Normalizer:
     std: float
 
     def apply(self, x):
-        return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
+        """z-score of x, C-contiguous whatever the layout of x."""
+        out = np.subtract(x, self.mean, dtype=np.float64, order="C")
+        out /= self.std
+        return out
 
     def invert(self, x):
         return np.asarray(x, dtype=np.float64) * self.std + self.mean
 
 
-@dataclass
-class Window:
-    """One forecasting sample: l1 history steps followed by l2 target steps.
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """Forecasting samples: l1 history steps followed by l2 target steps.
 
-    tod/dow identify the first target step. history/target are [N x l] slices
-    in original units.
+    history [W x N x l1] and target [W x N x l2] are in original units; tod and
+    dow [W] identify each window's first target step. make_windows returns
+    read-only views of the series values, so no window data is copied.
     """
 
     history: np.ndarray
     target: np.ndarray
-    tod: int
-    dow: int
+    tod: np.ndarray
+    dow: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.tod)
 
 
 def ingest_csv(path, adjacency_path=None) -> TrafficSeries:
@@ -309,8 +319,8 @@ def fit_normalizer(series: TrafficSeries, step_range, include_zeros=True) -> Nor
     return Normalizer(mean=mean, std=std)
 
 
-def make_windows(series: TrafficSeries, step_range, l1=12, l2=12):
-    """Slide a stride-1 window over the range; one Window per valid offset.
+def make_windows(series: TrafficSeries, step_range, l1=12, l2=12) -> Windows:
+    """Slide a stride-1 window over the range; one window per valid offset.
 
     Histories and targets never cross the range boundary, so windows built per
     split cannot leak across splits.
@@ -319,18 +329,13 @@ def make_windows(series: TrafficSeries, step_range, l1=12, l2=12):
     span = l1 + l2
     if hi - lo < span:
         raise DataError(f"range too short for windows: {hi - lo} < {span}")
-    windows = []
-    for s in range(lo, hi - span + 1):
-        t_first = s + l1  # absolute index of the first target step
-        windows.append(
-            Window(
-                history=series.values[s : s + l1].T.copy(),
-                target=series.values[t_first : t_first + l2].T.copy(),
-                tod=series.slot_of(t_first),
-                dow=series.dow_of(t_first),
-            )
-        )
-    return windows
+    first = np.arange(lo + l1, hi - l2 + 1)  # absolute first target steps
+    return Windows(
+        history=sliding_window_view(series.values[lo : hi - l2], l1, axis=0),
+        target=sliding_window_view(series.values[lo + l1 : hi], l2, axis=0),
+        tod=series.slot_of(first),
+        dow=series.dow_of(first),
+    )
 
 
 def to_day_tensor(series: TrafficSeries, step_range, origin="") -> DayTensor:

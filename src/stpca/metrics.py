@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import batch_arrays, forward
+from .model import predict
 
 DEFAULT_HORIZONS = (3, 6, 12)
 
@@ -69,23 +69,6 @@ def masked_metrics(pred: np.ndarray, target: np.ndarray) -> MetricSet:
     return MetricSet(mae=mae, rmse=rmse, mape=float(abs_diff.mean()))
 
 
-def predictions_and_targets(params, embedding, windows, normalizer,
-                            batch_size: int = 256):
-    """De-normalized predictions and raw targets stacked over a window list.
-
-    Batches are written into arrays allocated once, so no list of per-batch
-    copies is concatenated at the end.
-    """
-    target = np.stack([w.target for w in windows])
-    pred = np.empty_like(target)
-    for lo in range(0, len(windows), batch_size):
-        chunk = windows[lo : lo + batch_size]
-        x, _, tod_idx, dow_idx = batch_arrays(chunk, normalizer)
-        pred[lo : lo + len(chunk)] = normalizer.invert(
-            forward(params, embedding, x, tod_idx, dow_idx))
-    return pred, target
-
-
 def horizon_report_from_arrays(pred, target, horizons=DEFAULT_HORIZONS,
                                metadata=None) -> HorizonReport:
     """Slice [W x N x l2] predictions per horizon; 'avg' pools every step.
@@ -108,9 +91,8 @@ def evaluate(params, embedding, windows, normalizer, horizons=DEFAULT_HORIZONS,
     """Forward, de-normalize, and report metrics at each horizon."""
     if not windows:
         raise ValueError("no windows to evaluate")
-    pred, target = predictions_and_targets(params, embedding, windows,
-                                           normalizer, batch_size)
-    return horizon_report_from_arrays(pred, target, horizons, metadata)
+    pred = predict(params, embedding, windows, normalizer, batch_size)
+    return horizon_report_from_arrays(pred, windows.target, horizons, metadata)
 
 
 def render_report(report: HorizonReport) -> str:

@@ -136,19 +136,6 @@ def set_embedding(params: ModelParams, table: EmbeddingTable) -> ModelParams:
     return out
 
 
-def batch_arrays(windows, normalizer):
-    """Stack windows into model-ready arrays.
-
-    Returns (x, y, tod_idx, dow_idx): x is normalized history [B x N x l1],
-    y the raw targets [B x N x l2].
-    """
-    x = np.stack([w.history for w in windows])
-    y = np.stack([w.target for w in windows])
-    tod_idx = np.array([w.tod for w in windows], dtype=np.intp)
-    dow_idx = np.array([w.dow for w in windows], dtype=np.intp)
-    return normalizer.apply(x), y, tod_idx, dow_idx
-
-
 def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
             x: np.ndarray, tod_idx, dow_idx, cache: bool = False):
     """Run the forecaster on a normalized batch.
@@ -217,12 +204,18 @@ def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
     }
 
 
-def predict_windows(params: ModelParams, embedding, windows, normalizer,
-                    batch_size: int = 256) -> np.ndarray:
-    """Forward a window list in batches; predictions stay in normalized units."""
-    preds = []
+def predict(params: ModelParams, embedding, windows, normalizer,
+            batch_size: int = 256) -> np.ndarray:
+    """Forward the windows in batches: predictions [W x N x l2] in original units.
+
+    Histories are normalized one batch at a time and each batch is written
+    into an array allocated once; a window's prediction does not depend on the
+    batch it falls in.
+    """
+    pred = np.empty(windows.history.shape[:2] + (params.config.l2,))
     for lo in range(0, len(windows), batch_size):
-        chunk = windows[lo : lo + batch_size]
-        x, _, tod_idx, dow_idx = batch_arrays(chunk, normalizer)
-        preds.append(forward(params, embedding, x, tod_idx, dow_idx))
-    return np.concatenate(preds, axis=0)
+        hi = lo + batch_size
+        x = normalizer.apply(windows.history[lo:hi])
+        y = forward(params, embedding, x, windows.tod[lo:hi], windows.dow[lo:hi])
+        pred[lo:hi] = normalizer.invert(y)
+    return pred

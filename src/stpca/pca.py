@@ -15,16 +15,14 @@ import numpy as np
 from .dataset import DayTensor
 
 SYMMETRY_TOL = 1e-10
-JACOBI_OFFDIAG_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 
 def sym_eig(a: np.ndarray):
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Full eigendecomposition of a symmetric matrix (LAPACK `eigh`).
 
     Returns (eigenvalues, eigenvectors) with eigenvalues in descending order
-    and eigenvectors as columns. Sweeps run until every off-diagonal magnitude
-    drops below 1e-12 or 100 sweeps have been applied.
+    and eigenvectors as columns; each column's first entry above 1e-12 in
+    magnitude is positive.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -34,47 +32,12 @@ def sym_eig(a: np.ndarray):
     if a.shape[0] > 1 and np.abs(a - a.T).max() > SYMMETRY_TOL:
         raise ValueError("matrix is not symmetric within 1e-10")
 
-    n = a.shape[0]
-    if n == 1:
-        return a[0].copy(), np.array([[1.0]])
-
-    d = (a + a.T) / 2.0  # work on the exactly symmetric part
-    v = np.eye(n)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = np.abs(d - np.diag(np.diag(d))).max()
-        if off < JACOBI_OFFDIAG_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = d[p, q]
-                if abs(apq) < JACOBI_OFFDIAG_TOL:
-                    continue
-                theta = (d[q, q] - d[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-
-                row_p = d[p, :].copy()
-                row_q = d[q, :].copy()
-                d[p, :] = c * row_p - s * row_q
-                d[q, :] = s * row_p + c * row_q
-                col_p = d[:, p].copy()
-                col_q = d[:, q].copy()
-                d[:, p] = c * col_p - s * col_q
-                d[:, q] = s * col_p + c * col_q
-
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-
-    eigvals = np.diag(d).copy()
+    eigvals, vecs = np.linalg.eigh((a + a.T) / 2.0)  # the exactly symmetric part
     order = np.argsort(-eigvals, kind="stable")
     eigvals = eigvals[order]
-    vecs = v[:, order]
+    vecs = vecs[:, order]
     # deterministic sign: first entry above tolerance made positive
-    for j in range(n):
+    for j in range(vecs.shape[1]):
         col = vecs[:, j]
         nz = np.nonzero(np.abs(col) > 1e-12)[0]
         if nz.size and col[nz[0]] < 0:

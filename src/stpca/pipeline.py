@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 from typing import Optional
 
-from .dataset import (TrafficSeries, fit_normalizer, make_windows,
+from .dataset import (TrafficSeries, Windows, fit_normalizer, make_windows,
                       normalize_day_tensor, split_chronological, to_day_tensor)
 from .model import ModelConfig, ModelParams, init_params, set_embedding
 from .pca import fit_projection, refresh_embedding, zero_embedding
@@ -15,9 +15,9 @@ class DataBundle:
     series: TrafficSeries
     ranges: tuple  # (train, val, test) step ranges
     normalizer: object
-    train_windows: list
-    val_windows: list
-    test_windows: list
+    train_windows: Windows
+    val_windows: Windows
+    test_windows: Windows
 
 
 def prepare_data(series: TrafficSeries, ratios=(0.6, 0.2, 0.2), l1=12, l2=12,

@@ -8,7 +8,8 @@ from typing import Optional
 import numpy as np
 
 from .dataset import Normalizer
-from .model import ModelParams, batch_arrays, forward
+from .metrics import masked_metrics
+from .model import ModelParams, forward, predict
 
 
 @dataclass
@@ -19,7 +20,6 @@ class TrainConfig:
     batch_size: int = 32
     grad_clip_norm: float = 5.0
     seed: int = 0
-    strategy: Optional[str] = None  # informational; the embedding table decides
 
     def __post_init__(self):
         if min(self.lr, self.max_epochs, self.patience, self.batch_size,
@@ -218,23 +218,6 @@ class EarlyStopping:
         return self.stale >= self.patience
 
 
-def _val_masked_mae(params, val_arrays, normalizer, batch_size=512):
-    """Masked MAE over validation arrays stacked once per fit by batch_arrays."""
-    x_all, y_all, tod_all, dow_all = val_arrays
-    total_abs, total_cnt = 0.0, 0
-    for lo in range(0, len(x_all), batch_size):
-        hi = lo + batch_size
-        y = y_all[lo:hi]
-        pred = normalizer.invert(forward(params, None, x_all[lo:hi],
-                                         tod_all[lo:hi], dow_all[lo:hi]))
-        mask = y != 0
-        total_abs += float(np.abs(pred - y)[mask].sum())
-        total_cnt += int(mask.sum())
-    if total_cnt == 0:
-        raise ValueError("validation set has no valid targets")
-    return total_abs / total_cnt
-
-
 def fit(params: ModelParams, train_windows, val_windows, normalizer,
         config: TrainConfig, trainable=None):
     """Train with seeded shuffling, keep the best validation snapshot.
@@ -246,14 +229,7 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
     """
     if not train_windows or not val_windows:
         raise ValueError("train and validation windows must be non-empty")
-    if config.strategy is not None and config.strategy != params.embedding.strategy:
-        raise ValueError(
-            f"config strategy {config.strategy!r} != embedding strategy "
-            f"{params.embedding.strategy!r}"
-        )
     names = params.trainable_names() if trainable is None else list(trainable)
-    x_all, y_all, tod_all, dow_all = batch_arrays(train_windows, normalizer)
-    val_arrays = batch_arrays(val_windows, normalizer)
     n_train = len(train_windows)
 
     rng = np.random.default_rng(config.seed)
@@ -267,12 +243,13 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
         losses = []
         for lo in range(0, n_train, config.batch_size):
             idx = perm[lo : lo + config.batch_size]
-            y_batch = y_all[idx]
+            y_batch = train_windows.target[idx]
             if not (y_batch != 0).any():
                 warnings.warn("batch skipped: no valid (nonzero) targets")
                 continue
-            pred, cache = forward(params, None, x_all[idx], tod_all[idx],
-                                  dow_all[idx], cache=True)
+            x = normalizer.apply(train_windows.history[idx])
+            pred, cache = forward(params, None, x, train_windows.tod[idx],
+                                  train_windows.dow[idx], cache=True)
             loss, lgrad = masked_mae_loss(pred, y_batch, normalizer)
             if not np.isfinite(loss):
                 report.stopping_reason = "diverged"
@@ -284,7 +261,8 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
                       grad_clip_norm=config.grad_clip_norm)
             losses.append(loss)
 
-        val_mae = _val_masked_mae(params, val_arrays, normalizer)
+        val_mae = masked_metrics(predict(params, None, val_windows, normalizer),
+                                 val_windows.target).mae
         train_loss = float(np.mean(losses)) if losses else float("nan")
         report.epochs.append((epoch, train_loss, val_mae))
         improved = val_mae < stopper.best
@@ -311,15 +289,14 @@ def finite_difference_check(params: ModelParams, windows, normalizer,
     are below 1e-7 count as exact (the difference is pure roundoff).
     """
     names = params.trainable_names() if trainable is None else list(trainable)
-    x, y, tod_idx, dow_idx = batch_arrays(windows, normalizer)
-    pred, cache = forward(params, None, x, tod_idx, dow_idx, cache=True)
-    _, lgrad = masked_mae_loss(pred, y, normalizer)
+    x = normalizer.apply(windows.history)
+    pred, cache = forward(params, None, x, windows.tod, windows.dow, cache=True)
+    _, lgrad = masked_mae_loss(pred, windows.target, normalizer)
     grads = backward(params, cache, lgrad, trainable=names)
 
     def loss_at():
-        p = forward(params, None, x, tod_idx, dow_idx)
-        loss, _ = masked_mae_loss(p, y, normalizer)
-        return loss
+        return masked_metrics(predict(params, None, windows, normalizer),
+                              windows.target).mae
 
     errors = {}
     tensors = params.tensors()

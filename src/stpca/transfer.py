@@ -172,7 +172,7 @@ def historical_average_baseline(target_series, eval_range, l1=12, l2=12,
     T = target_series.steps_per_day
     if lo < T:
         raise DataError("need at least one full day before the eval range")
-    slots = np.array([target_series.slot_of(s) for s in range(lo)])
+    slots = target_series.slot_of(np.arange(lo))
     slot_mean = np.zeros((T, target_series.num_nodes))
     for slot in range(T):
         rows = target_series.values[:lo][slots == slot]
@@ -181,11 +181,8 @@ def historical_average_baseline(target_series, eval_range, l1=12, l2=12,
         slot_mean[slot] = rows.mean(axis=0)
 
     windows = make_windows(target_series, eval_range, l1, l2)
-    preds = np.empty((len(windows), target_series.num_nodes, l2))
-    for i, w in enumerate(windows):
-        step_slots = [(w.tod + k) % T for k in range(l2)]
-        preds[i] = slot_mean[step_slots].T
-    targets = np.stack([w.target for w in windows])
+    step_slots = (windows.tod[:, None] + np.arange(l2)) % T  # [W x l2]
+    preds = slot_mean[step_slots].transpose(0, 2, 1)
     meta = {"strategy": "historical_average", "eval_range": list(eval_range)}
     meta.update(metadata or {})
-    return horizon_report_from_arrays(preds, targets, horizons, metadata=meta)
+    return horizon_report_from_arrays(preds, windows.target, horizons, metadata=meta)

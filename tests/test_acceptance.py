@@ -15,7 +15,7 @@ import pytest
 
 import stpca
 from stpca.cli import main as cli_main
-from stpca.dataset import DayTensor, Normalizer, Window
+from stpca.dataset import DayTensor, Normalizer, Windows
 from stpca.metrics import masked_metrics
 from stpca.model import ModelConfig, init_params, set_embedding
 from stpca.pca import EmbeddingTable, fit_projection, sym_eig, zero_embedding
@@ -188,14 +188,16 @@ def test_criterion_5_gradient_exactness():
         for name, tensor in params.tensors().items():
             if name.startswith("b"):
                 tensor += rng.normal(0, 0.05, size=tensor.shape)
-        windows = []
+        history, targets, tod, dow = [], [], [], []
         for _ in range(6):
             target = rng.uniform(0.5, 25, size=(5, 4))
             target[rng.random(target.shape) < 0.15] = 0.0
-            windows.append(Window(history=rng.uniform(0, 25, size=(5, 4)),
-                                  target=target,
-                                  tod=int(rng.integers(0, 8)),
-                                  dow=int(rng.integers(0, 7))))
+            targets.append(target)
+            history.append(rng.uniform(0, 25, size=(5, 4)))
+            tod.append(int(rng.integers(0, 8)))
+            dow.append(int(rng.integers(0, 7)))
+        windows = Windows(history=np.stack(history), target=np.stack(targets),
+                          tod=np.array(tod), dow=np.array(dow))
         errs = finite_difference_check(params, windows, norm, h=1e-5)
         worst = max(worst, max(errs.values()))
     elapsed = time.time() - t0
@@ -228,12 +230,15 @@ def test_criterion_7_frozen_embedding_bitwise():
     norm = Normalizer(mean=10.0, std=4.0)
     cfg = ModelConfig(l1=4, l2=4, embed_dim=3, tod_dim=2, dow_dim=2,
                       hidden_dim=6, num_blocks=1, steps_per_day=8)
-    windows = []
-    for _ in range(30):
-        windows.append(Window(history=rng.uniform(0, 25, size=(5, 4)),
-                              target=rng.uniform(0.5, 25, size=(5, 4)),
-                              tod=int(rng.integers(0, 8)),
-                              dow=int(rng.integers(0, 7))))
+    draws = [(rng.uniform(0, 25, size=(5, 4)), rng.uniform(0.5, 25, size=(5, 4)),
+              int(rng.integers(0, 8)), int(rng.integers(0, 7)))
+             for _ in range(30)]
+    history, target, tod, dow = (np.array(column) for column in zip(*draws))
+
+    def windows(lo, hi):
+        return Windows(history=history[lo:hi], target=target[lo:hi],
+                       tod=tod[lo:hi], dow=dow[lo:hi])
+
     ok = True
     for strategy in ("pca", "zero"):
         params = init_params(cfg, 5, seed=1)
@@ -243,7 +248,7 @@ def test_criterion_7_frozen_embedding_bitwise():
             table = zero_embedding(5, 3)
         params = set_embedding(params, table)
         before = params.embedding.values.tobytes()
-        best, _ = fit(params, windows[:20], windows[20:], norm,
+        best, _ = fit(params, windows(0, 20), windows(20, 30), norm,
                       TrainConfig(max_epochs=3, patience=3, batch_size=8, seed=0))
         ok &= params.embedding.values.tobytes() == before
         ok &= best.embedding.values.tobytes() == before

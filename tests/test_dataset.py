@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stpca.dataset import (DataError, Normalizer, TrafficSeries, fit_normalizer,
                            ingest_csv, load_adjacency, make_windows,
@@ -201,28 +203,81 @@ class TestWindows:
 
     def test_history_precedes_target(self):
         s = make_series(40, steps_per_day=10)
-        w = make_windows(s, (5, 35), 12, 12)[0]
-        np.testing.assert_array_equal(w.history, s.values[5:17].T)
-        np.testing.assert_array_equal(w.target, s.values[17:29].T)
+        ws = make_windows(s, (5, 35), 12, 12)
+        np.testing.assert_array_equal(ws.history[0], s.values[5:17].T)
+        np.testing.assert_array_equal(ws.target[0], s.values[17:29].T)
 
     def test_tod_dow_of_first_target_step(self):
         s = make_series(60, steps_per_day=10, start_slot=7, start_dow=3)
-        w = make_windows(s, (0, 30), 4, 4)[0]
+        ws = make_windows(s, (0, 30), 4, 4)
         # first target step is absolute step 4 -> slot (7+4)%10, one day not yet crossed
-        assert w.tod == 1
-        assert w.dow == 4
+        assert ws.tod[0] == 1
+        assert ws.dow[0] == 4
 
     def test_no_cross_split_leakage(self):
         s = make_series(100, steps_per_day=10)
         ranges = split_chronological(s, (0.6, 0.2, 0.2))
-        for lo, hi in ranges:
-            if hi - lo >= 8:
-                for w in make_windows(s, (lo, hi), 4, 4):
-                    pass  # construction cannot touch steps outside [lo, hi)
         # boundary windows of train end exactly at the split edge
         train_ws = make_windows(s, ranges[0], 4, 4)
-        last = train_ws[-1]
-        np.testing.assert_array_equal(last.target, s.values[ranges[0][1] - 4 : ranges[0][1]].T)
+        np.testing.assert_array_equal(train_ws.target[-1],
+                                      s.values[ranges[0][1] - 4 : ranges[0][1]].T)
+
+
+SENTINEL = 1e9  # marks every value outside the windowed range
+
+
+@st.composite
+def window_cases(draw):
+    """A series, a step range inside it and window lengths that fit the range."""
+    steps_per_day = draw(st.sampled_from([2, 3, 4, 12, 24, 48]))
+    l1, l2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    total = draw(st.integers(max(steps_per_day, l1 + l2), 120))
+    lo = draw(st.integers(0, total - l1 - l2))
+    hi = draw(st.integers(lo + l1 + l2, total))
+    series = make_series(total, n_nodes=draw(st.integers(1, 5)),
+                         steps_per_day=steps_per_day,
+                         start_slot=draw(st.integers(0, steps_per_day - 1)),
+                         start_dow=draw(st.integers(0, 6)))
+    series.values[:lo] = SENTINEL
+    series.values[hi:] = SENTINEL
+    return series, (lo, hi), l1, l2
+
+
+class TestWindowProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(window_cases())
+    def test_windows_are_series_slices(self, case):
+        series, (lo, hi), l1, l2 = case
+        ws = make_windows(series, (lo, hi), l1, l2)
+        assert len(ws) == hi - lo - l1 - l2 + 1
+        assert ws.history.shape == (len(ws), series.num_nodes, l1)
+        assert ws.target.shape == (len(ws), series.num_nodes, l2)
+        for i in range(len(ws)):
+            t_first = lo + i + l1
+            np.testing.assert_array_equal(ws.history[i],
+                                          series.values[lo + i : t_first].T)
+            np.testing.assert_array_equal(ws.target[i],
+                                          series.values[t_first : t_first + l2].T)
+            assert ws.tod[i] == series.slot_of(t_first)
+            assert ws.dow[i] == series.dow_of(t_first)
+
+    @settings(max_examples=150, deadline=None)
+    @given(window_cases())
+    def test_windows_stay_inside_range(self, case):
+        series, step_range, l1, l2 = case
+        ws = make_windows(series, step_range, l1, l2)
+        assert (ws.history < SENTINEL).all()
+        assert (ws.target < SENTINEL).all()
+
+    @settings(max_examples=50, deadline=None)
+    @given(window_cases())
+    def test_windows_are_read_only_views(self, case):
+        series, step_range, l1, l2 = case
+        ws = make_windows(series, step_range, l1, l2)
+        for arr in (ws.history, ws.target):
+            assert np.shares_memory(arr, series.values)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0, 0] = 1.0
 
 
 class TestDayTensor:

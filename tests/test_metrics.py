@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stpca.dataset import Normalizer, Window
+from stpca.dataset import Normalizer, Windows
 from stpca.metrics import (HorizonReport, MetricSet, evaluate,
                            horizon_report_from_arrays, masked_metrics,
                            render_report)
@@ -102,13 +102,11 @@ class TestHorizonReport:
         cfg = ModelConfig(l1=4, l2=12, embed_dim=2, tod_dim=2, dow_dim=2,
                           hidden_dim=4, num_blocks=1, steps_per_day=8)
         params = init_params(cfg, 3, seed=0)
-        windows = [Window(history=rng.uniform(1, 5, size=(3, 4)),
-                          target=rng.uniform(1, 5, size=(3, 12)),
-                          tod=0, dow=0)]
+        windows = Windows(history=rng.uniform(1, 5, size=(1, 3, 4)),
+                          target=rng.uniform(1, 5, size=(1, 3, 12)),
+                          tod=np.array([0]), dow=np.array([0]))
         # identity check without a model: pred == target
-        rep = horizon_report_from_arrays(
-            np.stack([w.target for w in windows]),
-            np.stack([w.target for w in windows]))
+        rep = horizon_report_from_arrays(windows.target, windows.target)
         for key in ("3", "6", "12", "avg"):
             assert rep.horizons[key].mae == 0.0
         # and the evaluate() plumbing produces the same schema

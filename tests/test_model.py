@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from stpca.dataset import Normalizer, Window
-from stpca.model import (ModelConfig, batch_arrays, forward, init_params,
-                         predict_windows, set_embedding)
+from stpca.dataset import Normalizer, Windows
+from stpca.model import ModelConfig, forward, init_params, predict, set_embedding
 from stpca.pca import EmbeddingTable, zero_embedding
 
 NORM = Normalizer(mean=0.0, std=1.0)
@@ -18,12 +17,18 @@ def toy_config(**overrides):
 
 def toy_windows(n_windows, n_nodes, l1=4, l2=4, t=8, seed=0):
     rng = np.random.default_rng(seed)
-    return [
-        Window(history=rng.uniform(0, 10, size=(n_nodes, l1)),
-               target=rng.uniform(0, 10, size=(n_nodes, l2)),
-               tod=int(rng.integers(0, t)), dow=int(rng.integers(0, 7)))
-        for _ in range(n_windows)
-    ]
+    draws = [(rng.uniform(0, 10, size=(n_nodes, l1)),
+              rng.uniform(0, 10, size=(n_nodes, l2)),
+              int(rng.integers(0, t)), int(rng.integers(0, 7)))
+             for _ in range(n_windows)]
+    history, target, tod, dow = zip(*draws)
+    return Windows(history=np.stack(history), target=np.stack(target),
+                   tod=np.array(tod), dow=np.array(dow))
+
+
+def batch(windows):
+    """Model-ready (x, tod_idx, dow_idx) of a whole Windows record."""
+    return NORM.apply(windows.history), windows.tod, windows.dow
 
 
 class TestInit:
@@ -66,19 +71,19 @@ class TestForward:
         params = init_params(toy_config(), 5, seed=0)
         for tensor in params.tensors().values():
             tensor[...] = 0.0
-        x, _, ti, di = batch_arrays(toy_windows(3, 5), NORM)
+        x, ti, di = batch(toy_windows(3, 5))
         np.testing.assert_array_equal(forward(params, None, x, ti, di), 0.0)
 
     def test_output_shape(self):
         cfg = toy_config(l2=12)
         params = init_params(cfg, 5, seed=0)
         ws = toy_windows(2, 5, l1=4, l2=12)
-        x, _, ti, di = batch_arrays(ws, NORM)
+        x, ti, di = batch(ws)
         assert forward(params, None, x, ti, di).shape == (2, 5, 12)
 
     def test_embedding_slot_is_live(self):
         params = init_params(toy_config(), 5, seed=0)
-        x, _, ti, di = batch_arrays(toy_windows(3, 5), NORM)
+        x, ti, di = batch(toy_windows(3, 5))
         rng = np.random.default_rng(1)
         pca_table = EmbeddingTable(values=rng.normal(size=(5, 3)), strategy="pca")
         out_pca = forward(params, pca_table, x, ti, di)
@@ -87,7 +92,7 @@ class TestForward:
 
     def test_deterministic(self):
         params = init_params(toy_config(use_graph=True), 5, seed=0)
-        x, _, ti, di = batch_arrays(toy_windows(3, 5), NORM)
+        x, ti, di = batch(toy_windows(3, 5))
         a = forward(params, None, x, ti, di)
         b = forward(params, None, x, ti, di)
         np.testing.assert_array_equal(a, b)
@@ -97,7 +102,7 @@ class TestForward:
         cfg = toy_config(use_graph=use_graph)
         params = init_params(cfg, 6, seed=2)
         ws = toy_windows(3, 6)
-        x, _, ti, di = batch_arrays(ws, NORM)
+        x, ti, di = batch(ws)
         out = forward(params, None, x, ti, di)
         perm = np.random.default_rng(0).permutation(6)
         emb_p = EmbeddingTable(values=params.embedding.values[perm],
@@ -111,7 +116,7 @@ class TestForward:
 
     def test_shape_errors(self):
         params = init_params(toy_config(), 5, seed=0)
-        x, _, ti, di = batch_arrays(toy_windows(2, 5), NORM)
+        x, ti, di = batch(toy_windows(2, 5))
         with pytest.raises(ValueError, match="embedding rows"):
             forward(params, zero_embedding(4, 3), x, ti, di)
         with pytest.raises(ValueError, match="history length"):
@@ -120,16 +125,19 @@ class TestForward:
     def test_non_finite_reported_with_block(self):
         params = init_params(toy_config(), 5, seed=0)
         params.blocks[1]["w2"][0, 0] = np.inf
-        x, _, ti, di = batch_arrays(toy_windows(2, 5), NORM)
+        x, ti, di = batch(toy_windows(2, 5))
         with pytest.raises(FloatingPointError, match="block 1"):
             forward(params, None, x, ti, di)
 
-    def test_predict_windows_batches_match_single_pass(self):
-        params = init_params(toy_config(), 5, seed=0)
+    def test_predict_independent_of_batch_size(self):
         ws = toy_windows(10, 5)
-        full = predict_windows(params, None, ws, NORM, batch_size=100)
-        chunked = predict_windows(params, None, ws, NORM, batch_size=3)
-        np.testing.assert_array_equal(full, chunked)
+        x, ti, di = batch(ws)
+        for use_graph in (False, True):
+            params = init_params(toy_config(use_graph=use_graph), 5, seed=0)
+            single = NORM.invert(forward(params, None, x, ti, di))
+            for batch_size in (1, 3, 10, 100):
+                np.testing.assert_array_equal(
+                    predict(params, None, ws, NORM, batch_size=batch_size), single)
 
 
 class TestSetEmbedding:
@@ -140,7 +148,7 @@ class TestSetEmbedding:
         swapped = set_embedding(params, table)
         assert swapped.num_nodes == 25
         ws = toy_windows(2, 25)
-        x, _, ti, di = batch_arrays(ws, NORM)
+        x, ti, di = batch(ws)
         assert forward(swapped, None, x, ti, di).shape == (2, 25, 4)
 
     def test_zero_strategy_forces_exact_zeros(self):
@@ -154,7 +162,7 @@ class TestSetEmbedding:
         table = EmbeddingTable(values=params.embedding.values.copy(),
                                strategy="adaptive")
         swapped = set_embedding(params, table)
-        x, _, ti, di = batch_arrays(toy_windows(3, 5), NORM)
+        x, ti, di = batch(toy_windows(3, 5))
         np.testing.assert_array_equal(forward(swapped, None, x, ti, di),
                                       forward(params, None, x, ti, di))
 

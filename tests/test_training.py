@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from stpca.dataset import Normalizer, Window
-from stpca.model import ModelConfig, batch_arrays, forward, init_params, set_embedding
+from stpca.dataset import Normalizer, Windows
+from stpca.model import ModelConfig, forward, init_params, set_embedding
 from stpca.pca import EmbeddingTable, zero_embedding
 from stpca.training import (AdamState, EarlyStopping, TrainConfig, adam_step,
                             backward, clip_gradients, finite_difference_check,
@@ -23,15 +23,21 @@ def toy_config(**overrides):
 
 def toy_windows(n_windows, n_nodes=5, l1=4, l2=4, t=8, seed=0, zero_frac=0.15):
     rng = np.random.default_rng(seed)
-    out = []
+    history, target, tod, dow = [], [], [], []
     for _ in range(n_windows):
-        target = rng.uniform(0.5, 25, size=(n_nodes, l2))
-        target[rng.random(target.shape) < zero_frac] = 0.0
-        out.append(Window(history=rng.uniform(0, 25, size=(n_nodes, l1)),
-                          target=target,
-                          tod=int(rng.integers(0, t)),
-                          dow=int(rng.integers(0, 7))))
-    return out
+        y = rng.uniform(0.5, 25, size=(n_nodes, l2))
+        y[rng.random(y.shape) < zero_frac] = 0.0
+        target.append(y)
+        history.append(rng.uniform(0, 25, size=(n_nodes, l1)))
+        tod.append(int(rng.integers(0, t)))
+        dow.append(int(rng.integers(0, 7)))
+    return Windows(history=np.stack(history), target=np.stack(target),
+                   tod=np.array(tod), dow=np.array(dow))
+
+
+def batch(windows):
+    """Model-ready (x, y, tod_idx, dow_idx) of a whole Windows record."""
+    return NORM.apply(windows.history), windows.target, windows.tod, windows.dow
 
 
 def einsum_backward(params, cache, loss_grad):
@@ -145,7 +151,7 @@ class TestMaskedMaeLoss:
 class TestBackward:
     def test_zero_loss_grad_gives_zero_gradients(self):
         params = init_params(toy_config(), 5, seed=0)
-        x, _, ti, di = batch_arrays(toy_windows(3), NORM)
+        x, _, ti, di = batch(toy_windows(3))
         _, cache = forward(params, None, x, ti, di, cache=True)
         grads = backward(params, cache, np.zeros((3, 5, 4)))
         for g in grads.values():
@@ -154,7 +160,7 @@ class TestBackward:
     def test_duplicated_batch_doubles_gradient(self):
         params = init_params(toy_config(), 5, seed=0)
         ws = toy_windows(3)
-        x, y, ti, di = batch_arrays(ws, NORM)
+        x, y, ti, di = batch(ws)
         pred, cache = forward(params, None, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
         g1 = backward(params, cache, lgrad)
@@ -191,7 +197,7 @@ class TestBackward:
         rng = np.random.default_rng(6)
         for name, tensor in params.tensors().items():
             tensor += rng.normal(0, 0.3, size=tensor.shape)
-        x, y, ti, di = batch_arrays(toy_windows(7, seed=8), NORM)
+        x, y, ti, di = batch(toy_windows(7, seed=8))
         pred, cache = forward(params, None, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
         grads = backward(params, cache, lgrad)
@@ -204,7 +210,7 @@ class TestBackward:
 
     def test_non_finite_gradient_names_tensor(self):
         params = init_params(toy_config(), 5, seed=0)
-        x, _, ti, di = batch_arrays(toy_windows(3), NORM)
+        x, _, ti, di = batch(toy_windows(3))
         _, cache = forward(params, None, x, ti, di, cache=True)
         lgrad = np.zeros((3, 5, 4))
         lgrad[0, 0, 0] = np.inf
@@ -216,7 +222,7 @@ class TestBackward:
         params = init_params(toy_config(), 5, seed=0)
         params = set_embedding(
             params, EmbeddingTable(values=params.embedding.values, strategy="pca"))
-        x, y, ti, di = batch_arrays(toy_windows(3), NORM)
+        x, y, ti, di = batch(toy_windows(3))
         pred, cache = forward(params, None, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
         grads = backward(params, cache, lgrad)
@@ -372,7 +378,7 @@ class TestFit:
         # repeated identical batch: loss over the first 50 steps trends down
         params = init_params(toy_config(), 5, seed=4)
         ws = toy_windows(8, seed=9, zero_frac=0.0)
-        x, y, ti, di = batch_arrays(ws, NORM)
+        x, y, ti, di = batch(ws)
         from stpca.training import AdamState, adam_step, backward as bwd
         state = AdamState()
         losses = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stpca.dataset import DataError, TrafficSeries, make_windows
-from stpca.metrics import evaluate
+from stpca.metrics import evaluate, horizon_report_from_arrays
 from stpca.model import ModelConfig, set_embedding
 from stpca.pca import refresh_embedding
 from stpca.pipeline import prepare_data, train_run
@@ -238,6 +238,26 @@ class TestHistoricalAverage:
         rep = historical_average_baseline(s, (48, s.total_steps), l1=4, l2=4,
                                           horizons=(1,))
         assert rep.horizons["avg"].mae > 0.1
+
+    def test_matches_per_window_loop(self):
+        rng = np.random.default_rng(2)
+        values = rng.uniform(0, 30, size=(9 * 24, 3))
+        values[rng.random(values.shape) < 0.1] = 0.0
+        s = TrafficSeries(values=values, interval_minutes=60, steps_per_day=24,
+                          start_slot=5, start_dow=2, node_ids=["a", "b", "c"])
+        eval_range, l2 = (40, s.total_steps), 6
+        rep = historical_average_baseline(s, eval_range, l1=3, l2=l2,
+                                          horizons=(1, 6))
+        # reference: the slot means and one prediction per window, in loops
+        T, lo = 24, eval_range[0]
+        slot_mean = np.stack([values[:lo][[s.slot_of(i) == slot for i in range(lo)]]
+                              .mean(axis=0) for slot in range(T)])
+        ws = make_windows(s, eval_range, 3, l2)
+        preds = np.stack([slot_mean[[(ws.tod[i] + k) % T for k in range(l2)]].T
+                          for i in range(len(ws))])
+        ref = horizon_report_from_arrays(preds, np.array(ws.target), horizons=(1, 6))
+        for key in ("1", "6", "avg"):
+            assert rep.horizons[key].as_dict() == ref.horizons[key].as_dict()
 
     def test_requires_full_day_before_eval(self):
         s = self.periodic_series()
