@@ -29,8 +29,7 @@ run = train_run(city_a, cfg, TrainConfig(lr=2e-3, max_epochs=60, patience=12,
 print(f"city A model trained: {run.params.num_nodes} nodes, "
       f"graph {build_adaptive_graph(run.params.embedding).weights.shape}")
 
-plan = TransferPlan(source="city_a", target="city_b",
-                    adaptation_fraction=0.25, strategy="pca_emb")
+plan = TransferPlan(adaptation_fraction=0.25, strategy="pca_emb")
 report = zero_shot_transfer(run.params, run.bundle.normalizer, run.projection,
                             city_b, plan)
 print(f"\ntransferred to city B with {city_b.num_nodes} nodes; "

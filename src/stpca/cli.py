@@ -13,7 +13,7 @@ import sys
 from .dataset import (DataError, fit_normalizer, ingest_csv, make_windows,
                       normalize_day_tensor, split_chronological, to_day_tensor,
                       write_series_csv)
-from .metrics import evaluate, render_report
+from .metrics import HorizonReport, MetricSet, evaluate, render_report
 from .model import ModelConfig
 from .pca import refresh_embedding, zero_embedding
 from .pipeline import train_run
@@ -42,7 +42,6 @@ def _bool(text):
 # key -> (parser, default); None default means "unset"
 CONFIG_KEYS = {
     "data.csv": (str, None),
-    "data.adjacency": (str, None),
     "data.shifted_csv": (str, None),
     "data.ratios": (str, "0.6,0.2,0.2"),
     "data.include_zeros_in_norm": (_bool, True),
@@ -151,8 +150,7 @@ def _train_log_text(report):
 
 def cmd_train(args):
     config = load_config(args.config)
-    series = ingest_csv(_require(config, "data.csv"),
-                        adjacency_path=config["data.adjacency"])
+    series = ingest_csv(_require(config, "data.csv"))
     out_dir = config["run.out_dir"]
     os.makedirs(out_dir, exist_ok=True)
 
@@ -188,7 +186,7 @@ def _eval_embedding(params, norm, strategy, series, ranges, args):
         if not args.proj:
             raise ConfigError("--strategy pca requires --proj")
         proj = load_projection(args.proj)
-        z = to_day_tensor(series, ranges[0], origin="train")
+        z = to_day_tensor(series, ranges[0])
         return refresh_embedding(normalize_day_tensor(z, norm), proj)
     raise ConfigError(f"unknown eval strategy {strategy!r}")
 
@@ -234,7 +232,6 @@ def cmd_transfer(args):
         if name not in STRATEGY_ALIASES:
             raise ConfigError(f"unknown transfer strategy {name!r}")
         plan = TransferPlan(
-            source=os.path.basename(args.model), target=os.path.basename(args.target),
             adaptation_fraction=args.adaptation_fraction,
             strategy=STRATEGY_ALIASES[name], refit_projection=args.refit_projection,
         )
@@ -336,7 +333,7 @@ def cmd_synth(args):
 
 
 def cmd_ingest(args):
-    series = ingest_csv(args.data, adjacency_path=args.adjacency)
+    series = ingest_csv(args.data)
     summary = {
         "nodes": series.num_nodes, "total_steps": series.total_steps,
         "interval_minutes": series.interval_minutes,
@@ -344,7 +341,6 @@ def cmd_ingest(args):
         "days": series.total_steps / series.steps_per_day,
         "start_slot": series.start_slot, "start_dow": series.start_dow,
         "zero_fraction": float((series.values == 0).mean()),
-        "has_adjacency": series.adjacency is not None,
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
@@ -362,7 +358,7 @@ def cmd_export_embeddings(args):
         series = ingest_csv(args.data)
         ranges = split_chronological(series, parse_ratios(args.ratios))
         norm = fit_normalizer(series, ranges[0])
-        z = to_day_tensor(series, ranges[0], origin="train")
+        z = to_day_tensor(series, ranges[0])
         table = refresh_embedding(normalize_day_tensor(z, norm), proj)
         node_ids = series.node_ids
     write_embedding_csv(table, node_ids, args.out)
@@ -376,16 +372,31 @@ def cmd_export_embeddings(args):
 
 
 def cmd_report(args):
-    with open(args.report, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    from .metrics import HorizonReport, MetricSet
-    entries = payload if isinstance(payload, list) else [
-        {"strategy": payload.get("strategy"), "report": payload}]
-    for entry in entries:
-        horizons = {k: MetricSet(**v)
-                    for k, v in entry["report"]["horizons"].items()}
-        print(f"--- {entry.get('strategy')}")
-        print(render_report(HorizonReport(horizons=horizons)))
+    path = args.report
+    with open(path, encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"{path}: not a JSON file ({exc})") from None
+    if isinstance(payload, dict):
+        payload = [{"strategy": payload.get("strategy"), "report": payload}]
+    if not isinstance(payload, list):
+        raise DataError(f"{path}: expected a report object or a list of entries")
+    tables = []
+    for i, entry in enumerate(payload):
+        try:
+            horizons = {
+                k: MetricSet(mae=float(v["mae"]), rmse=float(v["rmse"]),
+                             mape=float(v["mape"]))
+                for k, v in entry["report"]["horizons"].items()}
+            strategy = entry.get("strategy")
+        except (AttributeError, KeyError, TypeError, ValueError):
+            raise DataError(f"{path}: entry {i} is not a report with mae/rmse/mape "
+                            "per horizon") from None
+        tables.append(f"--- {strategy}\n"
+                      + render_report(HorizonReport(horizons=horizons)))
+    for table in tables:
+        print(table)
     return 0
 
 
@@ -397,7 +408,6 @@ def build_parser():
 
     p = sub.add_parser("ingest", help="validate a traffic CSV and print a summary")
     p.add_argument("--data", required=True)
-    p.add_argument("--adjacency", default=None)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("synth", help="generate a synthetic train/shifted pair")

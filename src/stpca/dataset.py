@@ -10,7 +10,6 @@ import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,7 +37,6 @@ class TrafficSeries:
     start_slot: int
     start_dow: int
     node_ids: list
-    adjacency: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -64,13 +62,6 @@ class TrafficSeries:
             raise DataError("start_dow out of range")
         if len(self.node_ids) != self.num_nodes:
             raise DataError("node_ids length does not match value columns")
-        if self.adjacency is not None:
-            self.adjacency = np.asarray(self.adjacency, dtype=np.float64)
-            n = self.num_nodes
-            if self.adjacency.shape != (n, n):
-                raise DataError("adjacency must be [N x N]")
-            if (self.adjacency < 0).any():
-                raise DataError("adjacency weights must be non-negative")
 
     @property
     def total_steps(self) -> int:
@@ -95,7 +86,6 @@ class DayTensor:
 
     data: np.ndarray
     step_range: tuple
-    origin: str = ""
 
     @property
     def num_days(self) -> int:
@@ -145,7 +135,7 @@ class Windows:
         return len(self.tod)
 
 
-def ingest_csv(path, adjacency_path=None) -> TrafficSeries:
+def ingest_csv(path) -> TrafficSeries:
     """Load a `timestamp,node_0,...` CSV into a TrafficSeries.
 
     Rows must be strictly increasing in time at a uniform interval; empty cells
@@ -221,41 +211,14 @@ def ingest_csv(path, adjacency_path=None) -> TrafficSeries:
     if first.second or first.microsecond or minutes % interval_min != 0:
         raise DataError(f"{path}: first timestamp not aligned to the interval")
 
-    series = TrafficSeries(
+    return TrafficSeries(
         values=np.array(rows, dtype=np.float64),
         interval_minutes=interval_min,
         steps_per_day=steps_per_day,
         start_slot=minutes // interval_min,
         start_dow=first.weekday(),
         node_ids=node_ids,
-        adjacency=None,
     )
-    if adjacency_path is not None:
-        series.adjacency = load_adjacency(adjacency_path, node_ids)
-    return series
-
-
-def load_adjacency(path, node_ids: Sequence[str]) -> np.ndarray:
-    """Read a `src,dst,weight` edge list into an [N x N] weight matrix."""
-    index = {nid: i for i, nid in enumerate(node_ids)}
-    adj = np.zeros((len(node_ids), len(node_ids)), dtype=np.float64)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:3]] != ["src", "dst", "weight"]:
-            raise DataError(f"{path}: expected header src,dst,weight")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: ragged row")
-            src, dst, w = row[0].strip(), row[1].strip(), float(row[2])
-            if src not in index or dst not in index:
-                raise DataError(f"{path}:{lineno}: unknown node id {src!r}/{dst!r}")
-            if w < 0:
-                raise DataError(f"{path}:{lineno}: negative weight")
-            adj[index[src], index[dst]] = w
-    return adj
 
 
 def write_series_csv(series: TrafficSeries, path):
@@ -338,7 +301,7 @@ def make_windows(series: TrafficSeries, step_range, l1=12, l2=12) -> Windows:
     )
 
 
-def to_day_tensor(series: TrafficSeries, step_range, origin="") -> DayTensor:
+def to_day_tensor(series: TrafficSeries, step_range) -> DayTensor:
     """Reshape the slot-0-aligned complete days inside the range to [D x N x T].
 
     Misaligned head and tail steps are dropped, never padded.
@@ -354,12 +317,9 @@ def to_day_tensor(series: TrafficSeries, step_range, origin="") -> DayTensor:
     return DayTensor(
         data=np.ascontiguousarray(data.transpose(0, 2, 1)),
         step_range=retained,
-        origin=origin,
     )
 
 
 def normalize_day_tensor(z: DayTensor, normalizer: Normalizer) -> DayTensor:
-    """Apply the z-score transform to a day tensor, keeping its provenance."""
-    return DayTensor(
-        data=normalizer.apply(z.data), step_range=z.step_range, origin=z.origin
-    )
+    """Apply the z-score transform to a day tensor, keeping its step range."""
+    return DayTensor(data=normalizer.apply(z.data), step_range=z.step_range)

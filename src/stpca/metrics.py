@@ -87,11 +87,11 @@ def horizon_report_from_arrays(pred, target, horizons=DEFAULT_HORIZONS,
 
 
 def evaluate(params, embedding, windows, normalizer, horizons=DEFAULT_HORIZONS,
-             metadata=None, batch_size: int = 256) -> HorizonReport:
+             metadata=None) -> HorizonReport:
     """Forward, de-normalize, and report metrics at each horizon."""
     if not windows:
         raise ValueError("no windows to evaluate")
-    pred = predict(params, embedding, windows, normalizer, batch_size)
+    pred = predict(params, embedding, windows, normalizer)
     return horizon_report_from_arrays(pred, windows.target, horizons, metadata)
 
 

@@ -129,10 +129,8 @@ def set_embedding(params: ModelParams, table: EmbeddingTable) -> ModelParams:
     if table.strategy == "zero":
         out.embedding = zero_embedding(table.num_nodes, table.dim)
     else:
-        out.embedding = EmbeddingTable(
-            values=table.values.copy(), strategy=table.strategy,
-            source=dict(table.source),
-        )
+        out.embedding = EmbeddingTable(values=table.values.copy(),
+                                       strategy=table.strategy)
     return out
 
 

@@ -7,7 +7,7 @@ node. Because the projection acts on the slot axis, it can be reused on a
 series with any node count, which is what makes cross-city transfer possible.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,8 +21,8 @@ def sym_eig(a: np.ndarray):
     """Full eigendecomposition of a symmetric matrix (LAPACK `eigh`).
 
     Returns (eigenvalues, eigenvectors) with eigenvalues in descending order
-    and eigenvectors as columns; each column's first entry above 1e-12 in
-    magnitude is positive.
+    and eigenvectors as columns. Column signs are whatever LAPACK returns;
+    fit_projection fixes the signs of the columns it keeps.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -34,15 +34,7 @@ def sym_eig(a: np.ndarray):
 
     eigvals, vecs = np.linalg.eigh((a + a.T) / 2.0)  # the exactly symmetric part
     order = np.argsort(-eigvals, kind="stable")
-    eigvals = eigvals[order]
-    vecs = vecs[:, order]
-    # deterministic sign: first entry above tolerance made positive
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0:
-            vecs[:, j] = -col
-    return eigvals, vecs
+    return eigvals[order], vecs[:, order]
 
 
 @dataclass
@@ -89,11 +81,10 @@ class PcaProjection:
 
 @dataclass
 class EmbeddingTable:
-    """[N x C] per-node embedding with its strategy tag and provenance."""
+    """[N x C] per-node embedding with its strategy tag."""
 
     values: np.ndarray
     strategy: str
-    source: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -174,35 +165,19 @@ def fit_projection(
     return PcaProjection(mean=mean, components=comps, eigenvalues=eigvals)
 
 
-def embed_days(z: DayTensor, proj: PcaProjection):
-    """Project each day's [N x T] profile block: one [N x C] matrix per day."""
-    if z.steps_per_day != proj.num_slots:
-        raise ValueError(
-            f"slot mismatch: tensor T={z.steps_per_day}, projection T={proj.num_slots}"
-        )
-    return [(z.data[d] - proj.mean) @ proj.components for d in range(z.num_days)]
+def refresh_embedding(target: DayTensor, proj: PcaProjection) -> EmbeddingTable:
+    """The pca table of a day tensor under a fixed projection.
 
-
-def average_embeddings(per_day, source=None) -> EmbeddingTable:
-    """Element-wise mean of per-day embeddings; the frozen pca table."""
-    if len(per_day) == 0:
-        raise ValueError("empty embedding sequence")
-    shape = per_day[0].shape
-    for e in per_day:
-        if e.shape != shape:
-            raise ValueError("per-day embedding shapes differ")
-    mean = np.mean(np.stack(per_day, axis=0), axis=0)
-    return EmbeddingTable(values=mean, strategy="pca", source=dict(source or {}))
-
-
-def refresh_embedding(target: DayTensor, proj: PcaProjection, source=None) -> EmbeddingTable:
-    """Recompute the pca table for new data under a fixed projection.
-
-    The projection acts on the slot axis, so the target may carry a different
-    node count than the data the projection was fitted on.
+    Each day's [N x T] profile block is projected to [N x C] and the days are
+    averaged. The projection acts on the slot axis, so the target may carry a
+    different node count than the data the projection was fitted on.
     """
     if target.num_days < 1:
         raise ValueError("empty day tensor")
-    info = {"day_range": target.step_range, "origin": target.origin}
-    info.update(source or {})
-    return average_embeddings(embed_days(target, proj), source=info)
+    if target.steps_per_day != proj.num_slots:
+        raise ValueError(
+            f"slot mismatch: tensor T={target.steps_per_day}, "
+            f"projection T={proj.num_slots}"
+        )
+    per_day = (target.data - proj.mean) @ proj.components  # [D x N x C]
+    return EmbeddingTable(values=per_day.mean(axis=0), strategy="pca")

@@ -37,10 +37,10 @@ def prepare_data(series: TrafficSeries, ratios=(0.6, 0.2, 0.2), l1=12, l2=12,
 def fit_training_embedding(bundle: DataBundle, n_components=None, theta=None,
                            center=True):
     """Projection + averaged node table from the training range's day tensor."""
-    z = to_day_tensor(bundle.series, bundle.ranges[0], origin="train")
+    z = to_day_tensor(bundle.series, bundle.ranges[0])
     z = normalize_day_tensor(z, bundle.normalizer)
     proj = fit_projection(z, n_components=n_components, theta=theta, center=center)
-    table = refresh_embedding(z, proj, source={"split": "train"})
+    table = refresh_embedding(z, proj)
     return table, proj
 
 

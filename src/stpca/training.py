@@ -281,14 +281,14 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
 
 
 def finite_difference_check(params: ModelParams, windows, normalizer,
-                            h: float = 1e-5, trainable=None):
+                            h: float = 1e-5):
     """Central-difference check of backward, scalar by scalar.
 
     Returns {tensor name: max relative error}. Relative error uses
     max(|analytic|, |numeric|) as denominator; pairs where both magnitudes
     are below 1e-7 count as exact (the difference is pure roundoff).
     """
-    names = params.trainable_names() if trainable is None else list(trainable)
+    names = params.trainable_names()
     x = normalizer.apply(windows.history)
     pred, cache = forward(params, None, x, windows.tod, windows.dow, cache=True)
     _, lgrad = masked_mae_loss(pred, windows.target, normalizer)

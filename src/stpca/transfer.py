@@ -22,8 +22,6 @@ STRATEGIES = ("vanilla_adaptive", "zero_emb", "pca_emb", "finetune_emb")
 
 @dataclass
 class TransferPlan:
-    source: str = ""
-    target: str = ""
     adaptation_fraction: float = 0.05
     strategy: str = "pca_emb"
     refit_projection: bool = False
@@ -60,27 +58,24 @@ def _target_embedding(target_series, adapt_range, source_proj, tensor_normalizer
     Reuses the source projection by default; with refit=True a new projection
     (same component count) is fitted on the adaptation tensor instead.
     """
-    z = to_day_tensor(target_series, adapt_range, origin="adaptation")
+    z = to_day_tensor(target_series, adapt_range)
     z = normalize_day_tensor(z, tensor_normalizer)
     proj = source_proj
     if refit:
         proj = fit_projection(z, n_components=source_proj.num_components)
-    table = refresh_embedding(z, proj, source={"refit_projection": refit})
+    table = refresh_embedding(z, proj)
     return table, proj
 
 
 def cross_year_eval(params, source_normalizer, source_proj, target_series,
-                    plan: TransferPlan, l1=None, l2=None,
-                    horizons=DEFAULT_HORIZONS, finetune_config=None,
-                    metadata=None):
+                    plan: TransferPlan, horizons=DEFAULT_HORIZONS,
+                    finetune_config=None):
     """Same sensors, later data: apply one embedding strategy, then score.
 
     The model and its normalizer come from the source year; the target must
     match it in node count and slots per day.
     """
     cfg = params.config
-    l1 = cfg.l1 if l1 is None else l1
-    l2 = cfg.l2 if l2 is None else l2
     if target_series.num_nodes != params.num_nodes:
         raise DataError(
             f"cross-year target has {target_series.num_nodes} nodes, "
@@ -97,7 +92,6 @@ def cross_year_eval(params, source_normalizer, source_proj, target_series,
             "adaptation_range": list(adapt_range), "eval_range": list(eval_range),
             "refit_projection": plan.refit_projection,
             "input_normalizer": [source_normalizer.mean, source_normalizer.std]}
-    meta.update(metadata or {})
 
     if plan.strategy == "vanilla_adaptive":
         scored = params
@@ -114,21 +108,20 @@ def cross_year_eval(params, source_normalizer, source_proj, target_series,
         meta["tensor_normalizer"] = [source_normalizer.mean, source_normalizer.std]
         scored = set_embedding(params, table)
     elif plan.strategy == "finetune_emb":
-        adapt_windows = make_windows(target_series, adapt_range, l1, l2)
+        adapt_windows = make_windows(target_series, adapt_range, cfg.l1, cfg.l2)
         ft_cfg = finetune_config or TrainConfig(max_epochs=50, patience=10)
         scored, _ = fit(params.clone(), adapt_windows, adapt_windows,
                         source_normalizer, ft_cfg, trainable=["embedding"])
     else:  # pragma: no cover - plan validation rejects this earlier
         raise ValueError(plan.strategy)
 
-    eval_windows = make_windows(target_series, eval_range, l1, l2)
+    eval_windows = make_windows(target_series, eval_range, cfg.l1, cfg.l2)
     return evaluate(scored, None, eval_windows, source_normalizer, horizons,
                     metadata=meta)
 
 
 def zero_shot_transfer(params, source_normalizer, source_proj, target_series,
-                       plan: TransferPlan, l1=None, l2=None,
-                       horizons=DEFAULT_HORIZONS, metadata=None):
+                       plan: TransferPlan, horizons=DEFAULT_HORIZONS):
     """Foreign node set, no weight updates: recompute only the embedding.
 
     The adaptation tensor is scaled by a normalizer fitted on the target's own
@@ -152,17 +145,14 @@ def zero_shot_transfer(params, source_normalizer, source_proj, target_series,
             "refit_projection": plan.refit_projection,
             "input_normalizer": [source_normalizer.mean, source_normalizer.std],
             "tensor_normalizer": [tensor_norm.mean, tensor_norm.std]}
-    meta.update(metadata or {})
 
-    eval_windows = make_windows(target_series, eval_range,
-                                cfg.l1 if l1 is None else l1,
-                                cfg.l2 if l2 is None else l2)
+    eval_windows = make_windows(target_series, eval_range, cfg.l1, cfg.l2)
     return evaluate(scored, None, eval_windows, source_normalizer, horizons,
                     metadata=meta)
 
 
 def historical_average_baseline(target_series, eval_range, l1=12, l2=12,
-                                horizons=DEFAULT_HORIZONS, metadata=None):
+                                horizons=DEFAULT_HORIZONS):
     """Per-(node, slot) mean over the steps before the evaluation range.
 
     The floor any learned transfer has to beat: it sees the same adaptation
@@ -184,5 +174,4 @@ def historical_average_baseline(target_series, eval_range, l1=12, l2=12,
     step_slots = (windows.tod[:, None] + np.arange(l2)) % T  # [W x l2]
     preds = slot_mean[step_slots].transpose(0, 2, 1)
     meta = {"strategy": "historical_average", "eval_range": list(eval_range)}
-    meta.update(metadata or {})
     return horizon_report_from_arrays(preds, windows.target, horizons, metadata=meta)

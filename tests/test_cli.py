@@ -1,10 +1,14 @@
+import argparse
+import ast
+import inspect
 import json
 import os
 
 import numpy as np
 import pytest
 
-from stpca.cli import load_config, main
+from stpca import cli
+from stpca.cli import CONFIG_KEYS, build_parser, load_config, main
 from stpca.dataset import DayTensor, Normalizer
 from stpca.model import ModelConfig, init_params
 from stpca.pca import fit_projection
@@ -75,6 +79,15 @@ class TestIngest:
         summary = json.loads(capsys.readouterr().out)
         assert summary["nodes"] == 8
         assert summary["steps_per_day"] == 24
+        assert sorted(summary) == ["days", "interval_minutes", "nodes",
+                                   "start_dow", "start_slot", "steps_per_day",
+                                   "total_steps", "zero_fraction"]
+
+    def test_adjacency_flag_is_a_usage_error(self, synth_dir):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("ingest", "--data", str(synth_dir / "train.csv"),
+                    "--adjacency", "adj.csv")
+        assert exc.value.code == 2
 
     def test_missing_file_exit_1(self, tmp_path):
         assert run_cli("ingest", "--data", str(tmp_path / "nope.csv")) == 1
@@ -287,6 +300,23 @@ class TestExportAndReport:
         text = capsys.readouterr().out
         assert "Average" in text and "&" in text
 
+    @pytest.mark.parametrize("payload", [
+        "{}",
+        '{"horizons": {"avg": {"mae": 1.0}}}',
+        "[1, 2]",
+        "{not json",
+        '[{"report": {"horizons": {"avg": {"mae": 1, "rmse": 1, "mape": 0}}}}, 5]',
+    ], ids=["empty-object", "metric-set-without-rmse-mape", "list-of-ints",
+            "not-json", "second-entry-malformed"])
+    def test_malformed_report_exit_1(self, tmp_path, capsys, payload):
+        rep = tmp_path / "r.json"
+        rep.write_text(payload)
+        assert run_cli("report", "--report", str(rep)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {rep}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
 
 class TestCutCheckpoints:
     """A checkpoint cut at any byte ends in exit 1 with one line, no traceback."""
@@ -321,3 +351,38 @@ class TestCutCheckpoints:
             ("export-embeddings", "--proj", str(cut),
              "--data", str(synth_dir / "train.csv"),
              "--out", str(tmp_path / "e.csv")), capsys)
+
+
+class TestNoUnusedKnobs:
+    """Every config key and every subcommand flag is read by the CLI code."""
+
+    @staticmethod
+    def cli_tree():
+        return ast.parse(inspect.getsource(cli))
+
+    def test_every_config_key_is_read(self):
+        read = set()
+        for node in ast.walk(self.cli_tree()):
+            if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name) and node.value.id == "config"
+                    and isinstance(node.slice, ast.Constant)):
+                read.add(node.slice.value)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "_require"
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+        assert sorted(set(CONFIG_KEYS) - read) == []
+
+    def test_every_subcommand_flag_is_read(self):
+        read = {node.attr for node in ast.walk(self.cli_tree())
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        unread = sorted(
+            f"{name} --{action.dest}"
+            for name, parser in sub.choices.items()
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+            and action.dest not in read)
+        assert unread == []

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stpca.dataset import (DataError, Normalizer, TrafficSeries, fit_normalizer,
-                           ingest_csv, load_adjacency, make_windows,
-                           split_chronological, to_day_tensor, write_series_csv)
+                           ingest_csv, make_windows, split_chronological,
+                           to_day_tensor, write_series_csv)
+from stpca.transfer import split_adaptation
 
 
 def make_series(total_steps, n_nodes=3, steps_per_day=288, start_slot=0,
@@ -115,22 +116,6 @@ class TestIngest:
         assert back.start_slot == src.start_slot
         assert back.start_dow == src.start_dow
         np.testing.assert_array_equal(back.values, src.values)
-
-    def test_adjacency_file(self, tmp_path):
-        p = tmp_path / "flow.csv"
-        write_csv(p, csv_rows(288))
-        adj = tmp_path / "adj.csv"
-        adj.write_text("src,dst,weight\nnode_0,node_1,2.5\nnode_2,node_0,1\n")
-        s = ingest_csv(p, adjacency_path=adj)
-        assert s.adjacency[0, 1] == 2.5
-        assert s.adjacency[2, 0] == 1.0
-        assert s.adjacency.sum() == 3.5
-
-    def test_adjacency_unknown_node(self, tmp_path):
-        adj = tmp_path / "adj.csv"
-        adj.write_text("src,dst,weight\nnode_9,node_0,1\n")
-        with pytest.raises(DataError, match="unknown node"):
-            load_adjacency(adj, ["node_0", "node_1"])
 
 
 class TestSplit:
@@ -310,3 +295,64 @@ class TestDayTensor:
         lo, hi = z.step_range
         flat = z.data.transpose(0, 2, 1).reshape(-1, s.num_nodes)
         np.testing.assert_array_equal(flat, s.values[lo:hi])
+
+
+@st.composite
+def day_cases(draw):
+    """A series with any start slot/day and a step range inside it."""
+    steps_per_day = draw(st.sampled_from([1, 2, 3, 4, 12, 24, 48]))
+    total = draw(st.integers(steps_per_day, 4 * steps_per_day + 10))
+    lo = draw(st.integers(0, total - 1))
+    hi = draw(st.integers(lo + 1, total))
+    series = make_series(total, n_nodes=draw(st.integers(1, 4)),
+                         steps_per_day=steps_per_day,
+                         start_slot=draw(st.integers(0, steps_per_day - 1)),
+                         start_dow=draw(st.integers(0, 6)))
+    return series, (lo, hi)
+
+
+def whole_days_in(series, lo, hi):
+    """Oracle by enumeration: the slot-0 starts s in [lo, hi) with s + T <= hi."""
+    T = series.steps_per_day
+    return [s for s in range(lo, hi) if series.slot_of(s) == 0 and s + T <= hi]
+
+
+class TestDayAlignmentProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(day_cases())
+    def test_day_tensor_holds_every_whole_day(self, case):
+        series, (lo, hi) = case
+        T = series.steps_per_day
+        starts = whole_days_in(series, lo, hi)
+        if not starts:
+            with pytest.raises(DataError, match="no complete day"):
+                to_day_tensor(series, (lo, hi))
+            return
+        z = to_day_tensor(series, (lo, hi))
+        first, end = z.step_range
+        assert series.slot_of(first) == 0
+        assert (end - first) % T == 0
+        assert lo <= first and end <= hi
+        assert z.data.shape == (len(starts), series.num_nodes, T)
+        assert list(range(first, end, T)) == starts
+        for d in range(z.num_days):
+            for t in range(T):
+                np.testing.assert_array_equal(z.data[d, :, t],
+                                              series.values[first + d * T + t])
+
+    @settings(max_examples=200, deadline=None)
+    @given(day_cases(), st.floats(0.01, 0.5))
+    def test_adaptation_boundary_is_a_day_edge(self, case, fraction):
+        series, _ = case
+        T = series.steps_per_day
+        raw_end = math.floor(fraction * series.total_steps)
+        if not whole_days_in(series, 0, raw_end):
+            with pytest.raises(DataError, match="lacks a full day"):
+                split_adaptation(series, fraction)
+            return
+        (a_lo, boundary), (e_lo, e_hi) = split_adaptation(series, fraction)
+        assert a_lo == 0 and e_lo == boundary and e_hi == series.total_steps
+        assert series.slot_of(boundary) == 0
+        assert boundary <= raw_end < boundary + T
+        assert boundary < e_hi
+        assert to_day_tensor(series, (a_lo, boundary)).step_range[1] == boundary

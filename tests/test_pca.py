@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from stpca.dataset import DayTensor
-from stpca.pca import (EmbeddingTable, PcaProjection, average_embeddings,
-                       embed_days, fit_projection, refresh_embedding,
-                       select_components, sym_eig, zero_embedding)
+from stpca.pca import (EmbeddingTable, PcaProjection, fit_projection,
+                       refresh_embedding, select_components, sym_eig,
+                       zero_embedding)
 
 
 def day_tensor(data):
@@ -20,6 +20,12 @@ def brute_force_pca(samples):
     lam, vec = np.linalg.eigh(cov)
     order = np.argsort(lam)[::-1]
     return mu, lam[order], vec[:, order]
+
+
+def per_day_table(z, proj):
+    """Reference oracle: project one day at a time, then average the days."""
+    per_day = [(z.data[d] - proj.mean) @ proj.components for d in range(z.num_days)]
+    return np.mean(np.stack(per_day, axis=0), axis=0)
 
 
 class TestSymEig:
@@ -150,72 +156,87 @@ class TestFitProjection:
             assert all(e2 <= e1 + 1e-9 for e1, e2 in zip(errs, errs[1:]))
 
 
+def hand_projection():
+    return PcaProjection(mean=np.array([1.0, 2.0]),
+                         components=np.array([[1.0], [0.0]]),
+                         eigenvalues=np.array([1.0, 0.5]))
+
+
 class TestEmbedDays:
+    """refresh_embedding's projection of each day's [N x T] block."""
+
     def test_hand_computed(self):
-        z = day_tensor([[[3.0, 4.0]]])
-        proj = PcaProjection(mean=np.array([1.0, 2.0]),
-                             components=np.array([[1.0], [0.0]]),
-                             eigenvalues=np.array([1.0, 0.5]))
-        (e,) = embed_days(z, proj)
-        np.testing.assert_allclose(e, [[2.0]])
+        table = refresh_embedding(day_tensor([[[3.0, 4.0]]]), hand_projection())
+        np.testing.assert_allclose(table.values, [[2.0]])
+        assert table.strategy == "pca"
 
     def test_identity_projection(self):
         rng = np.random.default_rng(2)
         data = rng.normal(size=(3, 4, 5))
-        z = day_tensor(data)
         proj = PcaProjection(mean=np.zeros(5), components=np.eye(5),
                              eigenvalues=np.ones(5))
-        per_day = embed_days(z, proj)
-        for d in range(3):
-            np.testing.assert_array_equal(per_day[d], data[d])
+        np.testing.assert_array_equal(
+            refresh_embedding(day_tensor(data[:1]), proj).values, data[0])
+        np.testing.assert_allclose(refresh_embedding(day_tensor(data), proj).values,
+                                   data.mean(axis=0), atol=1e-15)
 
     def test_centered_rows_give_zero(self):
         mu = np.array([1.0, -2.0, 0.5])
-        z = day_tensor(np.tile(mu, (2, 4, 1)))
         proj = PcaProjection(mean=mu, components=np.eye(3), eigenvalues=np.ones(3))
-        for e in embed_days(z, proj):
-            np.testing.assert_allclose(e, 0.0, atol=1e-14)
+        for days in (1, 2):
+            table = refresh_embedding(day_tensor(np.tile(mu, (days, 4, 1))), proj)
+            np.testing.assert_allclose(table.values, 0.0, atol=1e-14)
 
     def test_slot_mismatch(self):
-        z = day_tensor(np.zeros((1, 2, 4)))
         proj = PcaProjection(mean=np.zeros(3), components=np.eye(3),
                              eigenvalues=np.ones(3))
-        with pytest.raises(ValueError, match="slot mismatch"):
-            embed_days(z, proj)
+        for days in (1, 2):
+            with pytest.raises(ValueError, match="slot mismatch"):
+                refresh_embedding(day_tensor(np.zeros((days, 2, 4))), proj)
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
-        a = rng.normal(size=(2, 3, 6))
-        b = rng.normal(size=(2, 3, 6))
         proj = fit_projection(day_tensor(rng.normal(size=(4, 3, 6))), n_components=3)
         alpha = 0.3
-        mixed = embed_days(day_tensor(alpha * a + (1 - alpha) * b), proj)
-        ea = embed_days(day_tensor(a), proj)
-        eb = embed_days(day_tensor(b), proj)
-        for d in range(2):
-            np.testing.assert_allclose(mixed[d], alpha * ea[d] + (1 - alpha) * eb[d],
+        for days in (1, 2):
+            a = rng.normal(size=(days, 3, 6))
+            b = rng.normal(size=(days, 3, 6))
+            mixed = refresh_embedding(day_tensor(alpha * a + (1 - alpha) * b), proj)
+            ea = refresh_embedding(day_tensor(a), proj).values
+            eb = refresh_embedding(day_tensor(b), proj).values
+            np.testing.assert_allclose(mixed.values, alpha * ea + (1 - alpha) * eb,
                                        atol=1e-10)
 
 
 class TestAveraging:
+    """refresh_embedding's mean of the per-day projections."""
+
     def test_mean(self):
-        table = average_embeddings([np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])])
-        np.testing.assert_allclose(table.values, [[2.0, 3.0]])
+        z = day_tensor([[[3.0, 4.0]], [[5.0, 0.0]]])  # days project to 2 and 4
+        table = refresh_embedding(z, hand_projection())
+        np.testing.assert_allclose(table.values, [[3.0]])
         assert table.strategy == "pca"
 
     def test_single_day_identity(self):
-        e = np.array([[1.0, -1.0], [0.5, 2.0]])
-        np.testing.assert_array_equal(average_embeddings([e]).values, e)
+        rng = np.random.default_rng(10)
+        proj = fit_projection(day_tensor(rng.normal(size=(4, 3, 8))), n_components=2)
+        one_day = day_tensor(rng.normal(size=(1, 3, 8)))
+        np.testing.assert_array_equal(refresh_embedding(one_day, proj).values,
+                                      (one_day.data[0] - proj.mean) @ proj.components)
 
     def test_idempotent_on_identical_days(self):
-        e = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(average_embeddings([e] * 5).values, e)
+        rng = np.random.default_rng(13)
+        proj = fit_projection(day_tensor(rng.normal(size=(4, 3, 8))), n_components=3)
+        day = rng.normal(size=(1, 3, 8))
+        one = refresh_embedding(day_tensor(day), proj).values
+        five = refresh_embedding(day_tensor(np.repeat(day, 5, axis=0)), proj).values
+        np.testing.assert_allclose(five, one, atol=1e-14)
 
     def test_errors(self):
-        with pytest.raises(ValueError, match="empty"):
-            average_embeddings([])
-        with pytest.raises(ValueError, match="shapes"):
-            average_embeddings([np.zeros((2, 2)), np.zeros((3, 2))])
+        proj = PcaProjection(mean=np.zeros(3), components=np.eye(3),
+                             eigenvalues=np.ones(3))
+        with pytest.raises(ValueError, match="empty day tensor"):
+            refresh_embedding(day_tensor(np.zeros((0, 2, 3))), proj)
 
 
 class TestRefresh:
@@ -223,9 +244,19 @@ class TestRefresh:
         rng = np.random.default_rng(4)
         z = day_tensor(rng.normal(size=(6, 8, 10)))
         proj = fit_projection(z, n_components=4)
-        train_table = average_embeddings(embed_days(z, proj))
-        refreshed = refresh_embedding(z, proj)
-        np.testing.assert_array_equal(refreshed.values, train_table.values)
+        np.testing.assert_array_equal(refresh_embedding(z, proj).values,
+                                      per_day_table(z, proj))
+
+    @pytest.mark.parametrize("shape", [(1, 3, 8), (16, 40, 48), (3, 170, 24),
+                                       (20, 25, 12)])
+    def test_matches_per_day_loop(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        proj = fit_projection(day_tensor(rng.normal(size=(4, 10, shape[2]))),
+                              n_components=4)
+        for z in (day_tensor(rng.normal(size=shape) * 3.0 + 1.0),
+                  day_tensor(rng.normal(size=(2, 7, shape[2])))):
+            np.testing.assert_array_equal(refresh_embedding(z, proj).values,
+                                          per_day_table(z, proj))
 
     def test_node_count_free(self):
         rng = np.random.default_rng(8)
@@ -237,8 +268,8 @@ class TestRefresh:
         rng = np.random.default_rng(10)
         proj = fit_projection(day_tensor(rng.normal(size=(4, 3, 8))), n_components=2)
         one_day = day_tensor(rng.normal(size=(1, 3, 8)))
-        table = refresh_embedding(one_day, proj)
-        np.testing.assert_array_equal(table.values, embed_days(one_day, proj)[0])
+        np.testing.assert_array_equal(refresh_embedding(one_day, proj).values,
+                                      per_day_table(one_day, proj))
 
     def test_node_permutation_equivariance(self):
         rng = np.random.default_rng(12)
