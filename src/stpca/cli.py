@@ -10,13 +10,13 @@ import json
 import os
 import sys
 
-from .dataset import (DataError, fit_normalizer, ingest_csv, make_windows,
-                      normalize_day_tensor, split_chronological, to_day_tensor,
-                      write_series_csv)
+from .dataset import (DataError, check_ratios, fit_normalizer, ingest_csv,
+                      make_windows, normalize_day_tensor, split_chronological,
+                      to_day_tensor, write_series_csv)
 from .metrics import HorizonReport, MetricSet, evaluate, render_report
 from .model import ModelConfig
-from .pca import refresh_embedding, zero_embedding
-from .pipeline import train_run
+from .pca import check_theta, refresh_embedding, zero_embedding
+from .pipeline import check_train_strategy, train_run
 from .serialize import (atomic_write_text, load_model, load_projection,
                         save_model, save_projection, write_embedding_csv,
                         write_graph_csv)
@@ -39,6 +39,17 @@ def _bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _theta(text):
+    value = float(text)
+    check_theta(value)
+    return value
+
+
+def _train_strategy(text):
+    check_train_strategy(text)
+    return text
+
+
 # key -> (parser, default); None default means "unset"
 CONFIG_KEYS = {
     "data.csv": (str, None),
@@ -53,8 +64,8 @@ CONFIG_KEYS = {
     "model.hidden_dim": (int, 32),
     "model.num_blocks": (int, 2),
     "model.use_graph": (_bool, False),
-    "model.theta": (float, None),
-    "embedding.strategy": (str, "adaptive"),
+    "model.theta": (_theta, None),
+    "embedding.strategy": (_train_strategy, "adaptive"),
     "embedding.center": (_bool, True),
     "train.lr": (float, 1e-3),
     "train.max_epochs": (int, 200),
@@ -101,29 +112,38 @@ def resolved_config_text(config):
     return "\n".join(lines) + "\n"
 
 
-def parse_ratios(text):
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"ratios need three values, got {text!r}")
-    return tuple(parts)
+def parse_ratios(text, name):
+    """Three positive split fractions summing to 1, from the `a,b,c` text of name."""
+    try:
+        ratios = tuple(float(p) for p in text.split(","))
+        check_ratios(ratios)
+    except ValueError as exc:
+        raise ConfigError(f"bad {name} {text!r}: {exc}") from None
+    return ratios
 
 
 def model_config_from(config, steps_per_day) -> ModelConfig:
-    return ModelConfig(
-        l1=config["model.l1"], l2=config["model.l2"],
-        embed_dim=config["model.embed_dim"], tod_dim=config["model.tod_dim"],
-        dow_dim=config["model.dow_dim"], hidden_dim=config["model.hidden_dim"],
-        num_blocks=config["model.num_blocks"],
-        use_graph=config["model.use_graph"], steps_per_day=steps_per_day,
-    )
+    try:
+        return ModelConfig(
+            l1=config["model.l1"], l2=config["model.l2"],
+            embed_dim=config["model.embed_dim"], tod_dim=config["model.tod_dim"],
+            dow_dim=config["model.dow_dim"], hidden_dim=config["model.hidden_dim"],
+            num_blocks=config["model.num_blocks"],
+            use_graph=config["model.use_graph"], steps_per_day=steps_per_day,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bad model.* values: {exc}") from None
 
 
 def train_config_from(config) -> TrainConfig:
-    return TrainConfig(
-        lr=config["train.lr"], max_epochs=config["train.max_epochs"],
-        patience=config["train.patience"], batch_size=config["train.batch_size"],
-        grad_clip_norm=config["train.grad_clip_norm"], seed=config["train.seed"],
-    )
+    try:
+        return TrainConfig(
+            lr=config["train.lr"], max_epochs=config["train.max_epochs"],
+            patience=config["train.patience"], batch_size=config["train.batch_size"],
+            grad_clip_norm=config["train.grad_clip_norm"], seed=config["train.seed"],
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bad train.* values: {exc}") from None
 
 
 def _require(config, key):
@@ -150,16 +170,17 @@ def _train_log_text(report):
 
 def cmd_train(args):
     config = load_config(args.config)
+    train_cfg = train_config_from(config)
+    ratios = parse_ratios(config["data.ratios"], "data.ratios")
     series = ingest_csv(_require(config, "data.csv"))
+    model_cfg = model_config_from(config, series.steps_per_day)
     out_dir = config["run.out_dir"]
     os.makedirs(out_dir, exist_ok=True)
 
     run = train_run(
-        series,
-        model_config_from(config, series.steps_per_day),
-        train_config_from(config),
+        series, model_cfg, train_cfg,
         strategy=config["embedding.strategy"],
-        ratios=parse_ratios(config["data.ratios"]),
+        ratios=ratios,
         theta=config["model.theta"],
         center=config["embedding.center"],
         include_zeros_in_norm=config["data.include_zeros_in_norm"],
@@ -194,7 +215,7 @@ def _eval_embedding(params, norm, strategy, series, ranges, args):
 def cmd_eval(args):
     params, norm = load_model(args.model)
     series = ingest_csv(args.data)
-    ranges = split_chronological(series, parse_ratios(args.ratios))
+    ranges = split_chronological(series, parse_ratios(args.ratios, "--ratios"))
     split_index = {"train": 0, "val": 1, "test": 2}[args.split]
     windows = make_windows(series, ranges[split_index],
                            params.config.l1, params.config.l2)
@@ -272,9 +293,9 @@ def cmd_transfer(args):
 
 def cmd_sweep_components(args):
     config = load_config(args.config)
+    ratios = parse_ratios(config["data.ratios"], "data.ratios")
     series = ingest_csv(_require(config, "data.csv"))
     shifted = ingest_csv(_require(config, "data.shifted_csv"))
-    ratios = parse_ratios(config["data.ratios"])
     frac = config["transfer.adaptation_fraction"]
     out_dir = config["run.out_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -356,7 +377,7 @@ def cmd_export_embeddings(args):
             raise ConfigError("need either --model or both --proj and --data")
         proj = load_projection(args.proj)
         series = ingest_csv(args.data)
-        ranges = split_chronological(series, parse_ratios(args.ratios))
+        ranges = split_chronological(series, parse_ratios(args.ratios, "--ratios"))
         norm = fit_normalizer(series, ranges[0])
         z = to_day_tensor(series, ranges[0])
         table = refresh_embedding(normalize_day_tensor(z, norm), proj)
@@ -483,7 +504,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, FileNotFoundError, ValueError, FloatingPointError) as exc:
+    except (OSError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,6 +8,7 @@ are masked out later by the loss and the metrics, not here.
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
@@ -17,6 +18,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .ioutil import atomic_write_text
 
 MINUTES_PER_DAY = 1440
+# a value cell holding nothing but spaces and tabs
+_BLANK_CELL = re.compile(r",[ \t]*(?:[,\r\n]|$)")
 
 
 class DataError(ValueError):
@@ -140,21 +143,68 @@ def ingest_csv(path) -> TrafficSeries:
 
     Rows must be strictly increasing in time at a uniform interval; empty cells
     parse as 0 (missing). The interval is inferred from the first two rows.
+
+    The values of a plain file (no quotes, no empty cells) are parsed by one
+    `np.loadtxt` call. Any anomaly sends the whole file through `_ingest_rows`,
+    the cell-by-cell reader, which returns the same values for a valid file and
+    raises the `path:line:` message for an invalid one.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        line = fh.readline()
+        if not line or '"' in line:
+            return _ingest_rows(path)
+        node_ids = _node_ids(path, next(csv.reader([line])))
+        n = len(node_ids)
+        data_start = fh.tell()
+        timestamps, linenos = [], []
+        for lineno, line in enumerate(fh, start=2):
+            if line in ("\n", "\r\n", "\r"):
+                continue
+            if line.count(",") != n or '"' in line or _has_blank_cell(line):
+                return _ingest_rows(path)
+            try:
+                ts = datetime.fromisoformat(line[: line.index(",")].strip())
+            except ValueError:
+                return _ingest_rows(path)
+            timestamps.append(ts)
+            linenos.append(lineno)
+        if len(timestamps) < 2:
+            return _ingest_rows(path)
+        fh.seek(data_start)
+        try:
+            values = np.loadtxt(fh, delimiter=",", usecols=range(1, n + 1),
+                                dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            return _ingest_rows(path)
+    # numpy and Python split lines alike (on \n, \r\n and \r): the row count
+    # check only guards that agreement
+    if (len(values) != len(timestamps) or not np.isfinite(values).all()
+            or (values < 0).any()):
+        return _ingest_rows(path)
+    return _series(path, values, timestamps, linenos, node_ids)
+
+
+def _has_blank_cell(line):
+    """Whether a data line has an empty or a space/tab-only value cell.
+
+    The row loop reads such a cell as 0 and loadtxt rejects it, so finding it
+    in the line pass spares a loadtxt parse that would fail. The substring
+    tests are cheap; the regex runs only on lines that hold a space or a tab.
+    """
+    return (",," in line or line.endswith((",", ",\n", ",\r\n", ",\r"))
+            or (" " in line or "\t" in line) and _BLANK_CELL.search(line) is not None)
+
+
+def _ingest_rows(path) -> TrafficSeries:
+    """Reference reader for `ingest_csv`: csv.reader rows, float() per cell.
+
+    Handles quoted and empty cells, and raises the first fault in file order
+    with its line number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if not header or header[0].strip().lower() != "timestamp":
-            raise DataError(f"{path}: first column must be 'timestamp'")
-        node_ids = [h.strip() for h in header[1:]]
-        if not node_ids:
-            raise DataError(f"{path}: no node columns")
-
-        timestamps = []
-        rows = []
+        node_ids = _node_ids(path, next(reader, None))
+        timestamps, linenos, rows = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -183,10 +233,41 @@ def ingest_csv(path) -> TrafficSeries:
                     raise DataError(f"{path}:{lineno}: negative reading {v}")
                 vals.append(v)
             timestamps.append(ts)
+            linenos.append(lineno)
             rows.append(vals)
+    return _series(path, np.array(rows, dtype=np.float64), timestamps, linenos,
+                   node_ids)
 
-    if len(rows) < 2:
+
+def _node_ids(path, header):
+    """Node ids of a parsed header row (None for an empty file)."""
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    if not header or header[0].strip().lower() != "timestamp":
+        raise DataError(f"{path}: first column must be 'timestamp'")
+    node_ids = [h.strip() for h in header[1:]]
+    if not node_ids:
+        raise DataError(f"{path}: no node columns")
+    seen = set()
+    for node_id in node_ids:
+        if node_id in seen:
+            raise DataError(f"{path}:1: repeated node id {node_id!r}")
+        seen.add(node_id)
+    return node_ids
+
+
+def _series(path, values, timestamps, linenos, node_ids) -> TrafficSeries:
+    """Check the time axis of parsed rows and wrap them as a TrafficSeries.
+
+    linenos[i] is the file line of timestamps[i].
+    """
+    if len(timestamps) < 2:
         raise DataError(f"{path}: need at least two rows to infer the interval")
+    naive = timestamps[0].tzinfo is None
+    for ts, lineno in zip(timestamps, linenos):
+        if (ts.tzinfo is None) != naive:
+            raise DataError(f"{path}:{lineno}: timestamp {ts.isoformat()} mixes "
+                            "naive and UTC-offset forms")
     delta = timestamps[1] - timestamps[0]
     interval_min = delta.total_seconds() / 60.0
     if interval_min <= 0:
@@ -197,14 +278,14 @@ def ingest_csv(path) -> TrafficSeries:
     for i in range(1, len(timestamps)):
         if timestamps[i] - timestamps[i - 1] != delta:
             raise DataError(
-                f"{path}: non-uniform interval at row {i + 2} "
+                f"{path}:{linenos[i]}: non-uniform interval "
                 f"({timestamps[i]} after {timestamps[i - 1]})"
             )
 
     steps_per_day = MINUTES_PER_DAY // interval_min
-    if len(rows) < steps_per_day:
+    if len(timestamps) < steps_per_day:
         raise DataError(
-            f"{path}: less than one day of rows ({len(rows)} < {steps_per_day})"
+            f"{path}: less than one day of rows ({len(timestamps)} < {steps_per_day})"
         )
     first = timestamps[0]
     minutes = first.hour * 60 + first.minute
@@ -212,7 +293,7 @@ def ingest_csv(path) -> TrafficSeries:
         raise DataError(f"{path}: first timestamp not aligned to the interval")
 
     return TrafficSeries(
-        values=np.array(rows, dtype=np.float64),
+        values=values,
         interval_minutes=interval_min,
         steps_per_day=steps_per_day,
         start_slot=minutes // interval_min,
@@ -225,7 +306,8 @@ def write_series_csv(series: TrafficSeries, path):
     """Write a TrafficSeries back to the ingest CSV format.
 
     Timestamps are synthesized from a fixed Monday epoch so that re-ingesting
-    reproduces start_slot and start_dow exactly.
+    reproduces start_slot and start_dow exactly. Values are written at 17
+    significant digits, so they read back bit for bit.
     """
     base = datetime(2024, 1, 1)  # a Monday
     t0 = base + timedelta(
@@ -233,12 +315,22 @@ def write_series_csv(series: TrafficSeries, path):
     )
     step = timedelta(minutes=series.interval_minutes)
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["timestamp"] + list(series.node_ids))
-    for s in range(series.total_steps):
-        ts = (t0 + s * step).isoformat()
-        writer.writerow([ts] + [f"{v:.17g}" for v in series.values[s]])
+    csv.writer(buf).writerow(["timestamp"] + list(series.node_ids))
+    # the csv module would quote none of these fields: ISO timestamps and %g
+    # numbers hold no comma, quote or line break
+    row_format = "%s," + ",".join(["%.17g"] * series.num_nodes) + "\r\n"
+    for s, row in enumerate(series.values):
+        buf.write(row_format % ((t0 + s * step).isoformat(), *row.tolist()))
     atomic_write_text(path, buf.getvalue())
+
+
+def check_ratios(ratios):
+    """Raise DataError unless ratios are three positive fractions summing to 1."""
+    # written so that a NaN fails each test
+    if len(ratios) != 3 or any(not r > 0 for r in ratios):
+        raise DataError("ratios must be three positive fractions")
+    if not abs(sum(ratios) - 1.0) <= 1e-9:
+        raise DataError(f"ratios must sum to 1, got {sum(ratios)}")
 
 
 def split_chronological(series: TrafficSeries, ratios=(0.6, 0.2, 0.2)):
@@ -247,10 +339,7 @@ def split_chronological(series: TrafficSeries, ratios=(0.6, 0.2, 0.2)):
     Boundaries are floors of the cumulative fractions; the remainder goes to
     the test range.
     """
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise DataError("ratios must be three positive fractions")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise DataError(f"ratios must sum to 1, got {sum(ratios)}")
+    check_ratios(ratios)
     n = series.total_steps
     b1 = math.floor(n * ratios[0])
     b2 = math.floor(n * (ratios[0] + ratios[1]))

@@ -1,6 +1,5 @@
 """Row-stochastic adaptive adjacency built from node embeddings."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +30,11 @@ class AdaptiveGraph:
 
 def row_softmax(logits: np.ndarray) -> np.ndarray:
     # max subtraction changes nothing mathematically, only avoids overflow;
-    # fsum makes each row's denominator independent of element order, so
-    # permuting nodes permutes the output bit-exactly
+    # summing each row in sorted order makes its denominator independent of
+    # element order, so permuting nodes permutes the output bit-exactly
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    denom = np.array([math.fsum(row) for row in e])
+    denom = np.cumsum(np.sort(e, axis=1), axis=1)[:, -1]
     return e / denom[:, None]
 
 

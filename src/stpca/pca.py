@@ -108,10 +108,15 @@ def zero_embedding(n: int, c: int) -> EmbeddingTable:
     return EmbeddingTable(values=np.zeros((n, c)), strategy="zero")
 
 
-def select_components(eigenvalues: np.ndarray, theta: float) -> int:
-    """Smallest k whose cumulative eigenvalue fraction reaches theta."""
+def check_theta(theta):
+    """Raise ValueError unless theta is an explained-variance fraction in (0, 1]."""
     if not 0 < theta <= 1:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
+
+
+def select_components(eigenvalues: np.ndarray, theta: float) -> int:
+    """Smallest k whose cumulative eigenvalue fraction reaches theta."""
+    check_theta(theta)
     eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
     total = eigenvalues.sum()
     if total <= 0:

@@ -10,6 +10,16 @@ from .pca import fit_projection, refresh_embedding, zero_embedding
 from .training import TrainConfig, TrainReport, fit
 
 
+TRAIN_STRATEGIES = ("adaptive", "pca", "zero")
+
+
+def check_train_strategy(strategy):
+    """Raise ValueError unless strategy is one of TRAIN_STRATEGIES."""
+    if strategy not in TRAIN_STRATEGIES:
+        raise ValueError(f"unknown training strategy {strategy!r} "
+                         f"(one of {', '.join(TRAIN_STRATEGIES)})")
+
+
 @dataclass
 class DataBundle:
     series: TrafficSeries
@@ -63,6 +73,7 @@ def train_run(series: TrafficSeries, model_cfg: ModelConfig,
     slot is frozen at exact zeros. The embed_dim of the config is adjusted to
     the fitted component count when a variance threshold picks it.
     """
+    check_train_strategy(strategy)
     bundle = prepare_data(series, ratios, model_cfg.l1, model_cfg.l2,
                           include_zeros_in_norm)
     projection = None
@@ -79,8 +90,6 @@ def train_run(series: TrafficSeries, model_cfg: ModelConfig,
     elif strategy == "zero":
         params = set_embedding(
             params, zero_embedding(series.num_nodes, model_cfg.embed_dim))
-    elif strategy != "adaptive":
-        raise ValueError(f"unknown training strategy {strategy!r}")
 
     best, report = fit(params, bundle.train_windows, bundle.val_windows,
                        bundle.normalizer, train_cfg)

@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stpca import cli
 from stpca.cli import CONFIG_KEYS, build_parser, load_config, main
@@ -13,6 +15,7 @@ from stpca.dataset import DayTensor, Normalizer
 from stpca.model import ModelConfig, init_params
 from stpca.pca import fit_projection
 from stpca.serialize import save_model, save_projection
+from test_dataset import csv_texts
 
 SMALL_CONFIG = """
 data.csv={data}
@@ -91,6 +94,75 @@ class TestIngest:
 
     def test_missing_file_exit_1(self, tmp_path):
         assert run_cli("ingest", "--data", str(tmp_path / "nope.csv")) == 1
+
+
+def assert_one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+class TestFaultExits:
+    """Bad inputs end in exit 1 (data) or 2 (config) with one stderr line."""
+
+    def test_mixed_utc_offsets_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "flow.csv"
+        p.write_text("timestamp,a\n2024-01-01T00:00:00,1\n"
+                     "2024-01-01T12:00:00+01:00,2\n")
+        assert run_cli("ingest", "--data", str(p)) == 1
+        assert "flow.csv:3:" in assert_one_line_error(capsys, "error: ")
+
+    def test_repeated_node_id_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "flow.csv"
+        p.write_text("timestamp,a,a\n2024-01-01T00:00:00,1,2\n"
+                     "2024-01-01T12:00:00,3,4\n")
+        assert run_cli("ingest", "--data", str(p)) == 1
+        assert "repeated node id 'a'" in assert_one_line_error(capsys, "error: ")
+
+    def test_directory_as_data_exit_1(self, tmp_path, capsys):
+        assert run_cli("ingest", "--data", str(tmp_path)) == 1
+        assert_one_line_error(capsys, "error: ")
+
+    def test_directory_as_config_exit_1(self, tmp_path, capsys):
+        assert run_cli("train", "--config", str(tmp_path)) == 1
+        assert_one_line_error(capsys, "error: ")
+
+    @pytest.mark.parametrize("line", [
+        "data.ratios=a,b,c", "data.ratios=0.5,0.5", "data.ratios=0.5,0.2,0.2",
+        "data.ratios=0.5,0.5,nan",
+        "train.patience=0", "train.patience=5", "train.lr=-1",
+        "model.hidden_dim=0", "model.l2=-3", "model.theta=1.5",
+        "embedding.strategy=banana",
+    ])
+    def test_bad_config_value_exit_2(self, synth_dir, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        write_config(cfg, synth_dir / "train.csv", tmp_path / "o", extra=line + "\n")
+        assert run_cli("train", "--config", str(cfg)) == 2
+        err = assert_one_line_error(capsys, "config error: ")
+        assert line.split("=")[0].split(".")[0] in err
+        assert not (tmp_path / "o").exists()
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_texts(), st.binary(max_size=2), st.integers(0, 10 ** 6))
+    def test_generated_csv_exit_0_or_1(self, tmp_path, capsys, text, junk, at):
+        raw = text.encode("utf-8")
+        at %= len(raw) + 1
+        p = tmp_path / "flow.csv"
+        p.write_bytes(raw[:at] + junk + raw[at:])
+        code = run_cli("ingest", "--data", str(p))
+        if code == 0:
+            assert json.loads(capsys.readouterr().out)["nodes"] >= 1
+        else:
+            assert code == 1
+            assert_one_line_error(capsys, "error: ")
+
+    def test_bad_ratios_flag_exit_2(self, synth_dir, trained_dir, tmp_path, capsys):
+        assert run_cli("eval", "--model", str(trained_dir / "model.stpf"),
+                       "--data", str(synth_dir / "train.csv"), "--ratios", "1,x,1",
+                       "--out", str(tmp_path / "r.json")) == 2
+        assert_one_line_error(capsys, "config error: ")
 
 
 class TestTrain:

@@ -1,10 +1,14 @@
+import csv
+import io
 import math
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from stpca import dataset
 from stpca.dataset import (DataError, Normalizer, TrafficSeries, fit_normalizer,
                            ingest_csv, make_windows, split_chronological,
                            to_day_tensor, write_series_csv)
@@ -31,7 +35,6 @@ def write_csv(path, rows, header="timestamp,node_0,node_1,node_2"):
 
 
 def csv_rows(n, start="2024-01-01T00:00:00", minutes=5, n_nodes=3, value=1.0):
-    from datetime import datetime, timedelta
     t0 = datetime.fromisoformat(start)
     return [
         (t0 + timedelta(minutes=minutes * i)).isoformat()
@@ -106,6 +109,65 @@ class TestIngest:
         s = ingest_csv(p)
         assert s.values[7, 1] == 0.0 and s.values[7, 2] == 0.0
 
+    def test_repeated_node_id_rejected(self, tmp_path):
+        p = tmp_path / "flow.csv"
+        write_csv(p, csv_rows(576), header="timestamp,a,b,a")
+        with pytest.raises(DataError, match=r"flow.csv:1: repeated node id 'a'$"):
+            ingest_csv(p)
+
+    def test_mixed_utc_offsets_rejected_with_line(self, tmp_path):
+        p = tmp_path / "flow.csv"
+        rows = csv_rows(576)
+        rows[3] = rows[3].replace(",", "+01:00,", 1)
+        write_csv(p, rows)
+        with pytest.raises(DataError, match=r"flow.csv:5: timestamp .* mixes naive "
+                                            "and UTC-offset forms$"):
+            ingest_csv(p)
+
+    def test_plain_file_skips_the_row_loop(self, tmp_path, monkeypatch):
+        p = tmp_path / "flow.csv"
+        write_series_csv(make_series(300), p)
+
+        def row_loop(path):
+            raise AssertionError("a plain file fell back to the row loop")
+
+        monkeypatch.setattr(dataset, "_ingest_rows", row_loop)
+        assert ingest_csv(p).total_steps == 300
+
+    @pytest.mark.parametrize("cell", ["", '"1.5"', "1_0", "nan", "-2"])
+    def test_anomalous_cell_takes_the_row_loop(self, tmp_path, monkeypatch, cell):
+        p = tmp_path / "flow.csv"
+        rows = csv_rows(576)
+        rows[7] = rows[7].rsplit(",", 1)[0] + "," + cell
+        write_csv(p, rows)
+        calls = []
+        row_loop = dataset._ingest_rows
+        monkeypatch.setattr(dataset, "_ingest_rows",
+                            lambda path: calls.append(path) or row_loop(path))
+        try:
+            ingest_csv(p)
+        except DataError:
+            pass
+        assert calls == [p]
+
+    @pytest.mark.parametrize("row", ["{ts},,2,3", "{ts},1,,3", "{ts},1,2,",
+                                     "{ts}, ,2,3", "{ts},1,\t ,3", "{ts},1,2, "])
+    @pytest.mark.parametrize("last", [False, True])
+    def test_blank_cell_skips_loadtxt(self, tmp_path, monkeypatch, row, last):
+        p = tmp_path / "flow.csv"
+        rows = csv_rows(576)
+        at = len(rows) - 1 if last else 7
+        rows[at] = row.format(ts=rows[at].split(",", 1)[0])
+        write_csv(p, rows)
+        if last:  # no line ending after the empty cell
+            p.write_bytes(p.read_bytes().rstrip(b"\r\n"))
+
+        def loadtxt(*args, **kwargs):
+            raise AssertionError("a blank cell reached np.loadtxt")
+
+        monkeypatch.setattr(dataset.np, "loadtxt", loadtxt)
+        assert ingest_csv(p).values[at].tolist().count(0.0) == 1
+
     def test_series_roundtrip_through_csv(self, tmp_path):
         rng = np.random.default_rng(3)
         src = make_series(300, steps_per_day=288, start_slot=100, start_dow=4,
@@ -116,6 +178,143 @@ class TestIngest:
         assert back.start_slot == src.start_slot
         assert back.start_dow == src.start_dow
         np.testing.assert_array_equal(back.values, src.values)
+
+
+# 4 rows a day, so a valid file needs only 4 rows
+INTERVAL = timedelta(minutes=360)
+ODD_CELLS = ["", " ", '"7.5"', '"1,5"', " 2.5 ", "\t3\x0b", "1_0", "nan", "inf",
+             "-inf", "-1", "-0", "1e308", "1e309", "5e-324", "0x10", "abc", "\uff11",
+             "1\x002", "+4", ".5", "7."]
+
+
+def value_text(v, style):
+    return {"repr": repr(v), "g17": "%.17g" % v, "f3": "%.3f" % v,
+            "int": str(int(v))}[style]
+
+
+@st.composite
+def csv_texts(draw):
+    """A series CSV: mostly valid, with a few cells, rows or lines made odd."""
+    n = draw(st.integers(1, 3))
+    ids = [f"n{i}" for i in range(n)]
+    if draw(st.integers(0, 9)) == 0:
+        ids[-1] = ids[0]
+    header = ",".join(["timestamp"] + ids)
+    if draw(st.integers(0, 19)) == 0:
+        header = '"timestamp",' + ",".join(ids)
+    t0 = datetime(2024, 1, draw(st.integers(1, 7)), 6 * draw(st.integers(0, 3)))
+    offset = draw(st.sampled_from(["", "+01:00"]))
+    rows = []
+    for i in range(draw(st.integers(4, 6))):
+        cells = [(t0 + i * INTERVAL).isoformat() + offset]
+        for _ in range(n):
+            v = draw(st.floats(0, 1e6) | st.floats(0, 1e308))
+            cells.append(value_text(v, draw(st.sampled_from(["repr", "g17", "f3",
+                                                             "int"]))))
+        rows.append(cells)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+        r = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["cell", "cell", "cell", "pad", "extra",
+                                     "missing", "offset", "timestamp"]))
+        c = draw(st.integers(0, len(rows[r]) - 1))
+        if kind == "cell" and c > 0:
+            rows[r][c] = draw(st.sampled_from(ODD_CELLS))
+        elif kind == "pad":
+            rows[r][c] = " " + rows[r][c] + "  "
+        elif kind == "extra":
+            rows[r].append("9")
+        elif kind == "missing":
+            rows[r].pop()
+        elif kind == "offset":
+            rows[r][0] = (t0 + r * INTERVAL).isoformat() + "-05:00"
+        elif kind == "timestamp":
+            rows[r][0] = draw(st.sampled_from(["", "not-a-time", "2024-13-01"]))
+    lines = [header] + [",".join(cells) for cells in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))),
+                     draw(st.sampled_from(["", "", "", " ", ","])))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+def outcome(read, path):
+    """What a reader returns for a file: the series fields or the error text."""
+    try:
+        s = read(path)
+    except DataError as exc:
+        return str(exc)
+    return (s.values.tobytes(), s.values.shape, s.interval_minutes,
+            s.steps_per_day, s.start_slot, s.start_dow, s.node_ids)
+
+
+class TestIngestFastPath:
+    """ingest_csv against the cell-by-cell row loop it falls back to."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_texts())
+    def test_same_series_or_same_error_as_row_loop(self, tmp_path, text):
+        p = tmp_path / "flow.csv"
+        p.write_bytes(text.encode("utf-8"))
+        assert outcome(ingest_csv, p) == outcome(dataset._ingest_rows, p)
+
+    @pytest.mark.parametrize("cell", ODD_CELLS)
+    def test_one_odd_cell_same_as_row_loop(self, tmp_path, cell):
+        p = tmp_path / "flow.csv"
+        rows = csv_rows(576, value=2.5)
+        rows[9] = rows[9].rsplit(",", 2)[0] + "," + cell + ",3"
+        write_csv(p, rows)
+        assert outcome(ingest_csv, p) == outcome(dataset._ingest_rows, p)
+
+    def test_row_loop_reads_quoted_and_empty_cells(self, tmp_path):
+        p = tmp_path / "flow.csv"
+        rows = csv_rows(576, value=2.5)
+        rows[4] = rows[4].rsplit(",", 2)[0] + ',"1.5",'
+        write_csv(p, rows)
+        s = ingest_csv(p)
+        assert s.values[4].tolist() == [2.5, 1.5, 0.0]
+
+
+def per_cell_csv(series):
+    """The per-cell csv.writer form of write_series_csv, as reference."""
+    t0 = datetime(2024, 1, 1) + timedelta(
+        days=series.start_dow, minutes=series.start_slot * series.interval_minutes)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["timestamp"] + list(series.node_ids))
+    for s in range(series.total_steps):
+        ts = (t0 + s * timedelta(minutes=series.interval_minutes)).isoformat()
+        writer.writerow([ts] + [f"{v:.17g}" for v in series.values[s]])
+    return buf.getvalue().encode("utf-8")
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, 2.225073858507201e-308, 1e-310, 1e308,
+               1.7976931348623157e308, 1.0, 3.0, 12345678901234567.0, 2.0 ** 53 + 2,
+               0.1, 1 / 3]
+
+
+class TestWriteSeriesCsv:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 6), st.data())
+    def test_bytes_match_per_cell_writer(self, tmp_path, n, start_slot, start_dow,
+                                         data):
+        steps = data.draw(st.integers(4, 9))
+        values = data.draw(st.lists(
+            st.sampled_from(EDGE_VALUES) | st.floats(0, 1e308)
+            | st.integers(0, 10 ** 6).map(float),
+            min_size=steps * n, max_size=steps * n))
+        series = make_series(steps, n_nodes=n, steps_per_day=4,
+                             start_slot=start_slot, start_dow=start_dow,
+                             values=np.array(values).reshape(steps, n))
+        p = tmp_path / "out.csv"
+        write_series_csv(series, p)
+        assert p.read_bytes() == per_cell_csv(series)
+        back = ingest_csv(p)
+        assert back.values.tobytes() == series.values.tobytes()
 
 
 class TestSplit:
@@ -134,8 +333,10 @@ class TestSplit:
 
     def test_bad_ratios(self):
         s = make_series(10, steps_per_day=5)
-        with pytest.raises(DataError):
-            split_chronological(s, (0.5, 0.2, 0.2))
+        for ratios in ((0.5, 0.2, 0.2), (0.5, 0.5, float("nan")),
+                       (float("nan"), 0.5, 0.5)):
+            with pytest.raises(DataError):
+                split_chronological(s, ratios)
 
     def test_partition_property(self):
         rng = np.random.default_rng(1)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from stpca.graph import AdaptiveGraph, build_adaptive_graph, graph_mix
+from stpca.graph import (AdaptiveGraph, build_adaptive_graph, graph_mix,
+                         row_softmax)
 from stpca.pca import EmbeddingTable
 
 
@@ -55,6 +56,15 @@ class TestBuildGraph:
         g = build_adaptive_graph(e).weights
         gp = build_adaptive_graph(e[perm]).weights
         np.testing.assert_array_equal(gp, g[np.ix_(perm, perm)])
+        # at PEMS size the BLAS Gram matrix itself is not permutation-exact,
+        # so the softmax is checked on permuted logits
+        e = rng.normal(size=(307, 8))
+        logits = np.maximum(e @ e.T, 0.0)
+        w = row_softmax(logits)
+        for _ in range(5):
+            perm = rng.permutation(307)
+            np.testing.assert_array_equal(row_softmax(logits[np.ix_(perm, perm)]),
+                                          w[np.ix_(perm, perm)])
 
     def test_accepts_embedding_table(self):
         t = EmbeddingTable(values=np.eye(3), strategy="pca")
