@@ -20,6 +20,8 @@ from .ioutil import atomic_write_text
 MINUTES_PER_DAY = 1440
 # a value cell holding nothing but spaces and tabs
 _BLANK_CELL = re.compile(r",[ \t]*(?:[,\r\n]|$)")
+# the line ends that text-mode reading splits on
+_LINE_BREAK = re.compile(rb"\r\n|\r|\n")
 
 
 class DataError(ValueError):
@@ -145,10 +147,18 @@ def ingest_csv(path) -> TrafficSeries:
     parse as 0 (missing). The interval is inferred from the first two rows.
 
     The values of a plain file (no quotes, no empty cells) are parsed by one
-    `np.loadtxt` call. Any anomaly sends the whole file through `_ingest_rows`,
-    the cell-by-cell reader, which returns the same values for a valid file and
-    raises the `path:line:` message for an invalid one.
+    `np.loadtxt` call. Any anomaly, bytes that are not UTF-8 included, sends
+    the whole file through `_ingest_rows`, the cell-by-cell reader, which
+    returns the same values for a valid file and raises the `path:line:`
+    message for an invalid one.
     """
+    try:
+        return _ingest_columns(path)
+    except UnicodeDecodeError:
+        return _ingest_rows(path)
+
+
+def _ingest_columns(path) -> TrafficSeries:
     with open(path, newline="", encoding="utf-8") as fh:
         line = fh.readline()
         if not line or '"' in line:
@@ -199,13 +209,34 @@ def _ingest_rows(path) -> TrafficSeries:
     """Reference reader for `ingest_csv`: csv.reader rows, float() per cell.
 
     Handles quoted and empty cells, and raises the first fault in file order
-    with its line number.
+    with its physical line number; a record whose quoted cell spans lines is
+    reported at its last line.
     """
+    try:
+        return _read_rows(path)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _not_utf8(path) -> DataError:
+    """The error for a file that is not UTF-8, at the line of its first bad byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = 1 + len(_LINE_BREAK.findall(raw, 0, exc.start))
+        return DataError(f"{path}:{line}: not UTF-8 text (byte 0x{raw[exc.start]:02x})")
+    return DataError(f"{path}: not UTF-8 text")
+
+
+def _read_rows(path) -> TrafficSeries:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         node_ids = _node_ids(path, next(reader, None))
         timestamps, linenos, rows = [], [], []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             if not row:
                 continue
             if len(row) != len(node_ids) + 1:

@@ -45,11 +45,11 @@ class HorizonReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def masked_metrics(pred: np.ndarray, target: np.ndarray) -> MetricSet:
-    """MAE / RMSE / MAPE over cells with nonzero ground truth.
+def _masked_errors(pred, target):
+    """Errors pred - target and true values over cells with nonzero ground truth.
 
-    Both arrays are in original units. MAPE's zero-division safety comes from
-    the mask itself; no epsilon is involved.
+    The one definition of which cells count, shared by `masked_mae` and
+    `masked_metrics`.
     """
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -58,9 +58,24 @@ def masked_metrics(pred: np.ndarray, target: np.ndarray) -> MetricSet:
     mask = target != 0
     if not mask.any():
         raise ValueError("no valid targets: all ground-truth cells are zero")
-    # in-place steps keep at most three masked-cell arrays alive at once
     valid = target[mask]
-    diff = pred[mask] - valid
+    return pred[mask] - valid, valid
+
+
+def masked_mae(pred: np.ndarray, target: np.ndarray) -> float:
+    """MAE over cells with nonzero ground truth; equals `masked_metrics(...).mae`."""
+    diff, _ = _masked_errors(pred, target)
+    return float(np.abs(diff, out=diff).mean())
+
+
+def masked_metrics(pred: np.ndarray, target: np.ndarray) -> MetricSet:
+    """MAE / RMSE / MAPE over cells with nonzero ground truth.
+
+    Both arrays are in original units. MAPE's zero-division safety comes from
+    the mask itself; no epsilon is involved.
+    """
+    # in-place steps keep at most three masked-cell arrays alive at once
+    diff, valid = _masked_errors(pred, target)
     abs_diff = np.abs(diff)
     mae = float(abs_diff.mean())
     diff *= diff

@@ -8,7 +8,8 @@ from typing import Optional
 import numpy as np
 
 from .dataset import Normalizer
-from .metrics import masked_metrics
+from .graph import build_adaptive_graph
+from .metrics import masked_mae
 from .model import ModelParams, forward, predict
 
 
@@ -74,7 +75,8 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
 
     Batch and node axes are contracted as one flat [B*N] axis, so every
     weight gradient is a single BLAS matmul and every bias sum a ones-vector
-    product.
+    product. The graph's share of the embedding gradient is computed only
+    when the embedding is among the requested names.
     """
     cfg = params.config
     names = params.trainable_names() if trainable is None else list(trainable)
@@ -93,16 +95,16 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
     d_emb_graph = None
     for i in range(cfg.num_blocks - 1, -1, -1):
         if cfg.use_graph and i == 0:
-            adp, h_pre = cache["graph"], cache["h_premix"]
+            a = cache["graph"].weights
             dh_mixed = dh.reshape(b, n, -1)
-            d_adj = _node_major(dh_mixed) @ _node_major(h_pre).T
-            dh = _flat(adp.weights.T @ dh_mixed)
-            # softmax rows -> relu -> gram -> embedding
-            a = adp.weights
-            e = cache["embedding"].values
-            d_logits = a * (d_adj - (a * d_adj).sum(axis=1, keepdims=True))
-            d_gram = d_logits * (e @ e.T > 0)
-            d_emb_graph = (d_gram + d_gram.T) @ e
+            if "embedding" in names:
+                # mixing weights -> softmax rows -> relu -> gram -> embedding
+                d_adj = _node_major(dh_mixed) @ _node_major(cache["h_premix"]).T
+                e = cache["embedding"].values
+                d_logits = a * (d_adj - (a * d_adj).sum(axis=1, keepdims=True))
+                d_gram = d_logits * (e @ e.T > 0)
+                d_emb_graph = (d_gram + d_gram.T) @ e
+            dh = _flat(a.T @ dh_mixed)
         blk = params.blocks[i]
         grads[f"b2_{i}"] = ones @ dh
         grads[f"w2_{i}"] = dh.T @ _flat(rs[i])
@@ -231,6 +233,10 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
         raise ValueError("train and validation windows must be non-empty")
     names = params.trainable_names() if trainable is None else list(trainable)
     n_train = len(train_windows)
+    # a table that no step updates keeps one graph for the whole fit
+    frozen_graph = None
+    if params.config.use_graph and "embedding" not in names:
+        frozen_graph = build_adaptive_graph(params.embedding)
 
     rng = np.random.default_rng(config.seed)
     state = AdamState()
@@ -249,7 +255,8 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
                 continue
             x = normalizer.apply(train_windows.history[idx])
             pred, cache = forward(params, None, x, train_windows.tod[idx],
-                                  train_windows.dow[idx], cache=True)
+                                  train_windows.dow[idx], cache=True,
+                                  graph=frozen_graph)
             loss, lgrad = masked_mae_loss(pred, y_batch, normalizer)
             if not np.isfinite(loss):
                 report.stopping_reason = "diverged"
@@ -261,8 +268,8 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
                       grad_clip_norm=config.grad_clip_norm)
             losses.append(loss)
 
-        val_mae = masked_metrics(predict(params, None, val_windows, normalizer),
-                                 val_windows.target).mae
+        val_mae = masked_mae(predict(params, None, val_windows, normalizer),
+                             val_windows.target)
         train_loss = float(np.mean(losses)) if losses else float("nan")
         report.epochs.append((epoch, train_loss, val_mae))
         improved = val_mae < stopper.best
@@ -295,8 +302,8 @@ def finite_difference_check(params: ModelParams, windows, normalizer,
     grads = backward(params, cache, lgrad, trainable=names)
 
     def loss_at():
-        return masked_metrics(predict(params, None, windows, normalizer),
-                              windows.target).mae
+        return masked_mae(predict(params, None, windows, normalizer),
+                          windows.target)
 
     errors = {}
     tensors = params.tensors()

@@ -120,6 +120,14 @@ class TestFaultExits:
         assert run_cli("ingest", "--data", str(p)) == 1
         assert "repeated node id 'a'" in assert_one_line_error(capsys, "error: ")
 
+    def test_not_utf8_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "flow.csv"
+        p.write_bytes(b"timestamp,a\n2024-01-01T00:00:00,1\n"
+                      b"2024-01-01T00:05:00,\xff2\n")
+        assert run_cli("ingest", "--data", str(p)) == 1
+        err = assert_one_line_error(capsys, "error: ")
+        assert "flow.csv:3: not UTF-8 text" in err
+
     def test_directory_as_data_exit_1(self, tmp_path, capsys):
         assert run_cli("ingest", "--data", str(tmp_path)) == 1
         assert_one_line_error(capsys, "error: ")

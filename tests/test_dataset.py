@@ -124,6 +124,29 @@ class TestIngest:
                                             "and UTC-offset forms$"):
             ingest_csv(p)
 
+    def test_line_numbers_are_physical_lines(self, tmp_path):
+        # a quoted cell holding a newline spans lines 4 and 5, so the record
+        # of rows[5] starts on line 8
+        p = tmp_path / "flow.csv"
+        rows = csv_rows(576)
+        rows[2] = rows[2].rsplit(",", 1)[0] + ',"1\n"'
+        rows[5] = rows[5].rsplit(",", 1)[0] + ",-2.0"
+        write_csv(p, rows)
+        with pytest.raises(DataError, match=r"flow.csv:8: negative reading -2.0$"):
+            ingest_csv(p)
+
+    @pytest.mark.parametrize("line", [1, 4, 500])
+    def test_not_utf8_names_path_and_line(self, tmp_path, line):
+        # line 500 lies beyond the first chunk a text-mode reader decodes
+        p = tmp_path / "flow.csv"
+        text = "timestamp,node_0,node_1,node_2\r\n" + "\r\n".join(csv_rows(576))
+        lines = text.encode("utf-8").split(b"\n")
+        lines[line - 1] = lines[line - 1].replace(b",", b",\xff", 1)
+        p.write_bytes(b"\n".join(lines))
+        with pytest.raises(DataError,
+                           match=rf"flow.csv:{line}: not UTF-8 text \(byte 0xff\)$"):
+            ingest_csv(p)
+
     def test_plain_file_skips_the_row_loop(self, tmp_path, monkeypatch):
         p = tmp_path / "flow.csv"
         write_series_csv(make_series(300), p)

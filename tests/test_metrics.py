@@ -6,8 +6,8 @@ import pytest
 
 from stpca.dataset import Normalizer, Windows
 from stpca.metrics import (HorizonReport, MetricSet, evaluate,
-                           horizon_report_from_arrays, masked_metrics,
-                           render_report)
+                           horizon_report_from_arrays, masked_mae,
+                           masked_metrics, render_report)
 from stpca.model import ModelConfig, init_params
 
 
@@ -51,6 +51,17 @@ class TestMaskedMetrics:
         assert math.isclose(a.mae, b.mae, rel_tol=1e-12)
         assert math.isclose(a.rmse, b.rmse, rel_tol=1e-12)
         assert math.isclose(a.mape, b.mape, rel_tol=1e-12)
+
+    def test_masked_mae_equals_metric_set_mae(self):
+        rng = np.random.default_rng(3)
+        for shape in [(3,), (7, 5), (4, 6, 12)]:
+            target = rng.uniform(0, 10, size=shape)
+            target[rng.random(shape) < 0.3] = 0.0
+            target.flat[0] = 1.0
+            pred = rng.normal(size=shape) * 5
+            assert masked_mae(pred, target) == masked_metrics(pred, target).mae
+        with pytest.raises(ValueError, match="no valid targets"):
+            masked_mae(np.ones(3), np.zeros(3))
 
     def test_micro_average_concatenation(self):
         rng = np.random.default_rng(2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stpca import model
 from stpca.dataset import Normalizer, Windows
 from stpca.model import ModelConfig, forward, init_params, predict, set_embedding
 from stpca.pca import EmbeddingTable, zero_embedding
@@ -129,15 +130,69 @@ class TestForward:
         with pytest.raises(FloatingPointError, match="block 1"):
             forward(params, None, x, ti, di)
 
-    def test_predict_independent_of_batch_size(self):
+    def test_predict_independent_of_batch_size(self, monkeypatch):
         ws = toy_windows(10, 5)
         x, ti, di = batch(ws)
         for use_graph in (False, True):
             params = init_params(toy_config(use_graph=use_graph), 5, seed=0)
             single = NORM.invert(forward(params, None, x, ti, di))
             for batch_size in (1, 3, 10, 100):
-                np.testing.assert_array_equal(
-                    predict(params, None, ws, NORM, batch_size=batch_size), single)
+                monkeypatch.setattr(model, "PREDICT_ROWS", batch_size * 5)
+                np.testing.assert_array_equal(predict(params, None, ws, NORM), single)
+
+
+class Spy:
+    """Counts the calls of a wrapped function and keeps their arguments."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, []
+
+    def __call__(self, *args, **kwargs):
+        self.calls.append((args, kwargs))
+        return self.fn(*args, **kwargs)
+
+
+class TestPredictBlocks:
+    """Cache-sized inference blocks at the PEMS node count."""
+
+    N = 307
+
+    def pems_model(self, use_graph=True):
+        params = init_params(ModelConfig(use_graph=use_graph), self.N, seed=0)
+        table = np.random.default_rng(1).normal(size=(self.N, 8))
+        return set_embedding(params, EmbeddingTable(values=table, strategy="pca"))
+
+    def test_blocks_bit_identical_with_graph(self, monkeypatch):
+        ws = toy_windows(26, self.N, l1=12, l2=12, t=288)
+        params = self.pems_model()
+        outputs = []
+        for windows_per_block in (1, 7, 13, len(ws)):
+            monkeypatch.setattr(model, "PREDICT_ROWS", windows_per_block * self.N)
+            outputs.append(predict(params, None, ws, NORM))
+        for out in outputs[1:]:
+            np.testing.assert_array_equal(out, outputs[0])
+
+    @pytest.mark.parametrize("use_graph", [False, True])
+    def test_graph_built_once_per_pass(self, monkeypatch, use_graph):
+        ws = toy_windows(30, self.N, l1=12, l2=12, t=288)
+        params = self.pems_model(use_graph)
+        build = Spy(model.build_adaptive_graph)
+        monkeypatch.setattr(model, "build_adaptive_graph", build)
+        predict(params, None, ws, NORM)
+        predict(params, zero_embedding(self.N, 8), ws, NORM)
+        assert len(build.calls) == (2 if use_graph else 0)
+
+    @pytest.mark.parametrize("n_nodes", [5, 307, model.PREDICT_ROWS + 1])
+    def test_forward_calls_within_row_budget(self, monkeypatch, n_nodes):
+        ws = toy_windows(40, n_nodes)
+        params = init_params(toy_config(use_graph=True), n_nodes, seed=0)
+        fwd = Spy(model.forward)
+        monkeypatch.setattr(model, "forward", fwd)
+        predict(params, None, ws, NORM)
+        rows = [args[2].shape[0] * args[2].shape[1] for args, _ in fwd.calls]
+        assert all(r <= max(model.PREDICT_ROWS, n_nodes) for r in rows)
+        assert sum(args[2].shape[0] for args, _ in fwd.calls) == len(ws)
+        assert len(fwd.calls) == -(-len(ws) // max(1, model.PREDICT_ROWS // n_nodes))
 
 
 class TestSetEmbedding:

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from stpca import model, training
 from stpca.dataset import Normalizer, Windows
 from stpca.model import ModelConfig, forward, init_params, set_embedding
 from stpca.pca import EmbeddingTable, zero_embedding
@@ -228,6 +229,32 @@ class TestBackward:
         grads = backward(params, cache, lgrad)
         assert "embedding" not in grads
 
+    @pytest.mark.parametrize("strategy", ["pca", "zero"])
+    def test_frozen_table_skips_graph_chain(self, monkeypatch, strategy):
+        cfg = toy_config(num_blocks=2, use_graph=True)
+        params = init_params(cfg, 5, seed=5)
+        rng = np.random.default_rng(6)
+        for tensor in params.tensors().values():
+            tensor += rng.normal(0, 0.3, size=tensor.shape)
+        table = (EmbeddingTable(values=params.embedding.values, strategy="pca")
+                 if strategy == "pca" else zero_embedding(5, 3))
+        params = set_embedding(params, table)
+        x, y, ti, di = batch(toy_windows(7, seed=8))
+        pred, cache = forward(params, None, x, ti, di, cache=True)
+        _, lgrad = masked_mae_loss(pred, y, NORM)
+        full = backward(params, cache, lgrad, trainable=list(params.tensors()))
+
+        def no_node_major(a):
+            raise AssertionError("graph-embedding chain ran for a frozen table")
+
+        monkeypatch.setattr(training, "_node_major", no_node_major)
+        grads = backward(params, cache, lgrad)
+        assert set(grads) == set(params.trainable_names())
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, full[name], err_msg=name)
+        errs = finite_difference_check(params, toy_windows(6, seed=4), NORM)
+        assert max(errs.values()) < 1e-4
+
 
 def textbook_adam(params, grads_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Reference Adam: per-tensor moments, explicit bias-corrected m_hat, v_hat."""
@@ -353,6 +380,29 @@ class TestFit:
         best, _ = fit(params, train, val, NORM, cfg)
         assert params.embedding.values.tobytes() == frozen_bytes
         assert best.embedding.values.tobytes() == frozen_bytes
+
+    @pytest.mark.parametrize("strategy", ["adaptive", "pca"])
+    def test_graph_builds_per_fit(self, monkeypatch, strategy):
+        params = init_params(toy_config(use_graph=True), 5, seed=2)
+        if strategy == "pca":
+            table = np.random.default_rng(7).normal(size=(5, 3))
+            params = set_embedding(params, EmbeddingTable(values=table, strategy="pca"))
+        builds = {}
+        for module in (model, training):
+            def counted(emb, fn=module.build_adaptive_graph, key=module.__name__):
+                builds[key] = builds.get(key, 0) + 1
+                return fn(emb)
+            monkeypatch.setattr(module, "build_adaptive_graph", counted)
+        train, val = self.make_data()
+        cfg = TrainConfig(max_epochs=3, patience=3, batch_size=8, seed=0)
+        _, report = fit(params, train, val, NORM, cfg)
+        steps = len(report.epochs) * 5
+        # one build per validation pass, plus one per step for a trained
+        # table or one per fit for a frozen one
+        if strategy == "pca":
+            assert builds == {"stpca.model": 3, "stpca.training": 1}
+        else:
+            assert builds == {"stpca.model": 3 + steps}
 
     def test_adaptive_embedding_moves(self):
         params = init_params(toy_config(), 5, seed=2)
