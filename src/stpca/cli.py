@@ -10,6 +10,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .dataset import (DataError, check_ratios, fit_normalizer, ingest_csv,
                       make_windows, normalize_day_tensor, split_chronological,
                       to_day_tensor, write_series_csv)
@@ -500,11 +502,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a float overflow or invalid operation is a fault of the input (a
+        # damaged checkpoint, say): end it as a one-line error, not a warning
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, FloatingPointError) as exc:
+    except (OSError, ValueError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

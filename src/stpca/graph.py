@@ -1,6 +1,7 @@
 """Row-stochastic adaptive adjacency built from node embeddings."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,15 @@ class AdaptiveGraph:
     @property
     def num_nodes(self) -> int:
         return self.weights.shape[0]
+
+    @cached_property
+    def weights_t(self) -> np.ndarray:
+        """C-contiguous transpose, made once per graph for the backward mix.
+
+        `weights_t @ dh` runs BLAS's NN kernel where `weights.T @ dh` takes the
+        slower TN kernel; the products are bit-identical.
+        """
+        return np.ascontiguousarray(self.weights.T)
 
 
 def row_softmax(logits: np.ndarray) -> np.ndarray:

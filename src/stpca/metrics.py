@@ -1,11 +1,12 @@
 """Masked evaluation metrics and horizon-resolved reports."""
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import predict
+from .model import PREDICT_ROWS, predict
 
 DEFAULT_HORIZONS = (3, 6, 12)
 
@@ -45,27 +46,69 @@ class HorizonReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def _masked_errors(pred, target):
-    """Errors pred - target and true values over cells with nonzero ground truth.
+def _masked_sums(pred, target) -> np.ndarray:
+    """Per-step sums over the cells with nonzero ground truth, in one pass.
 
-    The one definition of which cells count, shared by `masked_mae` and
-    `masked_metrics`.
+    The one definition of which cells count (`target != 0`) and of the error
+    formulas, shared by `masked_mae`, `masked_metrics` and the horizon report.
+    The last axis is the step axis; an array of rank < 2 is one step. Returns
+    [4 x steps]: cell count, sum |e|, sum e^2 and sum |e| / |y|, e = pred - y.
+
+    The leading axis is walked in blocks of max(1, PREDICT_ROWS // cells per
+    row) rows, each written into the same C-contiguous buffers, so a block
+    stays in cache, no full-size masked copy is made, and the sums do not
+    depend on the inputs' memory layout. Each column sum is a ones-vector
+    product. Masked-out cells are zeroed by multiplying with the 0/1 mask, so
+    predictions must be finite, as `forward` guarantees.
     """
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    mask = target != 0
-    if not mask.any():
+    if pred.ndim < 2:
+        pred, target = pred.reshape(-1, 1, 1), target.reshape(-1, 1, 1)
+    else:
+        pred = pred.reshape(pred.shape[0], -1, pred.shape[-1])
+        target = target.reshape(pred.shape)
+    rows, cells, steps = pred.shape
+    step = max(1, PREDICT_ROWS // max(1, cells))
+    block = (min(step, rows), cells, steps)
+    valid, err, tmp = np.empty(block), np.empty(block), np.empty(block)
+    ones = np.ones(block[0] * cells)
+    sums = np.zeros((4, steps))
+    for lo in range(0, rows, step):
+        y = target[lo : lo + step]
+        n = len(y)
+        w, e, t = valid[:n], err[:n], tmp[:n]
+        np.not_equal(y, 0.0, out=w)  # 1.0 where the cell counts, else 0.0
+        np.subtract(pred[lo : lo + step], y, out=e)
+        e *= w
+        np.multiply(e, e, out=t)
+        np.abs(e, out=e)
+        u = ones[: n * cells]
+        sums[0] += u @ w.reshape(-1, steps)
+        sums[1] += u @ e.reshape(-1, steps)
+        sums[2] += u @ t.reshape(-1, steps)
+        # |y| + (1 - w): |y| where the cell counts, 1 where e is already 0
+        np.abs(y, out=t)
+        t += 1.0 - w
+        e /= t
+        sums[3] += u @ e.reshape(-1, steps)
+    return sums
+
+
+def _metric_set(sums: np.ndarray) -> MetricSet:
+    """MetricSet from one column of `_masked_sums` (or a sum of columns)."""
+    count, abs_sum, sq_sum, ape_sum = (float(v) for v in sums)
+    if count == 0:
         raise ValueError("no valid targets: all ground-truth cells are zero")
-    valid = target[mask]
-    return pred[mask] - valid, valid
+    return MetricSet(mae=abs_sum / count, rmse=math.sqrt(sq_sum / count),
+                     mape=ape_sum / count)
 
 
 def masked_mae(pred: np.ndarray, target: np.ndarray) -> float:
     """MAE over cells with nonzero ground truth; equals `masked_metrics(...).mae`."""
-    diff, _ = _masked_errors(pred, target)
-    return float(np.abs(diff, out=diff).mean())
+    return masked_metrics(pred, target).mae
 
 
 def masked_metrics(pred: np.ndarray, target: np.ndarray) -> MetricSet:
@@ -74,30 +117,25 @@ def masked_metrics(pred: np.ndarray, target: np.ndarray) -> MetricSet:
     Both arrays are in original units. MAPE's zero-division safety comes from
     the mask itself; no epsilon is involved.
     """
-    # in-place steps keep at most three masked-cell arrays alive at once
-    diff, valid = _masked_errors(pred, target)
-    abs_diff = np.abs(diff)
-    mae = float(abs_diff.mean())
-    diff *= diff
-    rmse = float(np.sqrt(diff.mean()))
-    abs_diff /= np.abs(valid, out=valid)
-    return MetricSet(mae=mae, rmse=rmse, mape=float(abs_diff.mean()))
+    return _metric_set(_masked_sums(pred, target).sum(axis=1))
 
 
 def horizon_report_from_arrays(pred, target, horizons=DEFAULT_HORIZONS,
                                metadata=None) -> HorizonReport:
-    """Slice [W x N x l2] predictions per horizon; 'avg' pools every step.
+    """Per-horizon metrics of [W x N x l2] predictions; 'avg' pools every step.
 
-    The average is a micro-average: all masked cells of all steps weighted
-    equally, not a mean of the per-horizon numbers.
+    One blocked pass sums each step's masked errors; a horizon reads its own
+    step and the average the sums of all steps. The average is a
+    micro-average: all masked cells of all steps weighted equally, not a mean
+    of the per-horizon numbers.
     """
     l2 = pred.shape[2]
     for h in horizons:
         if not 1 <= h <= l2:
             raise ValueError(f"horizon {h} outside [1, {l2}]")
-    out = {str(h): masked_metrics(pred[:, :, h - 1], target[:, :, h - 1])
-           for h in horizons}
-    out["avg"] = masked_metrics(pred, target)
+    sums = _masked_sums(pred, target)
+    out = {str(h): _metric_set(sums[:, h - 1]) for h in horizons}
+    out["avg"] = _metric_set(sums.sum(axis=1))
     return HorizonReport(horizons=out, metadata=dict(metadata or {}))
 
 

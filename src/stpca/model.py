@@ -141,6 +141,16 @@ def set_embedding(params: ModelParams, table: EmbeddingTable) -> ModelParams:
     return out
 
 
+def _in_out(w: np.ndarray) -> np.ndarray:
+    """C-contiguous [in x out] copy of an [out x in] weight.
+
+    `h @ _in_out(w)` runs BLAS's NN kernel, where `h @ w.T` (a transposed view)
+    takes the NT kernel, 25-40% slower at these shapes on OpenBLAS. The copy
+    is at most mix_dim x mix_dim, so it costs microseconds per call.
+    """
+    return np.ascontiguousarray(w.T)
+
+
 def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
             x: np.ndarray, tod_idx, dow_idx, cache: bool = False,
             graph: Optional[AdaptiveGraph] = None):
@@ -163,7 +173,7 @@ def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
     if emb.dim != cfg.embed_dim:
         raise ValueError(f"embedding dim {emb.dim} != embed_dim {cfg.embed_dim}")
 
-    u = x @ params.w_x.T
+    u = x @ _in_out(params.w_x)
     u += params.b_x
     tod_vec = params.tod[tod_idx]  # [B x Ct]
     dow_vec = params.dow[dow_idx]
@@ -185,10 +195,10 @@ def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
     hs, rs = [h], []
     h_premix = None
     for i, blk in enumerate(params.blocks):
-        r = h @ blk["w1"].T
+        r = h @ _in_out(blk["w1"])
         r += blk["b1"]
         np.maximum(r, 0.0, out=r)  # relu in place: r > 0 exactly where z > 0
-        h_next = r @ blk["w2"].T
+        h_next = r @ _in_out(blk["w2"])
         h_next += h
         h_next += blk["b2"]
         if cfg.use_graph and i == 0:
@@ -202,7 +212,7 @@ def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
             hs.append(h_next)
         h = h_next
 
-    y = h @ params.w_o.T
+    y = h @ _in_out(params.w_o)
     y += params.b_o
     if not np.isfinite(y).all():
         raise FloatingPointError("non-finite output")

@@ -80,18 +80,18 @@ def _unpack_tensor(raw: bytes, off: int, shape, where: str):
     return arr, off + 8 * size
 
 
-def _tensor_shapes(cfg: ModelConfig) -> dict:
-    """Shape of every tensor in serialization order; None is the node count."""
+def _tensor_shapes(cfg: ModelConfig):
+    """(name, shape) of every tensor in serialization order; None is the node
+    count. A generator, so a damaged header claiming billions of blocks stops
+    at the first tensor the file does not hold instead of listing them all."""
     cm = cfg.mix_dim
-    shapes = {"w_x": (cfg.hidden_dim, cfg.l1), "b_x": (cfg.hidden_dim,),
-              "embedding": (None, cfg.embed_dim),
-              "tod": (cfg.steps_per_day, cfg.tod_dim), "dow": (7, cfg.dow_dim)}
+    yield from (("w_x", (cfg.hidden_dim, cfg.l1)), ("b_x", (cfg.hidden_dim,)),
+                ("embedding", (None, cfg.embed_dim)),
+                ("tod", (cfg.steps_per_day, cfg.tod_dim)), ("dow", (7, cfg.dow_dim)))
     for i in range(cfg.num_blocks):
-        shapes.update({f"w1_{i}": (cm, cm), f"b1_{i}": (cm,),
-                       f"w2_{i}": (cm, cm), f"b2_{i}": (cm,)})
-    shapes["w_o"] = (cfg.l2, cm)
-    shapes["b_o"] = (cfg.l2,)
-    return shapes
+        yield from ((f"w1_{i}", (cm, cm)), (f"b1_{i}", (cm,)),
+                    (f"w2_{i}", (cm, cm)), (f"b2_{i}", (cm,)))
+    yield from (("w_o", (cfg.l2, cm)), ("b_o", (cfg.l2,)))
 
 
 def save_model(params: ModelParams, normalizer: Normalizer, path):
@@ -141,10 +141,12 @@ def _parse_model(raw: bytes, path):
         raise ValueError(f"{path}: bad header config: {exc}") from None
     off = 9 + 36
     mean, std = struct.unpack_from("<2d", raw, off)
+    if not (math.isfinite(mean) and math.isfinite(std) and std > 0):
+        raise ValueError(f"{path}: bad normalizer mean {mean!r}, std {std!r}")
     off += 16
 
     tensors = {}
-    for name, shape in _tensor_shapes(cfg).items():
+    for name, shape in _tensor_shapes(cfg):
         tensors[name], off = _unpack_tensor(raw, off, shape, f"{path}: {name}")
     (tag,) = struct.unpack_from("<B", raw, off)
     if tag not in TAG_STRATEGIES:

@@ -71,12 +71,14 @@ def _node_major(a: np.ndarray) -> np.ndarray:
 
 def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
              trainable=None):
-    """Exact gradients of the cached forward pass for every trainable tensor.
+    """Exact gradients of the cached forward pass for the requested tensors.
 
-    Batch and node axes are contracted as one flat [B*N] axis, so every
-    weight gradient is a single BLAS matmul and every bias sum a ones-vector
-    product. The graph's share of the embedding gradient is computed only
-    when the embedding is among the requested names.
+    `trainable` names the tensors (default: the model's trainable ones); only
+    their gradients are computed, while the `dh` chain runs through every
+    block. Batch and node axes are contracted as one flat [B*N] axis, so
+    every weight gradient is a single BLAS matmul and every bias sum a
+    ones-vector product. The graph's share of the embedding gradient is
+    computed only when the embedding is requested.
     """
     cfg = params.config
     names = params.trainable_names() if trainable is None else list(trainable)
@@ -88,8 +90,10 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
 
     grads = {}
     dy = _flat(loss_grad)
-    grads["w_o"] = dy.T @ _flat(hs[-1])
-    grads["b_o"] = ones @ dy
+    if "w_o" in names:
+        grads["w_o"] = dy.T @ _flat(hs[-1])
+    if "b_o" in names:
+        grads["b_o"] = ones @ dy
     dh = dy @ params.w_o  # [B*N x mix_dim] from here on
 
     d_emb_graph = None
@@ -104,32 +108,40 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
                 d_logits = a * (d_adj - (a * d_adj).sum(axis=1, keepdims=True))
                 d_gram = d_logits * (e @ e.T > 0)
                 d_emb_graph = (d_gram + d_gram.T) @ e
-            dh = _flat(a.T @ dh_mixed)
+            dh = _flat(cache["graph"].weights_t @ dh_mixed)
         blk = params.blocks[i]
-        grads[f"b2_{i}"] = ones @ dh
-        grads[f"w2_{i}"] = dh.T @ _flat(rs[i])
+        if f"b2_{i}" in names:
+            grads[f"b2_{i}"] = ones @ dh
+        if f"w2_{i}" in names:
+            grads[f"w2_{i}"] = dh.T @ _flat(rs[i])
         dz = dh @ blk["w2"]
         dz *= _flat(rs[i]) > 0
-        grads[f"b1_{i}"] = ones @ dz
-        grads[f"w1_{i}"] = dz.T @ _flat(hs[i])
+        if f"b1_{i}" in names:
+            grads[f"b1_{i}"] = ones @ dz
+        if f"w1_{i}" in names:
+            grads[f"w1_{i}"] = dz.T @ _flat(hs[i])
         dh += dz @ blk["w1"]
 
     du = dh[:, :ch]
-    grads["w_x"] = du.T @ _flat(x)
-    grads["b_x"] = ones @ du
+    if "w_x" in names:
+        grads["w_x"] = du.T @ _flat(x)
+    if "b_x" in names:
+        grads["b_x"] = ones @ du
 
     dh = dh.reshape(b, n, -1)
-    d_emb = dh[:, :, ch : ch + ce].sum(axis=0)
-    if d_emb_graph is not None:
-        d_emb = d_emb + d_emb_graph
-    grads["embedding"] = d_emb
-
-    d_tod = np.zeros_like(params.tod)
-    np.add.at(d_tod, cache["tod_idx"], dh[:, :, ch + ce : ch + ce + ct].sum(axis=1))
-    grads["tod"] = d_tod
-    d_dow = np.zeros_like(params.dow)
-    np.add.at(d_dow, cache["dow_idx"], dh[:, :, ch + ce + ct :].sum(axis=1))
-    grads["dow"] = d_dow
+    if "embedding" in names:
+        d_emb = dh[:, :, ch : ch + ce].sum(axis=0)
+        if d_emb_graph is not None:
+            d_emb = d_emb + d_emb_graph
+        grads["embedding"] = d_emb
+    if "tod" in names:
+        d_tod = np.zeros_like(params.tod)
+        np.add.at(d_tod, cache["tod_idx"], dh[:, :, ch + ce : ch + ce + ct].sum(axis=1))
+        grads["tod"] = d_tod
+    if "dow" in names:
+        d_dow = np.zeros_like(params.dow)
+        np.add.at(d_dow, cache["dow_idx"], dh[:, :, ch + ce + ct :].sum(axis=1))
+        grads["dow"] = d_dow
 
     out = {name: grads[name] for name in names}
     for name, g in out.items():

@@ -2,7 +2,10 @@ import argparse
 import ast
 import inspect
 import json
+import math
 import os
+import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +168,17 @@ class TestFaultExits:
         else:
             assert code == 1
             assert_one_line_error(capsys, "error: ")
+
+    def test_failed_allocation_exit_1(self, synth_dir, tmp_path, capsys,
+                                      monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+        monkeypatch.setattr(cli, "train_run", no_memory)
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, synth_dir / "train.csv", tmp_path / "o")
+        assert run_cli("train", "--config", str(cfg)) == 1
+        assert "Unable to allocate" in assert_one_line_error(capsys, "error: ")
 
     def test_bad_ratios_flag_exit_2(self, synth_dir, trained_dir, tmp_path, capsys):
         assert run_cli("eval", "--model", str(trained_dir / "model.stpf"),
@@ -466,3 +480,111 @@ class TestNoUnusedKnobs:
             if not isinstance(action, argparse._HelpAction)
             and action.dest not in read)
         assert unread == []
+
+
+def flip_bits(raw, positions):
+    out = bytearray(raw)
+    for pos in positions:
+        pos %= 8 * len(out)
+        out[pos // 8] ^= 1 << (pos % 8)
+    return bytes(out)
+
+
+def run_fuzzed(capsys, *argv):
+    """Run the CLI; a failure must be exit 1 or 2 with one stderr line.
+
+    Warnings count as stderr output, since outside pytest each prints its own
+    lines: none may come with an error, and no numpy floating-point warning
+    may come at all.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(*argv)
+    numeric = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not numeric, [str(w.message) for w in numeric]
+    if code != 0:
+        assert code in (1, 2)
+        assert not caught, [str(w.message) for w in caught]
+        assert_one_line_error(capsys, "config error: " if code == 2 else "error: ")
+    capsys.readouterr()
+    return code
+
+
+NO_DIGITS = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=10)
+FUZZ = settings(max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestFuzzedInputs:
+    """Damaged checkpoints and generated configs end in exit 0, 1 or 2.
+
+    Neither checkpoint format carries a checksum, so a flip inside tensor data
+    can load and run; every other outcome must be a one-line error.
+    """
+
+    @FUZZ
+    @given(st.lists(st.integers(0, 10 ** 7), min_size=1, max_size=3))
+    def test_bit_flipped_model_through_eval(self, synth_dir, trained_dir,
+                                            tmp_path, capsys, positions):
+        model = tmp_path / "model.stpf"
+        model.write_bytes(flip_bits((trained_dir / "model.stpf").read_bytes(),
+                                    positions))
+        out = tmp_path / "report.json"
+        code = run_fuzzed(capsys, "eval", "--model", str(model),
+                          "--data", str(synth_dir / "train.csv"), "--out", str(out))
+        if code == 0:
+            assert "avg" in json.loads(out.read_text())["horizons"]
+
+    # offsets of the normalizer mean and std and of the first w_x value; bits
+    # 52-62 are a float64's exponent, 63 its sign
+    @pytest.mark.parametrize("offset", [45, 53, 73], ids=["mean", "std", "w_x"])
+    @pytest.mark.parametrize("bit", range(52, 64))
+    def test_exponent_flips_through_eval(self, synth_dir, trained_dir, tmp_path,
+                                         capsys, offset, bit):
+        model = tmp_path / "model.stpf"
+        model.write_bytes(flip_bits((trained_dir / "model.stpf").read_bytes(),
+                                    [8 * offset + bit]))
+        out = tmp_path / "report.json"
+        code = run_fuzzed(capsys, "eval", "--model", str(model),
+                          "--data", str(synth_dir / "train.csv"), "--out", str(out))
+        if code == 0:
+            report = json.loads(out.read_text())
+            assert all(math.isfinite(v) for metrics in report["horizons"].values()
+                       for v in metrics.values())
+
+    @FUZZ
+    @given(st.lists(st.integers(0, 10 ** 7), min_size=1, max_size=3))
+    def test_bit_flipped_projection_through_export(self, synth_dir, trained_dir,
+                                                   tmp_path, capsys, positions):
+        proj = tmp_path / "proj.stpj"
+        proj.write_bytes(flip_bits((trained_dir / "proj.stpj").read_bytes(),
+                                   positions))
+        out = tmp_path / "emb.csv"
+        code = run_fuzzed(capsys, "export-embeddings", "--proj", str(proj),
+                          "--data", str(synth_dir / "train.csv"), "--out", str(out))
+        if code == 0:
+            assert out.read_text().startswith("node_id,")
+
+    # Numbers come only from small integers: a generated digit string such as
+    # model.hidden_dim=99999999 would make the run allocate gigabytes.
+    @FUZZ
+    @given(st.lists(st.one_of(
+        st.tuples(st.sampled_from(sorted(set(CONFIG_KEYS) - {"data.csv", "run.out_dir"})),
+                  st.one_of(st.integers(-3, 6).map(str),
+                            st.sampled_from(["", "nan", "inf", "-0", "1e400", "0.5",
+                                             "true", "0,1", "pca", "adaptive"]),
+                            NO_DIGITS))
+        .map(lambda kv: f"{kv[0]}={kv[1]}"),
+        NO_DIGITS), max_size=4))
+    def test_generated_config_through_train(self, synth_dir, tmp_path, capsys,
+                                            lines):
+        cfg = tmp_path / "fuzz.cfg"
+        out = tmp_path / "out"
+        text = (SMALL_CONFIG.format(data=synth_dir / "train.csv", out_dir=out,
+                                    strategy="pca")
+                + "\n".join(lines) + "\n")
+        cfg.write_text(text, encoding="utf-8")
+        shutil.rmtree(out, ignore_errors=True)
+        code = run_fuzzed(capsys, "train", "--config", str(cfg))
+        if code == 0:
+            assert (out / "model.stpf").is_file()

@@ -144,3 +144,74 @@ class TestHorizonReport:
         m = MetricSet(mae=1.0, rmse=2.0, mape=0.5)
         text = render_report(HorizonReport(horizons={"3": m, "avg": m}))
         assert "H3" in text and "Average" in text and "1.00 & 2.00 & 50.00%" in text
+
+
+def compacted(pred, target):
+    """Metrics over only the counted cells, as one flat array."""
+    keep = target != 0
+    return masked_metrics(pred[keep], target[keep])
+
+
+class TestBlockedReport:
+    """The report's one blocked pass against per-horizon compacted slices."""
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (7, 1, 4), (9, 5, 12),
+                                       (23, 307, 12), (3, 170, 6)])
+    @pytest.mark.parametrize("zero_frac", [0.0, 0.3, 0.9])
+    def test_matches_compacted_slices(self, shape, zero_frac):
+        rng = np.random.default_rng(shape[1] + int(10 * zero_frac))
+        target = rng.uniform(1, 300, size=shape)
+        target[rng.random(shape) < zero_frac] = 0.0
+        target[0, 0] = rng.uniform(1, 300, size=shape[2])
+        pred = target + rng.normal(0, 20, size=shape)
+        horizons = tuple(range(1, shape[2] + 1))
+        rep = horizon_report_from_arrays(pred, target, horizons=horizons)
+        expected = {str(h): compacted(pred[:, :, h - 1], target[:, :, h - 1])
+                    for h in horizons}
+        expected["avg"] = compacted(pred, target)
+        assert list(rep.horizons) == list(expected)
+        for key, want in expected.items():
+            got = rep.horizons[key]
+            for field in ("mae", "rmse", "mape"):
+                assert math.isclose(getattr(got, field), getattr(want, field),
+                                    rel_tol=1e-12), (key, field)
+
+    def test_layout_does_not_change_a_bit(self):
+        rng = np.random.default_rng(5)
+        target = rng.uniform(0, 300, size=(40, 307, 12))
+        target[rng.random(target.shape) < 0.2] = 0.0
+        pred = target + rng.normal(0, 20, size=target.shape)
+        reference = horizon_report_from_arrays(pred, target)
+        for layout in (lambda a: np.ascontiguousarray(a.transpose(0, 2, 1))
+                       .transpose(0, 2, 1), np.asfortranarray):
+            rep = horizon_report_from_arrays(layout(pred), layout(target))
+            for key in reference.horizons:
+                assert rep.horizons[key].as_dict() == reference.horizons[key].as_dict()
+            assert masked_metrics(layout(pred), target) == masked_metrics(pred, target)
+
+    def test_all_zero_horizon_raises(self):
+        rng = np.random.default_rng(6)
+        target = rng.uniform(1, 10, size=(4, 3, 6))
+        target[:, :, 1] = 0.0
+        pred = target + 1.0
+        rep = horizon_report_from_arrays(pred, target, horizons=(1, 6))
+        assert set(rep.horizons) == {"1", "6", "avg"}
+        with pytest.raises(ValueError, match="no valid targets"):
+            horizon_report_from_arrays(pred, target, horizons=(2,))
+        with pytest.raises(ValueError, match="no valid targets"):
+            horizon_report_from_arrays(pred, np.zeros_like(target), horizons=(1,))
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            horizon_report_from_arrays(np.ones((2, 3, 4)), np.ones((2, 4, 4)),
+                                       horizons=(1,))
+
+    def test_zero_target_cells_ignore_their_predictions(self):
+        target = np.zeros((3, 2, 2))
+        target[0, 0] = [4.0, 8.0]
+        pred = np.full(target.shape, 1e6)
+        pred[0, 0] = [5.0, 6.0]
+        rep = horizon_report_from_arrays(pred, target, horizons=(1, 2))
+        assert rep.horizons["1"].as_dict() == {"mae": 1.0, "rmse": 1.0, "mape": 0.25}
+        assert rep.horizons["2"].as_dict() == {"mae": 2.0, "rmse": 2.0, "mape": 0.25}
+        assert rep.horizons["avg"].mae == 1.5

@@ -32,6 +32,29 @@ def batch(windows):
     return NORM.apply(windows.history), windows.tod, windows.dow
 
 
+def einsum_forward(params, x, tod_idx, dow_idx):
+    """Reference forward: every product an `einsum` against the stored
+    [out x in] weights, the graph written out as softmax(relu(E E^T))."""
+    cfg = params.config
+    b, n, _ = x.shape
+    e = params.embedding.values
+    u = np.einsum("bnl,hl->bnh", x, params.w_x) + params.b_x
+    h = np.concatenate([
+        u, np.broadcast_to(e, (b, n, cfg.embed_dim)),
+        np.broadcast_to(params.tod[tod_idx][:, None, :], (b, n, cfg.tod_dim)),
+        np.broadcast_to(params.dow[dow_idx][:, None, :], (b, n, cfg.dow_dim)),
+    ], axis=2)
+    for i, blk in enumerate(params.blocks):
+        r = np.maximum(np.einsum("bnk,mk->bnm", h, blk["w1"]) + blk["b1"], 0.0)
+        h = h + np.einsum("bnk,mk->bnm", r, blk["w2"]) + blk["b2"]
+        if cfg.use_graph and i == 0:
+            logits = np.maximum(e @ e.T, 0.0)
+            a = np.exp(logits - logits.max(axis=1, keepdims=True))
+            a /= a.sum(axis=1, keepdims=True)
+            h = np.einsum("uv,bvf->buf", a, h)
+    return np.einsum("bnk,lk->bnl", h, params.w_o) + params.b_o
+
+
 class TestInit:
     def test_deterministic(self):
         cfg = toy_config()
@@ -90,6 +113,18 @@ class TestForward:
         out_pca = forward(params, pca_table, x, ti, di)
         out_zero = forward(params, zero_embedding(5, 3), x, ti, di)
         assert np.abs(out_pca - out_zero).max() > 1e-8
+
+    @pytest.mark.parametrize("use_graph", [False, True])
+    def test_matches_einsum_reference(self, use_graph):
+        params = init_params(toy_config(use_graph=use_graph), 5, seed=4)
+        rng = np.random.default_rng(9)
+        for tensor in params.tensors().values():
+            tensor += rng.normal(0, 0.3, size=tensor.shape)
+        x, ti, di = batch(toy_windows(7, 5, seed=2))
+        out = forward(params, None, x, ti, di)
+        reference = einsum_forward(params, x, ti, di)
+        scale = np.abs(reference).max()
+        assert np.abs(out - reference).max() <= 1e-12 * scale
 
     def test_deterministic(self):
         params = init_params(toy_config(use_graph=True), 5, seed=0)

@@ -115,6 +115,15 @@ class TestModelCheckpoint:
                            match=r"embedding: shape 6x2 does not match .*\(Nx3\)"):
             load_model(tmp_path / "lie.stpf")
 
+    def test_huge_block_count_fails_fast(self, tmp_path):
+        p = tmp_path / "model.stpf"
+        save_model(self.make_params(), Normalizer(0.0, 1.0), p)
+        raw = bytearray(p.read_bytes())
+        raw[33:37] = struct.pack("<I", 2 ** 31 + 2)  # header num_blocks: 2 -> 2^31+2
+        (tmp_path / "blocks.stpf").write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="w1_2: shape"):
+            load_model(tmp_path / "blocks.stpf")
+
     def test_embedding_columns_checked_against_embed_dim(self, tmp_path):
         cfg = ModelConfig(l1=4, l2=3, embed_dim=2, tod_dim=2, dow_dim=2,
                           hidden_dim=5, num_blocks=1, steps_per_day=12)
@@ -131,6 +140,15 @@ class TestModelCheckpoint:
         (tmp_path / "tag.stpf").write_bytes(p.read_bytes()[:-1] + b"\x09")
         with pytest.raises(ValueError, match="strategy tag 9"):
             load_model(tmp_path / "tag.stpf")
+
+
+    @pytest.mark.parametrize("mean,std", [(0.0, -1.0), (0.0, 0.0),
+                                          (float("nan"), 1.0), (0.0, float("inf"))])
+    def test_bad_normalizer_rejected(self, tmp_path, mean, std):
+        p = tmp_path / "model.stpf"
+        save_model(self.make_params(), Normalizer(mean, std), p)
+        with pytest.raises(ValueError, match="bad normalizer"):
+            load_model(p)
 
 
 class TestCsvExports:

@@ -209,6 +209,41 @@ class TestBackward:
             assert scale > 0, name
             assert np.abs(g - reference[name]).max() <= 1e-12 * scale, name
 
+    @pytest.mark.parametrize("use_graph", [False, True])
+    @pytest.mark.parametrize("requested", [
+        ["embedding"], ["w_o"], ["tod", "dow"], ["b1_0", "w2_1", "b_x"], None,
+    ], ids=["embedding", "w_o", "tod-dow", "bias-weight-bias", "all"])
+    def test_requested_gradients_only(self, monkeypatch, use_graph, requested):
+        cfg = toy_config(num_blocks=2, use_graph=use_graph)
+        params = init_params(cfg, 5, seed=5)
+        rng = np.random.default_rng(6)
+        for tensor in params.tensors().values():
+            tensor += rng.normal(0, 0.3, size=tensor.shape)
+        x, y, ti, di = batch(toy_windows(7, seed=8))
+        pred, cache = forward(params, None, x, ti, di, cache=True)
+        _, lgrad = masked_mae_loss(pred, y, NORM)
+        names = list(params.tensors())
+        full = backward(params, cache, lgrad, trainable=names)
+        requested = names if requested is None else requested
+
+        class NumpyWithoutScatter:
+            """numpy, except that `np.add.at` raises."""
+
+            class add:
+                @staticmethod
+                def at(*args):
+                    raise AssertionError("np.add.at ran for an unrequested table")
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        if not {"tod", "dow"} & set(requested):
+            monkeypatch.setattr(training, "np", NumpyWithoutScatter())
+        grads = backward(params, cache, lgrad, trainable=requested)
+        assert list(grads) == requested
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, full[name], err_msg=name)
+
     def test_non_finite_gradient_names_tensor(self):
         params = init_params(toy_config(), 5, seed=0)
         x, _, ti, di = batch(toy_windows(3))
