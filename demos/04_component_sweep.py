@@ -9,9 +9,8 @@ baseline, the same curve the sweep-components CLI command emits as CSV.
 Run:  python demos/04_component_sweep.py   (~3 minutes)
 """
 
-from stpca import (ModelConfig, SynthSpec, TrainConfig, TransferPlan, evaluate,
-                   generate, train_run)
-from stpca.transfer import cross_year_eval
+from stpca import ModelConfig, SynthSpec, TrainConfig, generate
+from stpca.pipeline import sweep_run
 
 spec = SynthSpec(n_nodes=24, n_roles=4, days=28, steps_per_day=48,
                  shift_fraction=0.5, noise_std=2.0, seed=2)
@@ -20,28 +19,14 @@ train_series, shifted_series, _ = generate(spec)
 base = dict(l1=12, l2=12, tod_dim=16, dow_dim=4, hidden_dim=1, num_blocks=2,
             use_graph=False, steps_per_day=48)
 train_cfg = dict(lr=2e-3, max_epochs=60, patience=12, batch_size=16, seed=2)
-
-
-def one(strategy, k):
-    run = train_run(train_series, ModelConfig(embed_dim=k, **base),
-                    TrainConfig(**train_cfg), strategy=strategy)
-    test = evaluate(run.params, None, run.bundle.test_windows,
-                    run.bundle.normalizer).horizons["avg"].mae
-    plan = TransferPlan(adaptation_fraction=0.25,
-                        strategy="pca_emb" if strategy == "pca"
-                        else "vanilla_adaptive")
-    shifted = cross_year_eval(run.params, run.bundle.normalizer,
-                              run.projection, shifted_series,
-                              plan).horizons["avg"].mae
-    return run.report.best_val_mae, test, shifted
-
+points = [(k, "pca", k) for k in (1, 2, 4, 8, 16, 48)] + [("adaptive", "adaptive", 8)]
 
 print("k        | val MAE | test MAE | shifted MAE")
-for k in (1, 2, 4, 8, 16, 48):
-    val, test, shifted = one("pca", k)
-    print(f"{k:<8} | {val:7.3f} | {test:8.3f} | {shifted:11.3f}")
-val, test, shifted = one("adaptive", 8)
-print(f"adaptive | {val:7.3f} | {test:8.3f} | {shifted:11.3f}")
+for label, strategy, k in points:
+    val, test, shifted = sweep_run(train_series, shifted_series,
+                                   ModelConfig(embed_dim=k, **base),
+                                   TrainConfig(**train_cfg), strategy, 0.25)
+    print(f"{label:<8} | {val:7.3f} | {test:8.3f} | {shifted:11.3f}")
 
 print("\na handful of components carries the role structure; the full "
       "spectrum and the trainable table both degrade once the data shifts")

@@ -17,8 +17,8 @@ from .dataset import (DataError, check_ratios, fit_normalizer, ingest_csv,
                       to_day_tensor, write_series_csv)
 from .metrics import HorizonReport, MetricSet, evaluate, render_report
 from .model import ModelConfig
-from .pca import check_theta, refresh_embedding, zero_embedding
-from .pipeline import check_train_strategy, train_run
+from .pca import check_theta, refresh_embedding
+from .pipeline import check_train_strategy, sweep_run, train_run
 from .serialize import (atomic_write_text, load_model, load_projection,
                         save_model, save_projection, write_embedding_csv,
                         write_graph_csv)
@@ -26,7 +26,7 @@ from .synth import SynthSpec, generate, write_roles_csv
 from .training import TrainConfig
 from .transfer import (TransferPlan, cross_year_eval,
                        historical_average_baseline, split_adaptation,
-                       zero_shot_transfer)
+                       with_strategy, zero_shot_transfer)
 
 
 class ConfigError(ValueError):
@@ -154,11 +154,6 @@ def _require(config, key):
     return config[key]
 
 
-def _horizons_for(l2):
-    kept = tuple(h for h in (3, 6, 12) if h <= l2)
-    return kept if kept else (l2,)
-
-
 def _write_json(path, payload):
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -199,31 +194,31 @@ def cmd_train(args):
     return 0
 
 
-def _eval_embedding(params, norm, strategy, series, ranges, args):
-    """Embedding table used at evaluation time, per --strategy."""
-    if strategy == "vanilla":
+STRATEGY_ALIASES = {
+    "vanilla": "vanilla_adaptive", "zero": "zero_emb",
+    "pca": "pca_emb", "finetune": "finetune_emb",
+}
+
+
+def _projection(args, strategies):
+    """The --proj projection if one of `strategies` is pca_emb, else None."""
+    if "pca_emb" not in strategies:
         return None
-    if strategy == "zero":
-        return zero_embedding(params.num_nodes, params.config.embed_dim)
-    if strategy == "pca":
-        if not args.proj:
-            raise ConfigError("--strategy pca requires --proj")
-        proj = load_projection(args.proj)
-        z = to_day_tensor(series, ranges[0])
-        return refresh_embedding(normalize_day_tensor(z, norm), proj)
-    raise ConfigError(f"unknown eval strategy {strategy!r}")
+    if not args.proj:
+        raise ConfigError("strategy pca requires --proj")
+    return load_projection(args.proj)
 
 
 def cmd_eval(args):
     params, norm = load_model(args.model)
     series = ingest_csv(args.data)
     ranges = split_chronological(series, parse_ratios(args.ratios, "--ratios"))
-    split_index = {"train": 0, "val": 1, "test": 2}[args.split]
-    windows = make_windows(series, ranges[split_index],
+    strategy = STRATEGY_ALIASES[args.strategy]
+    scored = with_strategy(params, strategy, series, ranges[0], norm,
+                           _projection(args, [strategy]))
+    windows = make_windows(series, ranges[("train", "val", "test").index(args.split)],
                            params.config.l1, params.config.l2)
-    emb = _eval_embedding(params, norm, args.strategy, series, ranges, args)
-    report = evaluate(params, emb, windows, norm,
-                      horizons=_horizons_for(params.config.l2), metadata={
+    report = evaluate(scored, None, windows, norm, metadata={
         "dataset": os.path.basename(args.data), "strategy": args.strategy,
         "seed": None, "split": args.split,
     })
@@ -232,50 +227,34 @@ def cmd_eval(args):
     return 0
 
 
-STRATEGY_ALIASES = {
-    "vanilla": "vanilla_adaptive", "zero": "zero_emb",
-    "pca": "pca_emb", "finetune": "finetune_emb",
-}
-
-
 def cmd_transfer(args):
     params, norm = load_model(args.model)
-    proj = load_projection(args.proj) if args.proj else None
-    target = ingest_csv(args.target)
-
-    cross_city = target.num_nodes != params.num_nodes
-    if args.protocol == "cross-year":
-        cross_city = False
-    elif args.protocol == "zero-shot":
-        cross_city = True
-
-    entries = []
+    plans = []
     for name in args.strategies.split(","):
         name = name.strip()
         if name not in STRATEGY_ALIASES:
             raise ConfigError(f"unknown transfer strategy {name!r}")
-        plan = TransferPlan(
+        plans.append((name, TransferPlan(
             adaptation_fraction=args.adaptation_fraction,
-            strategy=STRATEGY_ALIASES[name], refit_projection=args.refit_projection,
-        )
-        horizons = _horizons_for(params.config.l2)
-        if cross_city:
-            if plan.strategy != "pca_emb":
-                raise DataError(
-                    f"strategy {name} needs matching node counts "
-                    f"(model {params.num_nodes}, target {target.num_nodes})")
-            report = zero_shot_transfer(params, norm, proj, target, plan,
-                                        horizons=horizons)
-        else:
-            report = cross_year_eval(params, norm, proj, target, plan,
-                                     horizons=horizons)
+            strategy=STRATEGY_ALIASES[name], refit_projection=args.refit_projection)))
+    proj = _projection(args, [plan.strategy for _, plan in plans])
+    target = ingest_csv(args.target)
+    # the same sensors in a later year, or a foreign node set
+    score = (cross_year_eval if target.num_nodes == params.num_nodes
+             else zero_shot_transfer)
+
+    entries = []
+    for name, plan in plans:
+        try:
+            report = score(params, norm, proj, target, plan)
+        except DataError as exc:
+            raise DataError(f"strategy {name}: {exc}") from None
         entries.append({"strategy": name, "report": report.to_json_dict()})
 
     if args.include_baseline:
         _, eval_range = split_adaptation(target, args.adaptation_fraction)
         base = historical_average_baseline(target, eval_range,
-                                           params.config.l1, params.config.l2,
-                                           horizons=_horizons_for(params.config.l2))
+                                           params.config.l1, params.config.l2)
         entries.append({"strategy": "hist_avg", "report": base.to_json_dict()})
 
     _write_json(args.out, entries)
@@ -298,38 +277,23 @@ def cmd_sweep_components(args):
     ratios = parse_ratios(config["data.ratios"], "data.ratios")
     series = ingest_csv(_require(config, "data.csv"))
     shifted = ingest_csv(_require(config, "data.shifted_csv"))
-    frac = config["transfer.adaptation_fraction"]
     out_dir = config["run.out_dir"]
     os.makedirs(out_dir, exist_ok=True)
 
-    def one_run(strategy, embed_dim):
-        cfg_dict = dict(config)
-        cfg_dict["model.embed_dim"] = embed_dim
-        run = train_run(
-            series, model_config_from(cfg_dict, series.steps_per_day),
-            train_config_from(cfg_dict), strategy=strategy, ratios=ratios,
-            center=config["embedding.center"],
-            include_zeros_in_norm=config["data.include_zeros_in_norm"],
-        )
-        test_mae = evaluate(run.params, None, run.bundle.test_windows,
-                            run.bundle.normalizer,
-                            horizons=_horizons_for(cfg_dict["model.l2"])).horizons["avg"].mae
-        plan = TransferPlan(
-            adaptation_fraction=frac,
-            strategy="pca_emb" if strategy == "pca" else "vanilla_adaptive")
-        shifted_mae = cross_year_eval(
-            run.params, run.bundle.normalizer, run.projection, shifted, plan,
-            horizons=_horizons_for(cfg_dict["model.l2"])).horizons["avg"].mae
-        return run.report.best_val_mae, test_mae, shifted_mae
-
+    points = [(str(k), "pca", k) for k in range(args.k_min, args.k_max + 1)]
+    points.append(("adaptive", "adaptive", config["model.embed_dim"]))
     lines = ["k,val_mae,test_mae,shifted_mae"]
-    for k in range(args.k_min, args.k_max + 1):
-        val_mae, test_mae, shifted_mae = one_run("pca", k)
-        lines.append(f"{k},{val_mae!r},{test_mae!r},{shifted_mae!r}")
-        print(f"k={k}: val {val_mae:.4f} test {test_mae:.4f} shifted {shifted_mae:.4f}")
-    val_mae, test_mae, shifted_mae = one_run("adaptive", config["model.embed_dim"])
-    lines.append(f"adaptive,{val_mae!r},{test_mae!r},{shifted_mae!r}")
-    print(f"k=adaptive: val {val_mae:.4f} test {test_mae:.4f} shifted {shifted_mae:.4f}")
+    for label, strategy, embed_dim in points:
+        model_cfg = model_config_from({**config, "model.embed_dim": embed_dim},
+                                      series.steps_per_day)
+        val_mae, test_mae, shifted_mae = sweep_run(
+            series, shifted, model_cfg, train_config_from(config), strategy,
+            config["transfer.adaptation_fraction"], ratios=ratios,
+            center=config["embedding.center"],
+            include_zeros_in_norm=config["data.include_zeros_in_norm"])
+        lines.append(f"{label},{val_mae!r},{test_mae!r},{shifted_mae!r}")
+        print(f"k={label}: val {val_mae:.4f} test {test_mae:.4f} "
+              f"shifted {shifted_mae:.4f}")
 
     atomic_write_text(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
     atomic_write_text(os.path.join(out_dir, "config.resolved"),
@@ -399,7 +363,7 @@ def cmd_report(args):
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DataError(f"{path}: not a JSON file ({exc})") from None
     if isinstance(payload, dict):
         payload = [{"strategy": payload.get("strategy"), "report": payload}]
@@ -413,7 +377,7 @@ def cmd_report(args):
                              mape=float(v["mape"]))
                 for k, v in entry["report"]["horizons"].items()}
             strategy = entry.get("strategy")
-        except (AttributeError, KeyError, TypeError, ValueError):
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
             raise DataError(f"{path}: entry {i} is not a report with mae/rmse/mape "
                             "per horizon") from None
         tables.append(f"--- {strategy}\n"
@@ -466,8 +430,6 @@ def build_parser():
     p.add_argument("--strategies", default="vanilla,zero,pca,finetune")
     p.add_argument("--adaptation-fraction", type=float, default=0.05)
     p.add_argument("--refit-projection", action="store_true")
-    p.add_argument("--protocol", choices=("auto", "cross-year", "zero-shot"),
-                   default="auto")
     p.add_argument("--include-baseline", action="store_true")
     p.add_argument("--out", default="comparison.json")
     p.add_argument("--csv-out", default=None)

@@ -120,16 +120,19 @@ def masked_metrics(pred: np.ndarray, target: np.ndarray) -> MetricSet:
     return _metric_set(_masked_sums(pred, target).sum(axis=1))
 
 
-def horizon_report_from_arrays(pred, target, horizons=DEFAULT_HORIZONS,
+def horizon_report_from_arrays(pred, target, horizons=None,
                                metadata=None) -> HorizonReport:
     """Per-horizon metrics of [W x N x l2] predictions; 'avg' pools every step.
 
-    One blocked pass sums each step's masked errors; a horizon reads its own
-    step and the average the sums of all steps. The average is a
-    micro-average: all masked cells of all steps weighted equally, not a mean
-    of the per-horizon numbers.
+    Without `horizons`, the entries of DEFAULT_HORIZONS that are <= l2 are
+    reported, or l2 alone if none is. One blocked pass sums each step's
+    masked errors; a horizon reads its own step and the average the sums of
+    all steps. The average is a micro-average: all masked cells of all steps
+    weighted equally, not a mean of the per-horizon numbers.
     """
     l2 = pred.shape[2]
+    if horizons is None:
+        horizons = tuple(h for h in DEFAULT_HORIZONS if h <= l2) or (l2,)
     for h in horizons:
         if not 1 <= h <= l2:
             raise ValueError(f"horizon {h} outside [1, {l2}]")
@@ -139,7 +142,7 @@ def horizon_report_from_arrays(pred, target, horizons=DEFAULT_HORIZONS,
     return HorizonReport(horizons=out, metadata=dict(metadata or {}))
 
 
-def evaluate(params, embedding, windows, normalizer, horizons=DEFAULT_HORIZONS,
+def evaluate(params, embedding, windows, normalizer, horizons=None,
              metadata=None) -> HorizonReport:
     """Forward, de-normalize, and report metrics at each horizon."""
     if not windows:

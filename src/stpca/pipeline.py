@@ -5,9 +5,11 @@ from typing import Optional
 
 from .dataset import (TrafficSeries, Windows, fit_normalizer, make_windows,
                       normalize_day_tensor, split_chronological, to_day_tensor)
+from .metrics import evaluate
 from .model import ModelConfig, ModelParams, init_params, set_embedding
 from .pca import fit_projection, refresh_embedding, zero_embedding
 from .training import TrainConfig, TrainReport, fit
+from .transfer import TransferPlan, cross_year_eval
 
 
 TRAIN_STRATEGIES = ("adaptive", "pca", "zero")
@@ -95,3 +97,20 @@ def train_run(series: TrafficSeries, model_cfg: ModelConfig,
                        bundle.normalizer, train_cfg)
     return TrainedRun(params=best, report=report, projection=projection,
                       bundle=bundle)
+
+
+def sweep_run(series, shifted, model_cfg, train_cfg, strategy, adaptation_fraction,
+              **run_kwargs):
+    """(best val MAE, test MAE, shifted MAE) of one `train_run`: a sweep point.
+
+    The shifted MAE is the cross-year score on `shifted`: a pca run refreshes
+    its table from the adaptation prefix, any other run keeps its own.
+    """
+    run = train_run(series, model_cfg, train_cfg, strategy=strategy, **run_kwargs)
+    test = evaluate(run.params, None, run.bundle.test_windows, run.bundle.normalizer)
+    plan = TransferPlan(adaptation_fraction=adaptation_fraction,
+                        strategy="pca_emb" if strategy == "pca" else "vanilla_adaptive")
+    shift = cross_year_eval(run.params, run.bundle.normalizer, run.projection,
+                            shifted, plan)
+    return (run.report.best_val_mae, test.horizons["avg"].mae,
+            shift.horizons["avg"].mae)

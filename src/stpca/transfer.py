@@ -12,7 +12,7 @@ import numpy as np
 
 from .dataset import (DataError, TrafficSeries, fit_normalizer, make_windows,
                       normalize_day_tensor, to_day_tensor)
-from .metrics import DEFAULT_HORIZONS, evaluate, horizon_report_from_arrays
+from .metrics import evaluate, horizon_report_from_arrays
 from .model import set_embedding
 from .pca import fit_projection, refresh_embedding, zero_embedding
 from .training import TrainConfig, fit
@@ -51,108 +51,97 @@ def split_adaptation(series: TrafficSeries, fraction: float):
     return (0, boundary), (boundary, series.total_steps)
 
 
-def _target_embedding(target_series, adapt_range, source_proj, tensor_normalizer,
-                      refit: bool):
-    """Embedding for the target from its adaptation prefix.
+def with_strategy(params, strategy, series, step_range, normalizer, proj=None,
+                  refit=False, finetune_config=None):
+    """The model with its embedding slot filled under one transfer strategy.
 
-    Reuses the source projection by default; with refit=True a new projection
-    (same component count) is fitted on the adaptation tensor instead.
+    vanilla_adaptive keeps the trained table and zero_emb zeroes it. pca_emb
+    refreshes it from the day tensor of `step_range`, scaled by `normalizer`,
+    through `proj`, or with `refit` through a projection of as many components
+    fitted on that tensor. finetune_emb trains only the table on the range's
+    windows. The passed-in params are never mutated.
     """
-    z = to_day_tensor(target_series, adapt_range)
-    z = normalize_day_tensor(z, tensor_normalizer)
-    proj = source_proj
-    if refit:
-        proj = fit_projection(z, n_components=source_proj.num_components)
-    table = refresh_embedding(z, proj)
-    return table, proj
+    cfg = params.config
+    if strategy == "vanilla_adaptive":
+        return params
+    if strategy == "zero_emb":
+        return set_embedding(params, zero_embedding(params.num_nodes, cfg.embed_dim))
+    if strategy == "pca_emb":
+        if proj is None:
+            raise ValueError("pca_emb requires the source projection")
+        z = normalize_day_tensor(to_day_tensor(series, step_range), normalizer)
+        if refit:
+            proj = fit_projection(z, n_components=proj.num_components)
+        return set_embedding(params, refresh_embedding(z, proj))
+    if strategy == "finetune_emb":
+        windows = make_windows(series, step_range, cfg.l1, cfg.l2)
+        ft_cfg = finetune_config or TrainConfig(max_epochs=50, patience=10)
+        return fit(params.clone(), windows, windows, normalizer, ft_cfg,
+                   trainable=["embedding"])[0]
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def _transfer(params, normalizer, proj, target_series, plan, protocol, horizons,
+              finetune_config=None):
+    """Split the target, fill the embedding slot from its prefix, then score.
+
+    Model inputs keep the source normalizer the weights were trained in. It
+    scales the adaptation tensor too across years (same sensors and units);
+    zero-shot, a normalizer fitted on the prefix does, since the embedding
+    describes the target's own profile shapes.
+    """
+    cfg = params.config
+    if target_series.steps_per_day != cfg.steps_per_day:
+        raise DataError(
+            f"steps_per_day mismatch: target {target_series.steps_per_day}, "
+            f"model {cfg.steps_per_day}"
+        )
+    adapt_range, eval_range = split_adaptation(target_series, plan.adaptation_fraction)
+    tensor_norm = (normalizer if protocol == "cross_year"
+                   else fit_normalizer(target_series, adapt_range))
+    scored = with_strategy(params, plan.strategy, target_series, adapt_range,
+                           tensor_norm, proj, plan.refit_projection, finetune_config)
+
+    meta = {"strategy": plan.strategy, "protocol": protocol,
+            "adaptation_range": list(adapt_range), "eval_range": list(eval_range),
+            "refit_projection": plan.refit_projection,
+            "input_normalizer": [normalizer.mean, normalizer.std]}
+    if plan.strategy == "pca_emb":
+        meta["tensor_normalizer"] = [tensor_norm.mean, tensor_norm.std]
+    eval_windows = make_windows(target_series, eval_range, cfg.l1, cfg.l2)
+    return evaluate(scored, None, eval_windows, normalizer, horizons, metadata=meta)
 
 
 def cross_year_eval(params, source_normalizer, source_proj, target_series,
-                    plan: TransferPlan, horizons=DEFAULT_HORIZONS,
-                    finetune_config=None):
+                    plan: TransferPlan, horizons=None, finetune_config=None):
     """Same sensors, later data: apply one embedding strategy, then score.
 
     The model and its normalizer come from the source year; the target must
     match it in node count and slots per day.
     """
-    cfg = params.config
     if target_series.num_nodes != params.num_nodes:
-        raise DataError(
-            f"cross-year target has {target_series.num_nodes} nodes, "
-            f"model has {params.num_nodes}"
-        )
-    if target_series.steps_per_day != cfg.steps_per_day:
-        raise DataError(
-            f"steps_per_day mismatch: target {target_series.steps_per_day}, "
-            f"model {cfg.steps_per_day}"
-        )
-    adapt_range, eval_range = split_adaptation(target_series, plan.adaptation_fraction)
-
-    meta = {"strategy": plan.strategy, "protocol": "cross_year",
-            "adaptation_range": list(adapt_range), "eval_range": list(eval_range),
-            "refit_projection": plan.refit_projection,
-            "input_normalizer": [source_normalizer.mean, source_normalizer.std]}
-
-    if plan.strategy == "vanilla_adaptive":
-        scored = params
-    elif plan.strategy == "zero_emb":
-        scored = set_embedding(params, zero_embedding(params.num_nodes,
-                                                      cfg.embed_dim))
-    elif plan.strategy == "pca_emb":
-        if source_proj is None:
-            raise ValueError("pca_emb requires the source projection")
-        # same sensors and units, so the source normalizer also scales the
-        # adaptation tensor
-        table, _ = _target_embedding(target_series, adapt_range, source_proj,
-                                     source_normalizer, plan.refit_projection)
-        meta["tensor_normalizer"] = [source_normalizer.mean, source_normalizer.std]
-        scored = set_embedding(params, table)
-    elif plan.strategy == "finetune_emb":
-        adapt_windows = make_windows(target_series, adapt_range, cfg.l1, cfg.l2)
-        ft_cfg = finetune_config or TrainConfig(max_epochs=50, patience=10)
-        scored, _ = fit(params.clone(), adapt_windows, adapt_windows,
-                        source_normalizer, ft_cfg, trainable=["embedding"])
-    else:  # pragma: no cover - plan validation rejects this earlier
-        raise ValueError(plan.strategy)
-
-    eval_windows = make_windows(target_series, eval_range, cfg.l1, cfg.l2)
-    return evaluate(scored, None, eval_windows, source_normalizer, horizons,
-                    metadata=meta)
+        raise DataError(f"cross-year target has {target_series.num_nodes} nodes, "
+                        f"model has {params.num_nodes}")
+    return _transfer(params, source_normalizer, source_proj, target_series, plan,
+                     "cross_year", horizons, finetune_config)
 
 
 def zero_shot_transfer(params, source_normalizer, source_proj, target_series,
-                       plan: TransferPlan, horizons=DEFAULT_HORIZONS):
+                       plan: TransferPlan, horizons=None):
     """Foreign node set, no weight updates: recompute only the embedding.
 
-    The adaptation tensor is scaled by a normalizer fitted on the target's own
-    adaptation prefix (embeddings describe the target's profile shapes), while
-    model inputs keep the source normalizer the weights were trained in.
+    Only pca_emb builds a table for nodes the model never saw, so any other
+    plan is a DataError.
     """
-    cfg = params.config
-    if target_series.steps_per_day != cfg.steps_per_day:
-        raise DataError(
-            f"steps_per_day mismatch: target {target_series.steps_per_day}, "
-            f"model {cfg.steps_per_day}"
-        )
-    adapt_range, eval_range = split_adaptation(target_series, plan.adaptation_fraction)
-    tensor_norm = fit_normalizer(target_series, adapt_range)
-    table, _ = _target_embedding(target_series, adapt_range, source_proj,
-                                 tensor_norm, plan.refit_projection)
-    scored = set_embedding(params, table)
-
-    meta = {"strategy": "pca_emb", "protocol": "zero_shot",
-            "adaptation_range": list(adapt_range), "eval_range": list(eval_range),
-            "refit_projection": plan.refit_projection,
-            "input_normalizer": [source_normalizer.mean, source_normalizer.std],
-            "tensor_normalizer": [tensor_norm.mean, tensor_norm.std]}
-
-    eval_windows = make_windows(target_series, eval_range, cfg.l1, cfg.l2)
-    return evaluate(scored, None, eval_windows, source_normalizer, horizons,
-                    metadata=meta)
+    if plan.strategy != "pca_emb":
+        raise DataError(f"only a PCA table transfers to another node set (model "
+                        f"{params.num_nodes} nodes, target {target_series.num_nodes})")
+    return _transfer(params, source_normalizer, source_proj, target_series, plan,
+                     "zero_shot", horizons)
 
 
 def historical_average_baseline(target_series, eval_range, l1=12, l2=12,
-                                horizons=DEFAULT_HORIZONS):
+                                horizons=None):
     """Per-(node, slot) mean over the steps before the evaluation range.
 
     The floor any learned transfer has to beat: it sees the same adaptation

@@ -14,10 +14,14 @@ from hypothesis import strategies as st
 
 from stpca import cli
 from stpca.cli import CONFIG_KEYS, build_parser, load_config, main
-from stpca.dataset import DayTensor, Normalizer
-from stpca.model import ModelConfig, init_params
-from stpca.pca import fit_projection
-from stpca.serialize import save_model, save_projection
+from stpca.dataset import (DayTensor, Normalizer, ingest_csv, make_windows,
+                           normalize_day_tensor, split_chronological,
+                           to_day_tensor)
+from stpca.metrics import evaluate
+from stpca.model import ModelConfig, init_params, set_embedding
+from stpca.pca import fit_projection, refresh_embedding, zero_embedding
+from stpca.serialize import (load_model, load_projection, save_model,
+                             save_projection)
 from test_dataset import csv_texts
 
 SMALL_CONFIG = """
@@ -257,6 +261,27 @@ class TestEval:
         assert (reports["vanilla"]["horizons"]["avg"]["mae"]
                 != reports["zero"]["horizons"]["avg"]["mae"])
 
+    @pytest.mark.parametrize("strategy", ["zero", "pca"])
+    def test_equals_evaluate_with_table_set(self, synth_dir, trained_dir, tmp_path,
+                                            strategy):
+        out = tmp_path / "report.json"
+        assert run_cli("eval", "--model", str(trained_dir / "model.stpf"),
+                       "--proj", str(trained_dir / "proj.stpj"),
+                       "--data", str(synth_dir / "train.csv"),
+                       "--strategy", strategy, "--out", str(out)) == 0
+        params, norm = load_model(trained_dir / "model.stpf")
+        series = ingest_csv(synth_dir / "train.csv")
+        ranges = split_chronological(series, (0.6, 0.2, 0.2))
+        if strategy == "zero":
+            table = zero_embedding(params.num_nodes, params.config.embed_dim)
+        else:
+            z = normalize_day_tensor(to_day_tensor(series, ranges[0]), norm)
+            table = refresh_embedding(z, load_projection(trained_dir / "proj.stpj"))
+        manual = evaluate(set_embedding(params, table), None,
+                          make_windows(series, ranges[2], 6, 6), norm)
+        reported = json.loads(out.read_text())["horizons"]
+        assert reported == {k: m.as_dict() for k, m in manual.horizons.items()}
+
     def test_missing_checkpoint_exit_1(self, synth_dir, tmp_path):
         assert run_cli("eval", "--model", str(tmp_path / "missing.stpf"),
                        "--data", str(synth_dir / "train.csv")) == 1
@@ -270,6 +295,15 @@ class TestEval:
                            "--out", str(out)) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+@pytest.fixture(scope="module")
+def city_dir(tmp_path_factory):
+    """A 5-node city with the trained model's 24 slots per day."""
+    d = tmp_path_factory.mktemp("city_b")
+    assert run_cli("synth", "--nodes", "5", "--roles", "4", "--days", "10",
+                   "--steps-per-day", "24", "--seed", "9", "--out-dir", str(d)) == 0
+    return d
 
 
 class TestTransfer:
@@ -314,19 +348,59 @@ class TestTransfer:
         err = capsys.readouterr().err
         assert "48" in err and "24" in err
 
-    def test_zero_shot_different_node_count(self, trained_dir, tmp_path):
-        other = tmp_path / "city_b"
-        assert run_cli("synth", "--nodes", "5", "--roles", "4", "--days", "10",
-                       "--steps-per-day", "24", "--seed", "9",
-                       "--out-dir", str(other)) == 0
-        out = tmp_path / "zs.json"
+    def protocol_of(self, trained_dir, target, out):
         assert run_cli("transfer", "--model", str(trained_dir / "model.stpf"),
                        "--proj", str(trained_dir / "proj.stpj"),
-                       "--target", str(other / "train.csv"),
+                       "--target", str(target),
                        "--strategies", "pca", "--adaptation-fraction", "0.3",
                        "--out", str(out)) == 0
-        entry = json.loads(out.read_text())[0]
-        assert entry["report"]["meta"]["protocol"] == "zero_shot"
+        return json.loads(out.read_text())[0]["report"]["meta"]["protocol"]
+
+    def test_zero_shot_different_node_count(self, city_dir, trained_dir, tmp_path):
+        assert self.protocol_of(trained_dir, city_dir / "train.csv",
+                                tmp_path / "zs.json") == "zero_shot"
+
+    def test_same_node_count_is_cross_year(self, synth_dir, trained_dir, tmp_path):
+        assert self.protocol_of(trained_dir, synth_dir / "train.csv",
+                                tmp_path / "cy.json") == "cross_year"
+
+    def test_non_pca_on_foreign_nodes_exit_1(self, city_dir, trained_dir, tmp_path,
+                                             capsys):
+        out = tmp_path / "t.json"
+        assert run_cli("transfer", "--model", str(trained_dir / "model.stpf"),
+                       "--proj", str(trained_dir / "proj.stpj"),
+                       "--target", str(city_dir / "train.csv"),
+                       "--strategies", "zero", "--adaptation-fraction", "0.3",
+                       "--out", str(out)) == 1
+        err = assert_one_line_error(capsys, "error: strategy zero: ")
+        assert "zero_emb" not in err and "5" in err and "8" in err
+        assert not out.exists()
+
+    def test_protocol_flag_is_a_usage_error(self, synth_dir, trained_dir):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("transfer", "--model", str(trained_dir / "model.stpf"),
+                    "--target", str(synth_dir / "shifted.csv"),
+                    "--protocol", "cross-year")
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["eval", "transfer-same-nodes",
+                                         "transfer-5-nodes"])
+    def test_pca_without_proj_exit_2(self, synth_dir, city_dir, trained_dir,
+                                     tmp_path, capsys, command):
+        model = ["--model", str(trained_dir / "model.stpf")]
+        out = ["--out", str(tmp_path / "out.json")]
+        if command == "eval":
+            argv = ["eval", *model, "--data", str(synth_dir / "train.csv"),
+                    "--strategy", "pca", *out]
+        else:
+            target = city_dir if command.endswith("5-nodes") else synth_dir
+            argv = ["transfer", *model, "--target", str(target / "train.csv"),
+                    "--strategies", "vanilla,pca", "--adaptation-fraction", "0.3",
+                    *out]
+        assert run_cli(*argv) == 2
+        err = assert_one_line_error(capsys, "config error: ")
+        assert err == "config error: strategy pca requires --proj\n"
+        assert not (tmp_path / "out.json").exists()
 
     def test_transfer_rerun_byte_identical(self, synth_dir, trained_dir, tmp_path):
         blobs = []
@@ -355,6 +429,26 @@ class TestSweep:
         assert lines[0] == "k,val_mae,test_mae,shifted_mae"
         assert len(lines) == 1 + 3 + 1
         assert lines[-1].startswith("adaptive,")
+
+
+# any JSON value, and report-shaped ones whose metric values may be huge
+# integers, non-finite floats or strings
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+METRIC_VALUES = (st.integers(-10 ** 400, 10 ** 400) | st.floats()
+                 | st.sampled_from(["1.5", "nan", "x"]) | JSON_VALUES)
+METRIC_SETS = st.fixed_dictionaries(
+    {"mae": METRIC_VALUES, "rmse": METRIC_VALUES, "mape": METRIC_VALUES}) | JSON_VALUES
+REPORTS = st.fixed_dictionaries(
+    {"horizons": st.dictionaries(st.sampled_from(["3", "6", "12", "avg", ""]),
+                                 METRIC_SETS, max_size=4)},
+    optional={"strategy": JSON_VALUES})
+REPORT_PAYLOADS = (REPORTS | JSON_VALUES | st.lists(
+    st.fixed_dictionaries({"report": REPORTS}, optional={"strategy": JSON_VALUES})
+    | JSON_VALUES, max_size=3))
 
 
 class TestExportAndReport:
@@ -400,8 +494,9 @@ class TestExportAndReport:
         "[1, 2]",
         "{not json",
         '[{"report": {"horizons": {"avg": {"mae": 1, "rmse": 1, "mape": 0}}}}, 5]',
+        "[" * 200_000,
     ], ids=["empty-object", "metric-set-without-rmse-mape", "list-of-ints",
-            "not-json", "second-entry-malformed"])
+            "not-json", "second-entry-malformed", "nested-200k-deep"])
     def test_malformed_report_exit_1(self, tmp_path, capsys, payload):
         rep = tmp_path / "r.json"
         rep.write_text(payload)
@@ -410,6 +505,19 @@ class TestExportAndReport:
         assert captured.err.startswith(f"error: {rep}: ")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(REPORT_PAYLOADS)
+    def test_generated_report_exit_0_or_1(self, tmp_path, capsys, payload):
+        rep = tmp_path / "r.json"
+        rep.write_text(json.dumps(payload), encoding="utf-8")
+        code = run_cli("report", "--report", str(rep))
+        if code == 0:
+            assert capsys.readouterr().err == ""
+        else:
+            assert code == 1
+            assert_one_line_error(capsys, f"error: {rep}: ")
 
 
 class TestCutCheckpoints:

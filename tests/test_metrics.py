@@ -106,6 +106,22 @@ class TestHorizonReport:
         target = np.ones((2, 2, 4))
         with pytest.raises(ValueError, match="horizon"):
             horizon_report_from_arrays(target, target, horizons=(5,))
+        with pytest.raises(ValueError, match="horizon"):
+            horizon_report_from_arrays(target, target, horizons=(0,))
+
+    @pytest.mark.parametrize("l2, keys", [(2, ["2"]), (6, ["3", "6"]),
+                                          (12, ["3", "6", "12"])])
+    def test_default_horizons_follow_l2(self, l2, keys):
+        rng = np.random.default_rng(l2)
+        target = rng.uniform(1, 10, size=(4, 3, l2))
+        pred = target + rng.normal(size=target.shape)
+        rep = horizon_report_from_arrays(pred, target)
+        assert list(rep.horizons) == keys + ["avg"]
+        explicit = horizon_report_from_arrays(pred, target,
+                                              horizons=tuple(map(int, keys)))
+        assert rep.horizons == explicit.horizons
+        with pytest.raises(ValueError, match="horizon"):
+            horizon_report_from_arrays(pred, target, horizons=(l2 + 1,))
 
     def test_exact_model_zero_everywhere(self):
         rng = np.random.default_rng(4)

@@ -154,6 +154,18 @@ class TestZeroShot:
         assert rep.metadata["protocol"] == "zero_shot"
         assert rep.horizons["avg"].mae > 0
 
+    @pytest.mark.parametrize("strategy", ["vanilla_adaptive", "zero_emb",
+                                          "finetune_emb"])
+    def test_non_pca_plan_rejected(self, trained, strategy):
+        run, _, _ = trained
+        city_b = generate(SynthSpec(n_nodes=6, n_roles=4, days=21,
+                                    steps_per_day=24, shift_fraction=0.0,
+                                    noise_std=2.0, seed=42))[0]
+        with pytest.raises(DataError, match="PCA table"):
+            zero_shot_transfer(run.params, run.bundle.normalizer, run.projection,
+                               city_b, TransferPlan(strategy=strategy,
+                                                    adaptation_fraction=0.25))
+
     def test_source_params_never_mutated(self, trained):
         run, _, _ = trained
         snap = {k: v.tobytes() for k, v in run.params.tensors().items()}
