@@ -13,11 +13,10 @@ import sys
 import numpy as np
 
 from .dataset import (DataError, check_ratios, fit_normalizer, ingest_csv,
-                      make_windows, normalize_day_tensor, split_chronological,
-                      to_day_tensor, write_series_csv)
+                      make_windows, split_chronological, write_series_csv)
 from .metrics import HorizonReport, MetricSet, evaluate, render_report
 from .model import ModelConfig
-from .pca import check_theta, refresh_embedding
+from .pca import check_theta, pca_table
 from .pipeline import check_train_strategy, sweep_run, train_run
 from .serialize import (atomic_write_text, load_model, load_projection,
                         save_model, save_projection, write_embedding_csv,
@@ -234,9 +233,13 @@ def cmd_transfer(args):
         name = name.strip()
         if name not in STRATEGY_ALIASES:
             raise ConfigError(f"unknown transfer strategy {name!r}")
-        plans.append((name, TransferPlan(
-            adaptation_fraction=args.adaptation_fraction,
-            strategy=STRATEGY_ALIASES[name], refit_projection=args.refit_projection)))
+        try:
+            plan = TransferPlan(adaptation_fraction=args.adaptation_fraction,
+                                strategy=STRATEGY_ALIASES[name],
+                                refit_projection=args.refit_projection)
+        except ValueError as exc:  # a bad flag value, as the strategy is known
+            raise ConfigError(f"--adaptation-fraction: {exc}") from None
+        plans.append((name, plan))
     proj = _projection(args, [plan.strategy for _, plan in plans])
     target = ingest_csv(args.target)
     # the same sensors in a later year, or a foreign node set
@@ -344,9 +347,7 @@ def cmd_export_embeddings(args):
         proj = load_projection(args.proj)
         series = ingest_csv(args.data)
         ranges = split_chronological(series, parse_ratios(args.ratios, "--ratios"))
-        norm = fit_normalizer(series, ranges[0])
-        z = to_day_tensor(series, ranges[0])
-        table = refresh_embedding(normalize_day_tensor(z, norm), proj)
+        table, _ = pca_table(series, ranges[0], fit_normalizer(series, ranges[0]), proj)
         node_ids = series.node_ids
     write_embedding_csv(table, node_ids, args.out)
     print(f"wrote {args.out}")

@@ -112,14 +112,18 @@ class Normalizer:
     mean: float
     std: float
 
-    def apply(self, x):
-        """z-score of x, C-contiguous whatever the layout of x."""
-        out = np.subtract(x, self.mean, dtype=np.float64, order="C")
+    def apply(self, x, out=None):
+        """z-score of x, C-contiguous whatever the layout of x; written into
+        `out` when it is given."""
+        out = np.subtract(x, self.mean, out=out, dtype=np.float64, order="C")
         out /= self.std
         return out
 
-    def invert(self, x):
-        return np.asarray(x, dtype=np.float64) * self.std + self.mean
+    def invert(self, x, out=None):
+        """Original units of normalized x; written into `out` when it is given."""
+        out = np.multiply(x, self.std, out=out, dtype=np.float64)
+        out += self.mean
+        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -63,10 +63,11 @@ def build_adaptive_graph(embedding) -> AdaptiveGraph:
     return AdaptiveGraph(weights=row_softmax(logits))
 
 
-def graph_mix(g: AdaptiveGraph, h: np.ndarray) -> np.ndarray:
+def graph_mix(g: AdaptiveGraph, h: np.ndarray, out=None) -> np.ndarray:
     """One propagation step: each node receives the weighted mean of its neighbors.
 
     h is [N x F] or a batch [B x N x F]; a batch is one BLAS matmul per row.
+    The result goes to `out` when it is given.
     """
     h = np.asarray(h, dtype=np.float64)
     rows = h.shape[-2] if h.ndim > 1 else len(h)
@@ -74,4 +75,4 @@ def graph_mix(g: AdaptiveGraph, h: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"feature rows ({rows}) do not match graph nodes ({g.num_nodes})"
         )
-    return g.weights @ h
+    return np.matmul(g.weights, h, out=out)

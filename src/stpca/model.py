@@ -6,6 +6,7 @@ once the table is swapped, and what the optional graph step mixes over.
 """
 
 import copy
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -70,6 +71,18 @@ class ModelParams:
         out["b_o"] = self.b_o
         return out
 
+    def bind(self, arrays: dict):
+        """Point the named tensors at the given arrays, e.g. views of an
+        optimizer's flat parameter vector."""
+        for name, array in arrays.items():
+            if name == "embedding":
+                self.embedding.values = array
+            elif name in ("w_x", "b_x", "tod", "dow", "w_o", "b_o"):
+                setattr(self, name, array)
+            else:
+                key, i = name.split("_")
+                self.blocks[int(i)][key] = array
+
     def trainable_names(self):
         """Embedding is a trainable tensor only under the adaptive strategy."""
         names = list(self.tensors())
@@ -83,6 +96,48 @@ class ModelParams:
     @property
     def num_nodes(self) -> int:
         return self.embedding.num_nodes
+
+
+class Workspace:
+    """Arrays reused from call to call, one buffer per name.
+
+    `take` returns a C-contiguous array of the asked shape with undefined
+    contents. A name's buffer grows to the largest size asked for, and a
+    smaller shape (a ragged last batch or block) gets a leading slice of it,
+    so a loop over blocks of one pass allocates nothing after its first block.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+        self._views = {}
+        self._kept = {}
+
+    def keep(self, key, build):
+        """`build()` on the first call with this key, the same object after."""
+        obj = self._kept.get(key)
+        if obj is None:
+            obj = self._kept[key] = build()
+        return obj
+
+    def take(self, name, shape, dtype=np.float64):
+        view = self._views.get((name, shape))
+        if view is None:
+            size = math.prod(shape)
+            buf = self._buffers.get(name)
+            if buf is None or buf.size < size or buf.dtype != dtype:
+                buf = self._buffers[name] = np.empty(size, dtype)
+                self._views = {k: v for k, v in self._views.items() if k[0] != name}
+            view = self._views[name, shape] = buf[:size].reshape(shape)
+        return view
+
+
+def _take(work, name, shape, dtype=np.float64):
+    """A buffer of `work`, or a new array when there is no workspace."""
+    return np.empty(shape, dtype) if work is None else work.take(name, shape, dtype)
+
+
+def _all_finite(a, work):
+    return np.isfinite(a, out=_take(work, "finite", a.shape, bool)).all()
 
 
 def _xavier(rng, out_dim, in_dim):
@@ -153,7 +208,8 @@ def _in_out(w: np.ndarray) -> np.ndarray:
 
 def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
             x: np.ndarray, tod_idx, dow_idx, cache: bool = False,
-            graph: Optional[AdaptiveGraph] = None):
+            graph: Optional[AdaptiveGraph] = None,
+            work: Optional[Workspace] = None):
     """Run the forecaster on a normalized batch.
 
     x: [B x N x l1]; returns predictions [B x N x l2] in normalized units.
@@ -161,7 +217,9 @@ def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
     pass. The embedding defaults to the model's own slot. With use_graph,
     `graph` is the adaptive graph of that embedding, passed in by a caller
     that forwards several batches while the table stays fixed; when it is
-    None the graph is built here.
+    None the graph is built here. Activations, the cache's included, are
+    written into `work` when one is given (the next call overwrites them),
+    else into new arrays.
     """
     cfg = params.config
     emb = params.embedding if embedding is None else embedding
@@ -173,19 +231,19 @@ def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
     if emb.dim != cfg.embed_dim:
         raise ValueError(f"embedding dim {emb.dim} != embed_dim {cfg.embed_dim}")
 
-    u = x @ _in_out(params.w_x)
+    ch, ce, ct = cfg.hidden_dim, cfg.embed_dim, cfg.tod_dim
+    shape = (b, n, cfg.mix_dim)
+    # activation k goes to buffer h{k}. The backward pass reads every one, but
+    # inference reads only activation k-1 while writing k, so two alternate.
+    def activation(k):
+        return _take(work, f"h{k if cache else k % 2}", shape)
+
+    h = activation(0)  # [history features | embedding | time of day | day of week]
+    u = np.matmul(x, _in_out(params.w_x), out=h[:, :, :ch])
     u += params.b_x
-    tod_vec = params.tod[tod_idx]  # [B x Ct]
-    dow_vec = params.dow[dow_idx]
-    h = np.concatenate(
-        [
-            u,
-            np.broadcast_to(emb.values, (b, n, cfg.embed_dim)),
-            np.broadcast_to(tod_vec[:, None, :], (b, n, cfg.tod_dim)),
-            np.broadcast_to(dow_vec[:, None, :], (b, n, cfg.dow_dim)),
-        ],
-        axis=2,
-    )
+    h[:, :, ch : ch + ce] = emb.values
+    h[:, :, ch + ce : ch + ce + ct] = params.tod[tod_idx][:, None, :]
+    h[:, :, ch + ce + ct :] = params.dow[dow_idx][:, None, :]
 
     adp = None
     if cfg.use_graph:
@@ -194,54 +252,62 @@ def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
     # intermediates are kept only when the backward pass will need them
     hs, rs = [h], []
     h_premix = None
+    k = 0
     for i, blk in enumerate(params.blocks):
-        r = h @ _in_out(blk["w1"])
+        r = np.matmul(h, _in_out(blk["w1"]),
+                      out=_take(work, f"r{i if cache else 0}", shape))
         r += blk["b1"]
         np.maximum(r, 0.0, out=r)  # relu in place: r > 0 exactly where z > 0
-        h_next = r @ _in_out(blk["w2"])
+        k += 1
+        h_next = np.matmul(r, _in_out(blk["w2"]), out=activation(k))
         h_next += h
         h_next += blk["b2"]
         if cfg.use_graph and i == 0:
-            if cache:
-                h_premix = h_next
-            h_next = graph_mix(adp, h_next)
-        if not np.isfinite(h_next).all():
+            h_premix = h_next
+            k += 1
+            h_next = graph_mix(adp, h_next, out=activation(k))
+        if not _all_finite(h_next, work):
             raise FloatingPointError(f"non-finite activations in block {i}")
         if cache:
             rs.append(r)
             hs.append(h_next)
         h = h_next
 
-    y = h @ _in_out(params.w_o)
+    y = np.matmul(h, _in_out(params.w_o), out=_take(work, "y", (b, n, cfg.l2)))
     y += params.b_o
-    if not np.isfinite(y).all():
+    if not _all_finite(y, work):
         raise FloatingPointError("non-finite output")
     if not cache:
         return y
     return y, {
         "x": x, "tod_idx": tod_idx, "dow_idx": dow_idx,
         "hs": hs, "rs": rs, "h_premix": h_premix,
-        "graph": adp, "embedding": emb,
+        "graph": adp, "embedding": emb, "work": work,
     }
 
 
-def predict(params: ModelParams, embedding, windows, normalizer) -> np.ndarray:
+def predict(params: ModelParams, embedding, windows, normalizer,
+            work: Optional[Workspace] = None) -> np.ndarray:
     """Forward the windows in blocks: predictions [W x N x l2] in original units.
 
     A block holds max(1, PREDICT_ROWS // N) windows. The adaptive graph is
-    built once per pass, since the table is fixed for the whole pass.
-    Histories are normalized one block at a time and each block is written
-    into an array allocated once; a window's prediction does not depend on the
-    block it falls in.
+    built once per pass, since the table is fixed for the whole pass. Every
+    block is normalized, forwarded and de-normalized through one set of
+    buffers; a window's prediction does not depend on the block it falls in.
+    Those buffers, and the predictions, come from `work` when one is given,
+    so a caller that scores every epoch allocates them once. Without it the
+    buffers are the pass's own and the predictions a new array.
     """
     emb = params.embedding if embedding is None else embedding
     graph = build_adaptive_graph(emb) if params.config.use_graph else None
     step = max(1, PREDICT_ROWS // windows.history.shape[1])
-    pred = np.empty(windows.history.shape[:2] + (params.config.l2,))
+    pred = _take(work, "pred", windows.history.shape[:2] + (params.config.l2,))
+    blocks = Workspace() if work is None else work
     for lo in range(0, len(windows), step):
         hi = lo + step
-        x = normalizer.apply(windows.history[lo:hi])
+        history = windows.history[lo:hi]
+        x = normalizer.apply(history, out=blocks.take("x", history.shape))
         y = forward(params, embedding, x, windows.tod[lo:hi], windows.dow[lo:hi],
-                    graph=graph)
-        pred[lo:hi] = normalizer.invert(y)
+                    graph=graph, work=blocks)
+        normalizer.invert(y, out=pred[lo:hi])
     return pred

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import DayTensor
+from .dataset import DayTensor, normalize_day_tensor, to_day_tensor
 
 SYMMETRY_TOL = 1e-10
 
@@ -186,3 +186,17 @@ def refresh_embedding(target: DayTensor, proj: PcaProjection) -> EmbeddingTable:
         )
     per_day = (target.data - proj.mean) @ proj.components  # [D x N x C]
     return EmbeddingTable(values=per_day.mean(axis=0), strategy="pca")
+
+
+def pca_table(series, step_range, normalizer, proj: Optional[PcaProjection] = None,
+              **fit_kwargs):
+    """(pca table, projection) of a step range of a series.
+
+    The range's whole days, scaled by `normalizer`, are projected through
+    `proj`, or when it is None through a projection fitted on those days
+    (`fit_kwargs` go to `fit_projection`).
+    """
+    z = normalize_day_tensor(to_day_tensor(series, step_range), normalizer)
+    if proj is None:
+        proj = fit_projection(z, **fit_kwargs)
+    return refresh_embedding(z, proj), proj

@@ -4,10 +4,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .dataset import (TrafficSeries, Windows, fit_normalizer, make_windows,
-                      normalize_day_tensor, split_chronological, to_day_tensor)
+                      split_chronological)
 from .metrics import evaluate
 from .model import ModelConfig, ModelParams, init_params, set_embedding
-from .pca import fit_projection, refresh_embedding, zero_embedding
+from .pca import pca_table, zero_embedding
 from .training import TrainConfig, TrainReport, fit
 from .transfer import TransferPlan, cross_year_eval
 
@@ -48,12 +48,9 @@ def prepare_data(series: TrafficSeries, ratios=(0.6, 0.2, 0.2), l1=12, l2=12,
 
 def fit_training_embedding(bundle: DataBundle, n_components=None, theta=None,
                            center=True):
-    """Projection + averaged node table from the training range's day tensor."""
-    z = to_day_tensor(bundle.series, bundle.ranges[0])
-    z = normalize_day_tensor(z, bundle.normalizer)
-    proj = fit_projection(z, n_components=n_components, theta=theta, center=center)
-    table = refresh_embedding(z, proj)
-    return table, proj
+    """Averaged node table + projection fitted on the training range's day tensor."""
+    return pca_table(bundle.series, bundle.ranges[0], bundle.normalizer,
+                     n_components=n_components, theta=theta, center=center)
 
 
 @dataclass

@@ -10,7 +10,7 @@ import numpy as np
 from .dataset import Normalizer
 from .graph import build_adaptive_graph
 from .metrics import masked_mae
-from .model import ModelParams, forward, predict
+from .model import ModelParams, Workspace, _take, forward, predict
 
 
 @dataclass
@@ -38,25 +38,45 @@ class TrainReport:
     stopping_reason: str = ""
 
 
-def masked_mae_loss(pred: np.ndarray, target: np.ndarray, normalizer: Normalizer):
+def masked_mae_loss(pred: np.ndarray, target: np.ndarray, normalizer: Normalizer,
+                    mask=None, work: Optional[Workspace] = None):
     """Mean absolute error over nonzero-target cells, in original units.
 
     pred is normalized, target is raw; predictions are de-normalized inside so
     the masking matches evaluation exactly. Returns (loss, d loss / d pred).
-    A batch with no valid cells yields (nan, zeros) and a warning; callers
-    skip it rather than fail.
+    `mask` is `target != 0` when the caller has it already. The gradient is
+    written into `work` when one is given. A batch with no valid cells yields
+    (nan, zeros) and a warning; callers skip it rather than fail.
     """
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    mask = target != 0
-    count = int(mask.sum())
+    if mask is None:
+        mask = target != 0
+    count = np.count_nonzero(mask)
     if count == 0:
         warnings.warn("batch skipped: no valid (nonzero) targets")
         return float("nan"), np.zeros_like(pred)
-    diff = np.where(mask, normalizer.invert(pred) - target, 0.0)
-    loss = float(np.abs(diff).sum() / count)
-    grad = np.sign(diff) * (normalizer.std / count)  # sign(0) = 0 covers ties
+    denorm = normalizer.invert(pred, out=_take(work, "loss_denorm", pred.shape))
+    diff = np.subtract(denorm, target, out=_take(work, "loss_diff", pred.shape))
+    diff *= mask  # masked cells become +-0.0, which abs and sign both map to +0.0
+    loss = float(np.abs(diff, out=denorm).sum() / count)
+    grad = np.sign(diff, out=denorm)  # sign(0) = 0 covers ties; in place is slower
+    grad *= normalizer.std / count
     return loss, grad
+
+
+class FlatTensors(dict):
+    """Arrays by name, each a view of one flat vector `flat`, laid out in
+    name order."""
+
+    def __init__(self, flat: np.ndarray, shapes: dict):
+        super().__init__()
+        self.flat = flat
+        lo = 0
+        for name, shape in shapes.items():
+            hi = lo + math.prod(shape)
+            self[name] = flat[lo:hi].reshape(shape)
+            lo = hi
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
@@ -64,9 +84,12 @@ def _flat(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
-def _node_major(a: np.ndarray) -> np.ndarray:
-    """[B x N x F] -> [N x B*F] copy, so a node-pair contraction is one matmul."""
-    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+def _node_major(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """[B x N x F] -> [N x B*F] copy into `out`, so a node-pair contraction
+    is one matmul."""
+    b, n, f = a.shape
+    np.copyto(out.reshape(n, b, f), a.transpose(1, 0, 2))
+    return out
 
 
 def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
@@ -78,23 +101,34 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
     block. Batch and node axes are contracted as one flat [B*N] axis, so
     every weight gradient is a single BLAS matmul and every bias sum a
     ones-vector product. The graph's share of the embedding gradient is
-    computed only when the embedding is requested.
+    computed only when the embedding is requested. The gradients are views
+    of one flat vector in `trainable` order (a `FlatTensors`); it and every
+    temporary come from the forward pass's workspace when it had one.
     """
     cfg = params.config
     names = params.trainable_names() if trainable is None else list(trainable)
+    work = cache["work"]
     hs, rs = cache["hs"], cache["rs"]
     x = cache["x"]
     b, n, _ = x.shape
     ch, ce, ct = cfg.hidden_dim, cfg.embed_dim, cfg.tod_dim
-    ones = np.ones(b * n)
+    rows = (b * n, cfg.mix_dim)
+    ones = _take(work, "ones", (b * n,))
+    ones.fill(1.0)
 
-    grads = {}
+    def gradient_vector():
+        tensors = params.tensors()
+        shapes = {name: tensors[name].shape for name in names}
+        return FlatTensors(np.empty(sum(map(math.prod, shapes.values()))), shapes)
+
+    grads = (gradient_vector() if work is None
+             else work.keep(("grads", *names), gradient_vector))
     dy = _flat(loss_grad)
     if "w_o" in names:
-        grads["w_o"] = dy.T @ _flat(hs[-1])
+        np.matmul(dy.T, _flat(hs[-1]), out=grads["w_o"])
     if "b_o" in names:
-        grads["b_o"] = ones @ dy
-    dh = dy @ params.w_o  # [B*N x mix_dim] from here on
+        np.matmul(ones, dy, out=grads["b_o"])
+    dh = np.matmul(dy, params.w_o, out=_take(work, "dh", rows))
 
     d_emb_graph = None
     for i in range(cfg.num_blocks - 1, -1, -1):
@@ -103,51 +137,54 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
             dh_mixed = dh.reshape(b, n, -1)
             if "embedding" in names:
                 # mixing weights -> softmax rows -> relu -> gram -> embedding
-                d_adj = _node_major(dh_mixed) @ _node_major(cache["h_premix"]).T
+                nm_shape = (n, b * cfg.mix_dim)
+                d_adj = np.matmul(
+                    _node_major(dh_mixed, _take(work, "dh_node_major", nm_shape)),
+                    _node_major(cache["h_premix"], _take(work, "h_node_major", nm_shape)).T,
+                    out=_take(work, "d_adj", (n, n)))
                 e = cache["embedding"].values
                 d_logits = a * (d_adj - (a * d_adj).sum(axis=1, keepdims=True))
                 d_gram = d_logits * (e @ e.T > 0)
                 d_emb_graph = (d_gram + d_gram.T) @ e
-            dh = _flat(cache["graph"].weights_t @ dh_mixed)
+            dh = _flat(np.matmul(cache["graph"].weights_t, dh_mixed,
+                                 out=_take(work, "dh_premix", (b, n, cfg.mix_dim))))
         blk = params.blocks[i]
         if f"b2_{i}" in names:
-            grads[f"b2_{i}"] = ones @ dh
+            np.matmul(ones, dh, out=grads[f"b2_{i}"])
         if f"w2_{i}" in names:
-            grads[f"w2_{i}"] = dh.T @ _flat(rs[i])
-        dz = dh @ blk["w2"]
-        dz *= _flat(rs[i]) > 0
+            np.matmul(dh.T, _flat(rs[i]), out=grads[f"w2_{i}"])
+        dz = np.matmul(dh, blk["w2"], out=_take(work, "dz", rows))
+        dz *= np.greater(_flat(rs[i]), 0.0, out=_take(work, "relu", rows, bool))
         if f"b1_{i}" in names:
-            grads[f"b1_{i}"] = ones @ dz
+            np.matmul(ones, dz, out=grads[f"b1_{i}"])
         if f"w1_{i}" in names:
-            grads[f"w1_{i}"] = dz.T @ _flat(hs[i])
-        dh += dz @ blk["w1"]
+            np.matmul(dz.T, _flat(hs[i]), out=grads[f"w1_{i}"])
+        dh += np.matmul(dz, blk["w1"], out=_take(work, "dz_w1", rows))
 
     du = dh[:, :ch]
     if "w_x" in names:
-        grads["w_x"] = du.T @ _flat(x)
+        np.matmul(du.T, _flat(x), out=grads["w_x"])
     if "b_x" in names:
-        grads["b_x"] = ones @ du
+        np.matmul(ones, du, out=grads["b_x"])
 
     dh = dh.reshape(b, n, -1)
     if "embedding" in names:
-        d_emb = dh[:, :, ch : ch + ce].sum(axis=0)
+        d_emb = np.sum(dh[:, :, ch : ch + ce], axis=0, out=grads["embedding"])
         if d_emb_graph is not None:
-            d_emb = d_emb + d_emb_graph
-        grads["embedding"] = d_emb
+            d_emb += d_emb_graph
     if "tod" in names:
-        d_tod = np.zeros_like(params.tod)
-        np.add.at(d_tod, cache["tod_idx"], dh[:, :, ch + ce : ch + ce + ct].sum(axis=1))
-        grads["tod"] = d_tod
+        grads["tod"].fill(0.0)
+        np.add.at(grads["tod"], cache["tod_idx"],
+                  dh[:, :, ch + ce : ch + ce + ct].sum(axis=1))
     if "dow" in names:
-        d_dow = np.zeros_like(params.dow)
-        np.add.at(d_dow, cache["dow_idx"], dh[:, :, ch + ce + ct :].sum(axis=1))
-        grads["dow"] = d_dow
+        grads["dow"].fill(0.0)
+        np.add.at(grads["dow"], cache["dow_idx"], dh[:, :, ch + ce + ct :].sum(axis=1))
 
-    out = {name: grads[name] for name in names}
-    for name, g in out.items():
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient for {name}")
-    return out
+    if not np.isfinite(grads.flat).all():
+        for name, g in grads.items():  # name the first bad tensor
+            if not np.isfinite(g).all():
+                raise FloatingPointError(f"non-finite gradient for {name}")
+    return grads
 
 
 def clip_gradients(grads: dict, max_norm: float):
@@ -156,60 +193,74 @@ def clip_gradients(grads: dict, max_norm: float):
     total = math.sqrt(sum(float(g.ravel() @ g.ravel()) for g in grads.values()))
     if total > max_norm:
         scale = max_norm / total
-        for g in grads.values():
+        for g in (grads.flat,) if isinstance(grads, FlatTensors) else grads.values():
             g *= scale
     return grads, total
 
 
 @dataclass
 class AdamState:
-    """Adam moments of every trained tensor, concatenated in gradient order."""
+    """Adam over one flat vector of every trained tensor, in gradient order.
 
+    On the first step `theta` takes the tensors' values and the model's
+    tensors become views of it; `m` and `v` are its moments and `scratch` a
+    vector the update works in.
+    """
+
+    theta: Optional[np.ndarray] = None
     m: Optional[np.ndarray] = None
     v: Optional[np.ndarray] = None
+    scratch: Optional[np.ndarray] = None
     t: int = 0
-    names: tuple = ()  # the gradient names m and v were laid out for
+    names: tuple = ()  # the gradient names theta was laid out for
+    model: Optional[ModelParams] = None  # whose tensors are views of theta
 
 
 def adam_step(state: AdamState, params: ModelParams, grads: dict, lr: float,
               beta1=0.9, beta2=0.999, eps=1e-8, grad_clip_norm=None):
-    """One bias-corrected Adam update, applied in place (clipping scales
-    `grads` in place too).
+    """One bias-corrected Adam update of the model's tensors.
 
-    The moments live in one flat buffer each, updated in place, and both bias
-    corrections fold into two scalars: lr * m_hat / (sqrt(v_hat) + eps)
-    equals step * m / (sqrt(v) + eps_hat) with step = lr * sqrt(c2) / c1 and
+    `grads` is `backward`'s result, or any dict of arrays, which is first
+    copied into one flat vector; clipping scales that vector in place. The
+    update is a dozen whole-vector operations, and both bias corrections
+    fold into two scalars: lr * m_hat / (sqrt(v_hat) + eps) equals
+    step * m / (sqrt(v) + eps_hat) with step = lr * sqrt(c2) / c1 and
     eps_hat = eps * sqrt(c2), where c1, c2 are 1 - beta1**t, 1 - beta2**t.
     """
+    if not isinstance(grads, FlatTensors):
+        grads = FlatTensors(np.concatenate([np.ravel(g) for g in grads.values()]),
+                            {name: np.shape(g) for name, g in grads.items()})
     if grad_clip_norm is not None:
         grads, _ = clip_gradients(grads, grad_clip_norm)
     names = tuple(grads)
-    if state.m is None:
-        size = sum(g.size for g in grads.values())
-        state.m, state.v, state.names = np.zeros(size), np.zeros(size), names
+    if state.theta is None:
+        tensors = params.tensors()
+        state.theta = np.concatenate([tensors[name].ravel() for name in names])
+        state.m, state.v = np.zeros_like(state.theta), np.zeros_like(state.theta)
+        state.scratch = np.empty_like(state.theta)
+        state.names, state.model = names, params
+        params.bind(FlatTensors(state.theta, {name: tensors[name].shape
+                                               for name in names}))
     elif names != state.names:
         raise ValueError(f"Adam state holds {state.names}, got gradients for {names}")
-    flat = np.concatenate([g.ravel() for g in grads.values()])
+    elif params is not state.model:
+        raise ValueError("Adam state is bound to another model's tensors")
     state.t += 1
     root_c2 = math.sqrt(1 - beta2 ** state.t)
     step = lr * root_c2 / (1 - beta1 ** state.t)
     eps_hat = eps * root_c2
-    m, v = state.m, state.v
+    g, m, v, s = grads.flat, state.m, state.v, state.scratch
     m *= beta1
-    m += (1 - beta1) * flat
-    flat *= flat
+    m += np.multiply(g, 1 - beta1, out=s)
+    np.multiply(g, g, out=s)
+    s *= 1 - beta2
     v *= beta2
-    v += (1 - beta2) * flat
-    update = np.sqrt(v)
-    update += eps_hat
-    np.divide(m, update, out=update)
-    update *= step
-    tensors = params.tensors()
-    lo = 0
-    for name, grad in grads.items():
-        hi = lo + grad.size
-        tensors[name] -= update[lo:hi].reshape(grad.shape)
-        lo = hi
+    v += s
+    np.sqrt(v, out=s)
+    s += eps_hat
+    np.divide(m, s, out=s)
+    s *= step
+    state.theta -= s
 
 
 class EarlyStopping:
@@ -255,21 +306,29 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
     report = TrainReport()
     stopper = EarlyStopping(config.patience)
     best = params.clone()
+    # every step and every validation pass draws its arrays from here
+    work = Workspace()
 
     for epoch in range(1, config.max_epochs + 1):
         perm = rng.permutation(n_train)
         losses = []
         for lo in range(0, n_train, config.batch_size):
             idx = perm[lo : lo + config.batch_size]
-            y_batch = train_windows.target[idx]
-            if not (y_batch != 0).any():
+            # the batch in C-contiguous buffers: a gather keeps the windows'
+            # transposed layout, which every elementwise pass would walk
+            y_batch = work.take("y_batch", (len(idx),) + train_windows.target.shape[1:])
+            y_batch[...] = train_windows.target[idx]
+            mask = np.not_equal(y_batch, 0.0, out=work.take("mask", y_batch.shape, bool))
+            if not mask.any():
                 warnings.warn("batch skipped: no valid (nonzero) targets")
                 continue
-            x = normalizer.apply(train_windows.history[idx])
+            x = train_windows.history[idx]
+            x = normalizer.apply(x, out=work.take("x", x.shape))
             pred, cache = forward(params, None, x, train_windows.tod[idx],
                                   train_windows.dow[idx], cache=True,
-                                  graph=frozen_graph)
-            loss, lgrad = masked_mae_loss(pred, y_batch, normalizer)
+                                  graph=frozen_graph, work=work)
+            loss, lgrad = masked_mae_loss(pred, y_batch, normalizer, mask=mask,
+                                          work=work)
             if not np.isfinite(loss):
                 report.stopping_reason = "diverged"
                 report.best_epoch = stopper.best_epoch
@@ -280,7 +339,7 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
                       grad_clip_norm=config.grad_clip_norm)
             losses.append(loss)
 
-        val_mae = masked_mae(predict(params, None, val_windows, normalizer),
+        val_mae = masked_mae(predict(params, None, val_windows, normalizer, work=work),
                              val_windows.target)
         train_loss = float(np.mean(losses)) if losses else float("nan")
         report.epochs.append((epoch, train_loss, val_mae))
@@ -313,8 +372,10 @@ def finite_difference_check(params: ModelParams, windows, normalizer,
     _, lgrad = masked_mae_loss(pred, windows.target, normalizer)
     grads = backward(params, cache, lgrad, trainable=names)
 
+    work = Workspace()
+
     def loss_at():
-        return masked_mae(predict(params, None, windows, normalizer),
+        return masked_mae(predict(params, None, windows, normalizer, work=work),
                           windows.target)
 
     errors = {}

@@ -10,11 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import (DataError, TrafficSeries, fit_normalizer, make_windows,
-                      normalize_day_tensor, to_day_tensor)
+from .dataset import DataError, TrafficSeries, fit_normalizer, make_windows
 from .metrics import evaluate, horizon_report_from_arrays
 from .model import set_embedding
-from .pca import fit_projection, refresh_embedding, zero_embedding
+from .pca import pca_table, zero_embedding
 from .training import TrainConfig, fit
 
 STRATEGIES = ("vanilla_adaptive", "zero_emb", "pca_emb", "finetune_emb")
@@ -69,10 +68,12 @@ def with_strategy(params, strategy, series, step_range, normalizer, proj=None,
     if strategy == "pca_emb":
         if proj is None:
             raise ValueError("pca_emb requires the source projection")
-        z = normalize_day_tensor(to_day_tensor(series, step_range), normalizer)
         if refit:
-            proj = fit_projection(z, n_components=proj.num_components)
-        return set_embedding(params, refresh_embedding(z, proj))
+            table, _ = pca_table(series, step_range, normalizer,
+                                 n_components=proj.num_components)
+        else:
+            table, _ = pca_table(series, step_range, normalizer, proj)
+        return set_embedding(params, table)
     if strategy == "finetune_emb":
         windows = make_windows(series, step_range, cfg.l1, cfg.l2)
         ft_cfg = finetune_config or TrainConfig(max_epochs=50, patience=10)

@@ -14,14 +14,14 @@ from hypothesis import strategies as st
 
 from stpca import cli
 from stpca.cli import CONFIG_KEYS, build_parser, load_config, main
-from stpca.dataset import (DayTensor, Normalizer, ingest_csv, make_windows,
-                           normalize_day_tensor, split_chronological,
-                           to_day_tensor)
+from stpca.dataset import (DayTensor, Normalizer, fit_normalizer, ingest_csv,
+                           make_windows, normalize_day_tensor,
+                           split_chronological, to_day_tensor)
 from stpca.metrics import evaluate
 from stpca.model import ModelConfig, init_params, set_embedding
 from stpca.pca import fit_projection, refresh_embedding, zero_embedding
-from stpca.serialize import (load_model, load_projection, save_model,
-                             save_projection)
+from stpca.serialize import (embedding_csv, load_model, load_projection,
+                             save_model, save_projection)
 from test_dataset import csv_texts
 
 SMALL_CONFIG = """
@@ -348,6 +348,20 @@ class TestTransfer:
         err = capsys.readouterr().err
         assert "48" in err and "24" in err
 
+    @pytest.mark.parametrize("fraction", ["0.9", "0", "-0.1"])
+    @pytest.mark.parametrize("baseline", [False, True], ids=["plain", "baseline"])
+    def test_bad_adaptation_fraction_exit_2(self, synth_dir, trained_dir, tmp_path,
+                                            capsys, fraction, baseline):
+        out = tmp_path / "t.json"
+        argv = ["transfer", "--model", str(trained_dir / "model.stpf"),
+                "--target", str(synth_dir / "shifted.csv"),
+                "--strategies", "vanilla,zero", "--adaptation-fraction", fraction,
+                "--out", str(out)]
+        assert run_cli(*argv, *(["--include-baseline"] if baseline else [])) == 2
+        err = assert_one_line_error(capsys, "config error: --adaptation-fraction: ")
+        assert "(0, 0.5]" in err
+        assert not out.exists()
+
     def protocol_of(self, trained_dir, target, out):
         assert run_cli("transfer", "--model", str(trained_dir / "model.stpf"),
                        "--proj", str(trained_dir / "proj.stpj"),
@@ -467,6 +481,27 @@ class TestExportAndReport:
                        "--data", str(synth_dir / "train.csv"),
                        "--out", str(out)) == 0
         assert out.read_text().splitlines()[1].split(",")[0] == "node_0"
+
+    def test_export_from_projection_is_the_training_table(self, synth_dir, trained_dir,
+                                                          tmp_path):
+        out = tmp_path / "emb.csv"
+        assert run_cli("export-embeddings",
+                       "--proj", str(trained_dir / "proj.stpj"),
+                       "--data", str(synth_dir / "train.csv"),
+                       "--out", str(out)) == 0
+        # the recipe the command ran before it called `pca_table`
+        series = ingest_csv(str(synth_dir / "train.csv"))
+        proj = load_projection(str(trained_dir / "proj.stpj"))
+        train_range = split_chronological(series, (0.6, 0.2, 0.2))[0]
+        z = to_day_tensor(series, train_range)
+        reference = refresh_embedding(
+            normalize_day_tensor(z, fit_normalizer(series, train_range)), proj)
+        assert out.read_text() == embedding_csv(reference, series.node_ids)
+        # and it is the frozen table the pca training run installed
+        exported = np.array([[float(v) for v in line.split(",")[1:]]
+                             for line in out.read_text().splitlines()[1:]])
+        params, _ = load_model(str(trained_dir / "model.stpf"))
+        np.testing.assert_array_equal(exported, params.embedding.values)
 
     def test_export_with_graph(self, synth_dir, trained_dir, tmp_path):
         emb = tmp_path / "emb3.csv"

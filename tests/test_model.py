@@ -176,6 +176,58 @@ class TestForward:
                 np.testing.assert_array_equal(predict(params, None, ws, NORM), single)
 
 
+class TestBuffers:
+    """Reused buffers never leak into what a direct call returns."""
+
+    @pytest.mark.parametrize("use_graph", [False, True])
+    def test_direct_forward_calls_return_fresh_arrays(self, use_graph):
+        params = init_params(toy_config(use_graph=use_graph), 5, seed=0)
+        x1, ti1, di1 = batch(toy_windows(3, 5, seed=1))
+        x2, ti2, di2 = batch(toy_windows(3, 5, seed=2))
+        first = forward(params, None, x1, ti1, di1)
+        pred, cache = forward(params, None, x1, ti1, di1, cache=True)
+        kept = [a.copy() for a in [first, pred, *cache["hs"], *cache["rs"]]]
+        forward(params, None, x2, ti2, di2)
+        forward(params, None, x2, ti2, di2, cache=True)
+        for a, b in zip([first, pred, *cache["hs"], *cache["rs"]], kept):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("use_graph", [False, True])
+    def test_predict_calls_return_fresh_arrays(self, monkeypatch, use_graph):
+        monkeypatch.setattr(model, "PREDICT_ROWS", 3 * 5)  # ragged blocks of 3
+        params = init_params(toy_config(use_graph=use_graph), 5, seed=0)
+        first = predict(params, None, toy_windows(10, 5, seed=1), NORM)
+        kept = first.copy()
+        second = predict(params, None, toy_windows(10, 5, seed=2), NORM)
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, kept)
+
+    @pytest.mark.parametrize("use_graph", [False, True])
+    def test_one_workspace_across_passes(self, monkeypatch, use_graph):
+        # passes of different sizes through one workspace, each with a ragged
+        # last block, give the bits of passes with buffers of their own
+        monkeypatch.setattr(model, "PREDICT_ROWS", 4 * 5)
+        params = init_params(toy_config(use_graph=use_graph), 5, seed=0)
+        work = model.Workspace()
+        for n_windows, seed in ((10, 1), (3, 2), (17, 3), (10, 1)):
+            ws = toy_windows(n_windows, 5, seed=seed)
+            np.testing.assert_array_equal(predict(params, None, ws, NORM, work=work),
+                                          predict(params, None, ws, NORM))
+
+    def test_workspace_buffers(self):
+        work = model.Workspace()
+        a = work.take("h", (4, 5))
+        assert a.flags.c_contiguous and a.shape == (4, 5)
+        assert work.take("h", (4, 5)) is a
+        smaller = work.take("h", (2, 5))  # a leading slice of the same buffer
+        assert smaller.shape == (2, 5) and np.shares_memory(a, smaller)
+        grown = work.take("h", (8, 5))
+        assert grown.shape == (8, 5) and not np.shares_memory(a, grown)
+        mask = work.take("mask", (4, 5), bool)
+        assert mask.dtype == bool and not np.shares_memory(mask, grown)
+        assert work.keep("k", lambda: [1]) is work.keep("k", lambda: [2])
+
+
 class Spy:
     """Counts the calls of a wrapped function and keeps their arguments."""
 

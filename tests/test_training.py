@@ -6,6 +6,8 @@ import pytest
 
 from stpca import model, training
 from stpca.dataset import Normalizer, Windows
+from stpca.graph import build_adaptive_graph
+from stpca.metrics import masked_mae
 from stpca.model import ModelConfig, forward, init_params, set_embedding
 from stpca.pca import EmbeddingTable, zero_embedding
 from stpca.training import (AdamState, EarlyStopping, TrainConfig, adam_step,
@@ -119,6 +121,23 @@ class TestMaskedMaeLoss:
         assert math.isnan(loss)
         np.testing.assert_array_equal(grad, 0.0)
         assert any("no valid" in str(w.message) for w in caught)
+
+    @pytest.mark.parametrize("with_work", [False, True], ids=["fresh", "workspace"])
+    def test_bits_match_where_form(self, with_work):
+        # reference: the masked difference as np.where(mask, d, 0.0), whose
+        # masked cells are +0.0 even where d < 0
+        rng = np.random.default_rng(5)
+        work = model.Workspace() if with_work else None
+        for _ in range(3):
+            target = rng.uniform(0, 20, size=(4, 5, 6))
+            target[rng.random(target.shape) < 0.3] = 0.0
+            pred = rng.normal(scale=5.0, size=target.shape)  # some below -mean/std
+            mask = target != 0
+            diff = np.where(mask, NORM.invert(pred) - target, 0.0)
+            count = int(mask.sum())
+            loss, grad = masked_mae_loss(pred, target, NORM, mask=mask, work=work)
+            assert loss == float(np.abs(diff).sum() / count)
+            assert grad.tobytes() == (np.sign(diff) * (NORM.std / count)).tobytes()
 
     def test_finite_difference_on_loss(self):
         rng = np.random.default_rng(1)
@@ -254,6 +273,24 @@ class TestBackward:
                 pytest.raises(FloatingPointError, match="gradient for b_o"):
             backward(params, cache, lgrad, trainable=["b_o"])
 
+    @pytest.mark.parametrize("requested,named", [
+        (["b_o", "w_o", "w_x", "b_x"], "w_x"),
+        (["w_x", "b_o"], "w_x"),
+        (["b_x", "w_x"], "w_x"),
+    ])
+    def test_non_finite_gradient_names_first_bad_tensor(self, requested, named):
+        # a non-finite input reaches only w_x's gradient; the check names it,
+        # not the finite gradients before it, whatever the request order
+        params = init_params(toy_config(), 5, seed=0)
+        x, y, ti, di = batch(toy_windows(3))
+        pred, cache = forward(params, None, x, ti, di, cache=True)
+        _, lgrad = masked_mae_loss(pred, y, NORM)
+        cache["x"] = x.copy()
+        cache["x"][0, 0, 0] = np.inf
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(FloatingPointError, match=f"gradient for {named}$"):
+            backward(params, cache, lgrad, trainable=requested)
+
     def test_frozen_embedding_gets_no_gradient(self):
         params = init_params(toy_config(), 5, seed=0)
         params = set_embedding(
@@ -327,6 +364,26 @@ class TestAdam:
         with pytest.raises(ValueError, match="Adam state"):
             adam_step(state, params, {"b_x": np.ones_like(params.b_x)}, lr=1e-3)
 
+    def test_backward_gradient_set_must_not_change(self):
+        params = init_params(toy_config(), 5, seed=0)
+        x, y, ti, di = batch(toy_windows(3))
+        pred, cache = forward(params, None, x, ti, di, cache=True)
+        _, lgrad = masked_mae_loss(pred, y, NORM)
+        state = AdamState()
+        adam_step(state, params, backward(params, cache, lgrad), lr=1e-3)
+        with pytest.raises(ValueError, match="Adam state"):
+            adam_step(state, params, backward(params, cache, lgrad, trainable=["w_o"]),
+                      lr=1e-3)
+
+    def test_state_is_bound_to_its_model(self):
+        params = init_params(toy_config(), 2, seed=0)
+        state = AdamState()
+        adam_step(state, params, {"w_x": np.ones_like(params.w_x)}, lr=1e-3)
+        assert np.shares_memory(params.w_x, state.theta)
+        other = params.clone()
+        with pytest.raises(ValueError, match="another model"):
+            adam_step(state, other, {"w_x": np.ones_like(other.w_x)}, lr=1e-3)
+
     def test_first_step_magnitude(self):
         cfg = toy_config()
         params = init_params(cfg, 2, seed=0)
@@ -372,6 +429,83 @@ class TestEarlyStopping:
         stopper.update(1, 3.0)
         assert stopper.update(2, 3.0)
         assert stopper.best_epoch == 1
+
+
+def reference_fit(params, train, val, normalizer, config, trainable=None):
+    """The training loop as plain code: fresh arrays at every step, Adam and
+    clipping tensor by tensor. Returns (best params, report rows, skipped)."""
+    names = params.trainable_names() if trainable is None else list(trainable)
+    graph = None
+    if params.config.use_graph and "embedding" not in names:
+        graph = build_adaptive_graph(params.embedding)
+    rng = np.random.default_rng(config.seed)
+    m, v, t = {}, {}, 0
+    stopper = EarlyStopping(config.patience)
+    best, rows, skipped = params.clone(), [], 0
+    for epoch in range(1, config.max_epochs + 1):
+        perm = rng.permutation(len(train))
+        losses = []
+        for lo in range(0, len(train), config.batch_size):
+            idx = perm[lo : lo + config.batch_size]
+            y = train.target[idx]
+            if not (y != 0).any():
+                skipped += 1
+                continue
+            pred, cache = forward(params, None, normalizer.apply(train.history[idx]),
+                                  train.tod[idx], train.dow[idx], cache=True,
+                                  graph=graph)
+            loss, lgrad = masked_mae_loss(pred, y, normalizer)
+            grads = {name: g.copy() for name, g in
+                     backward(params, cache, lgrad, trainable=names).items()}
+            norm = math.sqrt(sum(float(g.ravel() @ g.ravel()) for g in grads.values()))
+            if norm > config.grad_clip_norm:
+                for g in grads.values():
+                    g *= config.grad_clip_norm / norm
+            t += 1
+            root_c2 = math.sqrt(1 - 0.999 ** t)
+            step = config.lr * root_c2 / (1 - 0.9 ** t)
+            tensors = params.tensors()
+            for name, g in grads.items():
+                m[name] = m.get(name, 0.0) * 0.9 + (1 - 0.9) * g
+                v[name] = v.get(name, 0.0) * 0.999 + (1 - 0.999) * (g * g)
+                tensors[name] -= m[name] / (np.sqrt(v[name]) + 1e-8 * root_c2) * step
+            losses.append(loss)
+        val_mae = masked_mae(model.predict(params, None, val, normalizer), val.target)
+        rows.append((epoch, float(np.mean(losses)) if losses else float("nan"), val_mae))
+        improved = val_mae < stopper.best
+        stop = stopper.update(epoch, val_mae)
+        if improved:
+            best = params.clone()
+        if stop:
+            break
+    return best, rows, skipped
+
+
+def reference_params(strategy, use_graph):
+    params = init_params(toy_config(num_blocks=2, use_graph=use_graph), 5, seed=3)
+    if strategy == "pca":
+        table = np.random.default_rng(1).normal(size=(5, 3))
+        params = set_embedding(params, EmbeddingTable(values=table, strategy="pca"))
+    elif strategy == "zero":
+        params = set_embedding(params, zero_embedding(5, 3))
+    return params
+
+
+def assert_fit_matches_reference(params, train, val, trainable=None):
+    cfg = TrainConfig(max_epochs=6, patience=6, batch_size=8, seed=1, lr=5e-3)
+    ref_params = params.clone()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        best, report = fit(params, train, val, NORM, cfg, trainable=trainable)
+    ref_best, ref_rows, skipped = reference_fit(ref_params, train, val, NORM, cfg,
+                                                trainable=trainable)
+    assert report.epochs == ref_rows
+    assert sum("batch skipped" in str(w.message) for w in caught) == skipped
+    for got, ref in ((best, ref_best), (params, ref_params)):
+        ref_tensors = ref.tensors()
+        for name, tensor in got.tensors().items():
+            assert tensor.tobytes() == ref_tensors[name].tobytes(), name
+    return skipped
 
 
 class TestFit:
@@ -438,6 +572,41 @@ class TestFit:
             assert builds == {"stpca.model": 3, "stpca.training": 1}
         else:
             assert builds == {"stpca.model": 3 + steps}
+
+    @pytest.mark.parametrize("case", ["plain", "ragged", "skipped"])
+    @pytest.mark.parametrize("use_graph", [False, True], ids=["flat", "graph"])
+    @pytest.mark.parametrize("strategy", ["adaptive", "pca", "zero"])
+    def test_matches_reference_loop(self, strategy, use_graph, case):
+        params = reference_params(strategy, use_graph)
+        train = toy_windows(43 if case == "ragged" else 40, seed=0)
+        if case == "skipped":
+            # 3 windows with targets: some batches of 8 hold none
+            target = train.target.copy()
+            target[3:] = 0.0
+            train = Windows(history=train.history, target=target, tod=train.tod,
+                            dow=train.dow)
+        skipped = assert_fit_matches_reference(params, train, toy_windows(12, seed=1))
+        assert (skipped > 0) == (case == "skipped")
+
+    @pytest.mark.parametrize("use_graph", [False, True], ids=["flat", "graph"])
+    def test_matches_reference_loop_embedding_only(self, use_graph):
+        assert_fit_matches_reference(reference_params("adaptive", use_graph),
+                                     toy_windows(40, seed=0), toy_windows(12, seed=1),
+                                     trainable=["embedding"])
+
+    def test_best_shares_no_memory_with_live_model(self):
+        params = init_params(toy_config(num_blocks=2), 5, seed=1)
+        train, val = self.make_data()
+        cfg = TrainConfig(max_epochs=3, patience=3, batch_size=8, seed=0)
+        best, _ = fit(params, train, val, NORM, cfg)
+        live = params.tensors()
+        for name, tensor in best.tensors().items():
+            assert not np.shares_memory(tensor, live[name]), name
+        # further steps on the live model leave the snapshot alone
+        snapshot = {k: v.copy() for k, v in best.tensors().items()}
+        fit(params, train, val, NORM, cfg)
+        for name, tensor in best.tensors().items():
+            np.testing.assert_array_equal(tensor, snapshot[name], err_msg=name)
 
     def test_adaptive_embedding_moves(self):
         params = init_params(toy_config(), 5, seed=2)
