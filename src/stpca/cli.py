@@ -56,7 +56,6 @@ CONFIG_KEYS = {
     "data.csv": (str, None),
     "data.shifted_csv": (str, None),
     "data.ratios": (str, "0.6,0.2,0.2"),
-    "data.include_zeros_in_norm": (_bool, True),
     "model.l1": (int, 12),
     "model.l2": (int, 12),
     "model.embed_dim": (int, 8),
@@ -67,7 +66,6 @@ CONFIG_KEYS = {
     "model.use_graph": (_bool, False),
     "model.theta": (_theta, None),
     "embedding.strategy": (_train_strategy, "adaptive"),
-    "embedding.center": (_bool, True),
     "train.lr": (float, 1e-3),
     "train.max_epochs": (int, 200),
     "train.patience": (int, 20),
@@ -173,14 +171,8 @@ def cmd_train(args):
     out_dir = config["run.out_dir"]
     os.makedirs(out_dir, exist_ok=True)
 
-    run = train_run(
-        series, model_cfg, train_cfg,
-        strategy=config["embedding.strategy"],
-        ratios=ratios,
-        theta=config["model.theta"],
-        center=config["embedding.center"],
-        include_zeros_in_norm=config["data.include_zeros_in_norm"],
-    )
+    run = train_run(series, model_cfg, train_cfg, strategy=config["embedding.strategy"],
+                    ratios=ratios, theta=config["model.theta"])
     save_model(run.params, run.bundle.normalizer, os.path.join(out_dir, "model.stpf"))
     if run.projection is not None:
         save_projection(run.projection, os.path.join(out_dir, "proj.stpj"))
@@ -261,13 +253,6 @@ def cmd_transfer(args):
         entries.append({"strategy": "hist_avg", "report": base.to_json_dict()})
 
     _write_json(args.out, entries)
-    if args.csv_out:
-        lines = ["strategy,horizon,mae,rmse,mape"]
-        for entry in entries:
-            for horizon, metric in sorted(entry["report"]["horizons"].items()):
-                lines.append(f"{entry['strategy']},{horizon},{metric['mae']!r},"
-                             f"{metric['rmse']!r},{metric['mape']!r}")
-        atomic_write_text(args.csv_out, "\n".join(lines) + "\n")
     for entry in entries:
         avg = entry["report"]["horizons"]["avg"]
         print(f"{entry['strategy']}: MAE {avg['mae']:.4f} RMSE {avg['rmse']:.4f} "
@@ -291,9 +276,7 @@ def cmd_sweep_components(args):
                                       series.steps_per_day)
         val_mae, test_mae, shifted_mae = sweep_run(
             series, shifted, model_cfg, train_config_from(config), strategy,
-            config["transfer.adaptation_fraction"], ratios=ratios,
-            center=config["embedding.center"],
-            include_zeros_in_norm=config["data.include_zeros_in_norm"])
+            config["transfer.adaptation_fraction"], ratios=ratios)
         lines.append(f"{label},{val_mae!r},{test_mae!r},{shifted_mae!r}")
         print(f"k={label}: val {val_mae:.4f} test {test_mae:.4f} "
               f"shifted {shifted_mae:.4f}")
@@ -353,8 +336,7 @@ def cmd_export_embeddings(args):
     print(f"wrote {args.out}")
     if args.graph_out:
         from .graph import build_adaptive_graph
-        write_graph_csv(build_adaptive_graph(table), node_ids, args.graph_out,
-                        min_weight=args.min_weight)
+        write_graph_csv(build_adaptive_graph(table), node_ids, args.graph_out)
         print(f"wrote {args.graph_out}")
     return 0
 
@@ -433,7 +415,6 @@ def build_parser():
     p.add_argument("--refit-projection", action="store_true")
     p.add_argument("--include-baseline", action="store_true")
     p.add_argument("--out", default="comparison.json")
-    p.add_argument("--csv-out", default=None)
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("sweep-components",
@@ -451,7 +432,6 @@ def build_parser():
     p.add_argument("--out", default="embeddings.csv")
     p.add_argument("--graph-out", default=None,
                    help="also export the adaptive graph built from the table")
-    p.add_argument("--min-weight", type=float, default=0.0)
     p.set_defaults(func=cmd_export_embeddings)
 
     p = sub.add_parser("report", help="render a report JSON as a text table")

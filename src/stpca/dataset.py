@@ -385,20 +385,13 @@ def split_chronological(series: TrafficSeries, ratios=(0.6, 0.2, 0.2)):
     return ranges
 
 
-def fit_normalizer(series: TrafficSeries, step_range, include_zeros=True) -> Normalizer:
-    """Fit mean and population std over all values in the range.
-
-    Zeros (missing markers) are included by default; set include_zeros=False
-    to fit on observed cells only.
-    """
+def fit_normalizer(series: TrafficSeries, step_range) -> Normalizer:
+    """Fit mean and population std over all values in the range, zeros
+    (missing markers) included."""
     lo, hi = step_range
     if hi <= lo:
         raise DataError("empty range")
     chunk = series.values[lo:hi]
-    if not include_zeros:
-        chunk = chunk[chunk != 0]
-        if chunk.size == 0:
-            raise DataError("no nonzero values in range")
     mean = float(chunk.mean())
     std = float(chunk.std())
     if std == 0.0:

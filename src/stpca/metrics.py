@@ -1,6 +1,5 @@
 """Masked evaluation metrics and horizon-resolved reports."""
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -41,9 +40,6 @@ class HorizonReport:
             "horizons": {k: v.as_dict() for k, v in self.horizons.items()},
             "meta": meta,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def _masked_sums(pred, target) -> np.ndarray:
@@ -142,13 +138,12 @@ def horizon_report_from_arrays(pred, target, horizons=None,
     return HorizonReport(horizons=out, metadata=dict(metadata or {}))
 
 
-def evaluate(params, embedding, windows, normalizer, horizons=None,
-             metadata=None) -> HorizonReport:
-    """Forward, de-normalize, and report metrics at each horizon."""
+def evaluate(params, embedding, windows, normalizer, metadata=None) -> HorizonReport:
+    """Forward, de-normalize, and report metrics at the default horizons."""
     if not windows:
         raise ValueError("no windows to evaluate")
     pred = predict(params, embedding, windows, normalizer)
-    return horizon_report_from_arrays(pred, windows.target, horizons, metadata)
+    return horizon_report_from_arrays(pred, windows.target, metadata=metadata)
 
 
 def render_report(report: HorizonReport) -> str:

@@ -131,13 +131,8 @@ class Workspace:
         return view
 
 
-def _take(work, name, shape, dtype=np.float64):
-    """A buffer of `work`, or a new array when there is no workspace."""
-    return np.empty(shape, dtype) if work is None else work.take(name, shape, dtype)
-
-
 def _all_finite(a, work):
-    return np.isfinite(a, out=_take(work, "finite", a.shape, bool)).all()
+    return np.isfinite(a, out=work.take("finite", a.shape, bool)).all()
 
 
 def _xavier(rng, out_dim, in_dim):
@@ -218,10 +213,11 @@ def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
     `graph` is the adaptive graph of that embedding, passed in by a caller
     that forwards several batches while the table stays fixed; when it is
     None the graph is built here. Activations, the cache's included, are
-    written into `work` when one is given (the next call overwrites them),
-    else into new arrays.
+    written into `work`, so the next call with it overwrites them; without
+    one the call takes a workspace of its own.
     """
     cfg = params.config
+    work = Workspace() if work is None else work
     emb = params.embedding if embedding is None else embedding
     b, n, l1 = x.shape
     if l1 != cfg.l1:
@@ -236,7 +232,7 @@ def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
     # activation k goes to buffer h{k}. The backward pass reads every one, but
     # inference reads only activation k-1 while writing k, so two alternate.
     def activation(k):
-        return _take(work, f"h{k if cache else k % 2}", shape)
+        return work.take(f"h{k if cache else k % 2}", shape)
 
     h = activation(0)  # [history features | embedding | time of day | day of week]
     u = np.matmul(x, _in_out(params.w_x), out=h[:, :, :ch])
@@ -255,7 +251,7 @@ def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
     k = 0
     for i, blk in enumerate(params.blocks):
         r = np.matmul(h, _in_out(blk["w1"]),
-                      out=_take(work, f"r{i if cache else 0}", shape))
+                      out=work.take(f"r{i if cache else 0}", shape))
         r += blk["b1"]
         np.maximum(r, 0.0, out=r)  # relu in place: r > 0 exactly where z > 0
         k += 1
@@ -273,7 +269,7 @@ def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
             hs.append(h_next)
         h = h_next
 
-    y = np.matmul(h, _in_out(params.w_o), out=_take(work, "y", (b, n, cfg.l2)))
+    y = np.matmul(h, _in_out(params.w_o), out=work.take("y", (b, n, cfg.l2)))
     y += params.b_o
     if not _all_finite(y, work):
         raise FloatingPointError("non-finite output")
@@ -294,20 +290,20 @@ def predict(params: ModelParams, embedding, windows, normalizer,
     built once per pass, since the table is fixed for the whole pass. Every
     block is normalized, forwarded and de-normalized through one set of
     buffers; a window's prediction does not depend on the block it falls in.
-    Those buffers, and the predictions, come from `work` when one is given,
-    so a caller that scores every epoch allocates them once. Without it the
-    buffers are the pass's own and the predictions a new array.
+    Those buffers, and the predictions, come from `work`, so a caller that
+    scores every epoch allocates them once; without one the pass takes a
+    workspace of its own.
     """
     emb = params.embedding if embedding is None else embedding
     graph = build_adaptive_graph(emb) if params.config.use_graph else None
     step = max(1, PREDICT_ROWS // windows.history.shape[1])
-    pred = _take(work, "pred", windows.history.shape[:2] + (params.config.l2,))
-    blocks = Workspace() if work is None else work
+    work = Workspace() if work is None else work
+    pred = work.take("pred", windows.history.shape[:2] + (params.config.l2,))
     for lo in range(0, len(windows), step):
         hi = lo + step
         history = windows.history[lo:hi]
-        x = normalizer.apply(history, out=blocks.take("x", history.shape))
+        x = normalizer.apply(history, out=work.take("x", history.shape))
         y = forward(params, embedding, x, windows.tod[lo:hi], windows.dow[lo:hi],
-                    graph=graph, work=blocks)
+                    graph=graph, work=work)
         normalizer.invert(y, out=pred[lo:hi])
     return pred

@@ -125,13 +125,10 @@ def select_components(eigenvalues: np.ndarray, theta: float) -> int:
     return int(np.searchsorted(ratios, theta - 1e-12) + 1)
 
 
-def fit_projection(
-    z: DayTensor,
-    n_components: Optional[int] = None,
-    theta: Optional[float] = None,
-    center: bool = True,
-) -> PcaProjection:
-    """Fit the projection from the D*N day-profiles of a (normalized) day tensor.
+def fit_projection(z: DayTensor, n_components: Optional[int] = None,
+                   theta: Optional[float] = None) -> PcaProjection:
+    """Fit the centered projection from the D*N day-profiles of a (normalized)
+    day tensor.
 
     An explicit n_components wins over theta; with neither given, theta
     defaults to 0.9. Column signs are fixed so each component's
@@ -141,10 +138,7 @@ def fit_projection(
     m, t = samples.shape
     if m < 2:
         raise ValueError(f"need at least 2 samples, got {m}")
-    if center:
-        mean = samples.mean(axis=0)
-    else:
-        mean = np.zeros(t)
+    mean = samples.mean(axis=0)
     x = samples - mean
     cov = (x.T @ x) / (m - 1)
 

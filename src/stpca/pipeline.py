@@ -32,10 +32,10 @@ class DataBundle:
     test_windows: Windows
 
 
-def prepare_data(series: TrafficSeries, ratios=(0.6, 0.2, 0.2), l1=12, l2=12,
-                 include_zeros_in_norm=True) -> DataBundle:
+def prepare_data(series: TrafficSeries, ratios=(0.6, 0.2, 0.2), l1=12,
+                 l2=12) -> DataBundle:
     ranges = split_chronological(series, ratios)
-    normalizer = fit_normalizer(series, ranges[0], include_zeros=include_zeros_in_norm)
+    normalizer = fit_normalizer(series, ranges[0])
     return DataBundle(
         series=series,
         ranges=ranges,
@@ -46,11 +46,10 @@ def prepare_data(series: TrafficSeries, ratios=(0.6, 0.2, 0.2), l1=12, l2=12,
     )
 
 
-def fit_training_embedding(bundle: DataBundle, n_components=None, theta=None,
-                           center=True):
+def fit_training_embedding(bundle: DataBundle, n_components=None, theta=None):
     """Averaged node table + projection fitted on the training range's day tensor."""
     return pca_table(bundle.series, bundle.ranges[0], bundle.normalizer,
-                     n_components=n_components, theta=theta, center=center)
+                     n_components=n_components, theta=theta)
 
 
 @dataclass
@@ -63,8 +62,7 @@ class TrainedRun:
 
 def train_run(series: TrafficSeries, model_cfg: ModelConfig,
               train_cfg: TrainConfig, strategy: str = "adaptive",
-              ratios=(0.6, 0.2, 0.2), theta: Optional[float] = None,
-              center=True, include_zeros_in_norm=True) -> TrainedRun:
+              ratios=(0.6, 0.2, 0.2), theta: Optional[float] = None) -> TrainedRun:
     """Train one model under an embedding strategy on a 6:2:2-style split.
 
     Under the pca strategy the projection is fitted on the training range and
@@ -73,15 +71,14 @@ def train_run(series: TrafficSeries, model_cfg: ModelConfig,
     the fitted component count when a variance threshold picks it.
     """
     check_train_strategy(strategy)
-    bundle = prepare_data(series, ratios, model_cfg.l1, model_cfg.l2,
-                          include_zeros_in_norm)
+    bundle = prepare_data(series, ratios, model_cfg.l1, model_cfg.l2)
     projection = None
     params = init_params(model_cfg, series.num_nodes, train_cfg.seed)
 
     if strategy == "pca":
         table, projection = fit_training_embedding(
             bundle, n_components=None if theta is not None else model_cfg.embed_dim,
-            theta=theta, center=center)
+            theta=theta)
         if table.dim != model_cfg.embed_dim:
             model_cfg = ModelConfig(**{**model_cfg.__dict__, "embed_dim": table.dim})
             params = init_params(model_cfg, series.num_nodes, train_cfg.seed)
@@ -97,13 +94,13 @@ def train_run(series: TrafficSeries, model_cfg: ModelConfig,
 
 
 def sweep_run(series, shifted, model_cfg, train_cfg, strategy, adaptation_fraction,
-              **run_kwargs):
+              ratios=(0.6, 0.2, 0.2)):
     """(best val MAE, test MAE, shifted MAE) of one `train_run`: a sweep point.
 
     The shifted MAE is the cross-year score on `shifted`: a pca run refreshes
     its table from the adaptation prefix, any other run keeps its own.
     """
-    run = train_run(series, model_cfg, train_cfg, strategy=strategy, **run_kwargs)
+    run = train_run(series, model_cfg, train_cfg, strategy=strategy, ratios=ratios)
     test = evaluate(run.params, None, run.bundle.test_windows, run.bundle.normalizer)
     plan = TransferPlan(adaptation_fraction=adaptation_fraction,
                         strategy="pca_emb" if strategy == "pca" else "vanilla_adaptive")

@@ -181,12 +181,11 @@ def write_embedding_csv(table: EmbeddingTable, node_ids, path):
     atomic_write_text(path, embedding_csv(table, node_ids))
 
 
-def write_graph_csv(graph, node_ids, path, min_weight: float = 0.0):
-    """`src,dst,weight` rows for entries above min_weight (0 keeps all)."""
+def write_graph_csv(graph, node_ids, path):
+    """One `src,dst,weight` row per node pair."""
     lines = ["src,dst,weight"]
     w = graph.weights
     for i, src in enumerate(node_ids):
         for j, dst in enumerate(node_ids):
-            if w[i, j] > min_weight or min_weight == 0.0:
-                lines.append(f"{src},{dst},{w[i, j]:.17g}")
+            lines.append(f"{src},{dst},{w[i, j]:.17g}")
     atomic_write_text(path, "\n".join(lines) + "\n")

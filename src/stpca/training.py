@@ -10,7 +10,7 @@ import numpy as np
 from .dataset import Normalizer
 from .graph import build_adaptive_graph
 from .metrics import masked_mae
-from .model import ModelParams, Workspace, _take, forward, predict
+from .model import ModelParams, Workspace, forward, predict
 
 
 @dataclass
@@ -45,8 +45,9 @@ def masked_mae_loss(pred: np.ndarray, target: np.ndarray, normalizer: Normalizer
     pred is normalized, target is raw; predictions are de-normalized inside so
     the masking matches evaluation exactly. Returns (loss, d loss / d pred).
     `mask` is `target != 0` when the caller has it already. The gradient is
-    written into `work` when one is given. A batch with no valid cells yields
-    (nan, zeros) and a warning; callers skip it rather than fail.
+    written into `work`, or without one into a workspace of the call's own. A
+    batch with no valid cells yields (nan, zeros) and a warning; callers skip
+    it rather than fail.
     """
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
@@ -56,8 +57,9 @@ def masked_mae_loss(pred: np.ndarray, target: np.ndarray, normalizer: Normalizer
     if count == 0:
         warnings.warn("batch skipped: no valid (nonzero) targets")
         return float("nan"), np.zeros_like(pred)
-    denorm = normalizer.invert(pred, out=_take(work, "loss_denorm", pred.shape))
-    diff = np.subtract(denorm, target, out=_take(work, "loss_diff", pred.shape))
+    work = Workspace() if work is None else work
+    denorm = normalizer.invert(pred, out=work.take("loss_denorm", pred.shape))
+    diff = np.subtract(denorm, target, out=work.take("loss_diff", pred.shape))
     diff *= mask  # masked cells become +-0.0, which abs and sign both map to +0.0
     loss = float(np.abs(diff, out=denorm).sum() / count)
     grad = np.sign(diff, out=denorm)  # sign(0) = 0 covers ties; in place is slower
@@ -103,7 +105,8 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
     ones-vector product. The graph's share of the embedding gradient is
     computed only when the embedding is requested. The gradients are views
     of one flat vector in `trainable` order (a `FlatTensors`); it and every
-    temporary come from the forward pass's workspace when it had one.
+    temporary come from the forward pass's workspace, so a later backward of
+    the same cache and names writes into the same vector.
     """
     cfg = params.config
     names = params.trainable_names() if trainable is None else list(trainable)
@@ -113,7 +116,7 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
     b, n, _ = x.shape
     ch, ce, ct = cfg.hidden_dim, cfg.embed_dim, cfg.tod_dim
     rows = (b * n, cfg.mix_dim)
-    ones = _take(work, "ones", (b * n,))
+    ones = work.take("ones", (b * n,))
     ones.fill(1.0)
 
     def gradient_vector():
@@ -121,14 +124,13 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
         shapes = {name: tensors[name].shape for name in names}
         return FlatTensors(np.empty(sum(map(math.prod, shapes.values()))), shapes)
 
-    grads = (gradient_vector() if work is None
-             else work.keep(("grads", *names), gradient_vector))
+    grads = work.keep(("grads", *names), gradient_vector)
     dy = _flat(loss_grad)
     if "w_o" in names:
         np.matmul(dy.T, _flat(hs[-1]), out=grads["w_o"])
     if "b_o" in names:
         np.matmul(ones, dy, out=grads["b_o"])
-    dh = np.matmul(dy, params.w_o, out=_take(work, "dh", rows))
+    dh = np.matmul(dy, params.w_o, out=work.take("dh", rows))
 
     d_emb_graph = None
     for i in range(cfg.num_blocks - 1, -1, -1):
@@ -139,27 +141,27 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
                 # mixing weights -> softmax rows -> relu -> gram -> embedding
                 nm_shape = (n, b * cfg.mix_dim)
                 d_adj = np.matmul(
-                    _node_major(dh_mixed, _take(work, "dh_node_major", nm_shape)),
-                    _node_major(cache["h_premix"], _take(work, "h_node_major", nm_shape)).T,
-                    out=_take(work, "d_adj", (n, n)))
+                    _node_major(dh_mixed, work.take("dh_node_major", nm_shape)),
+                    _node_major(cache["h_premix"], work.take("h_node_major", nm_shape)).T,
+                    out=work.take("d_adj", (n, n)))
                 e = cache["embedding"].values
                 d_logits = a * (d_adj - (a * d_adj).sum(axis=1, keepdims=True))
                 d_gram = d_logits * (e @ e.T > 0)
                 d_emb_graph = (d_gram + d_gram.T) @ e
             dh = _flat(np.matmul(cache["graph"].weights_t, dh_mixed,
-                                 out=_take(work, "dh_premix", (b, n, cfg.mix_dim))))
+                                 out=work.take("dh_premix", (b, n, cfg.mix_dim))))
         blk = params.blocks[i]
         if f"b2_{i}" in names:
             np.matmul(ones, dh, out=grads[f"b2_{i}"])
         if f"w2_{i}" in names:
             np.matmul(dh.T, _flat(rs[i]), out=grads[f"w2_{i}"])
-        dz = np.matmul(dh, blk["w2"], out=_take(work, "dz", rows))
-        dz *= np.greater(_flat(rs[i]), 0.0, out=_take(work, "relu", rows, bool))
+        dz = np.matmul(dh, blk["w2"], out=work.take("dz", rows))
+        dz *= np.greater(_flat(rs[i]), 0.0, out=work.take("relu", rows, bool))
         if f"b1_{i}" in names:
             np.matmul(ones, dz, out=grads[f"b1_{i}"])
         if f"w1_{i}" in names:
             np.matmul(dz.T, _flat(hs[i]), out=grads[f"w1_{i}"])
-        dh += np.matmul(dz, blk["w1"], out=_take(work, "dz_w1", rows))
+        dh += np.matmul(dz, blk["w1"], out=work.take("dz_w1", rows))
 
     du = dh[:, :ch]
     if "w_x" in names:
@@ -287,10 +289,11 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
         config: TrainConfig, trainable=None):
     """Train with seeded shuffling, keep the best validation snapshot.
 
-    Stops on patience exhaustion, the epoch cap, or a non-finite loss (the
-    report's stopping_reason says which). The model's embedding slot is
-    updated only when the adaptive strategy (or an explicit trainable list)
-    includes it; otherwise it is untouched, bit for bit.
+    Stops on patience exhaustion or the epoch cap (the report's
+    stopping_reason says which). A non-finite loss, like non-finite
+    activations in `forward`, raises FloatingPointError. The model's embedding
+    slot is updated only when the adaptive strategy (or an explicit trainable
+    list) includes it; otherwise it is untouched, bit for bit.
     """
     if not train_windows or not val_windows:
         raise ValueError("train and validation windows must be non-empty")
@@ -330,10 +333,7 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
             loss, lgrad = masked_mae_loss(pred, y_batch, normalizer, mask=mask,
                                           work=work)
             if not np.isfinite(loss):
-                report.stopping_reason = "diverged"
-                report.best_epoch = stopper.best_epoch
-                report.best_val_mae = stopper.best
-                return best, report
+                raise FloatingPointError("non-finite training loss")
             grads = backward(params, cache, lgrad, trainable=names)
             adam_step(state, params, grads, config.lr,
                       grad_clip_norm=config.grad_clip_norm)

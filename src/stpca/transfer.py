@@ -82,7 +82,7 @@ def with_strategy(params, strategy, series, step_range, normalizer, proj=None,
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _transfer(params, normalizer, proj, target_series, plan, protocol, horizons,
+def _transfer(params, normalizer, proj, target_series, plan, protocol,
               finetune_config=None):
     """Split the target, fill the embedding slot from its prefix, then score.
 
@@ -110,11 +110,11 @@ def _transfer(params, normalizer, proj, target_series, plan, protocol, horizons,
     if plan.strategy == "pca_emb":
         meta["tensor_normalizer"] = [tensor_norm.mean, tensor_norm.std]
     eval_windows = make_windows(target_series, eval_range, cfg.l1, cfg.l2)
-    return evaluate(scored, None, eval_windows, normalizer, horizons, metadata=meta)
+    return evaluate(scored, None, eval_windows, normalizer, metadata=meta)
 
 
 def cross_year_eval(params, source_normalizer, source_proj, target_series,
-                    plan: TransferPlan, horizons=None, finetune_config=None):
+                    plan: TransferPlan, finetune_config=None):
     """Same sensors, later data: apply one embedding strategy, then score.
 
     The model and its normalizer come from the source year; the target must
@@ -124,11 +124,11 @@ def cross_year_eval(params, source_normalizer, source_proj, target_series,
         raise DataError(f"cross-year target has {target_series.num_nodes} nodes, "
                         f"model has {params.num_nodes}")
     return _transfer(params, source_normalizer, source_proj, target_series, plan,
-                     "cross_year", horizons, finetune_config)
+                     "cross_year", finetune_config)
 
 
 def zero_shot_transfer(params, source_normalizer, source_proj, target_series,
-                       plan: TransferPlan, horizons=None):
+                       plan: TransferPlan):
     """Foreign node set, no weight updates: recompute only the embedding.
 
     Only pca_emb builds a table for nodes the model never saw, so any other
@@ -138,7 +138,7 @@ def zero_shot_transfer(params, source_normalizer, source_proj, target_series,
         raise DataError(f"only a PCA table transfers to another node set (model "
                         f"{params.num_nodes} nodes, target {target_series.num_nodes})")
     return _transfer(params, source_normalizer, source_proj, target_series, plan,
-                     "zero_shot", horizons)
+                     "zero_shot")
 
 
 def historical_average_baseline(target_series, eval_range, l1=12, l2=12,

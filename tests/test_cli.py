@@ -4,6 +4,8 @@ import inspect
 import json
 import math
 import os
+import pathlib
+import re
 import shutil
 import warnings
 
@@ -190,6 +192,28 @@ class TestFaultExits:
                        "--out", str(tmp_path / "r.json")) == 2
         assert_one_line_error(capsys, "config error: ")
 
+    @pytest.mark.parametrize("command", ["transfer", "export-embeddings"])
+    def test_removed_flag_exit_2(self, synth_dir, trained_dir, tmp_path, command):
+        model = ["--model", str(trained_dir / "model.stpf")]
+        if command == "transfer":
+            argv = [*model, "--target", str(synth_dir / "shifted.csv"),
+                    "--csv-out", str(tmp_path / "cmp.csv")]
+        else:
+            argv = [*model, "--graph-out", str(tmp_path / "g.csv"),
+                    "--min-weight", "0.1"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *argv)
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_diverging_training_exit_1(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, synth_dir / "train.csv", tmp_path / "o",
+                     extra="train.lr=1e300\n")
+        assert run_cli("train", "--config", str(cfg)) == 1
+        assert_one_line_error(capsys, "error: ")
+        assert not (tmp_path / "o" / "model.stpf").exists()
+
 
 class TestTrain:
     def test_artifacts(self, synth_dir, tmp_path):
@@ -225,11 +249,16 @@ class TestTrain:
         assert not (out / "proj.stpj").exists()
 
     def test_unknown_key_exit_2(self, synth_dir, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        write_config(cfg, synth_dir / "train.csv", tmp_path / "o",
-                     extra="model.banana=1\n")
-        assert run_cli("train", "--config", str(cfg)) == 2
-        assert "model.banana" in capsys.readouterr().err
+        # a removed option must fail loudly, not be ignored
+        for line in ("model.banana=1", "embedding.center=true",
+                     "data.include_zeros_in_norm=true"):
+            cfg = tmp_path / "bad.cfg"
+            write_config(cfg, synth_dir / "train.csv", tmp_path / "o",
+                         extra=line + "\n")
+            assert run_cli("train", "--config", str(cfg)) == 2
+            err = assert_one_line_error(capsys, "config error: ")
+            assert f"unknown key {line.split('=')[0]!r}" in err
+            assert not (tmp_path / "o").exists()
 
 
 @pytest.fixture(scope="module")
@@ -315,14 +344,10 @@ class TestTransfer:
                        "--strategies", "vanilla,zero,pca,finetune",
                        "--adaptation-fraction", "0.3",
                        "--include-baseline",
-                       "--out", str(out),
-                       "--csv-out", str(tmp_path / "cmp.csv")) == 0
+                       "--out", str(out)) == 0
         entries = json.loads(out.read_text())
         assert [e["strategy"] for e in entries] == [
             "vanilla", "zero", "pca", "finetune", "hist_avg"]
-        csv_lines = (tmp_path / "cmp.csv").read_text().splitlines()
-        assert csv_lines[0] == "strategy,horizon,mae,rmse,mape"
-        assert len(csv_lines) == 1 + 5 * 3  # 5 strategies x (H3, H6, avg)
 
     def test_refit_flag_recorded(self, synth_dir, trained_dir, tmp_path):
         out = tmp_path / "cmp.json"
@@ -508,10 +533,10 @@ class TestExportAndReport:
         graph = tmp_path / "graph.csv"
         assert run_cli("export-embeddings", "--model",
                        str(trained_dir / "model.stpf"), "--out", str(emb),
-                       "--graph-out", str(graph), "--min-weight", "0.0") == 0
+                       "--graph-out", str(graph)) == 0
         lines = graph.read_text().splitlines()
         assert lines[0] == "src,dst,weight"
-        assert len(lines) == 1 + 8 * 8  # dense export at min-weight 0
+        assert len(lines) == 1 + 8 * 8  # every node pair
 
     def test_report_rendering(self, synth_dir, trained_dir, tmp_path, capsys):
         rep = tmp_path / "r.json"
@@ -623,6 +648,53 @@ class TestNoUnusedKnobs:
             if not isinstance(action, argparse._HelpAction)
             and action.dest not in read)
         assert unread == []
+
+
+class TestReadme:
+    """The README names only config keys and flags that the CLI has."""
+
+    @staticmethod
+    def commands():
+        """Each inline code span, and each code-block line with its `\\`
+        continuations joined."""
+        text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S)
+        lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+        prose = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+        return lines + re.findall(r"`([^`\n]+)`", prose)
+
+    def test_config_keys_exist(self):
+        sections = "|".join(sorted({key.split(".")[0] for key in CONFIG_KEYS}))
+        name = rf"(?:{sections})\.[a-z0-9_]+"
+        # a whole code span, or the key of a (commented-out) key=value line
+        named = {m for text in self.commands()
+                 for m in re.findall(rf"^#?\s*({name})(?:=|$)", text.strip())
+                 if not m.endswith((".stpf", ".stpj"))}  # `model.stpf` is a file
+        assert {"data.csv", "model.theta", "transfer.adaptation_fraction"} <= named
+        assert sorted(named - set(CONFIG_KEYS)) == []
+
+    def test_flags_exist(self):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        flags = {name: {s for a in p._actions for s in a.option_strings}
+                 for name, p in sub.choices.items()}
+        everywhere = set().union(*flags.values())
+        shown = []
+        for text in self.commands():
+            words = text.split(" #")[0].split()
+            words = words[1:] if words[:1] == ["stpca"] else words
+            if words and words[0] in flags:  # a subcommand line
+                known = flags[words[0]]
+            elif words and words[0].startswith("--"):  # a flag on its own
+                known = everywhere
+            else:  # another program's command line (pip, pytest) or prose
+                continue
+            for word in words:
+                flag = word.split("=")[0]
+                if flag.startswith("--"):
+                    shown.append(flag)
+                    assert flag in known, f"{flag} in {text!r}"
+        assert {"--proj", "--graph-out", "--include-baseline"} <= set(shown)
 
 
 def flip_bits(raw, positions):

@@ -380,6 +380,10 @@ class TestNormalizer:
         assert math.isclose(norm.std, math.sqrt(5), rel_tol=1e-12)
         assert math.isclose(norm.apply(2.0), -3 / math.sqrt(5), rel_tol=1e-12)
         assert math.isclose(norm.apply(2.0), -1.34164, abs_tol=5e-6)
+        # zeros mark missing cells, and they count in the statistics
+        vals = np.array([[0.0], [4.0], [0.0], [8.0]])
+        s = make_series(4, n_nodes=1, steps_per_day=2, values=vals)
+        assert fit_normalizer(s, (0, 4)).mean == 3.0
 
     def test_zero_variance(self):
         vals = np.full((4, 1), 7.0)
@@ -392,14 +396,6 @@ class TestNormalizer:
         norm = Normalizer(mean=13.7, std=4.2)
         x = rng.normal(size=(50, 7)) * 100
         np.testing.assert_allclose(norm.invert(norm.apply(x)), x, atol=1e-12)
-
-    def test_exclude_zeros_option(self):
-        vals = np.array([[0.0], [4.0], [0.0], [8.0]])
-        s = make_series(4, n_nodes=1, steps_per_day=2, values=vals)
-        with_zeros = fit_normalizer(s, (0, 4))
-        without = fit_normalizer(s, (0, 4), include_zeros=False)
-        assert with_zeros.mean == 3.0
-        assert without.mean == 6.0
 
 
 class TestWindows:

@@ -149,7 +149,7 @@ class TestHorizonReport:
         rep = HorizonReport(horizons={"3": m, "avg": m},
                             metadata={"dataset": "synth", "strategy": "pca",
                                       "seed": 7, "note": "x"})
-        blob = json.loads(rep.to_json())
+        blob = json.loads(json.dumps(rep.to_json_dict()))
         assert blob["dataset"] == "synth"
         assert blob["strategy"] == "pca"
         assert blob["seed"] == 7

@@ -131,12 +131,6 @@ class TestFitProjection:
         with pytest.raises(ValueError, match="n_components"):
             fit_projection(z2, n_components=7)
 
-    def test_uncentered_mode(self):
-        rng = np.random.default_rng(9)
-        z = day_tensor(rng.normal(size=(5, 4, 6)) + 3.0)
-        proj = fit_projection(z, n_components=2, center=False)
-        np.testing.assert_array_equal(proj.mean, np.zeros(6))
-
     def test_invariants_on_fitted_projections(self):
         rng = np.random.default_rng(11)
         for _ in range(5):

@@ -139,6 +139,16 @@ class TestMaskedMaeLoss:
             assert loss == float(np.abs(diff).sum() / count)
             assert grad.tobytes() == (np.sign(diff) * (NORM.std / count)).tobytes()
 
+    def test_direct_calls_return_fresh_gradients(self):
+        rng = np.random.default_rng(7)
+        target = rng.uniform(1, 20, size=(3, 4, 5))
+        _, first = masked_mae_loss(rng.normal(size=target.shape), target, NORM)
+        kept = first.copy()
+        target[0] = 0.0  # another cell count, so other gradient values
+        _, second = masked_mae_loss(rng.normal(size=target.shape), target, NORM)
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, kept)
+
     def test_finite_difference_on_loss(self):
         rng = np.random.default_rng(1)
         target = rng.uniform(1, 20, size=(2, 3, 4))
@@ -194,6 +204,21 @@ class TestBackward:
         for name in g1:
             np.testing.assert_allclose(g2[name], 2 * g1[name], atol=1e-12)
 
+    @pytest.mark.parametrize("use_graph", [False, True])
+    def test_direct_calls_return_fresh_gradients(self, use_graph):
+        params = init_params(toy_config(use_graph=use_graph), 5, seed=0)
+
+        def gradients(seed):
+            x, y, ti, di = batch(toy_windows(3, seed=seed))
+            pred, cache = forward(params, None, x, ti, di, cache=True)
+            return backward(params, cache, masked_mae_loss(pred, y, NORM)[1])
+
+        first = gradients(1)
+        kept = first.flat.copy()
+        second = gradients(2)
+        assert not np.shares_memory(first.flat, second.flat)
+        np.testing.assert_array_equal(first.flat, kept)
+
     # with two blocks the graph block (block 0) receives block 1's gradient
     @pytest.mark.parametrize("num_blocks,use_graph", [
         pytest.param(1, False, id="False"),
@@ -242,7 +267,9 @@ class TestBackward:
         pred, cache = forward(params, None, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
         names = list(params.tensors())
-        full = backward(params, cache, lgrad, trainable=names)
+        # a copy: a backward of the same cache and names reuses its vector
+        full = {name: g.copy() for name, g in
+                backward(params, cache, lgrad, trainable=names).items()}
         requested = names if requested is None else requested
 
         class NumpyWithoutScatter:
@@ -519,6 +546,19 @@ class TestFit:
         _, report = fit(params, train, val, NORM, cfg)
         assert len(report.epochs) == 1
         assert report.stopping_reason == "max_epochs"
+
+    def test_diverging_fit_raises(self):
+        train, val = self.make_data()
+        cfg = TrainConfig(lr=1e300, max_epochs=2, patience=1, batch_size=8, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="non-finite activations"):
+            fit(init_params(toy_config(), 5, seed=0), train, val, NORM, cfg)
+        # finite outputs whose loss overflows in original units
+        params = init_params(toy_config(), 5, seed=0)
+        params.b_o[:] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="non-finite training loss"):
+            fit(params, train, val, NORM, cfg)
 
     def test_same_seed_identical_reports(self):
         train, val = self.make_data()
