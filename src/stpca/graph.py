@@ -1,7 +1,6 @@
 """Row-stochastic adaptive adjacency built from node embeddings."""
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -27,15 +26,6 @@ class AdaptiveGraph:
     @property
     def num_nodes(self) -> int:
         return self.weights.shape[0]
-
-    @cached_property
-    def weights_t(self) -> np.ndarray:
-        """C-contiguous transpose, made once per graph for the backward mix.
-
-        `weights_t @ dh` runs BLAS's NN kernel where `weights.T @ dh` takes the
-        slower TN kernel; the products are bit-identical.
-        """
-        return np.ascontiguousarray(self.weights.T)
 
 
 def row_softmax(logits: np.ndarray) -> np.ndarray:
@@ -63,16 +53,21 @@ def build_adaptive_graph(embedding) -> AdaptiveGraph:
     return AdaptiveGraph(weights=row_softmax(logits))
 
 
-def graph_mix(g: AdaptiveGraph, h: np.ndarray, out=None) -> np.ndarray:
+def graph_mix(g: AdaptiveGraph, h: np.ndarray, out=None, per_window=False):
     """One propagation step: each node receives the weighted mean of its neighbors.
 
-    h is [N x F] or a batch [B x N x F]; a batch is one BLAS matmul per row.
-    The result goes to `out` when it is given.
+    h is node-major, [N x ...]: a batch [N x B x F] mixes in one [N x N] @
+    [N x B*F] GEMM, into `out` (C-contiguous) when it is given. BLAS picks
+    kernels by shape, so a column's bits can depend on the rest of its call:
+    `per_window` runs one GEMM per window, whose bits the batch cannot change.
     """
     h = np.asarray(h, dtype=np.float64)
-    rows = h.shape[-2] if h.ndim > 1 else len(h)
-    if rows != g.num_nodes:
-        raise ValueError(
-            f"feature rows ({rows}) do not match graph nodes ({g.num_nodes})"
-        )
-    return np.matmul(g.weights, h, out=out)
+    if len(h) != g.num_nodes:
+        raise ValueError(f"feature rows ({len(h)}) do not match graph nodes "
+                         f"({g.num_nodes})")
+    out = np.empty(h.shape) if out is None else out
+    if per_window:
+        np.matmul(g.weights, h.swapaxes(0, 1), out=out.swapaxes(0, 1))
+    else:
+        np.matmul(g.weights, h.reshape(len(h), -1), out=out.reshape(len(h), -1))
+    return out

@@ -3,6 +3,9 @@
 Every weight is shared across nodes; the only per-node quantity is the
 embedding table. That is what lets a trained model run on a different node set
 once the table is swapped, and what the optional graph step mixes over.
+Activations are held node-major, [N x B x F]: node-shared weights see one flat
+row axis, and the graph mix is one [N x N] @ [N x B*F] GEMM. `forward` takes
+and returns [B x N x .] arrays, transposed views of node-major buffers.
 """
 
 import copy
@@ -17,10 +20,14 @@ from .pca import EmbeddingTable, zero_embedding
 
 # windows x nodes forwarded per `predict` call, so that a block's
 # [rows x mix_dim] activations (0.85 MB at the default sizes) stay in a core's
-# L2 cache. On one BLAS thread, budgets of 1024-2048 rows ran fastest at
-# N = 40, 170 and 307; 4096 rows took 3-9% longer per window, and 256 windows
-# at N=307 (33 MB) twice as long.
+# L2 cache. With node-major activations on one BLAS thread, 1024, 2048 and 4096
+# rows ran within 6% of each other per window at N = 40, 170 and 307, and the
+# order changed between runs (N=307 with the graph: 722/731/774, 675/702/662 us).
 PREDICT_ROWS = 2048
+# multiply-adds per BLAS call of a node-shared product, OpenBLAS's small-matrix
+# limit. One BLAS thread ran [9824 x 52] @ [52 x 52] in 2.18 ms as one call and
+# 1.49 ms in chunks of <= 369 rows (this budget); 1.62 ms at half, 2.18 at twice.
+CHUNK_MACS = 1_000_000
 
 
 @dataclass
@@ -201,20 +208,38 @@ def _in_out(w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(w.T)
 
 
+def _flat(a: np.ndarray) -> np.ndarray:
+    """[B x N x F] -> [N*B x F] node-major rows, a view of `forward`'s arrays."""
+    return np.ascontiguousarray(a.swapaxes(0, 1)).reshape(-1, a.shape[-1])
+
+
+def _rows_matmul(a: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`a @ w` into `out` for a node-shared weight w [F x F'], the leading axes of
+    both one row axis, in even chunks of at most CHUNK_MACS // (F * F') rows."""
+    a2, out2 = a.reshape(-1, a.shape[-1]), out.reshape(-1, out.shape[-1])
+    rows = len(a2)
+    chunks = -(-rows // max(1, CHUNK_MACS // w.size))
+    for i in range(chunks):
+        lo, hi = rows * i // chunks, rows * (i + 1) // chunks
+        np.matmul(a2[lo:hi], w, out=out2[lo:hi])
+    return out
+
+
 def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
             x: np.ndarray, tod_idx, dow_idx, cache: bool = False,
             graph: Optional[AdaptiveGraph] = None,
             work: Optional[Workspace] = None):
     """Run the forecaster on a normalized batch.
 
-    x: [B x N x l1]; returns predictions [B x N x l2] in normalized units.
-    With cache=True also returns the intermediates needed for the backward
-    pass. The embedding defaults to the model's own slot. With use_graph,
-    `graph` is the adaptive graph of that embedding, passed in by a caller
-    that forwards several batches while the table stays fixed; when it is
-    None the graph is built here. Activations, the cache's included, are
-    written into `work`, so the next call with it overwrites them; without
-    one the call takes a workspace of its own.
+    x: [B x N x l1], copied node-major unless it is a view of a node-major
+    array; returns predictions [B x N x l2] in normalized units. With
+    cache=True also returns the intermediates needed for the backward pass.
+    The embedding defaults to the model's own slot. With use_graph, `graph` is
+    the adaptive graph of that embedding, passed in by a caller that forwards
+    several batches while the table stays fixed; when it is None the graph is
+    built here. Activations, the cache's included, are written into `work`, so
+    the next call with it overwrites them; without one the call takes a
+    workspace of its own.
     """
     cfg = params.config
     work = Workspace() if work is None else work
@@ -228,54 +253,53 @@ def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
         raise ValueError(f"embedding dim {emb.dim} != embed_dim {cfg.embed_dim}")
 
     ch, ce, ct = cfg.hidden_dim, cfg.embed_dim, cfg.tod_dim
-    shape = (b, n, cfg.mix_dim)
+    shape = (n, b, cfg.mix_dim)
     # activation k goes to buffer h{k}. The backward pass reads every one, but
     # inference reads only activation k-1 while writing k, so two alternate.
     def activation(k):
         return work.take(f"h{k if cache else k % 2}", shape)
 
     h = activation(0)  # [history features | embedding | time of day | day of week]
-    u = np.matmul(x, _in_out(params.w_x), out=h[:, :, :ch])
+    u = _rows_matmul(_flat(x), _in_out(params.w_x), h[:, :, :ch])
     u += params.b_x
-    h[:, :, ch : ch + ce] = emb.values
-    h[:, :, ch + ce : ch + ce + ct] = params.tod[tod_idx][:, None, :]
-    h[:, :, ch + ce + ct :] = params.dow[dow_idx][:, None, :]
+    h[:, :, ch : ch + ce] = emb.values[:, None, :]
+    h[:, :, ch + ce : ch + ce + ct] = params.tod[tod_idx]
+    h[:, :, ch + ce + ct :] = params.dow[dow_idx]
 
     adp = None
     if cfg.use_graph:
         adp = build_adaptive_graph(emb) if graph is None else graph
 
-    # intermediates are kept only when the backward pass will need them
-    hs, rs = [h], []
-    h_premix = None
-    k = 0
+    # intermediates ([B x N x F] views) are kept only when backward needs them
+    hs, rs = [h.swapaxes(0, 1)], []
+    h_premix, k = None, 0
     for i, blk in enumerate(params.blocks):
-        r = np.matmul(h, _in_out(blk["w1"]),
-                      out=work.take(f"r{i if cache else 0}", shape))
+        r = _rows_matmul(h, _in_out(blk["w1"]), work.take(f"r{i if cache else 0}", shape))
         r += blk["b1"]
         np.maximum(r, 0.0, out=r)  # relu in place: r > 0 exactly where z > 0
         k += 1
-        h_next = np.matmul(r, _in_out(blk["w2"]), out=activation(k))
+        h_next = _rows_matmul(r, _in_out(blk["w2"]), activation(k))
         h_next += h
         h_next += blk["b2"]
         if cfg.use_graph and i == 0:
-            h_premix = h_next
+            h_premix = h_next.swapaxes(0, 1)
             k += 1
-            h_next = graph_mix(adp, h_next, out=activation(k))
+            # inference mixes per window: a prediction is the same in any block
+            h_next = graph_mix(adp, h_next, out=activation(k), per_window=not cache)
         if not _all_finite(h_next, work):
             raise FloatingPointError(f"non-finite activations in block {i}")
         if cache:
-            rs.append(r)
-            hs.append(h_next)
+            rs.append(r.swapaxes(0, 1))
+            hs.append(h_next.swapaxes(0, 1))
         h = h_next
 
-    y = np.matmul(h, _in_out(params.w_o), out=work.take("y", (b, n, cfg.l2)))
+    y = _rows_matmul(h, _in_out(params.w_o), work.take("y", (n, b, cfg.l2)))
     y += params.b_o
     if not _all_finite(y, work):
         raise FloatingPointError("non-finite output")
     if not cache:
-        return y
-    return y, {
+        return y.swapaxes(0, 1)
+    return y.swapaxes(0, 1), {
         "x": x, "tod_idx": tod_idx, "dow_idx": dow_idx,
         "hs": hs, "rs": rs, "h_premix": h_premix,
         "graph": adp, "embedding": emb, "work": work,
@@ -288,22 +312,25 @@ def predict(params: ModelParams, embedding, windows, normalizer,
 
     A block holds max(1, PREDICT_ROWS // N) windows. The adaptive graph is
     built once per pass, since the table is fixed for the whole pass. Every
-    block is normalized, forwarded and de-normalized through one set of
-    buffers; a window's prediction does not depend on the block it falls in.
+    block is normalized into a node-major buffer, forwarded and de-normalized
+    through one set of buffers; a window's prediction does not depend on the
+    block it falls in.
     Those buffers, and the predictions, come from `work`, so a caller that
     scores every epoch allocates them once; without one the pass takes a
     workspace of its own.
     """
     emb = params.embedding if embedding is None else embedding
     graph = build_adaptive_graph(emb) if params.config.use_graph else None
-    step = max(1, PREDICT_ROWS // windows.history.shape[1])
+    _, n, l1 = windows.history.shape
+    step = max(1, PREDICT_ROWS // n)
     work = Workspace() if work is None else work
     pred = work.take("pred", windows.history.shape[:2] + (params.config.l2,))
     for lo in range(0, len(windows), step):
         hi = lo + step
         history = windows.history[lo:hi]
-        x = normalizer.apply(history, out=work.take("x", history.shape))
-        y = forward(params, embedding, x, windows.tod[lo:hi], windows.dow[lo:hi],
-                    graph=graph, work=work)
-        normalizer.invert(y, out=pred[lo:hi])
+        x = normalizer.apply(history.swapaxes(0, 1),
+                             out=work.take("x", (n, len(history), l1)))
+        y = forward(params, embedding, x.swapaxes(0, 1), windows.tod[lo:hi],
+                    windows.dow[lo:hi], graph=graph, work=work)
+        normalizer.invert(y.swapaxes(0, 1), out=pred[lo:hi].swapaxes(0, 1))
     return pred

@@ -10,7 +10,7 @@ import numpy as np
 from .dataset import Normalizer
 from .graph import build_adaptive_graph
 from .metrics import masked_mae
-from .model import ModelParams, Workspace, forward, predict
+from .model import ModelParams, Workspace, _flat, _rows_matmul, forward, predict
 
 
 @dataclass
@@ -44,10 +44,10 @@ def masked_mae_loss(pred: np.ndarray, target: np.ndarray, normalizer: Normalizer
 
     pred is normalized, target is raw; predictions are de-normalized inside so
     the masking matches evaluation exactly. Returns (loss, d loss / d pred).
-    `mask` is `target != 0` when the caller has it already. The gradient is
-    written into `work`, or without one into a workspace of the call's own. A
-    batch with no valid cells yields (nan, zeros) and a warning; callers skip
-    it rather than fail.
+    `mask` is `target != 0` when the caller has it already. Passes walk pred's
+    memory order, and the gradient, laid out like pred, goes into `work` or
+    else a workspace of the call's own. A batch with no valid cells yields
+    (nan, zeros) and a warning; callers skip it rather than fail.
     """
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
@@ -58,13 +58,15 @@ def masked_mae_loss(pred: np.ndarray, target: np.ndarray, normalizer: Normalizer
         warnings.warn("batch skipped: no valid (nonzero) targets")
         return float("nan"), np.zeros_like(pred)
     work = Workspace() if work is None else work
+    axes = sorted(range(pred.ndim), key=lambda k: -pred.strides[k])  # memory order
+    pred, target, mask = (a.transpose(axes) for a in (pred, target, mask))
     denorm = normalizer.invert(pred, out=work.take("loss_denorm", pred.shape))
     diff = np.subtract(denorm, target, out=work.take("loss_diff", pred.shape))
     diff *= mask  # masked cells become +-0.0, which abs and sign both map to +0.0
     loss = float(np.abs(diff, out=denorm).sum() / count)
     grad = np.sign(diff, out=denorm)  # sign(0) = 0 covers ties; in place is slower
     grad *= normalizer.std / count
-    return loss, grad
+    return loss, grad.transpose(sorted(range(len(axes)), key=axes.__getitem__))
 
 
 class FlatTensors(dict):
@@ -81,32 +83,20 @@ class FlatTensors(dict):
             lo = hi
 
 
-def _flat(a: np.ndarray) -> np.ndarray:
-    """[B x N x F] -> [B*N x F] view: batch and node axes contract together."""
-    return a.reshape(-1, a.shape[-1])
-
-
-def _node_major(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """[B x N x F] -> [N x B*F] copy into `out`, so a node-pair contraction
-    is one matmul."""
-    b, n, f = a.shape
-    np.copyto(out.reshape(n, b, f), a.transpose(1, 0, 2))
-    return out
-
-
 def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
              trainable=None):
     """Exact gradients of the cached forward pass for the requested tensors.
 
     `trainable` names the tensors (default: the model's trainable ones); only
     their gradients are computed, while the `dh` chain runs through every
-    block. Batch and node axes are contracted as one flat [B*N] axis, so
-    every weight gradient is a single BLAS matmul and every bias sum a
-    ones-vector product. The graph's share of the embedding gradient is
-    computed only when the embedding is requested. The gradients are views
-    of one flat vector in `trainable` order (a `FlatTensors`); it and every
-    temporary come from the forward pass's workspace, so a later backward of
-    the same cache and names writes into the same vector.
+    block. Batch and node axes are contracted as one flat node-major [N*B]
+    axis, so every weight gradient is a single BLAS matmul, every bias sum a
+    ones-vector product and each graph product one GEMM on [N x B*F] views.
+    The graph's share of the embedding gradient is computed only when the
+    embedding is requested. The gradients are views of one flat vector in
+    `trainable` order (a `FlatTensors`); it and every temporary come from the
+    forward pass's workspace, so a later backward of the same cache and names
+    writes into the same vector.
     """
     cfg = params.config
     names = params.trainable_names() if trainable is None else list(trainable)
@@ -115,7 +105,7 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
     x = cache["x"]
     b, n, _ = x.shape
     ch, ce, ct = cfg.hidden_dim, cfg.embed_dim, cfg.tod_dim
-    rows = (b * n, cfg.mix_dim)
+    rows = (n * b, cfg.mix_dim)
     ones = work.take("ones", (b * n,))
     ones.fill(1.0)
 
@@ -130,38 +120,35 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
         np.matmul(dy.T, _flat(hs[-1]), out=grads["w_o"])
     if "b_o" in names:
         np.matmul(ones, dy, out=grads["b_o"])
-    dh = np.matmul(dy, params.w_o, out=work.take("dh", rows))
+    dh = _rows_matmul(dy, params.w_o, work.take("dh", rows))
 
     d_emb_graph = None
     for i in range(cfg.num_blocks - 1, -1, -1):
         if cfg.use_graph and i == 0:
             a = cache["graph"].weights
-            dh_mixed = dh.reshape(b, n, -1)
+            dh_mixed = dh.reshape(n, -1)
             if "embedding" in names:
                 # mixing weights -> softmax rows -> relu -> gram -> embedding
-                nm_shape = (n, b * cfg.mix_dim)
-                d_adj = np.matmul(
-                    _node_major(dh_mixed, work.take("dh_node_major", nm_shape)),
-                    _node_major(cache["h_premix"], work.take("h_node_major", nm_shape)).T,
-                    out=work.take("d_adj", (n, n)))
+                d_adj = np.matmul(dh_mixed, _flat(cache["h_premix"]).reshape(n, -1).T,
+                                  out=work.take("d_adj", (n, n)))
                 e = cache["embedding"].values
                 d_logits = a * (d_adj - (a * d_adj).sum(axis=1, keepdims=True))
                 d_gram = d_logits * (e @ e.T > 0)
                 d_emb_graph = (d_gram + d_gram.T) @ e
-            dh = _flat(np.matmul(cache["graph"].weights_t, dh_mixed,
-                                 out=work.take("dh_premix", (b, n, cfg.mix_dim))))
+            dh = np.matmul(a.T, dh_mixed,
+                           out=work.take("dh_premix", dh_mixed.shape)).reshape(rows)
         blk = params.blocks[i]
         if f"b2_{i}" in names:
             np.matmul(ones, dh, out=grads[f"b2_{i}"])
         if f"w2_{i}" in names:
             np.matmul(dh.T, _flat(rs[i]), out=grads[f"w2_{i}"])
-        dz = np.matmul(dh, blk["w2"], out=work.take("dz", rows))
+        dz = _rows_matmul(dh, blk["w2"], work.take("dz", rows))
         dz *= np.greater(_flat(rs[i]), 0.0, out=work.take("relu", rows, bool))
         if f"b1_{i}" in names:
             np.matmul(ones, dz, out=grads[f"b1_{i}"])
         if f"w1_{i}" in names:
             np.matmul(dz.T, _flat(hs[i]), out=grads[f"w1_{i}"])
-        dh += np.matmul(dz, blk["w1"], out=work.take("dz_w1", rows))
+        dh += _rows_matmul(dz, blk["w1"], work.take("dz_w1", rows))
 
     du = dh[:, :ch]
     if "w_x" in names:
@@ -169,18 +156,18 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
     if "b_x" in names:
         np.matmul(ones, du, out=grads["b_x"])
 
-    dh = dh.reshape(b, n, -1)
+    dh = dh.reshape(n, b, -1)
     if "embedding" in names:
-        d_emb = np.sum(dh[:, :, ch : ch + ce], axis=0, out=grads["embedding"])
+        d_emb = np.sum(dh[:, :, ch : ch + ce], axis=1, out=grads["embedding"])
         if d_emb_graph is not None:
             d_emb += d_emb_graph
     if "tod" in names:
         grads["tod"].fill(0.0)
         np.add.at(grads["tod"], cache["tod_idx"],
-                  dh[:, :, ch + ce : ch + ce + ct].sum(axis=1))
+                  dh[:, :, ch + ce : ch + ce + ct].sum(axis=0))
     if "dow" in names:
         grads["dow"].fill(0.0)
-        np.add.at(grads["dow"], cache["dow_idx"], dh[:, :, ch + ce + ct :].sum(axis=1))
+        np.add.at(grads["dow"], cache["dow_idx"], dh[:, :, ch + ce + ct :].sum(axis=0))
 
     if not np.isfinite(grads.flat).all():
         for name, g in grads.items():  # name the first bad tensor
@@ -299,6 +286,7 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
         raise ValueError("train and validation windows must be non-empty")
     names = params.trainable_names() if trainable is None else list(trainable)
     n_train = len(train_windows)
+    (_, n, l1), l2 = train_windows.history.shape, train_windows.target.shape[2]
     # a table that no step updates keeps one graph for the whole fit
     frozen_graph = None
     if params.config.use_graph and "embedding" not in names:
@@ -317,21 +305,21 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
         losses = []
         for lo in range(0, n_train, config.batch_size):
             idx = perm[lo : lo + config.batch_size]
-            # the batch in C-contiguous buffers: a gather keeps the windows'
-            # transposed layout, which every elementwise pass would walk
-            y_batch = work.take("y_batch", (len(idx),) + train_windows.target.shape[1:])
-            y_batch[...] = train_windows.target[idx]
+            # the batch gathered straight into node-major [N x B x .] buffers;
+            # forward and the loss take their [B x N x .] transposed views
+            y_batch = work.take("y_batch", (n, len(idx), l2))
+            np.copyto(y_batch, train_windows.target[idx].swapaxes(0, 1))
             mask = np.not_equal(y_batch, 0.0, out=work.take("mask", y_batch.shape, bool))
             if not mask.any():
                 warnings.warn("batch skipped: no valid (nonzero) targets")
                 continue
-            x = train_windows.history[idx]
-            x = normalizer.apply(x, out=work.take("x", x.shape))
-            pred, cache = forward(params, None, x, train_windows.tod[idx],
+            x = work.take("x", (n, len(idx), l1))
+            normalizer.apply(train_windows.history[idx].swapaxes(0, 1), out=x)
+            pred, cache = forward(params, None, x.swapaxes(0, 1), train_windows.tod[idx],
                                   train_windows.dow[idx], cache=True,
                                   graph=frozen_graph, work=work)
-            loss, lgrad = masked_mae_loss(pred, y_batch, normalizer, mask=mask,
-                                          work=work)
+            loss, lgrad = masked_mae_loss(pred, y_batch.swapaxes(0, 1), normalizer,
+                                          mask=mask.swapaxes(0, 1), work=work)
             if not np.isfinite(loss):
                 raise FloatingPointError("non-finite training loss")
             grads = backward(params, cache, lgrad, trainable=names)

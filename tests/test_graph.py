@@ -102,12 +102,31 @@ class TestGraphMix:
     def test_batch_mixes_each_row(self):
         rng = np.random.default_rng(6)
         g = build_adaptive_graph(rng.normal(size=(5, 3)))
-        h = rng.normal(size=(4, 5, 7))
+        h = rng.normal(size=(5, 4, 7))  # [N x B x F]
         mixed = graph_mix(g, h)
+        assert mixed.shape == h.shape
+        np.testing.assert_array_equal(mixed.reshape(5, -1),
+                                      g.weights @ h.reshape(5, -1))
         for b in range(4):
-            np.testing.assert_allclose(mixed[b], g.weights @ h[b], rtol=1e-14)
+            np.testing.assert_allclose(mixed[:, b], g.weights @ h[:, b], rtol=1e-14)
+        out = np.empty_like(h)
+        assert graph_mix(g, h, out=out) is out
+        np.testing.assert_array_equal(out, mixed)
         with pytest.raises(ValueError, match=r"feature rows \(6\)"):
-            graph_mix(g, np.zeros((4, 6, 7)))
+            graph_mix(g, np.zeros((6, 4, 7)))
+
+    @pytest.mark.parametrize("n", [5, 40, 307])
+    def test_per_window_bits_independent_of_batch(self, n):
+        # one [N x F] GEMM per window: a window's bits are those of a batch of
+        # one, whatever batch it is mixed in
+        rng = np.random.default_rng(7)
+        g = build_adaptive_graph(rng.normal(size=(n, 4)))
+        h = rng.normal(size=(n, 7, 52))
+        mixed = graph_mix(g, h, out=np.empty_like(h), per_window=True)
+        for b in range(7):
+            np.testing.assert_array_equal(mixed[:, b], graph_mix(g, h[:, b]))
+            np.testing.assert_array_equal(
+                mixed[:, b], graph_mix(g, h[:, b : b + 1], per_window=True)[:, 0])
 
     def test_preserves_constant_vectors(self):
         rng = np.random.default_rng(5)

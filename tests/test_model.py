@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stpca import model
+from stpca import model, training
 from stpca.dataset import Normalizer, Windows
 from stpca.model import ModelConfig, forward, init_params, predict, set_embedding
 from stpca.pca import EmbeddingTable, zero_embedding
@@ -280,6 +280,62 @@ class TestPredictBlocks:
         assert all(r <= max(model.PREDICT_ROWS, n_nodes) for r in rows)
         assert sum(args[2].shape[0] for args, _ in fwd.calls) == len(ws)
         assert len(fwd.calls) == -(-len(ws) // max(1, model.PREDICT_ROWS // n_nodes))
+
+
+class TestPemsShape:
+    """The PEMS sizes: N=307, B=32, mix_dim 52. There BLAS runs the mix as a
+    packed GEMM rather than through its small-matrix kernel, as at N=5."""
+
+    N, B = 307, 32
+
+    def batch(self, use_graph):
+        params = init_params(ModelConfig(use_graph=use_graph), self.N, seed=4)
+        rng = np.random.default_rng(9)
+        for tensor in params.tensors().values():
+            tensor += rng.normal(0, 0.1, size=tensor.shape)
+        x = rng.normal(size=(self.B, self.N, 12))
+        return params, x, rng.integers(0, 288, self.B), rng.integers(0, 7, self.B)
+
+    @pytest.mark.parametrize("use_graph", [False, True])
+    def test_matches_einsum_reference(self, use_graph):
+        params, x, ti, di = self.batch(use_graph)
+        reference = einsum_forward(params, x, ti, di)
+        scale = np.abs(reference).max()
+        for cache in (False, True):
+            out = forward(params, None, x, ti, di, cache=cache)
+            out = out[0] if cache else out
+            assert np.abs(out - reference).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("use_graph", [False, True])
+    def test_layout_guard(self, use_graph):
+        params, x, ti, di = self.batch(use_graph)
+        node_major = np.ascontiguousarray(x.swapaxes(0, 1)).swapaxes(0, 1)
+        assert not node_major.flags.c_contiguous
+        np.testing.assert_array_equal(node_major, x)
+        for cache in (False, True):
+            plain = forward(params, None, x, ti, di, cache=cache)
+            viewed = forward(params, None, node_major, ti, di, cache=cache)
+            if cache:
+                plain, viewed = plain[0], viewed[0]
+            assert plain.tobytes() == viewed.tobytes()
+
+        work = model.Workspace()
+        pred, cache = forward(params, None, node_major, ti, di, cache=True, work=work)
+        held = cache["hs"] + cache["rs"] + [pred]
+        if use_graph:
+            held.append(cache["h_premix"])
+        for a in held:
+            assert a.shape[:2] == (self.B, self.N)
+            assert a.swapaxes(0, 1).flags.c_contiguous
+        training.backward(params, cache, np.ones_like(pred))
+        # every full-size buffer of a step holds an activation, a relu mask or
+        # the gradient of one; none is a node-major copy of another
+        per_step = {"h0", "h1", "h2", "r0", "r1", "finite", "dh", "dz", "relu", "dz_w1"}
+        if use_graph:
+            per_step |= {"h3", "dh_premix"}
+        rows = self.N * self.B * params.config.mix_dim
+        full_size = {name for name, buf in work._buffers.items() if buf.size >= rows}
+        assert full_size == per_step
 
 
 class TestSetEmbedding:

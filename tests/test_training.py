@@ -343,16 +343,42 @@ class TestBackward:
         _, lgrad = masked_mae_loss(pred, y, NORM)
         full = backward(params, cache, lgrad, trainable=list(params.tensors()))
 
-        def no_node_major(a):
-            raise AssertionError("graph-embedding chain ran for a frozen table")
+        take = model.Workspace.take
 
-        monkeypatch.setattr(training, "_node_major", no_node_major)
+        def take_no_adjacency_gradient(work, name, *args):
+            if name == "d_adj":
+                raise AssertionError("graph-embedding chain ran for a frozen table")
+            return take(work, name, *args)
+
+        monkeypatch.setattr(model.Workspace, "take", take_no_adjacency_gradient)
         grads = backward(params, cache, lgrad)
         assert set(grads) == set(params.trainable_names())
         for name, g in grads.items():
             np.testing.assert_array_equal(g, full[name], err_msg=name)
         errs = finite_difference_check(params, toy_windows(6, seed=4), NORM)
         assert max(errs.values()) < 1e-4
+
+
+class TestBackwardPemsShape:
+    """The PEMS sizes: N=307, B=32, mix_dim 52. There BLAS runs the mix and its
+    transpose as packed GEMMs rather than through its small-matrix kernel."""
+
+    @pytest.mark.parametrize("use_graph", [False, True])
+    def test_matches_einsum_reference(self, use_graph):
+        params = init_params(ModelConfig(use_graph=use_graph), 307, seed=5)
+        rng = np.random.default_rng(6)
+        for tensor in params.tensors().values():
+            tensor += rng.normal(0, 0.1, size=tensor.shape)
+        x, y, ti, di = batch(toy_windows(32, n_nodes=307, l1=12, l2=12, t=288, seed=8))
+        pred, cache = forward(params, None, x, ti, di, cache=True)
+        _, lgrad = masked_mae_loss(pred, y, NORM)
+        grads = backward(params, cache, lgrad)
+        reference = einsum_backward(params, cache, lgrad)
+        assert set(grads) == set(params.trainable_names())
+        for name, g in grads.items():
+            scale = np.abs(reference[name]).max()
+            assert scale > 0, name
+            assert np.abs(g - reference[name]).max() <= 1e-12 * scale, name
 
 
 def textbook_adam(params, grads_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):
