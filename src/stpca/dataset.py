@@ -7,6 +7,7 @@ are masked out later by the loss and the metrics, not here.
 
 import csv
 import io
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from datetime import datetime, timedelta
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_pieces
 
 MINUTES_PER_DAY = 1440
 # a value cell holding nothing but spaces and tabs
@@ -349,14 +350,14 @@ def write_series_csv(series: TrafficSeries, path):
         days=series.start_dow, minutes=series.start_slot * series.interval_minutes
     )
     step = timedelta(minutes=series.interval_minutes)
-    buf = io.StringIO()
-    csv.writer(buf).writerow(["timestamp"] + list(series.node_ids))
+    header = io.StringIO()
+    csv.writer(header).writerow(["timestamp"] + list(series.node_ids))
     # the csv module would quote none of these fields: ISO timestamps and %g
     # numbers hold no comma, quote or line break
     row_format = "%s," + ",".join(["%.17g"] * series.num_nodes) + "\r\n"
-    for s, row in enumerate(series.values):
-        buf.write(row_format % ((t0 + s * step).isoformat(), *row.tolist()))
-    atomic_write_text(path, buf.getvalue())
+    rows = ((row_format % ((t0 + s * step).isoformat(), *row.tolist())).encode()
+            for s, row in enumerate(series.values))  # streamed, one row at a time
+    atomic_write_pieces(path, itertools.chain([header.getvalue().encode("utf-8")], rows))
 
 
 def check_ratios(ratios):
@@ -421,7 +422,7 @@ def make_windows(series: TrafficSeries, step_range, l1=12, l2=12) -> Windows:
 def to_day_tensor(series: TrafficSeries, step_range) -> DayTensor:
     """Reshape the slot-0-aligned complete days inside the range to [D x N x T].
 
-    Misaligned head and tail steps are dropped, never padded.
+    Misaligned head and tail steps are dropped, never padded; the data is a copy.
     """
     lo, hi = step_range
     T = series.steps_per_day
@@ -432,7 +433,7 @@ def to_day_tensor(series: TrafficSeries, step_range) -> DayTensor:
     retained = (first, first + days * T)
     data = series.values[retained[0] : retained[1]].reshape(days, T, series.num_nodes)
     return DayTensor(
-        data=np.ascontiguousarray(data.transpose(0, 2, 1)),
+        data=data.transpose(0, 2, 1).copy(),
         step_range=retained,
     )
 

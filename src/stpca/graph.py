@@ -18,7 +18,7 @@ class AdaptiveGraph:
         n = self.weights.shape[0]
         if self.weights.shape != (n, n):
             raise ValueError("graph weights must be square")
-        if (self.weights < 0).any():
+        if self.weights.min() < 0:
             raise ValueError("negative graph weight")
         if np.abs(self.weights.sum(axis=1) - 1.0).max() > 1e-9:
             raise ValueError("rows must sum to 1")
@@ -28,14 +28,17 @@ class AdaptiveGraph:
         return self.weights.shape[0]
 
 
-def row_softmax(logits: np.ndarray) -> np.ndarray:
-    # max subtraction changes nothing mathematically, only avoids overflow;
-    # summing each row in sorted order makes its denominator independent of
-    # element order, so permuting nodes permutes the output bit-exactly
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    denom = np.cumsum(np.sort(e, axis=1), axis=1)[:, -1]
-    return e / denom[:, None]
+def row_softmax(logits: np.ndarray, out=None) -> np.ndarray:
+    # written into `out` when given, which may be `logits`. The max subtraction
+    # only avoids overflow; summing each row in sorted order makes its
+    # denominator independent of element order, so permuting nodes permutes
+    # the output bit-exactly
+    out = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    denom = np.sort(out, axis=1)  # the one scratch array
+    np.cumsum(denom, axis=1, out=denom)
+    out /= denom[:, -1:]
+    return out
 
 
 def build_adaptive_graph(embedding) -> AdaptiveGraph:
@@ -49,8 +52,9 @@ def build_adaptive_graph(embedding) -> AdaptiveGraph:
         raise ValueError("embedding must be [N x C] with N >= 1")
     if not np.isfinite(e).all():
         raise ValueError("non-finite embedding")
-    logits = np.maximum(e @ e.T, 0.0)
-    return AdaptiveGraph(weights=row_softmax(logits))
+    weights = e @ e.T  # fresh per build (a forward cache keeps it), then in place
+    np.maximum(weights, 0.0, out=weights)
+    return AdaptiveGraph(weights=row_softmax(weights, out=weights))
 
 
 def graph_mix(g: AdaptiveGraph, h: np.ndarray, out=None, per_window=False):

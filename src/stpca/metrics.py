@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import PREDICT_ROWS, predict
+from .model import PREDICT_ROWS, Workspace, _predict_blocks
 
 DEFAULT_HORIZONS = (3, 6, 12)
 
@@ -46,7 +46,7 @@ def _masked_sums(pred, target) -> np.ndarray:
     """Per-step sums over the cells with nonzero ground truth, in one pass.
 
     The one definition of which cells count (`target != 0`) and of the error
-    formulas, shared by `masked_mae`, `masked_metrics` and the horizon report.
+    formulas, shared by `masked_mae`, `masked_metrics` and every report.
     The last axis is the step axis; an array of rank < 2 is one step. Returns
     [4 x steps]: cell count, sum |e|, sum e^2 and sum |e| / |y|, e = pred - y.
 
@@ -116,6 +116,22 @@ def masked_metrics(pred: np.ndarray, target: np.ndarray) -> MetricSet:
     return _metric_set(_masked_sums(pred, target).sum(axis=1))
 
 
+def _report(pairs, horizons=None, metadata=None) -> HorizonReport:
+    """HorizonReport of (prediction, target) block pairs [b x N x l2]. Blocks of
+    max(1, PREDICT_ROWS // N) windows, as `_predict_blocks` yields, are those
+    `_masked_sums` walks, so their sums have the bits of the whole array's."""
+    sums = sum(_masked_sums(pred, target) for pred, target in pairs)
+    l2 = sums.shape[1]
+    if horizons is None:
+        horizons = tuple(h for h in DEFAULT_HORIZONS if h <= l2) or (l2,)
+    for h in horizons:
+        if not 1 <= h <= l2:
+            raise ValueError(f"horizon {h} outside [1, {l2}]")
+    out = {str(h): _metric_set(sums[:, h - 1]) for h in horizons}
+    out["avg"] = _metric_set(sums.sum(axis=1))
+    return HorizonReport(horizons=out, metadata=dict(metadata or {}))
+
+
 def horizon_report_from_arrays(pred, target, horizons=None,
                                metadata=None) -> HorizonReport:
     """Per-horizon metrics of [W x N x l2] predictions; 'avg' pools every step.
@@ -126,24 +142,22 @@ def horizon_report_from_arrays(pred, target, horizons=None,
     all steps. The average is a micro-average: all masked cells of all steps
     weighted equally, not a mean of the per-horizon numbers.
     """
-    l2 = pred.shape[2]
-    if horizons is None:
-        horizons = tuple(h for h in DEFAULT_HORIZONS if h <= l2) or (l2,)
-    for h in horizons:
-        if not 1 <= h <= l2:
-            raise ValueError(f"horizon {h} outside [1, {l2}]")
-    sums = _masked_sums(pred, target)
-    out = {str(h): _metric_set(sums[:, h - 1]) for h in horizons}
-    out["avg"] = _metric_set(sums.sum(axis=1))
-    return HorizonReport(horizons=out, metadata=dict(metadata or {}))
+    return _report([(pred, target)], horizons, metadata)
+
+
+def _scored_mae(params, windows, normalizer, work: Workspace) -> float:
+    """`masked_mae(predict(...), windows.target)` block by block: 'avg' alone."""
+    pairs = _predict_blocks(params, None, windows, normalizer, work)
+    return _report(pairs, horizons=()).horizons["avg"].mae
 
 
 def evaluate(params, embedding, windows, normalizer, metadata=None) -> HorizonReport:
-    """Forward, de-normalize, and report metrics at the default horizons."""
+    """Forward, de-normalize, and report metrics at the default horizons, block
+    by block: the report of `predict`'s array, bit for bit, without building it."""
     if not windows:
         raise ValueError("no windows to evaluate")
-    pred = predict(params, embedding, windows, normalizer)
-    return horizon_report_from_arrays(pred, windows.target, metadata=metadata)
+    pairs = _predict_blocks(params, embedding, windows, normalizer, Workspace())
+    return _report(pairs, metadata=metadata)
 
 
 def render_report(report: HorizonReport) -> str:

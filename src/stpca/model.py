@@ -306,31 +306,37 @@ def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
     }
 
 
-def predict(params: ModelParams, embedding, windows, normalizer,
-            work: Optional[Workspace] = None) -> np.ndarray:
-    """Forward the windows in blocks: predictions [W x N x l2] in original units.
+def _predict_blocks(params, embedding, windows, normalizer, work: Workspace):
+    """Forward the windows in blocks: yields each block's predictions in
+    original units with its targets, both [b x N x l2].
 
     A block holds max(1, PREDICT_ROWS // N) windows. The adaptive graph is
     built once per pass, since the table is fixed for the whole pass. Every
-    block is normalized into a node-major buffer, forwarded and de-normalized
-    through one set of buffers; a window's prediction does not depend on the
-    block it falls in.
-    Those buffers, and the predictions, come from `work`, so a caller that
-    scores every epoch allocates them once; without one the pass takes a
-    workspace of its own.
+    block is normalized, forwarded and de-normalized in place through buffers
+    of `work`, so it is valid until the next one is drawn; a window's
+    prediction does not depend on the block it falls in.
     """
     emb = params.embedding if embedding is None else embedding
     graph = build_adaptive_graph(emb) if params.config.use_graph else None
     _, n, l1 = windows.history.shape
     step = max(1, PREDICT_ROWS // n)
-    work = Workspace() if work is None else work
-    pred = work.take("pred", windows.history.shape[:2] + (params.config.l2,))
     for lo in range(0, len(windows), step):
-        hi = lo + step
-        history = windows.history[lo:hi]
+        history = windows.history[lo : lo + step]
         x = normalizer.apply(history.swapaxes(0, 1),
                              out=work.take("x", (n, len(history), l1)))
-        y = forward(params, embedding, x.swapaxes(0, 1), windows.tod[lo:hi],
-                    windows.dow[lo:hi], graph=graph, work=work)
-        normalizer.invert(y.swapaxes(0, 1), out=pred[lo:hi].swapaxes(0, 1))
+        y = forward(params, embedding, x.swapaxes(0, 1), windows.tod[lo : lo + step],
+                    windows.dow[lo : lo + step], graph=graph, work=work)
+        yield normalizer.invert(y, out=y), windows.target[lo : lo + step]
+
+
+def predict(params: ModelParams, embedding, windows, normalizer,
+            work: Optional[Workspace] = None) -> np.ndarray:
+    """Predictions [W x N x l2] in original units, gathered from the blocks of
+    `_predict_blocks` (through `work`'s buffers, or else the pass's own)."""
+    pred = np.empty(windows.history.shape[:2] + (params.config.l2,))
+    lo = 0
+    for block, _ in _predict_blocks(params, embedding, windows, normalizer,
+                                     Workspace() if work is None else work):
+        pred[lo : lo + len(block)] = block
+        lo += len(block)
     return pred

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import DayTensor, normalize_day_tensor, to_day_tensor
+from .dataset import DayTensor, to_day_tensor
 
 SYMMETRY_TOL = 1e-10
 
@@ -190,7 +190,8 @@ def pca_table(series, step_range, normalizer, proj: Optional[PcaProjection] = No
     `proj`, or when it is None through a projection fitted on those days
     (`fit_kwargs` go to `fit_projection`).
     """
-    z = normalize_day_tensor(to_day_tensor(series, step_range), normalizer)
+    z = to_day_tensor(series, step_range)
+    normalizer.apply(z.data, out=z.data)  # a fresh tensor, scaled in place
     if proj is None:
         proj = fit_projection(z, **fit_kwargs)
     return refresh_embedding(z, proj), proj

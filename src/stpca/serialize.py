@@ -11,7 +11,7 @@ import struct
 import numpy as np
 
 from .dataset import Normalizer
-from .ioutil import atomic_write_bytes, atomic_write_text
+from .ioutil import atomic_write_pieces, atomic_write_text
 from .model import ModelConfig, ModelParams
 from .pca import EmbeddingTable, PcaProjection
 
@@ -31,7 +31,7 @@ def save_projection(proj: PcaProjection, path):
     t, c = proj.components.shape
     payload = (PROJECTION_MAGIC + struct.pack("<II", t, c)
                + _f64(proj.mean) + _f64(proj.components) + _f64(proj.eigenvalues))
-    atomic_write_bytes(path, payload)
+    atomic_write_pieces(path, [payload])
 
 
 def load_projection(path) -> PcaProjection:
@@ -107,7 +107,7 @@ def save_model(params: ModelParams, normalizer: Normalizer, path):
     for arr in params.tensors().values():
         blob.append(_pack_tensor(arr))
     blob.append(struct.pack("<B", STRATEGY_TAGS[params.embedding.strategy]))
-    atomic_write_bytes(path, b"".join(blob))
+    atomic_write_pieces(path, blob)
 
 
 def load_model(path):

@@ -60,15 +60,16 @@ def _series_values(roles, spec: SynthSpec, rng) -> np.ndarray:
     slot = np.arange(steps) % T
     dow = (np.arange(steps) // T) % 7  # day 0 is a Monday
     factor = np.where(dow < 5, 1.0, WEEKEND_FACTOR)
-    clean = profiles[roles][:, slot].T * factor[:, None]  # [steps x N]
+    clean = profiles.T[slot][:, roles]  # [steps x N]
+    clean *= factor[:, None]
 
-    noise = np.zeros((steps, spec.n_nodes))
-    innovations = rng.normal(0.0, spec.noise_std, size=(steps, spec.n_nodes))
-    prev = np.zeros(spec.n_nodes)
-    for s in range(steps):
-        prev = AR_COEF * prev + innovations[s]
-        noise[s] = prev
-    return np.maximum(clean + noise, 0.0)  # flow is non-negative; clipped
+    # AR(1) noise run inside the innovations, row s += AR_COEF * row s-1: the
+    # same bits as a separate noise array, as float addition commutes
+    noise = rng.normal(0.0, spec.noise_std, size=(steps, spec.n_nodes))
+    for s in range(1, steps):
+        noise[s] += AR_COEF * noise[s - 1]
+    noise += clean
+    return np.maximum(noise, 0.0, out=noise)  # flow is non-negative; clipped
 
 
 def generate(spec: SynthSpec):

@@ -9,8 +9,8 @@ import numpy as np
 
 from .dataset import Normalizer
 from .graph import build_adaptive_graph
-from .metrics import masked_mae
-from .model import ModelParams, Workspace, _flat, _rows_matmul, forward, predict
+from .metrics import _scored_mae
+from .model import ModelParams, Workspace, _flat, _rows_matmul, forward
 
 
 @dataclass
@@ -327,8 +327,7 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
                       grad_clip_norm=config.grad_clip_norm)
             losses.append(loss)
 
-        val_mae = masked_mae(predict(params, None, val_windows, normalizer, work=work),
-                             val_windows.target)
+        val_mae = _scored_mae(params, val_windows, normalizer, work)
         train_loss = float(np.mean(losses)) if losses else float("nan")
         report.epochs.append((epoch, train_loss, val_mae))
         improved = val_mae < stopper.best
@@ -363,8 +362,7 @@ def finite_difference_check(params: ModelParams, windows, normalizer,
     work = Workspace()
 
     def loss_at():
-        return masked_mae(predict(params, None, windows, normalizer, work=work),
-                          windows.target)
+        return _scored_mae(params, windows, normalizer, work)
 
     errors = {}
     tensors = params.tensors()

@@ -66,6 +66,22 @@ class TestBuildGraph:
             np.testing.assert_array_equal(row_softmax(logits[np.ix_(perm, perm)]),
                                           w[np.ix_(perm, perm)])
 
+    @pytest.mark.parametrize("n", [4, 40, 307])
+    def test_in_place_build_equals_fresh_arrays(self, n):
+        # the out-of-place sorted-sum softmax the in-place build replaces
+        e = np.random.default_rng(n).normal(size=(n, 8))
+        logits = np.maximum(e @ e.T, 0.0)
+        shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+        want = shifted / np.cumsum(np.sort(shifted, axis=1), axis=1)[:, -1][:, None]
+        first, second = build_adaptive_graph(e), build_adaptive_graph(e)
+        assert first.weights.tobytes() == want.tobytes()
+        assert not np.shares_memory(first.weights, second.weights)
+        kept = logits.copy()
+        assert row_softmax(logits).tobytes() == want.tobytes()
+        assert logits.tobytes() == kept.tobytes()  # without `out`, input untouched
+        assert row_softmax(logits, out=logits) is logits
+        assert logits.tobytes() == want.tobytes()
+
     def test_accepts_embedding_table(self):
         t = EmbeddingTable(values=np.eye(3), strategy="pca")
         g = build_adaptive_graph(t)

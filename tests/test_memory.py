@@ -1,0 +1,91 @@
+"""Memory bounded by one block, not by the series.
+
+`tracemalloc` sees numpy's array allocations, so a call's traced peak shows
+whether it built a full-size [W x N x l2] prediction array or a full copy of
+a file's text.
+"""
+
+import os
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from stpca.dataset import Normalizer, TrafficSeries, make_windows, write_series_csv
+from stpca.metrics import evaluate
+from stpca.model import ModelConfig, init_params
+from stpca.training import TrainConfig, fit
+from stpca.transfer import historical_average_baseline
+
+N, T, L = 307, 288, 12
+WINDOWS = 720  # [W x N x l2] predictions: 720 * 307 * 12 * 8 B = 21.2 MB
+PRED_BYTES = WINDOWS * N * L * 8
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(result, peak bytes allocated while fn ran)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def series():
+    """One day of history, then enough steps for WINDOWS windows."""
+    rng = np.random.default_rng(0)
+    values = rng.uniform(1.0, 80.0, size=(T + WINDOWS + 2 * L - 1, N))
+    values[rng.random(values.shape) < 0.05] = 0.0
+    return TrafficSeries(values=values, interval_minutes=5, steps_per_day=T,
+                         start_slot=0, start_dow=0,
+                         node_ids=[f"n{i}" for i in range(N)])
+
+
+def small_model(use_graph):
+    config = ModelConfig(l1=L, l2=L, embed_dim=4, tod_dim=4, dow_dim=2,
+                         hidden_dim=8, num_blocks=1, use_graph=use_graph)
+    params = init_params(config, N, seed=0)
+    params.embedding.values[:] = np.random.default_rng(1).normal(size=(N, 4))
+    return params
+
+
+def test_prediction_array_is_the_size_that_matters():
+    assert PRED_BYTES >= 20 * 2**20
+
+
+@pytest.mark.parametrize("use_graph", [False, True])
+def test_evaluate_peak_below_a_quarter_of_predictions(series, use_graph):
+    windows = make_windows(series, (T, series.total_steps), L, L)
+    assert len(windows) == WINDOWS
+    report, peak = traced_peak(evaluate, small_model(use_graph), None, windows,
+                               Normalizer(mean=40.0, std=20.0))
+    assert np.isfinite(report.horizons["avg"].mae)
+    assert peak < PRED_BYTES / 4
+
+
+def test_historical_average_peak_below_a_quarter_of_predictions(series):
+    report, peak = traced_peak(historical_average_baseline, series,
+                               (T, series.total_steps), L, L)
+    assert np.isfinite(report.horizons["avg"].mae)
+    assert peak < PRED_BYTES / 4
+
+
+def test_fit_validation_peak_below_a_quarter_of_predictions(series):
+    # a few small training batches, then one validation pass over WINDOWS
+    train = make_windows(series, (0, 2 * L + 3), L, L)
+    val = make_windows(series, (T, series.total_steps), L, L)
+    config = TrainConfig(max_epochs=1, patience=1, batch_size=2)
+    (_, report), peak = traced_peak(fit, small_model(False), train, val,
+                                    Normalizer(mean=40.0, std=20.0), config)
+    assert np.isfinite(report.best_val_mae)
+    assert peak < PRED_BYTES / 4
+
+
+def test_write_series_csv_peak_below_file_size(series, tmp_path):
+    path = tmp_path / "series.csv"
+    _, peak = traced_peak(write_series_csv, series, path)
+    assert peak < os.path.getsize(path)

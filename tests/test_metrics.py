@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from stpca import metrics, model
 from stpca.dataset import Normalizer, Windows
 from stpca.metrics import (HorizonReport, MetricSet, evaluate,
                            horizon_report_from_arrays, masked_mae,
@@ -231,3 +232,34 @@ class TestBlockedReport:
         assert rep.horizons["1"].as_dict() == {"mae": 1.0, "rmse": 1.0, "mape": 0.25}
         assert rep.horizons["2"].as_dict() == {"mae": 2.0, "rmse": 2.0, "mape": 0.25}
         assert rep.horizons["avg"].mae == 1.5
+
+
+class TestBlockedScoring:
+    """`evaluate` scores the model block by block and never builds the
+    [W x N x l2] predictions, yet reports their bits."""
+
+    N = 40
+
+    @pytest.mark.parametrize("use_graph", [False, True])
+    @pytest.mark.parametrize("windows_per_block", [1, 7, 13, None])
+    def test_evaluate_equals_report_of_predict(self, monkeypatch, use_graph,
+                                               windows_per_block):
+        if windows_per_block is not None:
+            # one constant bound in two modules: the inference blocks and the
+            # walk of `_masked_sums` share it
+            for module in (model, metrics):
+                monkeypatch.setattr(module, "PREDICT_ROWS", windows_per_block * self.N)
+        rng = np.random.default_rng(3)
+        params = init_params(ModelConfig(l1=6, l2=6, hidden_dim=8, steps_per_day=24,
+                                         use_graph=use_graph), self.N, seed=1)
+        params.embedding.values[:] = rng.normal(size=params.embedding.values.shape)
+        target = rng.uniform(1, 60, size=(100, self.N, 6))
+        target[rng.random(target.shape) < 0.2] = 0.0
+        windows = Windows(history=rng.uniform(0, 60, size=(100, self.N, 6)),
+                          target=target, tod=rng.integers(0, 24, 100),
+                          dow=rng.integers(0, 7, 100))
+        norm = Normalizer(mean=30.0, std=15.0)
+        report = evaluate(params, None, windows, norm, metadata={"seed": 1})
+        reference = horizon_report_from_arrays(model.predict(params, None, windows, norm),
+                                               windows.target, metadata={"seed": 1})
+        assert report.to_json_dict() == reference.to_json_dict()

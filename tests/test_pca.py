@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from stpca.dataset import DayTensor
-from stpca.pca import (EmbeddingTable, PcaProjection, fit_projection,
+from stpca.dataset import (DayTensor, fit_normalizer, normalize_day_tensor,
+                           to_day_tensor)
+from stpca.pca import (EmbeddingTable, PcaProjection, fit_projection, pca_table,
                        refresh_embedding, select_components, sym_eig,
                        zero_embedding)
+from stpca.synth import SynthSpec, generate
 
 
 def day_tensor(data):
@@ -273,6 +275,23 @@ class TestRefresh:
         direct = refresh_embedding(day_tensor(data), proj).values
         permuted = refresh_embedding(day_tensor(data[:, perm, :]), proj).values
         np.testing.assert_allclose(permuted, direct[perm], atol=1e-12)
+
+
+class TestPcaTable:
+    def test_in_place_scaling_equals_normalized_copy(self):
+        series = generate(SynthSpec(n_nodes=9, n_roles=3, days=6, steps_per_day=24,
+                                    seed=5))[0]
+        kept = series.values.copy()
+        step_range, norm = (5, 130), fit_normalizer(series, (0, 100))
+        z = normalize_day_tensor(to_day_tensor(series, step_range), norm)
+        table, proj = pca_table(series, step_range, norm, n_components=3)
+        want = fit_projection(z, n_components=3)
+        for name in ("mean", "components", "eigenvalues"):
+            assert getattr(proj, name).tobytes() == getattr(want, name).tobytes()
+        assert table.values.tobytes() == refresh_embedding(z, want).values.tobytes()
+        again, _ = pca_table(series, step_range, norm, proj)
+        assert again.values.tobytes() == table.values.tobytes()
+        assert series.values.tobytes() == kept.tobytes()
 
 
 class TestEmbeddingTable:

@@ -5,6 +5,7 @@ import pytest
 
 from stpca.dataset import DayTensor, Normalizer
 from stpca.graph import build_adaptive_graph
+from stpca.ioutil import atomic_write_pieces
 from stpca.model import ModelConfig, init_params, set_embedding
 from stpca.pca import EmbeddingTable, fit_projection
 from stpca.serialize import (MODEL_MAGIC, PROJECTION_MAGIC, atomic_write_text,
@@ -188,3 +189,19 @@ def test_atomic_write_replaces_not_appends(tmp_path):
     atomic_write_text(p, "second")
     assert p.read_text() == "second"
     assert list(tmp_path.iterdir()) == [p]  # no temp files left behind
+
+
+def test_streamed_write_that_raises_leaves_nothing(tmp_path):
+    def pieces():
+        yield b"header\n"
+        raise RuntimeError("source failed")
+
+    p = tmp_path / "out.csv"
+    with pytest.raises(RuntimeError, match="source failed"):
+        atomic_write_pieces(p, pieces())
+    assert list(tmp_path.iterdir()) == []  # neither the target nor a temp file
+    atomic_write_pieces(p, [b"old", b" file"])
+    with pytest.raises(RuntimeError, match="source failed"):
+        atomic_write_pieces(p, pieces())
+    assert list(tmp_path.iterdir()) == [p]
+    assert p.read_bytes() == b"old file"

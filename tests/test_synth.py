@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stpca import synth
 from stpca.dataset import to_day_tensor
 from stpca.pca import fit_projection, refresh_embedding
 from stpca.synth import SynthSpec, generate, role_profile, write_roles_csv
@@ -20,7 +21,43 @@ class TestRoleProfile:
         np.testing.assert_allclose(g1, np.roll(g0, -T // R), atol=1e-9)
 
 
+def out_of_place_series_values(roles, spec, rng):
+    """`synth._series_values` written with fresh arrays, the reference its
+    in-place form must match bit for bit."""
+    T = spec.steps_per_day
+    steps = spec.days * T
+    profiles = np.stack([role_profile(r, spec.n_roles, T) for r in range(spec.n_roles)])
+    slot = np.arange(steps) % T
+    dow = (np.arange(steps) // T) % 7
+    factor = np.where(dow < 5, 1.0, synth.WEEKEND_FACTOR)
+    clean = profiles[roles][:, slot].T * factor[:, None]
+    noise = np.zeros((steps, spec.n_nodes))
+    innovations = rng.normal(0.0, spec.noise_std, size=(steps, spec.n_nodes))
+    prev = np.zeros(spec.n_nodes)
+    for s in range(steps):
+        prev = synth.AR_COEF * prev + innovations[s]
+        noise[s] = prev
+    return np.maximum(clean + noise, 0.0)
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("spec", [
+        SynthSpec(),
+        SynthSpec(n_nodes=7, n_roles=3, days=9, steps_per_day=24, shift_fraction=0.4,
+                  noise_std=0.0, seed=9),
+        # noise large enough that clipping at zero is exercised
+        SynthSpec(n_nodes=31, n_roles=5, days=8, steps_per_day=96, shift_fraction=1.0,
+                  noise_std=40.0, seed=3),
+    ])
+    def test_in_place_equals_out_of_place(self, monkeypatch, spec):
+        got = generate(spec)
+        monkeypatch.setattr(synth, "_series_values", out_of_place_series_values)
+        want = generate(spec)
+        for a, b in ((got[0], want[0]), (got[1], want[1])):
+            assert a.values.tobytes() == b.values.tobytes()
+        if spec.noise_std > 30:
+            assert (got[0].values == 0.0).any()
+
     def test_deterministic(self):
         spec = SynthSpec(n_nodes=6, n_roles=3, days=7, steps_per_day=24,
                          shift_fraction=0.5, noise_std=1.0, seed=9)

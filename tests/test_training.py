@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stpca import model, training
+from stpca import metrics, model, training
 from stpca.dataset import Normalizer, Windows
 from stpca.graph import build_adaptive_graph
 from stpca.metrics import masked_mae
@@ -659,6 +659,24 @@ class TestFit:
         assert_fit_matches_reference(reference_params("adaptive", use_graph),
                                      toy_windows(40, seed=0), toy_windows(12, seed=1),
                                      trainable=["embedding"])
+
+    @pytest.mark.parametrize("use_graph", [False, True], ids=["flat", "graph"])
+    @pytest.mark.parametrize("windows_per_block", [1, 5, None])
+    def test_val_mae_equals_masked_mae_of_predict(self, monkeypatch, use_graph,
+                                                  windows_per_block):
+        # validation scores block by block; each epoch's val MAE keeps the
+        # bits of scoring the whole prediction array of that epoch's weights
+        if windows_per_block is not None:
+            for module in (model, metrics):
+                monkeypatch.setattr(module, "PREDICT_ROWS", windows_per_block * 5)
+        train, val = self.make_data(n_val=23)
+        for epochs in (1, 2, 3):
+            params = reference_params("adaptive", use_graph)
+            cfg = TrainConfig(max_epochs=epochs, patience=epochs, batch_size=8, seed=1)
+            _, report = fit(params, train, val, NORM, cfg)
+            # the live model holds the last epoch's weights
+            assert report.epochs[-1][2] == masked_mae(
+                model.predict(params, None, val, NORM), val.target)
 
     def test_best_shares_no_memory_with_live_model(self):
         params = init_params(toy_config(num_blocks=2), 5, seed=1)
