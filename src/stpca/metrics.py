@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import PREDICT_ROWS, Workspace, _predict_blocks
+from .model import Workspace, _blocks, _predict_blocks
 
 DEFAULT_HORIZONS = (3, 6, 12)
 
@@ -43,54 +43,48 @@ class HorizonReport:
 
 
 def _masked_sums(pred, target) -> np.ndarray:
-    """Per-step sums over the cells with nonzero ground truth, in one pass.
+    """Per-step masked sums of one [rows x cells x steps] block.
 
     The one definition of which cells count (`target != 0`) and of the error
     formulas, shared by `masked_mae`, `masked_metrics` and every report.
-    The last axis is the step axis; an array of rank < 2 is one step. Returns
-    [4 x steps]: cell count, sum |e|, sum e^2 and sum |e| / |y|, e = pred - y.
-
-    The leading axis is walked in blocks of max(1, PREDICT_ROWS // cells per
-    row) rows, each written into the same C-contiguous buffers, so a block
-    stays in cache, no full-size masked copy is made, and the sums do not
-    depend on the inputs' memory layout. Each column sum is a ones-vector
-    product. Masked-out cells are zeroed by multiplying with the 0/1 mask, so
-    predictions must be finite, as `forward` guarantees.
+    Returns [4 x steps]: cell count, sum |e|, sum e^2 and sum |e| / |y|,
+    e = pred - y. The block is written into fresh C-contiguous buffers, so no
+    full-size masked copy is made and the sums do not depend on the inputs'
+    memory layout. Each column sum is a ones-vector product. Masked-out cells
+    are zeroed by multiplying with the 0/1 mask, so predictions must be
+    finite, as `forward` guarantees.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    rows, cells, steps = target.shape
+    w, e, t = (np.empty(target.shape) for _ in range(3))
+    u = np.ones(rows * cells)
+    sums = np.zeros((4, steps))
+    np.not_equal(target, 0.0, out=w)  # 1.0 where the cell counts, else 0.0
+    np.subtract(pred, target, out=e)
+    e *= w
+    np.multiply(e, e, out=t)
+    np.abs(e, out=e)
+    sums[0] += u @ w.reshape(-1, steps)
+    sums[1] += u @ e.reshape(-1, steps)
+    sums[2] += u @ t.reshape(-1, steps)
+    # |y| + (1 - w): |y| where the cell counts, 1 where e is already 0
+    np.abs(target, out=t)
+    t += 1.0 - w
+    e /= t
+    sums[3] += u @ e.reshape(-1, steps)
+    return sums
+
+
+def _pairs(pred, target):
+    """(prediction, target) blocks of two arrays, cut by `_blocks`. The last
+    axis is the step axis and an array of rank < 2 is one step."""
+    pred, target = (np.asarray(a, dtype=np.float64) for a in (pred, target))
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    if pred.ndim < 2:
-        pred, target = pred.reshape(-1, 1, 1), target.reshape(-1, 1, 1)
-    else:
-        pred = pred.reshape(pred.shape[0], -1, pred.shape[-1])
-        target = target.reshape(pred.shape)
-    rows, cells, steps = pred.shape
-    step = max(1, PREDICT_ROWS // max(1, cells))
-    block = (min(step, rows), cells, steps)
-    valid, err, tmp = np.empty(block), np.empty(block), np.empty(block)
-    ones = np.ones(block[0] * cells)
-    sums = np.zeros((4, steps))
-    for lo in range(0, rows, step):
-        y = target[lo : lo + step]
-        n = len(y)
-        w, e, t = valid[:n], err[:n], tmp[:n]
-        np.not_equal(y, 0.0, out=w)  # 1.0 where the cell counts, else 0.0
-        np.subtract(pred[lo : lo + step], y, out=e)
-        e *= w
-        np.multiply(e, e, out=t)
-        np.abs(e, out=e)
-        u = ones[: n * cells]
-        sums[0] += u @ w.reshape(-1, steps)
-        sums[1] += u @ e.reshape(-1, steps)
-        sums[2] += u @ t.reshape(-1, steps)
-        # |y| + (1 - w): |y| where the cell counts, 1 where e is already 0
-        np.abs(y, out=t)
-        t += 1.0 - w
-        e /= t
-        sums[3] += u @ e.reshape(-1, steps)
-    return sums
+    shape = (-1, 1, 1) if pred.ndim < 2 else (len(pred), -1, pred.shape[-1])
+    pred, target = pred.reshape(shape), target.reshape(shape)
+    # an empty array gives one empty pair, which scores as no valid targets
+    return ((pred[rows], target[rows])
+            for rows in _blocks(max(1, len(pred)), pred.shape[1]))
 
 
 def _metric_set(sums: np.ndarray) -> MetricSet:
@@ -113,13 +107,13 @@ def masked_metrics(pred: np.ndarray, target: np.ndarray) -> MetricSet:
     Both arrays are in original units. MAPE's zero-division safety comes from
     the mask itself; no epsilon is involved.
     """
-    return _metric_set(_masked_sums(pred, target).sum(axis=1))
+    return _report(_pairs(pred, target), horizons=()).horizons["avg"]
 
 
 def _report(pairs, horizons=None, metadata=None) -> HorizonReport:
-    """HorizonReport of (prediction, target) block pairs [b x N x l2]. Blocks of
-    max(1, PREDICT_ROWS // N) windows, as `_predict_blocks` yields, are those
-    `_masked_sums` walks, so their sums have the bits of the whole array's."""
+    """HorizonReport of (prediction, target) block pairs [b x N x l2]. Pairs
+    cut by `model._blocks` sum to the same bits whether `_predict_blocks`
+    yields them or `_pairs` cuts them from whole arrays."""
     sums = sum(_masked_sums(pred, target) for pred, target in pairs)
     l2 = sums.shape[1]
     if horizons is None:
@@ -142,7 +136,7 @@ def horizon_report_from_arrays(pred, target, horizons=None,
     all steps. The average is a micro-average: all masked cells of all steps
     weighted equally, not a mean of the per-horizon numbers.
     """
-    return _report([(pred, target)], horizons, metadata)
+    return _report(_pairs(pred, target), horizons, metadata)
 
 
 def _scored_mae(params, windows, normalizer, work: Workspace) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from .graph import AdaptiveGraph, build_adaptive_graph, graph_mix
 from .pca import EmbeddingTable, zero_embedding
 
-# windows x nodes forwarded per `predict` call, so that a block's
+# windows x nodes per block (`_blocks`) of inference and scoring, so a block's
 # [rows x mix_dim] activations (0.85 MB at the default sizes) stay in a core's
 # L2 cache. With node-major activations on one BLAS thread, 1024, 2048 and 4096
 # rows ran within 6% of each other per window at N = 40, 170 and 307, and the
@@ -69,14 +69,11 @@ class ModelParams:
 
     def tensors(self):
         """Named views of every tensor, in the fixed serialization order."""
-        out = {"w_x": self.w_x, "b_x": self.b_x, "embedding": self.embedding.values,
-               "tod": self.tod, "dow": self.dow}
-        for i, blk in enumerate(self.blocks):
-            for key in ("w1", "b1", "w2", "b2"):
-                out[f"{key}_{i}"] = blk[key]
-        out["w_o"] = self.w_o
-        out["b_o"] = self.b_o
-        return out
+        blocks = {f"{key}_{i}": blk[key] for i, blk in enumerate(self.blocks)
+                  for key in ("w1", "b1", "w2", "b2")}
+        return {"w_x": self.w_x, "b_x": self.b_x, "embedding": self.embedding.values,
+                "tod": self.tod, "dow": self.dow, **blocks,
+                "w_o": self.w_o, "b_o": self.b_o}
 
     def bind(self, arrays: dict):
         """Point the named tensors at the given arrays, e.g. views of an
@@ -142,40 +139,42 @@ def _all_finite(a, work):
     return np.isfinite(a, out=work.take("finite", a.shape, bool)).all()
 
 
-def _xavier(rng, out_dim, in_dim):
-    a = np.sqrt(6.0 / (in_dim + out_dim))
-    return rng.uniform(-a, a, size=(out_dim, in_dim))
+def _tensor_shapes(cfg: ModelConfig):
+    """(name, shape) of every tensor in serialization order; None is the node
+    count. A generator, so a damaged header claiming billions of blocks stops
+    at the first tensor the file does not hold instead of listing them all."""
+    cm = cfg.mix_dim
+    yield from (("w_x", (cfg.hidden_dim, cfg.l1)), ("b_x", (cfg.hidden_dim,)),
+                ("embedding", (None, cfg.embed_dim)),
+                ("tod", (cfg.steps_per_day, cfg.tod_dim)), ("dow", (7, cfg.dow_dim)))
+    for i in range(cfg.num_blocks):
+        yield from ((f"w1_{i}", (cm, cm)), (f"b1_{i}", (cm,)),
+                    (f"w2_{i}", (cm, cm)), (f"b2_{i}", (cm,)))
+    yield from (("w_o", (cfg.l2, cm)), ("b_o", (cfg.l2,)))
+
+
+def _from_tensors(config: ModelConfig, tensors: dict, strategy: str) -> ModelParams:
+    """The model of the tensors `_tensor_shapes` names, its table tagged `strategy`."""
+    fields = dict(tensors, embedding=EmbeddingTable(tensors["embedding"], strategy))
+    fields["blocks"] = [{k: fields.pop(f"{k}_{i}") for k in ("w1", "b1", "w2", "b2")}
+                        for i in range(config.num_blocks)]
+    return ModelParams(config=config, **fields)
 
 
 def init_params(config: ModelConfig, n: int, seed: int) -> ModelParams:
     """Deterministic initialization: Xavier-uniform weights, zero biases,
-    small-normal adaptive embedding."""
+    small-normal adaptive embedding, drawn in serialization order."""
     rng = np.random.default_rng(seed)
-    cm = config.mix_dim
-    w_x = _xavier(rng, config.hidden_dim, config.l1)
-    emb = rng.normal(0.0, 0.01, size=(n, config.embed_dim))
-    tod = _xavier(rng, config.steps_per_day, config.tod_dim)
-    dow = _xavier(rng, 7, config.dow_dim)
-    blocks = []
-    for _ in range(config.num_blocks):
-        blocks.append({
-            "w1": _xavier(rng, cm, cm),
-            "b1": np.zeros(cm),
-            "w2": _xavier(rng, cm, cm),
-            "b2": np.zeros(cm),
-        })
-    w_o = _xavier(rng, config.l2, cm)
-    return ModelParams(
-        config=config,
-        w_x=w_x,
-        b_x=np.zeros(config.hidden_dim),
-        embedding=EmbeddingTable(values=emb, strategy="adaptive"),
-        tod=tod,
-        dow=dow,
-        blocks=blocks,
-        w_o=w_o,
-        b_o=np.zeros(config.l2),
-    )
+    tensors = {}
+    for name, shape in _tensor_shapes(config):
+        if len(shape) == 1:
+            tensors[name] = np.zeros(shape)
+        elif name == "embedding":
+            tensors[name] = rng.normal(0.0, 0.01, size=(n, shape[1]))
+        else:
+            a = np.sqrt(6.0 / sum(shape))
+            tensors[name] = rng.uniform(-a, a, size=shape)
+    return _from_tensors(config, tensors, "adaptive")
 
 
 def set_embedding(params: ModelParams, table: EmbeddingTable) -> ModelParams:
@@ -306,11 +305,20 @@ def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
     }
 
 
+def _blocks(count: int, n: int):
+    """Slices over `count` rows of n cells each, max(1, PREDICT_ROWS // n) rows
+    a slice: the one block rule of inference and of scoring, so that a block
+    of predictions and the block of errors it is scored in coincide."""
+    step = max(1, PREDICT_ROWS // max(1, n))
+    for lo in range(0, count, step):
+        yield slice(lo, lo + step)
+
+
 def _predict_blocks(params, embedding, windows, normalizer, work: Workspace):
     """Forward the windows in blocks: yields each block's predictions in
     original units with its targets, both [b x N x l2].
 
-    A block holds max(1, PREDICT_ROWS // N) windows. The adaptive graph is
+    Blocks are the windows' `_blocks` of N nodes. The adaptive graph is
     built once per pass, since the table is fixed for the whole pass. Every
     block is normalized, forwarded and de-normalized in place through buffers
     of `work`, so it is valid until the next one is drawn; a window's
@@ -319,14 +327,13 @@ def _predict_blocks(params, embedding, windows, normalizer, work: Workspace):
     emb = params.embedding if embedding is None else embedding
     graph = build_adaptive_graph(emb) if params.config.use_graph else None
     _, n, l1 = windows.history.shape
-    step = max(1, PREDICT_ROWS // n)
-    for lo in range(0, len(windows), step):
-        history = windows.history[lo : lo + step]
+    for rows in _blocks(len(windows), n):
+        history = windows.history[rows]
         x = normalizer.apply(history.swapaxes(0, 1),
                              out=work.take("x", (n, len(history), l1)))
-        y = forward(params, embedding, x.swapaxes(0, 1), windows.tod[lo : lo + step],
-                    windows.dow[lo : lo + step], graph=graph, work=work)
-        yield normalizer.invert(y, out=y), windows.target[lo : lo + step]
+        y = forward(params, embedding, x.swapaxes(0, 1), windows.tod[rows],
+                    windows.dow[rows], graph=graph, work=work)
+        yield normalizer.invert(y, out=y), windows.target[rows]
 
 
 def predict(params: ModelParams, embedding, windows, normalizer,

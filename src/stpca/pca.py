@@ -15,6 +15,8 @@ import numpy as np
 from .dataset import DayTensor, to_day_tensor
 
 SYMMETRY_TOL = 1e-10
+# how an embedding slot is filled: trained, a frozen PCA table, or exact zeros
+TABLE_STRATEGIES = ("adaptive", "pca", "zero")
 
 
 def sym_eig(a: np.ndarray):
@@ -92,7 +94,7 @@ class EmbeddingTable:
             raise ValueError("embedding must be [N x C]")
         if not np.isfinite(self.values).all():
             raise ValueError("non-finite embedding entries")
-        if self.strategy not in ("adaptive", "pca", "zero"):
+        if self.strategy not in TABLE_STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
     @property

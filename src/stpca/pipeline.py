@@ -1,25 +1,22 @@
 """End-to-end wiring: split, normalize, window, embed, train, evaluate."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .dataset import (TrafficSeries, Windows, fit_normalizer, make_windows,
                       split_chronological)
 from .metrics import evaluate
 from .model import ModelConfig, ModelParams, init_params, set_embedding
-from .pca import pca_table, zero_embedding
+from .pca import TABLE_STRATEGIES, pca_table, zero_embedding
 from .training import TrainConfig, TrainReport, fit
 from .transfer import TransferPlan, cross_year_eval
 
 
-TRAIN_STRATEGIES = ("adaptive", "pca", "zero")
-
-
 def check_train_strategy(strategy):
-    """Raise ValueError unless strategy is one of TRAIN_STRATEGIES."""
-    if strategy not in TRAIN_STRATEGIES:
+    """Raise ValueError unless strategy is one of TABLE_STRATEGIES."""
+    if strategy not in TABLE_STRATEGIES:
         raise ValueError(f"unknown training strategy {strategy!r} "
-                         f"(one of {', '.join(TRAIN_STRATEGIES)})")
+                         f"(one of {', '.join(TABLE_STRATEGIES)})")
 
 
 @dataclass
@@ -72,20 +69,17 @@ def train_run(series: TrafficSeries, model_cfg: ModelConfig,
     """
     check_train_strategy(strategy)
     bundle = prepare_data(series, ratios, model_cfg.l1, model_cfg.l2)
-    projection = None
-    params = init_params(model_cfg, series.num_nodes, train_cfg.seed)
-
+    table = projection = None
     if strategy == "pca":
         table, projection = fit_training_embedding(
             bundle, n_components=None if theta is not None else model_cfg.embed_dim,
             theta=theta)
-        if table.dim != model_cfg.embed_dim:
-            model_cfg = ModelConfig(**{**model_cfg.__dict__, "embed_dim": table.dim})
-            params = init_params(model_cfg, series.num_nodes, train_cfg.seed)
-        params = set_embedding(params, table)
+        model_cfg = replace(model_cfg, embed_dim=table.dim)
     elif strategy == "zero":
-        params = set_embedding(
-            params, zero_embedding(series.num_nodes, model_cfg.embed_dim))
+        table = zero_embedding(series.num_nodes, model_cfg.embed_dim)
+    params = init_params(model_cfg, series.num_nodes, train_cfg.seed)
+    if table is not None:
+        params = set_embedding(params, table)
 
     best, report = fit(params, bundle.train_windows, bundle.val_windows,
                        bundle.normalizer, train_cfg)

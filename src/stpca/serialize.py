@@ -12,7 +12,7 @@ import numpy as np
 
 from .dataset import Normalizer
 from .ioutil import atomic_write_pieces, atomic_write_text
-from .model import ModelConfig, ModelParams
+from .model import ModelConfig, ModelParams, _from_tensors, _tensor_shapes
 from .pca import EmbeddingTable, PcaProjection
 
 PROJECTION_MAGIC = b"STPJ1"
@@ -80,20 +80,6 @@ def _unpack_tensor(raw: bytes, off: int, shape, where: str):
     return arr, off + 8 * size
 
 
-def _tensor_shapes(cfg: ModelConfig):
-    """(name, shape) of every tensor in serialization order; None is the node
-    count. A generator, so a damaged header claiming billions of blocks stops
-    at the first tensor the file does not hold instead of listing them all."""
-    cm = cfg.mix_dim
-    yield from (("w_x", (cfg.hidden_dim, cfg.l1)), ("b_x", (cfg.hidden_dim,)),
-                ("embedding", (None, cfg.embed_dim)),
-                ("tod", (cfg.steps_per_day, cfg.tod_dim)), ("dow", (7, cfg.dow_dim)))
-    for i in range(cfg.num_blocks):
-        yield from ((f"w1_{i}", (cm, cm)), (f"b1_{i}", (cm,)),
-                    (f"w2_{i}", (cm, cm)), (f"b2_{i}", (cm,)))
-    yield from (("w_o", (cfg.l2, cm)), ("b_o", (cfg.l2,)))
-
-
 def save_model(params: ModelParams, normalizer: Normalizer, path):
     """STPF1: magic, u32 version, config block (9 u32 + normalizer mean/std),
     all tensors, embedding strategy tag byte."""
@@ -154,15 +140,7 @@ def _parse_model(raw: bytes, path):
     if off + 1 != len(raw):
         raise ValueError(f"{path}: trailing bytes in checkpoint")
 
-    blocks = [{k: tensors[f"{k}_{i}"] for k in ("w1", "b1", "w2", "b2")}
-              for i in range(cfg.num_blocks)]
-    params = ModelParams(
-        config=cfg, w_x=tensors["w_x"], b_x=tensors["b_x"],
-        embedding=EmbeddingTable(values=tensors["embedding"],
-                                 strategy=TAG_STRATEGIES[tag]),
-        tod=tensors["tod"], dow=tensors["dow"], blocks=blocks,
-        w_o=tensors["w_o"], b_o=tensors["b_o"],
-    )
+    params = _from_tensors(cfg, tensors, TAG_STRATEGIES[tag])
     return params, Normalizer(mean=mean, std=std)
 
 

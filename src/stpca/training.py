@@ -330,9 +330,8 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
         val_mae = _scored_mae(params, val_windows, normalizer, work)
         train_loss = float(np.mean(losses)) if losses else float("nan")
         report.epochs.append((epoch, train_loss, val_mae))
-        improved = val_mae < stopper.best
         should_stop = stopper.update(epoch, val_mae)
-        if improved:
+        if stopper.best_epoch == epoch:
             best = params.clone()
         if should_stop:
             report.stopping_reason = "early_stopping"

@@ -12,7 +12,7 @@ import numpy as np
 
 from .dataset import DataError, TrafficSeries, fit_normalizer, make_windows
 from .metrics import _report, evaluate
-from .model import PREDICT_ROWS, set_embedding
+from .model import _blocks, set_embedding
 from .pca import pca_table, zero_embedding
 from .training import TrainConfig, fit
 
@@ -161,9 +161,8 @@ def historical_average_baseline(target_series, eval_range, l1=12, l2=12,
         slot_mean[slot] = rows.mean(axis=0)
 
     windows = make_windows(target_series, eval_range, l1, l2)
-    step = max(1, PREDICT_ROWS // target_series.num_nodes)  # blocks as the model's
-    pairs = ((slot_mean[(windows.tod[i : i + step, None] + np.arange(l2)) % T]
-              .transpose(0, 2, 1), windows.target[i : i + step])
-             for i in range(0, len(windows), step))
+    pairs = ((slot_mean[(windows.tod[block, None] + np.arange(l2)) % T]
+              .transpose(0, 2, 1), windows.target[block])
+             for block in _blocks(len(windows), target_series.num_nodes))
     meta = {"strategy": "historical_average", "eval_range": list(eval_range)}
     return _report(pairs, horizons, metadata=meta)

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from stpca import metrics, model
-from stpca.dataset import Normalizer, Windows
+from stpca import model
+from stpca.dataset import Normalizer, TrafficSeries, Windows, make_windows
 from stpca.metrics import (HorizonReport, MetricSet, evaluate,
                            horizon_report_from_arrays, masked_mae,
                            masked_metrics, render_report)
 from stpca.model import ModelConfig, init_params
+from stpca.transfer import historical_average_baseline
 
 
 class TestMaskedMetrics:
@@ -245,10 +246,8 @@ class TestBlockedScoring:
     def test_evaluate_equals_report_of_predict(self, monkeypatch, use_graph,
                                                windows_per_block):
         if windows_per_block is not None:
-            # one constant bound in two modules: the inference blocks and the
-            # walk of `_masked_sums` share it
-            for module in (model, metrics):
-                monkeypatch.setattr(module, "PREDICT_ROWS", windows_per_block * self.N)
+            # one block rule (`model._blocks`) cuts inference and scoring alike
+            monkeypatch.setattr(model, "PREDICT_ROWS", windows_per_block * self.N)
         rng = np.random.default_rng(3)
         params = init_params(ModelConfig(l1=6, l2=6, hidden_dim=8, steps_per_day=24,
                                          use_graph=use_graph), self.N, seed=1)
@@ -263,3 +262,27 @@ class TestBlockedScoring:
         reference = horizon_report_from_arrays(model.predict(params, None, windows, norm),
                                                windows.target, metadata={"seed": 1})
         assert report.to_json_dict() == reference.to_json_dict()
+
+    @pytest.mark.parametrize("windows_per_block", [1, 7, 13, None])
+    def test_baseline_equals_report_of_whole_prediction(self, monkeypatch,
+                                                        windows_per_block):
+        if windows_per_block is not None:
+            monkeypatch.setattr(model, "PREDICT_ROWS", windows_per_block * self.N)
+        rng = np.random.default_rng(4)
+        T, l1, l2 = 24, 6, 6
+        values = rng.uniform(1, 60, size=(6 * T, self.N))
+        values[rng.random(values.shape) < 0.2] = 0.0
+        series = TrafficSeries(values=values, interval_minutes=60, steps_per_day=T,
+                               start_slot=5, start_dow=2,
+                               node_ids=[f"n{i}" for i in range(self.N)])
+        lo = 2 * T + 3
+        report = historical_average_baseline(series, (lo, series.total_steps), l1, l2)
+        # the whole [W x N x l2] prediction: each step's slot mean before the range
+        slots = series.slot_of(np.arange(lo))
+        slot_mean = np.stack([values[:lo][slots == s].mean(axis=0) for s in range(T)])
+        windows = make_windows(series, (lo, series.total_steps), l1, l2)
+        pred = slot_mean[(windows.tod[:, None] + np.arange(l2)) % T].transpose(0, 2, 1)
+        reference = horizon_report_from_arrays(pred, windows.target)
+        assert len(windows) > 13
+        assert ({k: v.as_dict() for k, v in report.horizons.items()}
+                == {k: v.as_dict() for k, v in reference.horizons.items()})

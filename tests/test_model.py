@@ -89,6 +89,42 @@ class TestInit:
         assert params.embedding.strategy == "adaptive"
         assert params.trainable_names().count("embedding") == 1
 
+    @pytest.mark.parametrize("n", [1, 5, 307])
+    @pytest.mark.parametrize("num_blocks", [1, 2, 3])
+    @pytest.mark.parametrize("use_graph", [False, True], ids=["flat", "graph"])
+    def test_equals_per_tensor_xavier_construction(self, use_graph, num_blocks, n):
+        # the reference: each tensor drawn by name, in this order, from one rng
+        def xavier(rng, out_dim, in_dim):
+            a = np.sqrt(6.0 / (in_dim + out_dim))
+            return rng.uniform(-a, a, size=(out_dim, in_dim))
+
+        cfg = toy_config(use_graph=use_graph, num_blocks=num_blocks)
+        rng, cm = np.random.default_rng(11), cfg.mix_dim
+        ref = {"w_x": xavier(rng, cfg.hidden_dim, cfg.l1), "b_x": np.zeros(cfg.hidden_dim),
+               "embedding": rng.normal(0.0, 0.01, size=(n, cfg.embed_dim)),
+               "tod": xavier(rng, cfg.steps_per_day, cfg.tod_dim),
+               "dow": xavier(rng, 7, cfg.dow_dim)}
+        for i in range(num_blocks):
+            ref.update({f"w1_{i}": xavier(rng, cm, cm), f"b1_{i}": np.zeros(cm),
+                        f"w2_{i}": xavier(rng, cm, cm), f"b2_{i}": np.zeros(cm)})
+        ref.update(w_o=xavier(rng, cfg.l2, cm), b_o=np.zeros(cfg.l2))
+
+        params = init_params(cfg, n, seed=11)
+        assert params.embedding.strategy == "adaptive"
+        assert list(params.tensors()) == list(ref)
+        for name, tensor in params.tensors().items():
+            assert tensor.dtype == ref[name].dtype, name
+            np.testing.assert_array_equal(tensor, ref[name], err_msg=name)
+
+    @pytest.mark.parametrize("num_blocks", [1, 3])
+    def test_tensors_follow_the_tensor_list(self, num_blocks):
+        cfg = toy_config(num_blocks=num_blocks)
+        params = set_embedding(init_params(cfg, 5, seed=0),
+                               EmbeddingTable(np.ones((4, cfg.embed_dim)), "pca"))
+        listed = [(name, tuple(4 if d is None else d for d in shape))
+                  for name, shape in model._tensor_shapes(cfg)]
+        assert [(name, t.shape) for name, t in params.tensors().items()] == listed
+
 
 class TestForward:
     def test_zero_params_zero_output(self):

@@ -7,11 +7,11 @@ from stpca.dataset import DayTensor, Normalizer
 from stpca.graph import build_adaptive_graph
 from stpca.ioutil import atomic_write_pieces
 from stpca.model import ModelConfig, init_params, set_embedding
-from stpca.pca import EmbeddingTable, fit_projection
-from stpca.serialize import (MODEL_MAGIC, PROJECTION_MAGIC, atomic_write_text,
-                             embedding_csv, load_model, load_projection,
-                             save_model, save_projection, write_embedding_csv,
-                             write_graph_csv)
+from stpca.pca import TABLE_STRATEGIES, EmbeddingTable, fit_projection
+from stpca.serialize import (MODEL_MAGIC, PROJECTION_MAGIC, STRATEGY_TAGS,
+                             atomic_write_text, embedding_csv, load_model,
+                             load_projection, save_model, save_projection,
+                             write_embedding_csv, write_graph_csv)
 
 
 def sample_projection(t=6, c=3, seed=0):
@@ -205,3 +205,8 @@ def test_streamed_write_that_raises_leaves_nothing(tmp_path):
         atomic_write_pieces(p, pieces())
     assert list(tmp_path.iterdir()) == [p]
     assert p.read_bytes() == b"old file"
+
+
+def test_strategy_tags_cover_the_table_strategies():
+    # the tag byte map is the format's own; it names every table strategy
+    assert set(STRATEGY_TAGS) == set(TABLE_STRATEGIES)

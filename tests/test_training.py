@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stpca import metrics, model, training
+from stpca import model, training
 from stpca.dataset import Normalizer, Windows
 from stpca.graph import build_adaptive_graph
 from stpca.metrics import masked_mae
@@ -667,8 +667,7 @@ class TestFit:
         # validation scores block by block; each epoch's val MAE keeps the
         # bits of scoring the whole prediction array of that epoch's weights
         if windows_per_block is not None:
-            for module in (model, metrics):
-                monkeypatch.setattr(module, "PREDICT_ROWS", windows_per_block * 5)
+            monkeypatch.setattr(model, "PREDICT_ROWS", windows_per_block * 5)
         train, val = self.make_data(n_val=23)
         for epochs in (1, 2, 3):
             params = reference_params("adaptive", use_graph)
