@@ -164,7 +164,7 @@ def ingest_csv(path) -> TrafficSeries:
 
 
 def _ingest_columns(path) -> TrafficSeries:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         line = fh.readline()
         if not line or '"' in line:
             return _ingest_rows(path)
@@ -236,7 +236,7 @@ def _not_utf8(path) -> DataError:
 
 
 def _read_rows(path) -> TrafficSeries:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         node_ids = _node_ids(path, next(reader, None))
         timestamps, linenos, rows = [], [], []

@@ -55,11 +55,12 @@ def _masked_sums(pred, target) -> np.ndarray:
     finite, as `forward` guarantees.
     """
     rows, cells, steps = target.shape
-    w, e, t = (np.empty(target.shape) for _ in range(3))
+    y, w, e, t = (np.empty(target.shape) for _ in range(4))
+    np.copyto(y, target)  # the strided target read once
     u = np.ones(rows * cells)
     sums = np.zeros((4, steps))
-    np.not_equal(target, 0.0, out=w)  # 1.0 where the cell counts, else 0.0
-    np.subtract(pred, target, out=e)
+    np.not_equal(y, 0.0, out=w)  # 1.0 where the cell counts, else 0.0
+    np.subtract(pred, y, out=e)
     e *= w
     np.multiply(e, e, out=t)
     np.abs(e, out=e)
@@ -67,7 +68,7 @@ def _masked_sums(pred, target) -> np.ndarray:
     sums[1] += u @ e.reshape(-1, steps)
     sums[2] += u @ t.reshape(-1, steps)
     # |y| + (1 - w): |y| where the cell counts, 1 where e is already 0
-    np.abs(target, out=t)
+    np.abs(y, out=t)
     t += 1.0 - w
     e /= t
     sums[3] += u @ e.reshape(-1, steps)

@@ -67,25 +67,25 @@ class ModelParams:
     w_o: np.ndarray
     b_o: np.ndarray
 
+    def _slots(self):
+        """{name: (dict, key)} in `_tensor_shapes` order: where each tensor is
+        held, as a field, as the table's values or as a block's entry."""
+        held = {f"{k}_{i}": (blk, k) for i, blk in enumerate(self.blocks) for k in blk}
+        held["embedding"] = vars(self.embedding), "values"
+        return {name: held.get(name, (vars(self), name))
+                for name, _ in _tensor_shapes(self.config)}
+
     def tensors(self):
         """Named views of every tensor, in the fixed serialization order."""
-        blocks = {f"{key}_{i}": blk[key] for i, blk in enumerate(self.blocks)
-                  for key in ("w1", "b1", "w2", "b2")}
-        return {"w_x": self.w_x, "b_x": self.b_x, "embedding": self.embedding.values,
-                "tod": self.tod, "dow": self.dow, **blocks,
-                "w_o": self.w_o, "b_o": self.b_o}
+        return {name: held[key] for name, (held, key) in self._slots().items()}
 
     def bind(self, arrays: dict):
         """Point the named tensors at the given arrays, e.g. views of an
         optimizer's flat parameter vector."""
+        slots = self._slots()
         for name, array in arrays.items():
-            if name == "embedding":
-                self.embedding.values = array
-            elif name in ("w_x", "b_x", "tod", "dow", "w_o", "b_o"):
-                setattr(self, name, array)
-            else:
-                key, i = name.split("_")
-                self.blocks[int(i)][key] = array
+            held, key = slots[name]
+            held[key] = array
 
     def trainable_names(self):
         """Embedding is a trainable tensor only under the adaptive strategy."""
@@ -197,25 +197,40 @@ def set_embedding(params: ModelParams, table: EmbeddingTable) -> ModelParams:
     return out
 
 
-def _in_out(w: np.ndarray) -> np.ndarray:
-    """C-contiguous [in x out] copy of an [out x in] weight.
+def _in_out(w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """C-contiguous [in + 1 x out] operand [w.T; b] of an [out x in] weight and
+    its bias: rows ending in a 1 (`_column`) times it are `w @ row + b`, run by
+    BLAS's NN kernel (`h @ w.T`, a transposed view, takes the NT kernel, 25-40%
+    slower at these shapes on OpenBLAS). The copy costs microseconds a call."""
+    wb = np.empty((w.shape[1] + 1, w.shape[0]))
+    wb[:-1], wb[-1] = w.T, b
+    return wb
 
-    `h @ _in_out(w)` runs BLAS's NN kernel, where `h @ w.T` (a transposed view)
-    takes the NT kernel, 25-40% slower at these shapes on OpenBLAS. The copy
-    is at most mix_dim x mix_dim, so it costs microseconds per call.
-    """
-    return np.ascontiguousarray(w.T)
+
+def _column(work: Workspace, name, rows: int, f: int, value: float) -> np.ndarray:
+    """Buffer `name` of `work`, [rows x f + 1], its last column set to `value`:
+    1.0 for a layer's input rows, 0.0 for the gradient of such rows."""
+    a = work.take(name, (rows, f + 1))
+    a[:, f] = value
+    return a
 
 
-def _flat(a: np.ndarray) -> np.ndarray:
-    """[B x N x F] -> [N*B x F] node-major rows, a view of `forward`'s arrays."""
-    return np.ascontiguousarray(a.swapaxes(0, 1)).reshape(-1, a.shape[-1])
+def _normalized_input(work: Workspace, normalizer, history: np.ndarray) -> np.ndarray:
+    """`normalizer.apply(history)` of a [B x N x l1] batch written straight into
+    `forward`'s input rows, one division over whole rows; their [B x N x l1] view."""
+    b, n, l1 = history.shape
+    rows = _column(work, "x", n * b, l1, 1.0)  # set first: stale memory could overflow
+    view = rows[:, :l1].reshape(n, b, l1)
+    np.subtract(history.swapaxes(0, 1), normalizer.mean, out=view)
+    rows /= normalizer.std
+    return view.swapaxes(0, 1)
 
 
 def _rows_matmul(a: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`a @ w` into `out` for a node-shared weight w [F x F'], the leading axes of
-    both one row axis, in even chunks of at most CHUNK_MACS // (F * F') rows."""
-    a2, out2 = a.reshape(-1, a.shape[-1]), out.reshape(-1, out.shape[-1])
+    """`a @ w` into the first F' columns of `out` for a node-shared weight w
+    [F x F'], the leading axes of a and out one row axis, in even chunks of at
+    most CHUNK_MACS // (F * F') rows; returns `out`."""
+    a2, out2 = a.reshape(-1, a.shape[-1]), out.reshape(-1, out.shape[-1])[:, : w.shape[1]]
     rows = len(a2)
     chunks = -(-rows // max(1, CHUNK_MACS // w.size))
     for i in range(chunks):
@@ -230,15 +245,15 @@ def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
             work: Optional[Workspace] = None):
     """Run the forecaster on a normalized batch.
 
-    x: [B x N x l1], copied node-major unless it is a view of a node-major
-    array; returns predictions [B x N x l2] in normalized units. With
-    cache=True also returns the intermediates needed for the backward pass.
-    The embedding defaults to the model's own slot. With use_graph, `graph` is
-    the adaptive graph of that embedding, passed in by a caller that forwards
-    several batches while the table stays fixed; when it is None the graph is
-    built here. Activations, the cache's included, are written into `work`, so
-    the next call with it overwrites them; without one the call takes a
-    workspace of its own.
+    x: [B x N x l1], copied into node-major rows that end in a 1 unless it is
+    `_normalized_input`'s view of them; returns predictions [B x N x l2] in
+    normalized units. With cache=True also returns the intermediates needed
+    for the backward pass. The embedding defaults to the model's own slot.
+    With use_graph, `graph` is the adaptive graph of that embedding, passed in
+    by a caller that forwards several batches while the table stays fixed;
+    when it is None the graph is built here. Activations, the cache's
+    included, are written into `work`, so the next call with it overwrites
+    them; without one the call takes a workspace of its own.
     """
     cfg = params.config
     work = Workspace() if work is None else work
@@ -251,56 +266,65 @@ def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
     if emb.dim != cfg.embed_dim:
         raise ValueError(f"embedding dim {emb.dim} != embed_dim {cfg.embed_dim}")
 
-    ch, ce, ct = cfg.hidden_dim, cfg.embed_dim, cfg.tod_dim
-    shape = (n, b, cfg.mix_dim)
-    # activation k goes to buffer h{k}. The backward pass reads every one, but
-    # inference reads only activation k-1 while writing k, so two alternate.
-    def activation(k):
-        return work.take(f"h{k if cache else k % 2}", shape)
+    ch, ce, ct, cm = cfg.hidden_dim, cfg.embed_dim, cfg.tod_dim, cfg.mix_dim
+    rows = n * b
+    # activation k goes to buffer h{k}, node-major rows [N*B x mix_dim + 1]
+    # that end in a 1. The backward pass reads every one, but inference reads
+    # only activation k-1 while writing k, so two alternate.
+    def activation(k, value):
+        return _column(work, f"h{k if cache else k % 2}", rows, cm, value)
 
-    h = activation(0)  # [history features | embedding | time of day | day of week]
-    u = _rows_matmul(_flat(x), _in_out(params.w_x), h[:, :, :ch])
-    u += params.b_x
-    h[:, :, ch : ch + ce] = emb.values[:, None, :]
-    h[:, :, ch + ce : ch + ce + ct] = params.tod[tod_idx]
-    h[:, :, ch + ce + ct :] = params.dow[dow_idx]
+    def nodes(a):  # [N x B x F] view of rows that end in a 1
+        return a[:, :-1].reshape(n, b, -1)
+
+    xs = _column(work, "x", rows, l1, 1.0)
+    xv = xs[:, :l1].reshape(n, b, l1).swapaxes(0, 1)
+    if x.__array_interface__ != xv.__array_interface__:
+        np.copyto(xv, x)
+    h = activation(0, 1.0)  # [history features | embedding | time of day | day of week]
+    _rows_matmul(xs, _in_out(params.w_x, params.b_x), h)
+    nodes(h)[:, :, ch : ch + ce] = emb.values[:, None, :]
+    nodes(h)[:, :, ch + ce : ch + ce + ct] = params.tod[tod_idx]
+    nodes(h)[:, :, ch + ce + ct :] = params.dow[dow_idx]
 
     adp = None
     if cfg.use_graph:
         adp = build_adaptive_graph(emb) if graph is None else graph
 
-    # intermediates ([B x N x F] views) are kept only when backward needs them
-    hs, rs = [h.swapaxes(0, 1)], []
+    # the rows backward reads, [N*B x F + 1], are kept only when it needs them
+    hs, rs = [h], []
     h_premix, k = None, 0
     for i, blk in enumerate(params.blocks):
-        r = _rows_matmul(h, _in_out(blk["w1"]), work.take(f"r{i if cache else 0}", shape))
-        r += blk["b1"]
+        r = _rows_matmul(h, _in_out(blk["w1"], blk["b1"]),
+                         _column(work, f"r{i if cache else 0}", rows, cm, 1.0))
         np.maximum(r, 0.0, out=r)  # relu in place: r > 0 exactly where z > 0
         k += 1
-        h_next = _rows_matmul(r, _in_out(blk["w2"]), activation(k))
-        h_next += h
-        h_next += blk["b2"]
+        h_next = _rows_matmul(r, _in_out(blk["w2"], blk["b2"]), activation(k, 0.0))
+        h_next += h  # the residual, whose 1 lands on the 0 of the ones column
         if cfg.use_graph and i == 0:
-            h_premix = h_next.swapaxes(0, 1)
+            h_premix, h_next = h_next, activation(k + 1, 1.0)
             k += 1
-            # inference mixes per window: a prediction is the same in any block
-            h_next = graph_mix(adp, h_next, out=activation(k), per_window=not cache)
+            if cache:  # one GEMM, over the ones column too: it sums to 1 within an ulp
+                graph_mix(adp, h_premix.reshape(n, b, -1), out=h_next.reshape(n, b, -1))
+                h_next[:, cm] = 1.0
+            else:  # per window: a prediction is the same in any block
+                graph_mix(adp, nodes(h_premix), out=nodes(h_next), per_window=True)
         if not _all_finite(h_next, work):
             raise FloatingPointError(f"non-finite activations in block {i}")
         if cache:
-            rs.append(r.swapaxes(0, 1))
-            hs.append(h_next.swapaxes(0, 1))
+            rs.append(r)
+            hs.append(h_next)
         h = h_next
 
-    y = _rows_matmul(h, _in_out(params.w_o), work.take("y", (n, b, cfg.l2)))
-    y += params.b_o
+    y = _rows_matmul(h, _in_out(params.w_o, params.b_o), work.take("y", (rows, cfg.l2)))
     if not _all_finite(y, work):
         raise FloatingPointError("non-finite output")
+    y = y.reshape(n, b, -1).swapaxes(0, 1)
     if not cache:
-        return y.swapaxes(0, 1)
-    return y.swapaxes(0, 1), {
-        "x": x, "tod_idx": tod_idx, "dow_idx": dow_idx,
-        "hs": hs, "rs": rs, "h_premix": h_premix,
+        return y
+    return y, {
+        "x": xs, "hs": hs, "rs": rs, "h_premix": h_premix,
+        "tod_idx": tod_idx, "dow_idx": dow_idx,
         "graph": adp, "embedding": emb, "work": work,
     }
 
@@ -326,12 +350,9 @@ def _predict_blocks(params, embedding, windows, normalizer, work: Workspace):
     """
     emb = params.embedding if embedding is None else embedding
     graph = build_adaptive_graph(emb) if params.config.use_graph else None
-    _, n, l1 = windows.history.shape
-    for rows in _blocks(len(windows), n):
-        history = windows.history[rows]
-        x = normalizer.apply(history.swapaxes(0, 1),
-                             out=work.take("x", (n, len(history), l1)))
-        y = forward(params, embedding, x.swapaxes(0, 1), windows.tod[rows],
+    for rows in _blocks(len(windows), windows.history.shape[1]):
+        x = _normalized_input(work, normalizer, windows.history[rows])
+        y = forward(params, embedding, x, windows.tod[rows],
                     windows.dow[rows], graph=graph, work=work)
         yield normalizer.invert(y, out=y), windows.target[rows]
 

@@ -10,7 +10,8 @@ import numpy as np
 from .dataset import Normalizer
 from .graph import build_adaptive_graph
 from .metrics import _scored_mae
-from .model import ModelParams, Workspace, _flat, _rows_matmul, forward
+from .model import (ModelParams, Workspace, _column, _normalized_input, _rows_matmul,
+                    forward)
 
 
 @dataclass
@@ -83,6 +84,16 @@ class FlatTensors(dict):
             lo = hi
 
 
+def _layer_grads(grads, names, w, b, d, rows, work):
+    """Gradients of weight `w` and bias `b` of a layer that read `rows`, which
+    end in a ones column, and got back d: one GEMM d.T @ rows."""
+    if w in names or b in names:
+        wb = np.matmul(d.T, rows, out=work.take("wb", (d.shape[1], rows.shape[1])))
+        for name, part in ((w, wb[:, :-1]), (b, wb[:, -1])):
+            if name in names:
+                grads[name][...] = part
+
+
 def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
              trainable=None):
     """Exact gradients of the cached forward pass for the requested tensors.
@@ -90,24 +101,23 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
     `trainable` names the tensors (default: the model's trainable ones); only
     their gradients are computed, while the `dh` chain runs through every
     block. Batch and node axes are contracted as one flat node-major [N*B]
-    axis, so every weight gradient is a single BLAS matmul, every bias sum a
-    ones-vector product and each graph product one GEMM on [N x B*F] views.
-    The graph's share of the embedding gradient is computed only when the
-    embedding is requested. The gradients are views of one flat vector in
-    `trainable` order (a `FlatTensors`); it and every temporary come from the
-    forward pass's workspace, so a later backward of the same cache and names
-    writes into the same vector.
+    axis, so a layer's weight and bias gradients are one BLAS matmul against
+    its input rows and their ones column, and each graph product one GEMM on
+    [N x B*F] views. The gradients of activation rows carry a last column of
+    exact zeros, which adds exact zeros to those GEMMs. The graph's share of
+    the embedding gradient is computed only when the embedding is requested.
+    The gradients are views of one flat vector in `trainable` order (a
+    `FlatTensors`); it and every temporary come from the forward pass's
+    workspace, so a later backward of the same cache and names writes into
+    the same vector.
     """
     cfg = params.config
     names = params.trainable_names() if trainable is None else list(trainable)
     work = cache["work"]
     hs, rs = cache["hs"], cache["rs"]
-    x = cache["x"]
-    b, n, _ = x.shape
-    ch, ce, ct = cfg.hidden_dim, cfg.embed_dim, cfg.tod_dim
-    rows = (n * b, cfg.mix_dim)
-    ones = work.take("ones", (b * n,))
-    ones.fill(1.0)
+    b, n, _ = loss_grad.shape
+    ch, ce, ct, cm = cfg.hidden_dim, cfg.embed_dim, cfg.tod_dim, cfg.mix_dim
+    rows = n * b
 
     def gradient_vector():
         tensors = params.tensors()
@@ -115,12 +125,9 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
         return FlatTensors(np.empty(sum(map(math.prod, shapes.values()))), shapes)
 
     grads = work.keep(("grads", *names), gradient_vector)
-    dy = _flat(loss_grad)
-    if "w_o" in names:
-        np.matmul(dy.T, _flat(hs[-1]), out=grads["w_o"])
-    if "b_o" in names:
-        np.matmul(ones, dy, out=grads["b_o"])
-    dh = _rows_matmul(dy, params.w_o, work.take("dh", rows))
+    dy = np.ascontiguousarray(loss_grad.swapaxes(0, 1)).reshape(rows, -1)
+    _layer_grads(grads, names, "w_o", "b_o", dy, hs[-1], work)
+    dh = _rows_matmul(dy, params.w_o, _column(work, "dh", rows, cm, 0.0))
 
     d_emb_graph = None
     for i in range(cfg.num_blocks - 1, -1, -1):
@@ -129,45 +136,36 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
             dh_mixed = dh.reshape(n, -1)
             if "embedding" in names:
                 # mixing weights -> softmax rows -> relu -> gram -> embedding
-                d_adj = np.matmul(dh_mixed, _flat(cache["h_premix"]).reshape(n, -1).T,
+                d_adj = np.matmul(dh_mixed, cache["h_premix"].reshape(n, -1).T,
                                   out=work.take("d_adj", (n, n)))
                 e = cache["embedding"].values
                 d_logits = a * (d_adj - (a * d_adj).sum(axis=1, keepdims=True))
                 d_gram = d_logits * (e @ e.T > 0)
                 d_emb_graph = (d_gram + d_gram.T) @ e
             dh = np.matmul(a.T, dh_mixed,
-                           out=work.take("dh_premix", dh_mixed.shape)).reshape(rows)
+                           out=work.take("dh_premix", dh_mixed.shape)).reshape(rows, -1)
         blk = params.blocks[i]
-        if f"b2_{i}" in names:
-            np.matmul(ones, dh, out=grads[f"b2_{i}"])
-        if f"w2_{i}" in names:
-            np.matmul(dh.T, _flat(rs[i]), out=grads[f"w2_{i}"])
-        dz = _rows_matmul(dh, blk["w2"], work.take("dz", rows))
-        dz *= np.greater(_flat(rs[i]), 0.0, out=work.take("relu", rows, bool))
-        if f"b1_{i}" in names:
-            np.matmul(ones, dz, out=grads[f"b1_{i}"])
-        if f"w1_{i}" in names:
-            np.matmul(dz.T, _flat(hs[i]), out=grads[f"w1_{i}"])
-        dh += _rows_matmul(dz, blk["w1"], work.take("dz_w1", rows))
+        _layer_grads(grads, names, f"w2_{i}", f"b2_{i}", dh[:, :cm], rs[i], work)
+        dz = _rows_matmul(dh[:, :cm], blk["w2"], _column(work, "dz", rows, cm, 0.0))
+        dz *= np.greater(rs[i], 0.0, out=work.take("relu", dz.shape, bool))
+        _layer_grads(grads, names, f"w1_{i}", f"b1_{i}", dz[:, :cm], hs[i], work)
+        dh += _rows_matmul(dz[:, :cm], blk["w1"], _column(work, "dz_w1", rows, cm, 0.0))
 
-    du = dh[:, :ch]
-    if "w_x" in names:
-        np.matmul(du.T, _flat(x), out=grads["w_x"])
-    if "b_x" in names:
-        np.matmul(ones, du, out=grads["b_x"])
-
+    _layer_grads(grads, names, "w_x", "b_x", dh[:, :ch], cache["x"], work)
     dh = dh.reshape(n, b, -1)
+    ones = work.keep(("ones", max(n, b)), lambda: np.ones(max(n, b)))
     if "embedding" in names:
-        d_emb = np.sum(dh[:, :, ch : ch + ce], axis=1, out=grads["embedding"])
+        d_emb = np.matmul(ones[:b], dh[:, :, ch : ch + ce], out=grads["embedding"])
         if d_emb_graph is not None:
             d_emb += d_emb_graph
-    if "tod" in names:
-        grads["tod"].fill(0.0)
-        np.add.at(grads["tod"], cache["tod_idx"],
-                  dh[:, :, ch + ce : ch + ce + ct].sum(axis=0))
-    if "dow" in names:
-        grads["dow"].fill(0.0)
-        np.add.at(grads["dow"], cache["dow_idx"], dh[:, :, ch + ce + ct :].sum(axis=0))
+    if "tod" in names or "dow" in names:
+        # each window's sums over nodes, one product for both tables
+        dh_sum = np.matmul(ones[:n], dh.reshape(n, -1),
+                           out=work.take("dh_sum", (b * (cm + 1),))).reshape(b, -1)
+    for name, lo, hi in (("tod", ch + ce, ch + ce + ct), ("dow", ch + ce + ct, cm)):
+        if name in names:
+            grads[name].fill(0.0)
+            np.add.at(grads[name], cache[f"{name}_idx"], dh_sum[:, lo:hi])
 
     if not np.isfinite(grads.flat).all():
         for name, g in grads.items():  # name the first bad tensor
@@ -179,10 +177,11 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
 def clip_gradients(grads: dict, max_norm: float):
     """Scale the whole gradient set down, in place, if its global norm
     exceeds max_norm. Returns (grads, pre-clip norm)."""
-    total = math.sqrt(sum(float(g.ravel() @ g.ravel()) for g in grads.values()))
+    vectors = (grads.flat,) if isinstance(grads, FlatTensors) else grads.values()
+    total = math.sqrt(sum(float(g.ravel() @ g.ravel()) for g in vectors))
     if total > max_norm:
         scale = max_norm / total
-        for g in (grads.flat,) if isinstance(grads, FlatTensors) else grads.values():
+        for g in vectors:
             g *= scale
     return grads, total
 
@@ -286,7 +285,7 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
         raise ValueError("train and validation windows must be non-empty")
     names = params.trainable_names() if trainable is None else list(trainable)
     n_train = len(train_windows)
-    (_, n, l1), l2 = train_windows.history.shape, train_windows.target.shape[2]
+    n, l2 = train_windows.target.shape[1:]
     # a table that no step updates keeps one graph for the whole fit
     frozen_graph = None
     if params.config.use_graph and "embedding" not in names:
@@ -313,9 +312,8 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
             if not mask.any():
                 warnings.warn("batch skipped: no valid (nonzero) targets")
                 continue
-            x = work.take("x", (n, len(idx), l1))
-            normalizer.apply(train_windows.history[idx].swapaxes(0, 1), out=x)
-            pred, cache = forward(params, None, x.swapaxes(0, 1), train_windows.tod[idx],
+            x = _normalized_input(work, normalizer, train_windows.history[idx])
+            pred, cache = forward(params, None, x, train_windows.tod[idx],
                                   train_windows.dow[idx], cache=True,
                                   graph=frozen_graph, work=work)
             loss, lgrad = masked_mae_loss(pred, y_batch.swapaxes(0, 1), normalizer,

@@ -292,6 +292,19 @@ class TestIngestFastPath:
         write_csv(p, rows)
         assert outcome(ingest_csv, p) == outcome(dataset._ingest_rows, p)
 
+    @pytest.mark.parametrize("cell", ["1.5", ""])  # loadtxt's file, the row loop's
+    def test_byte_order_mark_is_skipped(self, tmp_path, cell):
+        # Excel's "CSV UTF-8" export starts the file with the bytes EF BB BF
+        rows = csv_rows(576, value=2.5)
+        rows[3] = rows[3].rsplit(",", 1)[0] + "," + cell
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_csv(plain, rows)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for read in (ingest_csv, dataset._ingest_rows):
+            expected = outcome(read, plain)
+            assert isinstance(expected, tuple)
+            assert outcome(read, marked) == expected
+
     def test_row_loop_reads_quoted_and_empty_cells(self, tmp_path):
         p = tmp_path / "flow.csv"
         rows = csv_rows(576, value=2.5)

@@ -212,6 +212,52 @@ class TestForward:
                 np.testing.assert_array_equal(predict(params, None, ws, NORM), single)
 
 
+def ones_columns(work, cache, n, b, cfg):
+    """Every buffer of rows that a forward multiplies by an `_in_out` operand."""
+    if cache is not None:
+        rows = [cache["x"], *cache["hs"], *cache["rs"]]
+        return rows + ([cache["h_premix"]] if cache["h_premix"] is not None else [])
+    shape = (n * b, cfg.mix_dim + 1)
+    return [work.take("x", (n * b, cfg.l1 + 1)), work.take("h0", shape),
+            work.take("h1", shape), work.take("r0", shape)]
+
+
+class TestBiasFold:
+    """Every bias rides in its layer's GEMM, through a column of ones."""
+
+    @pytest.mark.parametrize("n", [1, 5, 40, 307])
+    @pytest.mark.parametrize("num_blocks", [1, 2, 3])
+    @pytest.mark.parametrize("use_graph", [False, True], ids=["flat", "graph"])
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_matches_layer_by_layer_reference(self, cache, use_graph, num_blocks, n):
+        params = init_params(toy_config(use_graph=use_graph, num_blocks=num_blocks),
+                             n, seed=4)
+        rng = np.random.default_rng(n)
+        for tensor in params.tensors().values():  # biases far from zero
+            tensor += rng.normal(0, 0.3, size=tensor.shape)
+        x, ti, di = batch(toy_windows(3, n, seed=2))
+        work = model.Workspace()
+        out = forward(params, None, x, ti, di, cache=cache, work=work)
+        out, held = out if cache else (out, None)
+        reference = einsum_forward(params, x, ti, di)
+        assert np.abs(out - reference).max() <= 1e-12 * np.abs(reference).max()
+        for rows in ones_columns(work, held, n, 3, params.config):
+            assert (rows[:, -1] == 1.0).all()
+
+    @pytest.mark.parametrize("use_graph", [False, True], ids=["flat", "graph"])
+    def test_ones_columns_survive_reused_buffers(self, use_graph):
+        # a buffer name taken at another shape shifts where its last column
+        # lies, so each forward writes its ones afresh
+        params = init_params(toy_config(use_graph=use_graph), 5, seed=0)
+        work = model.Workspace()
+        for windows, cache in ((7, True), (3, False), (2, True), (7, False)):
+            x, ti, di = batch(toy_windows(windows, 5, seed=windows))
+            out = forward(params, None, x, ti, di, cache=cache, work=work)
+            held = out[1] if cache else None
+            for rows in ones_columns(work, held, 5, windows, params.config):
+                assert (rows[:, -1] == 1.0).all()
+
+
 class TestBuffers:
     """Reused buffers never leak into what a direct call returns."""
 
@@ -357,12 +403,15 @@ class TestPemsShape:
 
         work = model.Workspace()
         pred, cache = forward(params, None, node_major, ti, di, cache=True, work=work)
-        held = cache["hs"] + cache["rs"] + [pred]
+        held = cache["hs"] + cache["rs"]
         if use_graph:
             held.append(cache["h_premix"])
+        # node-major rows, (node, window) at row node * B + window, each one
+        # ending in a column of ones
         for a in held:
-            assert a.shape[:2] == (self.B, self.N)
-            assert a.swapaxes(0, 1).flags.c_contiguous
+            assert a.shape == (self.N * self.B, params.config.mix_dim + 1)
+            assert a.flags.c_contiguous and (a[:, -1] == 1.0).all()
+        assert pred.shape == (self.B, self.N, 12) and pred.swapaxes(0, 1).flags.c_contiguous
         training.backward(params, cache, np.ones_like(pred))
         # every full-size buffer of a step holds an activation, a relu mask or
         # the gradient of one; none is a node-major copy of another

@@ -50,7 +50,13 @@ def einsum_backward(params, cache, loss_grad):
     BLAS matmuls; this slow form sums the same products in another order.
     """
     cfg = params.config
-    hs, rs, x = cache["hs"], cache["rs"], cache["x"]
+    b, n, _ = loss_grad.shape
+
+    def features(rows):  # [B x N x F] of node-major rows that end in a ones column
+        return rows[:, :-1].reshape(n, b, -1).swapaxes(0, 1)
+
+    hs, rs = [features(a) for a in cache["hs"]], [features(a) for a in cache["rs"]]
+    x = features(cache["x"])
     ch, ce, ct = cfg.hidden_dim, cfg.embed_dim, cfg.tod_dim
     grads = {}
     dy = loss_grad
@@ -60,7 +66,7 @@ def einsum_backward(params, cache, loss_grad):
     d_emb_graph = None
     for i in range(cfg.num_blocks - 1, -1, -1):
         if cfg.use_graph and i == 0:
-            adp, h_pre = cache["graph"], cache["h_premix"]
+            adp, h_pre = cache["graph"], features(cache["h_premix"])
             e = cache["embedding"].values
             d_adj = np.einsum("buf,bvf->uv", dh, h_pre)
             dh = np.einsum("uv,buf->bvf", adp.weights, dh)
@@ -312,8 +318,7 @@ class TestBackward:
         x, y, ti, di = batch(toy_windows(3))
         pred, cache = forward(params, None, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
-        cache["x"] = x.copy()
-        cache["x"][0, 0, 0] = np.inf
+        cache["x"][0, 0] = np.inf  # the input rows backward reads
         with np.errstate(invalid="ignore"), \
                 pytest.raises(FloatingPointError, match=f"gradient for {named}$"):
             backward(params, cache, lgrad, trainable=requested)
@@ -357,6 +362,31 @@ class TestBackward:
             np.testing.assert_array_equal(g, full[name], err_msg=name)
         errs = finite_difference_check(params, toy_windows(6, seed=4), NORM)
         assert max(errs.values()) < 1e-4
+
+
+class TestBiasGradients:
+    """Each bias gradient is the last column of its layer's weight GEMM."""
+
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    @pytest.mark.parametrize("num_blocks", [1, 2, 3])
+    @pytest.mark.parametrize("use_graph", [False, True], ids=["flat", "graph"])
+    def test_equal_row_sums_of_upstream_gradients(self, use_graph, num_blocks, n):
+        params = init_params(toy_config(num_blocks=num_blocks, use_graph=use_graph),
+                             n, seed=2)
+        rng = np.random.default_rng(n)
+        for tensor in params.tensors().values():
+            tensor += rng.normal(0, 0.3, size=tensor.shape)
+        x, y, ti, di = batch(toy_windows(6, n_nodes=n, seed=3))
+        pred, cache = forward(params, None, x, ti, di, cache=True)
+        _, lgrad = masked_mae_loss(pred, y, NORM)
+        reference = einsum_backward(params, cache, lgrad)  # sums over windows and nodes
+        biases = [name for name in params.tensors() if name.startswith("b")]
+        for trainable in (params.trainable_names(), biases):
+            grads = backward(params, cache, lgrad, trainable=trainable)
+            for name in biases:
+                scale = np.abs(reference[name]).max()
+                assert np.abs(grads[name] - reference[name]).max() <= 1e-12 * scale, name
+        np.testing.assert_allclose(grads["b_o"], lgrad.sum(axis=(0, 1)), rtol=1e-12)
 
 
 class TestBackwardPemsShape:
@@ -510,7 +540,8 @@ def reference_fit(params, train, val, normalizer, config, trainable=None):
             loss, lgrad = masked_mae_loss(pred, y, normalizer)
             grads = {name: g.copy() for name, g in
                      backward(params, cache, lgrad, trainable=names).items()}
-            norm = math.sqrt(sum(float(g.ravel() @ g.ravel()) for g in grads.values()))
+            flat = np.concatenate([g.ravel() for g in grads.values()])
+            norm = math.sqrt(float(flat @ flat))
             if norm > config.grad_clip_norm:
                 for g in grads.values():
                     g *= config.grad_clip_norm / norm
