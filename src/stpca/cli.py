@@ -80,7 +80,7 @@ CONFIG_KEYS = {
 def load_config(path):
     """Parse a flat `section.key=value` file against the known-key registry."""
     config = {k: default for k, (_, default) in CONFIG_KEYS.items()}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -343,7 +343,7 @@ def cmd_export_embeddings(args):
 
 def cmd_report(args):
     path = args.report
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             payload = json.load(fh)
         except (ValueError, RecursionError) as exc:

@@ -10,6 +10,7 @@ import io
 import itertools
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
@@ -23,6 +24,8 @@ MINUTES_PER_DAY = 1440
 _BLANK_CELL = re.compile(r",[ \t]*(?:[,\r\n]|$)")
 # the line ends that text-mode reading splits on
 _LINE_BREAK = re.compile(rb"\r\n|\r|\n")
+# where np.loadtxt's ValueError places a cell it cannot convert
+_LOADTXT_AT = re.compile(r"at row (\d+), column (\d+)")
 
 
 class DataError(ValueError):
@@ -148,79 +151,84 @@ class Windows:
 def ingest_csv(path) -> TrafficSeries:
     """Load a `timestamp,node_0,...` CSV into a TrafficSeries.
 
-    Rows must be strictly increasing in time at a uniform interval; empty cells
-    parse as 0 (missing). The interval is inferred from the first two rows.
-
-    The values of a plain file (no quotes, no empty cells) are parsed by one
-    `np.loadtxt` call. Any anomaly, bytes that are not UTF-8 included, sends
-    the whole file through `_ingest_rows`, the cell-by-cell reader, which
-    returns the same values for a valid file and raises the `path:line:`
-    message for an invalid one.
+    Rows must be strictly increasing in time at a uniform interval, inferred
+    from the first two rows. The header may be quoted, data cells may not;
+    empty or blank (spaces/tabs only) cells read as 0 (missing). The data
+    lines stream into one `np.loadtxt` call. Faults name their `path:line:`:
+    first the first quote, cell-count, timestamp or unparseable cell in file
+    order, then the first negative or non-finite value.
     """
+    timestamps, linenos = [], []
     try:
-        return _ingest_columns(path)
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            # csv.writer may quote node ids, so the header goes through csv
+            reader = csv.reader(fh)
+            node_ids = _node_ids(path, next(reader, None))
+            lines = _data_lines(path, fh, reader.line_num, len(node_ids),
+                                timestamps, linenos)
+            with warnings.catch_warnings():  # a header-only file is no data
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(lines, delimiter=",",
+                                    usecols=range(1, len(node_ids) + 1),
+                                    dtype=np.float64, comments=None, ndmin=2)
+    # UnicodeDecodeError is a ValueError, and so is DataError
     except UnicodeDecodeError:
-        return _ingest_rows(path)
-
-
-def _ingest_columns(path) -> TrafficSeries:
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        line = fh.readline()
-        if not line or '"' in line:
-            return _ingest_rows(path)
-        node_ids = _node_ids(path, next(csv.reader([line])))
-        n = len(node_ids)
-        data_start = fh.tell()
-        timestamps, linenos = [], []
-        for lineno, line in enumerate(fh, start=2):
-            if line in ("\n", "\r\n", "\r"):
-                continue
-            if line.count(",") != n or '"' in line or _has_blank_cell(line):
-                return _ingest_rows(path)
-            try:
-                ts = datetime.fromisoformat(line[: line.index(",")].strip())
-            except ValueError:
-                return _ingest_rows(path)
-            timestamps.append(ts)
-            linenos.append(lineno)
-        if len(timestamps) < 2:
-            return _ingest_rows(path)
-        fh.seek(data_start)
-        try:
-            values = np.loadtxt(fh, delimiter=",", usecols=range(1, n + 1),
-                                dtype=np.float64, comments=None, ndmin=2)
-        except ValueError:
-            return _ingest_rows(path)
-    # numpy and Python split lines alike (on \n, \r\n and \r): the row count
-    # check only guards that agreement
-    if (len(values) != len(timestamps) or not np.isfinite(values).all()
-            or (values < 0).any()):
-        return _ingest_rows(path)
+        raise _not_utf8(path) from None
+    except DataError:
+        raise
+    except ValueError as exc:
+        # loadtxt pulls a line only after converting the one before, so this
+        # is the first unparseable cell in file order; every line it gets has
+        # the right cell count, so a failed conversion is its only ValueError
+        row, col = map(int, _LOADTXT_AT.search(str(exc)).groups())
+        raise DataError(f"{path}:{linenos[row]}: bad value "
+                        f"{_cell(path, linenos[row], col - 1)!r}") from None
+    if not (np.isfinite(values).all() and (values >= 0).all()):
+        row, col = np.argwhere(~np.isfinite(values) | (values < 0))[0]
+        if np.isfinite(values[row, col]):
+            raise DataError(f"{path}:{linenos[row]}: negative reading "
+                            f"{float(values[row, col])}")
+        raise DataError(f"{path}:{linenos[row]}: non-finite value "
+                        f"{_cell(path, linenos[row], col + 1)!r}")
     return _series(path, values, timestamps, linenos, node_ids)
 
 
-def _has_blank_cell(line):
-    """Whether a data line has an empty or a space/tab-only value cell.
+def _data_lines(path, fh, header_lines, n, timestamps, linenos):
+    """Yield an open series CSV's data lines for `np.loadtxt`, each checked
+    and with its blank cells as 0; record its timestamp and line number."""
+    for lineno, line in enumerate(fh, start=header_lines + 1):
+        if line in ("\n", "\r\n", "\r"):
+            continue
+        if '"' in line:
+            raise DataError(f"{path}:{lineno}: quoted cells are not supported")
+        if line.count(",") != n:
+            raise DataError(f"{path}:{lineno}: ragged row ({line.count(',') + 1} "
+                            f"cells, expected {n + 1})")
+        stamp = line[: line.index(",")]
+        try:
+            timestamps.append(datetime.fromisoformat(stamp.strip()))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad timestamp {stamp!r}") from None
+        linenos.append(lineno)
+        if _has_blank_cell(line):
+            body = line.rstrip("\r\n")
+            line = ",".join(c if c.strip(" \t") else "0"
+                            for c in body.split(",")) + line[len(body):]
+        yield line
 
-    The row loop reads such a cell as 0 and loadtxt rejects it, so finding it
-    in the line pass spares a loadtxt parse that would fail. The substring
-    tests are cheap; the regex runs only on lines that hold a space or a tab.
-    """
+
+def _has_blank_cell(line):
+    """Whether a data line has an empty or a space/tab-only value cell; the
+    cheap substring tests spare the regex on lines with no space or tab."""
     return (",," in line or line.endswith((",", ",\n", ",\r\n", ",\r"))
             or (" " in line or "\t" in line) and _BLANK_CELL.search(line) is not None)
 
 
-def _ingest_rows(path) -> TrafficSeries:
-    """Reference reader for `ingest_csv`: csv.reader rows, float() per cell.
-
-    Handles quoted and empty cells, and raises the first fault in file order
-    with its physical line number; a record whose quoted cell spans lines is
-    reported at its last line.
-    """
-    try:
-        return _read_rows(path)
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+def _cell(path, lineno, col):
+    """Value cell `col` of line `lineno`, spaces and tabs stripped, for an error."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        line = next(itertools.islice(fh, lineno - 1, None))
+    return line.rstrip("\r\n").split(",")[col].strip(" \t")
 
 
 def _not_utf8(path) -> DataError:
@@ -233,46 +241,6 @@ def _not_utf8(path) -> DataError:
         line = 1 + len(_LINE_BREAK.findall(raw, 0, exc.start))
         return DataError(f"{path}:{line}: not UTF-8 text (byte 0x{raw[exc.start]:02x})")
     return DataError(f"{path}: not UTF-8 text")
-
-
-def _read_rows(path) -> TrafficSeries:
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        node_ids = _node_ids(path, next(reader, None))
-        timestamps, linenos, rows = [], [], []
-        for row in reader:
-            lineno = reader.line_num
-            if not row:
-                continue
-            if len(row) != len(node_ids) + 1:
-                raise DataError(
-                    f"{path}:{lineno}: ragged row ({len(row)} cells, "
-                    f"expected {len(node_ids) + 1})"
-                )
-            try:
-                ts = datetime.fromisoformat(row[0].strip())
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from None
-            vals = []
-            for cell in row[1:]:
-                cell = cell.strip()
-                if cell == "":
-                    vals.append(0.0)
-                    continue
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: bad value {cell!r}") from None
-                if not math.isfinite(v):
-                    raise DataError(f"{path}:{lineno}: non-finite value {cell!r}")
-                if v < 0:
-                    raise DataError(f"{path}:{lineno}: negative reading {v}")
-                vals.append(v)
-            timestamps.append(ts)
-            linenos.append(lineno)
-            rows.append(vals)
-    return _series(path, np.array(rows, dtype=np.float64), timestamps, linenos,
-                   node_ids)
 
 
 def _node_ids(path, header):

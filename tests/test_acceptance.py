@@ -283,19 +283,18 @@ def test_criterion_8b_pca_refresh_holds_under_shift(shift_runs):
 
 
 def test_criterion_8c_zero_embedding_beats_vanilla(shift_runs):
-    """Fails at 3/5 seeds; the printed zero/vanilla pairs read 13.9/14.9
-    12.8/12.9 13.5/14.8 11.4/8.1 12.1/7.8. The per-seed winner is not noise
-    but which solution training finds. Scored per node on this evaluation
-    range, the vanilla forecast of a shifted node follows its old role on
-    seeds 1 and 3 (MAE 16.4 and 13.2 against the old-role series, 26.8 and
-    26.4 against the real one): the model trusts its stale table, and zero
-    wins. On seeds 4 and 5 it follows the new role (13.7 and 13.0 against
-    the real series, 26.9 and 25.5 against the old one): the model overrides
-    the table from the history channel, and vanilla wins. Seed 2 sits
-    between (21.7 against 22.9). Zeroing `w_x` confirms it: unshifted nodes
-    go from ~3 to ~7 MAE on seeds 1 and 3 and to 14.5 on seeds 4 and 5. A
-    model that trusts its table cannot follow a spatial shift, which is the
-    paper's thesis. The gate keeps its stated seeds and threshold."""
+    """Fails at 3/5 seeds; the test prints each seed's zero/vanilla pair.
+    The per-seed winner is not noise but which solution training finds.
+    Scored per node on this evaluation range, on some seeds the vanilla
+    forecast of a shifted node follows its old role (its MAE against the
+    old-role series is far below its MAE against the real one): the model
+    trusts its stale table, and zero wins. On others it follows the new
+    role: the model overrides the table from the history channel, and
+    vanilla wins. Zeroing `w_x` confirms it: unshifted nodes lose far more
+    accuracy on the seeds where vanilla wins, whose forecasts lean on the
+    history channel. A model that trusts its table cannot follow a spatial
+    shift, which is the paper's thesis. The gate keeps its stated seeds and
+    threshold."""
     hits = []
     pairs = []
     for seed in SEEDS:

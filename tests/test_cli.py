@@ -15,7 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stpca import cli
-from stpca.cli import CONFIG_KEYS, build_parser, load_config, main
+from stpca.cli import (CONFIG_KEYS, build_parser, load_config, main,
+                       resolved_config_text)
 from stpca.dataset import (DayTensor, Normalizer, fit_normalizer, ingest_csv,
                            make_windows, normalize_day_tensor,
                            split_chronological, to_day_tensor)
@@ -247,6 +248,17 @@ class TestTrain:
         write_config(cfg, synth_dir / "train.csv", out, strategy="adaptive")
         assert run_cli("train", "--config", str(cfg)) == 0
         assert not (out / "proj.stpj").exists()
+
+    def test_byte_order_mark_config_same_resolved_config(self, synth_dir, tmp_path):
+        # Windows editors may start a UTF-8 file with the bytes EF BB BF
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        out = tmp_path / "out"
+        write_config(plain, synth_dir / "train.csv", out)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_config(marked) == load_config(plain)
+        assert run_cli("train", "--config", str(marked)) == 0
+        assert ((out / "config.resolved").read_text()
+                == resolved_config_text(load_config(plain)))
 
     def test_unknown_key_exit_2(self, synth_dir, tmp_path, capsys):
         # a removed option must fail loudly, not be ignored
@@ -547,6 +559,22 @@ class TestExportAndReport:
         assert run_cli("report", "--report", str(rep)) == 0
         text = capsys.readouterr().out
         assert "Average" in text and "&" in text
+
+    def test_byte_order_mark_report_same_rendering(self, synth_dir, trained_dir,
+                                                    tmp_path, capsys):
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        assert run_cli("eval", "--model", str(trained_dir / "model.stpf"),
+                       "--data", str(synth_dir / "train.csv"),
+                       "--out", str(plain)) == 0
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        capsys.readouterr()
+        rendered = []
+        for rep in (plain, marked):
+            assert run_cli("report", "--report", str(rep)) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            rendered.append(captured.out)
+        assert rendered[0] == rendered[1] and "Average" in rendered[0]
 
     @pytest.mark.parametrize("payload", [
         "{}",

@@ -1,6 +1,8 @@
 import csv
 import io
 import math
+import re
+import warnings
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -125,13 +127,12 @@ class TestIngest:
             ingest_csv(p)
 
     def test_line_numbers_are_physical_lines(self, tmp_path):
-        # a quoted cell holding a newline spans lines 4 and 5, so the record
-        # of rows[5] starts on line 8
+        # a quoted node id holding a newline spans lines 1 and 2, so the
+        # record of rows[5] is on line 8
         p = tmp_path / "flow.csv"
         rows = csv_rows(576)
-        rows[2] = rows[2].rsplit(",", 1)[0] + ',"1\n"'
         rows[5] = rows[5].rsplit(",", 1)[0] + ",-2.0"
-        write_csv(p, rows)
+        write_csv(p, rows, header='timestamp,"node\n0",node_1,node_2')
         with pytest.raises(DataError, match=r"flow.csv:8: negative reading -2.0$"):
             ingest_csv(p)
 
@@ -147,49 +148,68 @@ class TestIngest:
                            match=rf"flow.csv:{line}: not UTF-8 text \(byte 0xff\)$"):
             ingest_csv(p)
 
-    def test_plain_file_skips_the_row_loop(self, tmp_path, monkeypatch):
+    def test_plain_file_reads_back_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2**63 - 2**52, size=(300, 3), dtype=np.int64)
+        values = bits.view(np.float64)  # every finite non-negative bit pattern
+        values[:2] = np.abs(EDGE_VALUES[:6]).reshape(2, 3)
         p = tmp_path / "flow.csv"
-        write_series_csv(make_series(300), p)
+        write_series_csv(make_series(300, values=values), p)
+        assert ingest_csv(p).values.tobytes() == values.tobytes()
 
-        def row_loop(path):
-            raise AssertionError("a plain file fell back to the row loop")
-
-        monkeypatch.setattr(dataset, "_ingest_rows", row_loop)
-        assert ingest_csv(p).total_steps == 300
-
-    @pytest.mark.parametrize("cell", ["", '"1.5"', "1_0", "nan", "-2"])
-    def test_anomalous_cell_takes_the_row_loop(self, tmp_path, monkeypatch, cell):
+    @pytest.mark.parametrize("cell", ["", '"1.5"', '"1\n"', '""', "1_0", "nan", "-2"])
+    def test_anomalous_cell_gives_its_error(self, tmp_path, cell):
         p = tmp_path / "flow.csv"
         rows = csv_rows(576)
         rows[7] = rows[7].rsplit(",", 1)[0] + "," + cell
         write_csv(p, rows)
-        calls = []
-        row_loop = dataset._ingest_rows
-        monkeypatch.setattr(dataset, "_ingest_rows",
-                            lambda path: calls.append(path) or row_loop(path))
-        try:
-            ingest_csv(p)
-        except DataError:
-            pass
-        assert calls == [p]
+        # a quoted cell holding a newline is rejected at its first line
+        quoted = "quoted cells are not supported"
+        error = {"": None,  # an empty cell reads as 0
+                 '"1.5"': quoted, '"1\n"': quoted, '""': quoted,
+                 "1_0": "bad value '1_0'",
+                 "nan": "non-finite value 'nan'",
+                 "-2": "negative reading -2.0"}[cell]
+        if error is None:
+            assert ingest_csv(p).values[7].tolist() == [1.0, 1.0, 0.0]
+        else:
+            with pytest.raises(DataError, match=rf"flow.csv:9: {re.escape(error)}$"):
+                ingest_csv(p)
 
     @pytest.mark.parametrize("row", ["{ts},,2,3", "{ts},1,,3", "{ts},1,2,",
                                      "{ts}, ,2,3", "{ts},1,\t ,3", "{ts},1,2, "])
     @pytest.mark.parametrize("last", [False, True])
-    def test_blank_cell_skips_loadtxt(self, tmp_path, monkeypatch, row, last):
+    def test_blank_cell_reads_as_zero(self, tmp_path, row, last):
         p = tmp_path / "flow.csv"
         rows = csv_rows(576)
         at = len(rows) - 1 if last else 7
         rows[at] = row.format(ts=rows[at].split(",", 1)[0])
         write_csv(p, rows)
-        if last:  # no line ending after the empty cell
+        if last:  # no line ending after the blank cell
             p.write_bytes(p.read_bytes().rstrip(b"\r\n"))
+        expected = [float(c) if c.strip() else 0.0 for c in row.split(",")[1:]]
+        values = ingest_csv(p).values
+        assert values[at].tolist() == expected
+        assert (np.delete(values, at, axis=0) == 1.0).all()
 
-        def loadtxt(*args, **kwargs):
-            raise AssertionError("a blank cell reached np.loadtxt")
+    def test_parse_fault_before_value_fault(self, tmp_path):
+        # the first unparseable line wins over an earlier non-finite value
+        p = tmp_path / "flow.csv"
+        rows = csv_rows(576)
+        rows[0] = rows[0].rsplit(",", 1)[0] + ",nan"
+        rows.insert(1, " ")
+        write_csv(p, rows)
+        with pytest.raises(DataError,
+                           match=r"flow.csv:3: ragged row \(1 cells, expected 4\)$"):
+            ingest_csv(p)
 
-        monkeypatch.setattr(dataset.np, "loadtxt", loadtxt)
-        assert ingest_csv(p).values[at].tolist().count(0.0) == 1
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        p = tmp_path / "flow.csv"
+        write_csv(p, [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="need at least two rows"):
+                ingest_csv(p)
 
     def test_series_roundtrip_through_csv(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -207,7 +227,7 @@ class TestIngest:
 INTERVAL = timedelta(minutes=360)
 ODD_CELLS = ["", " ", '"7.5"', '"1,5"', " 2.5 ", "\t3\x0b", "1_0", "nan", "inf",
              "-inf", "-1", "-0", "1e308", "1e309", "5e-324", "0x10", "abc", "\uff11",
-             "1\x002", "+4", ".5", "7."]
+             "1\x002", "+4", ".5", "7.", "\x0b", "\xa03"]
 
 
 def value_text(v, style):
@@ -263,6 +283,66 @@ def csv_texts(draw):
     return text
 
 
+def read_rows(path):
+    """Reference reader for ingest_csv: csv.reader rows, float() per cell.
+
+    It shares only the header, time-axis and UTF-8 checks with ingest_csv
+    and states the data-cell contract directly: a data line holding a quote
+    is rejected, `1_0` and non-ASCII digits are bad values (float() reads
+    them, np.loadtxt does not), and negative and non-finite values are
+    reported only once every line has parsed.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = csv.reader(fh)
+            node_ids = dataset._node_ids(path, next(header, None))
+            reader = csv.reader(fh, quoting=csv.QUOTE_NONE)
+            timestamps, linenos, rows, cells = [], [], [], []
+            for row in reader:
+                lineno = header.line_num + reader.line_num
+                if not row:
+                    continue
+                if any('"' in cell for cell in row):
+                    raise DataError(f"{path}:{lineno}: quoted cells are not supported")
+                if len(row) != len(node_ids) + 1:
+                    raise DataError(
+                        f"{path}:{lineno}: ragged row ({len(row)} cells, "
+                        f"expected {len(node_ids) + 1})"
+                    )
+                try:
+                    ts = datetime.fromisoformat(row[0].strip())
+                except ValueError:
+                    raise DataError(
+                        f"{path}:{lineno}: bad timestamp {row[0]!r}") from None
+                vals = []
+                for cell in row[1:]:
+                    cell = cell.strip(" \t")
+                    if cell == "":
+                        vals.append(0.0)
+                        continue
+                    try:
+                        if "_" in cell or not cell.strip().isascii():
+                            raise ValueError(cell)
+                        vals.append(float(cell))
+                    except ValueError:
+                        raise DataError(
+                            f"{path}:{lineno}: bad value {cell!r}") from None
+                timestamps.append(ts)
+                linenos.append(lineno)
+                rows.append(vals)
+                cells.append([cell.strip(" \t") for cell in row[1:]])
+    except UnicodeDecodeError:
+        raise dataset._not_utf8(path) from None
+    for vals, row, lineno in zip(rows, cells, linenos):
+        for v, cell in zip(vals, row):
+            if not math.isfinite(v):
+                raise DataError(f"{path}:{lineno}: non-finite value {cell!r}")
+            if v < 0:
+                raise DataError(f"{path}:{lineno}: negative reading {v}")
+    return dataset._series(path, np.array(rows, dtype=np.float64), timestamps,
+                           linenos, node_ids)
+
+
 def outcome(read, path):
     """What a reader returns for a file: the series fields or the error text."""
     try:
@@ -274,7 +354,7 @@ def outcome(read, path):
 
 
 class TestIngestFastPath:
-    """ingest_csv against the cell-by-cell row loop it falls back to."""
+    """ingest_csv against read_rows, the cell-by-cell reference reader."""
 
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -282,7 +362,7 @@ class TestIngestFastPath:
     def test_same_series_or_same_error_as_row_loop(self, tmp_path, text):
         p = tmp_path / "flow.csv"
         p.write_bytes(text.encode("utf-8"))
-        assert outcome(ingest_csv, p) == outcome(dataset._ingest_rows, p)
+        assert outcome(ingest_csv, p) == outcome(read_rows, p)
 
     @pytest.mark.parametrize("cell", ODD_CELLS)
     def test_one_odd_cell_same_as_row_loop(self, tmp_path, cell):
@@ -290,9 +370,9 @@ class TestIngestFastPath:
         rows = csv_rows(576, value=2.5)
         rows[9] = rows[9].rsplit(",", 2)[0] + "," + cell + ",3"
         write_csv(p, rows)
-        assert outcome(ingest_csv, p) == outcome(dataset._ingest_rows, p)
+        assert outcome(ingest_csv, p) == outcome(read_rows, p)
 
-    @pytest.mark.parametrize("cell", ["1.5", ""])  # loadtxt's file, the row loop's
+    @pytest.mark.parametrize("cell", ["1.5", ""])  # a plain line, a blank cell
     def test_byte_order_mark_is_skipped(self, tmp_path, cell):
         # Excel's "CSV UTF-8" export starts the file with the bytes EF BB BF
         rows = csv_rows(576, value=2.5)
@@ -300,18 +380,10 @@ class TestIngestFastPath:
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
         write_csv(plain, rows)
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-        for read in (ingest_csv, dataset._ingest_rows):
+        for read in (ingest_csv, read_rows):
             expected = outcome(read, plain)
             assert isinstance(expected, tuple)
             assert outcome(read, marked) == expected
-
-    def test_row_loop_reads_quoted_and_empty_cells(self, tmp_path):
-        p = tmp_path / "flow.csv"
-        rows = csv_rows(576, value=2.5)
-        rows[4] = rows[4].rsplit(",", 2)[0] + ',"1.5",'
-        write_csv(p, rows)
-        s = ingest_csv(p)
-        assert s.values[4].tolist() == [2.5, 1.5, 0.0]
 
 
 def per_cell_csv(series):

@@ -11,7 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stpca.dataset import Normalizer, TrafficSeries, make_windows, write_series_csv
+from stpca.dataset import (Normalizer, TrafficSeries, ingest_csv, make_windows,
+                           write_series_csv)
 from stpca.metrics import evaluate
 from stpca.model import ModelConfig, init_params
 from stpca.training import TrainConfig, fit
@@ -88,4 +89,13 @@ def test_fit_validation_peak_below_a_quarter_of_predictions(series):
 def test_write_series_csv_peak_below_file_size(series, tmp_path):
     path = tmp_path / "series.csv"
     _, peak = traced_peak(write_series_csv, series, path)
+    assert peak < os.path.getsize(path)
+
+
+def test_ingest_csv_peak_below_file_size(series, tmp_path):
+    # the lines stream into np.loadtxt; a list of them alone is the file's size
+    path = tmp_path / "series.csv"
+    write_series_csv(series, path)
+    back, peak = traced_peak(ingest_csv, path)
+    assert back.values.tobytes() == series.values.tobytes()
     assert peak < os.path.getsize(path)
