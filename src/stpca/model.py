@@ -55,37 +55,26 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """All tensors of the forecaster plus the embedding slot."""
+    """All tensors of the forecaster: the embedding slot, and every other
+    tensor in `weights` under its `_tensor_shapes` (checkpoint) name."""
 
     config: ModelConfig
-    w_x: np.ndarray
-    b_x: np.ndarray
     embedding: EmbeddingTable
-    tod: np.ndarray
-    dow: np.ndarray
-    blocks: list  # per block: dict with w1, b1, w2, b2
-    w_o: np.ndarray
-    b_o: np.ndarray
-
-    def _slots(self):
-        """{name: (dict, key)} in `_tensor_shapes` order: where each tensor is
-        held, as a field, as the table's values or as a block's entry."""
-        held = {f"{k}_{i}": (blk, k) for i, blk in enumerate(self.blocks) for k in blk}
-        held["embedding"] = vars(self.embedding), "values"
-        return {name: held.get(name, (vars(self), name))
-                for name, _ in _tensor_shapes(self.config)}
+    weights: dict
 
     def tensors(self):
         """Named views of every tensor, in the fixed serialization order."""
-        return {name: held[key] for name, (held, key) in self._slots().items()}
+        return {name: self.embedding.values if name == "embedding" else self.weights[name]
+                for name, _ in _tensor_shapes(self.config)}
 
     def bind(self, arrays: dict):
         """Point the named tensors at the given arrays, e.g. views of an
         optimizer's flat parameter vector."""
-        slots = self._slots()
         for name, array in arrays.items():
-            held, key = slots[name]
-            held[key] = array
+            if name == "embedding":
+                self.embedding.values = array
+            else:
+                self.weights[name] = array
 
     def trainable_names(self):
         """Embedding is a trainable tensor only under the adaptive strategy."""
@@ -155,10 +144,8 @@ def _tensor_shapes(cfg: ModelConfig):
 
 def _from_tensors(config: ModelConfig, tensors: dict, strategy: str) -> ModelParams:
     """The model of the tensors `_tensor_shapes` names, its table tagged `strategy`."""
-    fields = dict(tensors, embedding=EmbeddingTable(tensors["embedding"], strategy))
-    fields["blocks"] = [{k: fields.pop(f"{k}_{i}") for k in ("w1", "b1", "w2", "b2")}
-                        for i in range(config.num_blocks)]
-    return ModelParams(config=config, **fields)
+    weights = dict(tensors)
+    return ModelParams(config, EmbeddingTable(weights.pop("embedding"), strategy), weights)
 
 
 def init_params(config: ModelConfig, n: int, seed: int) -> ModelParams:
@@ -281,11 +268,12 @@ def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
     xv = xs[:, :l1].reshape(n, b, l1).swapaxes(0, 1)
     if x.__array_interface__ != xv.__array_interface__:
         np.copyto(xv, x)
+    w = params.weights
     h = activation(0, 1.0)  # [history features | embedding | time of day | day of week]
-    _rows_matmul(xs, _in_out(params.w_x, params.b_x), h)
+    _rows_matmul(xs, _in_out(w["w_x"], w["b_x"]), h)
     nodes(h)[:, :, ch : ch + ce] = emb.values[:, None, :]
-    nodes(h)[:, :, ch + ce : ch + ce + ct] = params.tod[tod_idx]
-    nodes(h)[:, :, ch + ce + ct :] = params.dow[dow_idx]
+    nodes(h)[:, :, ch + ce : ch + ce + ct] = w["tod"][tod_idx]
+    nodes(h)[:, :, ch + ce + ct :] = w["dow"][dow_idx]
 
     adp = None
     if cfg.use_graph:
@@ -294,12 +282,12 @@ def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
     # the rows backward reads, [N*B x F + 1], are kept only when it needs them
     hs, rs = [h], []
     h_premix, k = None, 0
-    for i, blk in enumerate(params.blocks):
-        r = _rows_matmul(h, _in_out(blk["w1"], blk["b1"]),
+    for i in range(cfg.num_blocks):
+        r = _rows_matmul(h, _in_out(w[f"w1_{i}"], w[f"b1_{i}"]),
                          _column(work, f"r{i if cache else 0}", rows, cm, 1.0))
         np.maximum(r, 0.0, out=r)  # relu in place: r > 0 exactly where z > 0
         k += 1
-        h_next = _rows_matmul(r, _in_out(blk["w2"], blk["b2"]), activation(k, 0.0))
+        h_next = _rows_matmul(r, _in_out(w[f"w2_{i}"], w[f"b2_{i}"]), activation(k, 0.0))
         h_next += h  # the residual, whose 1 lands on the 0 of the ones column
         if cfg.use_graph and i == 0:
             h_premix, h_next = h_next, activation(k + 1, 1.0)
@@ -316,7 +304,7 @@ def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
             hs.append(h_next)
         h = h_next
 
-    y = _rows_matmul(h, _in_out(params.w_o, params.b_o), work.take("y", (rows, cfg.l2)))
+    y = _rows_matmul(h, _in_out(w["w_o"], w["b_o"]), work.take("y", (rows, cfg.l2)))
     if not _all_finite(y, work):
         raise FloatingPointError("non-finite output")
     y = y.reshape(n, b, -1).swapaxes(0, 1)

@@ -40,6 +40,8 @@ class SynthSpec:
             raise ValueError("noise_std must be non-negative")
         if MINUTES_PER_DAY % self.steps_per_day != 0:
             raise ValueError("steps_per_day must divide 1440 minutes")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 def role_profile(role: int, n_roles: int, steps_per_day: int) -> np.ndarray:

@@ -13,6 +13,8 @@ from .metrics import _scored_mae
 from .model import (ModelParams, Workspace, _column, _normalized_input, _rows_matmul,
                     forward)
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
 
 @dataclass
 class TrainConfig:
@@ -29,6 +31,8 @@ class TrainConfig:
             raise ValueError("training hyperparameters must be positive")
         if self.patience > self.max_epochs:
             raise ValueError("patience cannot exceed max_epochs")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass
@@ -125,9 +129,10 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
         return FlatTensors(np.empty(sum(map(math.prod, shapes.values()))), shapes)
 
     grads = work.keep(("grads", *names), gradient_vector)
+    w = params.weights
     dy = np.ascontiguousarray(loss_grad.swapaxes(0, 1)).reshape(rows, -1)
     _layer_grads(grads, names, "w_o", "b_o", dy, hs[-1], work)
-    dh = _rows_matmul(dy, params.w_o, _column(work, "dh", rows, cm, 0.0))
+    dh = _rows_matmul(dy, w["w_o"], _column(work, "dh", rows, cm, 0.0))
 
     d_emb_graph = None
     for i in range(cfg.num_blocks - 1, -1, -1):
@@ -144,12 +149,11 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
                 d_emb_graph = (d_gram + d_gram.T) @ e
             dh = np.matmul(a.T, dh_mixed,
                            out=work.take("dh_premix", dh_mixed.shape)).reshape(rows, -1)
-        blk = params.blocks[i]
         _layer_grads(grads, names, f"w2_{i}", f"b2_{i}", dh[:, :cm], rs[i], work)
-        dz = _rows_matmul(dh[:, :cm], blk["w2"], _column(work, "dz", rows, cm, 0.0))
+        dz = _rows_matmul(dh[:, :cm], w[f"w2_{i}"], _column(work, "dz", rows, cm, 0.0))
         dz *= np.greater(rs[i], 0.0, out=work.take("relu", dz.shape, bool))
         _layer_grads(grads, names, f"w1_{i}", f"b1_{i}", dz[:, :cm], hs[i], work)
-        dh += _rows_matmul(dz[:, :cm], blk["w1"], _column(work, "dz_w1", rows, cm, 0.0))
+        dh += _rows_matmul(dz[:, :cm], w[f"w1_{i}"], _column(work, "dz_w1", rows, cm, 0.0))
 
     _layer_grads(grads, names, "w_x", "b_x", dh[:, :ch], cache["x"], work)
     dh = dh.reshape(n, b, -1)
@@ -174,15 +178,12 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
     return grads
 
 
-def clip_gradients(grads: dict, max_norm: float):
-    """Scale the whole gradient set down, in place, if its global norm
+def clip_gradients(grads: FlatTensors, max_norm: float):
+    """Scale `backward`'s gradient vector down, in place, if its global norm
     exceeds max_norm. Returns (grads, pre-clip norm)."""
-    vectors = (grads.flat,) if isinstance(grads, FlatTensors) else grads.values()
-    total = math.sqrt(sum(float(g.ravel() @ g.ravel()) for g in vectors))
+    total = math.sqrt(float(grads.flat @ grads.flat))
     if total > max_norm:
-        scale = max_norm / total
-        for g in vectors:
-            g *= scale
+        grads.flat *= max_norm / total
     return grads, total
 
 
@@ -204,22 +205,15 @@ class AdamState:
     model: Optional[ModelParams] = None  # whose tensors are views of theta
 
 
-def adam_step(state: AdamState, params: ModelParams, grads: dict, lr: float,
-              beta1=0.9, beta2=0.999, eps=1e-8, grad_clip_norm=None):
-    """One bias-corrected Adam update of the model's tensors.
+def adam_step(state: AdamState, params: ModelParams, grads: FlatTensors, lr: float):
+    """One bias-corrected Adam update of the model's tensors by `backward`'s
+    (clipped) gradient vector.
 
-    `grads` is `backward`'s result, or any dict of arrays, which is first
-    copied into one flat vector; clipping scales that vector in place. The
-    update is a dozen whole-vector operations, and both bias corrections
-    fold into two scalars: lr * m_hat / (sqrt(v_hat) + eps) equals
+    The update is a dozen whole-vector operations, and both bias corrections
+    fold into two scalars: lr * m_hat / (sqrt(v_hat) + EPS) equals
     step * m / (sqrt(v) + eps_hat) with step = lr * sqrt(c2) / c1 and
-    eps_hat = eps * sqrt(c2), where c1, c2 are 1 - beta1**t, 1 - beta2**t.
+    eps_hat = EPS * sqrt(c2), where c1, c2 are 1 - BETA1**t, 1 - BETA2**t.
     """
-    if not isinstance(grads, FlatTensors):
-        grads = FlatTensors(np.concatenate([np.ravel(g) for g in grads.values()]),
-                            {name: np.shape(g) for name, g in grads.items()})
-    if grad_clip_norm is not None:
-        grads, _ = clip_gradients(grads, grad_clip_norm)
     names = tuple(grads)
     if state.theta is None:
         tensors = params.tensors()
@@ -234,15 +228,15 @@ def adam_step(state: AdamState, params: ModelParams, grads: dict, lr: float,
     elif params is not state.model:
         raise ValueError("Adam state is bound to another model's tensors")
     state.t += 1
-    root_c2 = math.sqrt(1 - beta2 ** state.t)
-    step = lr * root_c2 / (1 - beta1 ** state.t)
-    eps_hat = eps * root_c2
+    root_c2 = math.sqrt(1 - BETA2 ** state.t)
+    step = lr * root_c2 / (1 - BETA1 ** state.t)
+    eps_hat = EPS * root_c2
     g, m, v, s = grads.flat, state.m, state.v, state.scratch
-    m *= beta1
-    m += np.multiply(g, 1 - beta1, out=s)
+    m *= BETA1
+    m += np.multiply(g, 1 - BETA1, out=s)
     np.multiply(g, g, out=s)
-    s *= 1 - beta2
-    v *= beta2
+    s *= 1 - BETA2
+    v *= BETA2
     v += s
     np.sqrt(v, out=s)
     s += eps_hat
@@ -320,9 +314,9 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
                                           mask=mask.swapaxes(0, 1), work=work)
             if not np.isfinite(loss):
                 raise FloatingPointError("non-finite training loss")
-            grads = backward(params, cache, lgrad, trainable=names)
-            adam_step(state, params, grads, config.lr,
-                      grad_clip_norm=config.grad_clip_norm)
+            grads, _ = clip_gradients(backward(params, cache, lgrad, trainable=names),
+                                      config.grad_clip_norm)
+            adam_step(state, params, grads, config.lr)
             losses.append(loss)
 
         val_mae = _scored_mae(params, val_windows, normalizer, work)

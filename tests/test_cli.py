@@ -187,6 +187,21 @@ class TestFaultExits:
         assert run_cli("train", "--config", str(cfg)) == 1
         assert "Unable to allocate" in assert_one_line_error(capsys, "error: ")
 
+    def test_negative_train_seed_exit_2_before_reading_data(self, synth_dir, tmp_path,
+                                                            capsys, monkeypatch):
+        reads = []
+        monkeypatch.setattr(cli, "ingest_csv", lambda *a, **k: reads.append(a))
+        cfg = tmp_path / "bad.cfg"
+        write_config(cfg, synth_dir / "train.csv", tmp_path / "o", extra="train.seed=-1\n")
+        assert run_cli("train", "--config", str(cfg)) == 2
+        assert "bad train.* values: seed" in assert_one_line_error(capsys, "config error: ")
+        assert reads == [] and not (tmp_path / "o").exists()
+
+    def test_negative_synth_seed_exit_2(self, tmp_path, capsys):
+        assert run_cli("synth", "--seed", "-1", "--out-dir", str(tmp_path / "s")) == 2
+        assert "seed" in assert_one_line_error(capsys, "config error: ")
+        assert not (tmp_path / "s").exists()
+
     def test_bad_ratios_flag_exit_2(self, synth_dir, trained_dir, tmp_path, capsys):
         assert run_cli("eval", "--model", str(trained_dir / "model.stpf"),
                        "--data", str(synth_dir / "train.csv"), "--ratios", "1,x,1",

@@ -37,22 +37,22 @@ def einsum_forward(params, x, tod_idx, dow_idx):
     [out x in] weights, the graph written out as softmax(relu(E E^T))."""
     cfg = params.config
     b, n, _ = x.shape
-    e = params.embedding.values
-    u = np.einsum("bnl,hl->bnh", x, params.w_x) + params.b_x
+    e, w = params.embedding.values, params.weights
+    u = np.einsum("bnl,hl->bnh", x, w["w_x"]) + w["b_x"]
     h = np.concatenate([
         u, np.broadcast_to(e, (b, n, cfg.embed_dim)),
-        np.broadcast_to(params.tod[tod_idx][:, None, :], (b, n, cfg.tod_dim)),
-        np.broadcast_to(params.dow[dow_idx][:, None, :], (b, n, cfg.dow_dim)),
+        np.broadcast_to(w["tod"][tod_idx][:, None, :], (b, n, cfg.tod_dim)),
+        np.broadcast_to(w["dow"][dow_idx][:, None, :], (b, n, cfg.dow_dim)),
     ], axis=2)
-    for i, blk in enumerate(params.blocks):
-        r = np.maximum(np.einsum("bnk,mk->bnm", h, blk["w1"]) + blk["b1"], 0.0)
-        h = h + np.einsum("bnk,mk->bnm", r, blk["w2"]) + blk["b2"]
+    for i in range(cfg.num_blocks):
+        r = np.maximum(np.einsum("bnk,mk->bnm", h, w[f"w1_{i}"]) + w[f"b1_{i}"], 0.0)
+        h = h + np.einsum("bnk,mk->bnm", r, w[f"w2_{i}"]) + w[f"b2_{i}"]
         if cfg.use_graph and i == 0:
             logits = np.maximum(e @ e.T, 0.0)
             a = np.exp(logits - logits.max(axis=1, keepdims=True))
             a /= a.sum(axis=1, keepdims=True)
             h = np.einsum("uv,bvf->buf", a, h)
-    return np.einsum("bnk,lk->bnl", h, params.w_o) + params.b_o
+    return np.einsum("bnk,lk->bnl", h, w["w_o"]) + w["b_o"]
 
 
 class TestInit:
@@ -82,7 +82,7 @@ class TestInit:
     def test_xavier_bounds(self):
         params = init_params(toy_config(), 5, seed=3)
         a = np.sqrt(6.0 / (params.config.l1 + params.config.hidden_dim))
-        assert np.abs(params.w_x).max() <= a
+        assert np.abs(params.weights["w_x"]).max() <= a
 
     def test_adaptive_strategy_by_default(self):
         params = init_params(toy_config(), 5, seed=0)
@@ -196,7 +196,7 @@ class TestForward:
 
     def test_non_finite_reported_with_block(self):
         params = init_params(toy_config(), 5, seed=0)
-        params.blocks[1]["w2"][0, 0] = np.inf
+        params.weights["w2_1"][0, 0] = np.inf
         x, ti, di = batch(toy_windows(2, 5))
         with pytest.raises(FloatingPointError, match="block 1"):
             forward(params, None, x, ti, di)

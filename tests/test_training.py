@@ -10,9 +10,9 @@ from stpca.graph import build_adaptive_graph
 from stpca.metrics import masked_mae
 from stpca.model import ModelConfig, forward, init_params, set_embedding
 from stpca.pca import EmbeddingTable, zero_embedding
-from stpca.training import (AdamState, EarlyStopping, TrainConfig, adam_step,
-                            backward, clip_gradients, finite_difference_check,
-                            fit, masked_mae_loss)
+from stpca.training import (AdamState, EarlyStopping, FlatTensors, TrainConfig,
+                            adam_step, backward, clip_gradients,
+                            finite_difference_check, fit, masked_mae_loss)
 
 NORM = Normalizer(mean=10.0, std=4.0)
 
@@ -43,6 +43,13 @@ def batch(windows):
     return NORM.apply(windows.history), windows.target, windows.tod, windows.dow
 
 
+def flat_grads(arrays):
+    """The arrays copied into one `FlatTensors` vector, the layout `backward`
+    returns and `clip_gradients` and `adam_step` take."""
+    return FlatTensors(np.concatenate([np.ravel(a) for a in arrays.values()]),
+                       {name: np.shape(a) for name, a in arrays.items()})
+
+
 def einsum_backward(params, cache, loss_grad):
     """Reference gradients in per-axis einsum form, one contraction per tensor.
 
@@ -58,11 +65,12 @@ def einsum_backward(params, cache, loss_grad):
     hs, rs = [features(a) for a in cache["hs"]], [features(a) for a in cache["rs"]]
     x = features(cache["x"])
     ch, ce, ct = cfg.hidden_dim, cfg.embed_dim, cfg.tod_dim
+    w = params.weights
     grads = {}
     dy = loss_grad
     grads["w_o"] = np.einsum("bnl,bnm->lm", dy, hs[-1])
     grads["b_o"] = dy.sum(axis=(0, 1))
-    dh = dy @ params.w_o
+    dh = dy @ w["w_o"]
     d_emb_graph = None
     for i in range(cfg.num_blocks - 1, -1, -1):
         if cfg.use_graph and i == 0:
@@ -74,23 +82,22 @@ def einsum_backward(params, cache, loss_grad):
             d_logits = a * (d_adj - (a * d_adj).sum(axis=1, keepdims=True))
             d_gram = d_logits * (np.maximum(e @ e.T, 0.0) > 0)
             d_emb_graph = (d_gram + d_gram.T) @ e
-        blk = params.blocks[i]
         grads[f"b2_{i}"] = dh.sum(axis=(0, 1))
         grads[f"w2_{i}"] = np.einsum("bnm,bnk->mk", dh, rs[i])
-        dz = (dh @ blk["w2"]) * (rs[i] > 0)
+        dz = (dh @ w[f"w2_{i}"]) * (rs[i] > 0)
         grads[f"b1_{i}"] = dz.sum(axis=(0, 1))
         grads[f"w1_{i}"] = np.einsum("bnm,bnk->mk", dz, hs[i])
-        dh = dh + dz @ blk["w1"]
+        dh = dh + dz @ w[f"w1_{i}"]
     du = dh[:, :, :ch]
     grads["w_x"] = np.einsum("bnc,bnl->cl", du, x)
     grads["b_x"] = du.sum(axis=(0, 1))
     grads["embedding"] = dh[:, :, ch : ch + ce].sum(axis=0)
     if d_emb_graph is not None:
         grads["embedding"] = grads["embedding"] + d_emb_graph
-    grads["tod"] = np.zeros_like(params.tod)
+    grads["tod"] = np.zeros_like(w["tod"])
     np.add.at(grads["tod"], cache["tod_idx"],
               dh[:, :, ch + ce : ch + ce + ct].sum(axis=1))
-    grads["dow"] = np.zeros_like(params.dow)
+    grads["dow"] = np.zeros_like(w["dow"])
     np.add.at(grads["dow"], cache["dow_idx"], dh[:, :, ch + ce + ct :].sum(axis=1))
     return grads
 
@@ -433,7 +440,7 @@ class TestAdam:
                       for name, t in fast.tensors().items()} for _ in range(20)]
         state = AdamState()
         for grads in grads_seq:
-            adam_step(state, fast, {k: g.copy() for k, g in grads.items()}, lr=1e-2)
+            adam_step(state, fast, flat_grads(grads), lr=1e-2)
         textbook_adam(slow, grads_seq, lr=1e-2)
         assert state.t == 20
         for name, tensor in fast.tensors().items():
@@ -443,9 +450,11 @@ class TestAdam:
     def test_gradient_set_must_not_change(self):
         params = init_params(toy_config(), 2, seed=0)
         state = AdamState()
-        adam_step(state, params, {"w_x": np.ones_like(params.w_x)}, lr=1e-3)
+        w = params.weights
+        adam_step(state, params, flat_grads({"w_x": np.ones_like(w["w_x"])}), lr=1e-3)
         with pytest.raises(ValueError, match="Adam state"):
-            adam_step(state, params, {"b_x": np.ones_like(params.b_x)}, lr=1e-3)
+            adam_step(state, params, flat_grads({"b_x": np.ones_like(w["b_x"])}),
+                      lr=1e-3)
 
     def test_backward_gradient_set_must_not_change(self):
         params = init_params(toy_config(), 5, seed=0)
@@ -461,39 +470,42 @@ class TestAdam:
     def test_state_is_bound_to_its_model(self):
         params = init_params(toy_config(), 2, seed=0)
         state = AdamState()
-        adam_step(state, params, {"w_x": np.ones_like(params.w_x)}, lr=1e-3)
-        assert np.shares_memory(params.w_x, state.theta)
+        adam_step(state, params, flat_grads({"w_x": np.ones_like(params.weights["w_x"])}),
+                  lr=1e-3)
+        assert np.shares_memory(params.weights["w_x"], state.theta)
         other = params.clone()
         with pytest.raises(ValueError, match="another model"):
-            adam_step(state, other, {"w_x": np.ones_like(other.w_x)}, lr=1e-3)
+            adam_step(state, other, flat_grads({"w_x": np.ones_like(other.weights["w_x"])}),
+                      lr=1e-3)
 
     def test_first_step_magnitude(self):
         cfg = toy_config()
         params = init_params(cfg, 2, seed=0)
-        before = params.w_x.copy()
-        grads = {"w_x": np.ones_like(params.w_x)}
+        before = params.weights["w_x"].copy()
+        grads = flat_grads({"w_x": np.ones_like(before)})
         adam_step(AdamState(), params, grads, lr=1e-3)
-        np.testing.assert_allclose(before - params.w_x, 1e-3 / (1 + 1e-8),
+        np.testing.assert_allclose(before - params.weights["w_x"], 1e-3 / (1 + 1e-8),
                                    atol=1e-12)
 
     def test_zero_gradient_fixed_point(self):
         params = init_params(toy_config(), 2, seed=0)
         before = {k: v.copy() for k, v in params.tensors().items()}
-        grads = {k: np.zeros_like(v) for k, v in params.tensors().items()}
+        grads = flat_grads({k: np.zeros_like(v) for k, v in params.tensors().items()})
         adam_step(AdamState(), params, grads, lr=1e-3)
         for k, v in params.tensors().items():
             np.testing.assert_array_equal(v, before[k])
 
     def test_global_norm_clipping(self):
-        g = {"a": np.full(25, 10.0)}  # norm 50
+        g = flat_grads({"a": np.full(25, 10.0)})  # norm 50
         clipped, total = clip_gradients(g, 5.0)
         assert math.isclose(total, 50.0)
         np.testing.assert_allclose(clipped["a"], 1.0)
 
     def test_no_clip_below_threshold(self):
-        g = {"a": np.array([3.0, 4.0])}  # norm 5
+        g = flat_grads({"a": np.array([3.0, 4.0])})  # norm 5
         clipped, total = clip_gradients(g, 5.0)
-        np.testing.assert_array_equal(clipped["a"], g["a"])
+        assert total == 5.0
+        np.testing.assert_array_equal(clipped["a"], [3.0, 4.0])
 
 
 class TestEarlyStopping:
@@ -575,8 +587,13 @@ def reference_params(strategy, use_graph):
     return params
 
 
+REFERENCE_FIT_CONFIG = TrainConfig(max_epochs=6, patience=6, batch_size=8, seed=1,
+                                   lr=5e-3)
+
+
 def assert_fit_matches_reference(params, train, val, trainable=None):
-    cfg = TrainConfig(max_epochs=6, patience=6, batch_size=8, seed=1, lr=5e-3)
+    """Fit and `reference_fit` leave the same bits; returns (report, skipped)."""
+    cfg = REFERENCE_FIT_CONFIG
     ref_params = params.clone()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -589,7 +606,7 @@ def assert_fit_matches_reference(params, train, val, trainable=None):
         ref_tensors = ref.tensors()
         for name, tensor in got.tensors().items():
             assert tensor.tobytes() == ref_tensors[name].tobytes(), name
-    return skipped
+    return report, skipped
 
 
 class TestFit:
@@ -612,7 +629,7 @@ class TestFit:
             fit(init_params(toy_config(), 5, seed=0), train, val, NORM, cfg)
         # finite outputs whose loss overflows in original units
         params = init_params(toy_config(), 5, seed=0)
-        params.b_o[:] = 1e308
+        params.weights["b_o"][:] = 1e308
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(FloatingPointError, match="non-finite training loss"):
             fit(params, train, val, NORM, cfg)
@@ -682,8 +699,31 @@ class TestFit:
             target[3:] = 0.0
             train = Windows(history=train.history, target=target, tod=train.tod,
                             dow=train.dow)
-        skipped = assert_fit_matches_reference(params, train, toy_windows(12, seed=1))
+        _, skipped = assert_fit_matches_reference(params, train, toy_windows(12, seed=1))
         assert (skipped > 0) == (case == "skipped")
+
+    @pytest.mark.parametrize("use_graph", [False, True], ids=["flat", "graph"])
+    def test_clips_once_per_optimizer_step(self, monkeypatch, use_graph):
+        # the bench tracer counts clipped steps from clip_gradients' calls and
+        # expects epochs x batches - skipped of them, each given the clip norm
+        # as its second positional argument
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args[1:], kwargs))
+            return clip_gradients(*args, **kwargs)
+
+        monkeypatch.setattr(training, "clip_gradients", spy)
+        train = toy_windows(33, seed=0)  # batches of 8: 5 per epoch, the last of 1
+        target = train.target.copy()
+        target[:8] = 0.0  # over the fit, one batch draws only these windows
+        train = Windows(history=train.history, target=target, tod=train.tod,
+                        dow=train.dow)
+        report, skipped = assert_fit_matches_reference(
+            reference_params("adaptive", use_graph), train, toy_windows(12, seed=1))
+        assert skipped == 1
+        assert len(calls) == len(report.epochs) * 5 - skipped
+        assert calls == [((REFERENCE_FIT_CONFIG.grad_clip_norm,), {})] * len(calls)
 
     @pytest.mark.parametrize("use_graph", [False, True], ids=["flat", "graph"])
     def test_matches_reference_loop_embedding_only(self, use_graph):
@@ -754,8 +794,8 @@ class TestFit:
             pred, cache = forward(params, None, x, ti, di, cache=True)
             loss, lgrad = masked_mae_loss(pred, y, NORM)
             losses.append(loss)
-            grads = bwd(params, cache, lgrad)
-            adam_step(state, params, grads, lr=1e-3, grad_clip_norm=5.0)
+            grads, _ = clip_gradients(bwd(params, cache, lgrad), 5.0)
+            adam_step(state, params, grads, lr=1e-3)
         assert losses[-1] < losses[0]
         assert min(losses) == losses[-1] or losses[-1] < losses[0] * 0.9
 
