@@ -57,20 +57,18 @@ def role_profile(role: int, n_roles: int, steps_per_day: int) -> np.ndarray:
 
 def _series_values(roles, spec: SynthSpec, rng) -> np.ndarray:
     T = spec.steps_per_day
-    steps = spec.days * T
     profiles = np.stack([role_profile(r, spec.n_roles, T) for r in range(spec.n_roles)])
-    slot = np.arange(steps) % T
-    dow = (np.arange(steps) // T) % 7  # day 0 is a Monday
-    factor = np.where(dow < 5, 1.0, WEEKEND_FACTOR)
-    clean = profiles.T[slot][:, roles]  # [steps x N]
-    clean *= factor[:, None]
 
     # AR(1) noise run inside the innovations, row s += AR_COEF * row s-1: the
     # same bits as a separate noise array, as float addition commutes
-    noise = rng.normal(0.0, spec.noise_std, size=(steps, spec.n_nodes))
-    for s in range(1, steps):
+    noise = rng.normal(0.0, spec.noise_std, size=(spec.days * T, spec.n_nodes))
+    for s in range(1, len(noise)):
         noise[s] += AR_COEF * noise[s - 1]
-    noise += clean
+    # the clean signal added one day at a time, never held whole
+    weekday = profiles.T[:, roles]  # [T x N]
+    weekend = weekday * WEEKEND_FACTOR
+    for day, rows in enumerate(noise.reshape(spec.days, T, -1)):
+        rows += weekday if day % 7 < 5 else weekend  # day 0 is a Monday
     return np.maximum(noise, 0.0, out=noise)  # flow is non-negative; clipped
 
 

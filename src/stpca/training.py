@@ -10,8 +10,7 @@ import numpy as np
 from .dataset import Normalizer
 from .graph import build_adaptive_graph
 from .metrics import _scored_mae
-from .model import (ModelParams, Workspace, _column, _normalized_input, _rows_matmul,
-                    forward)
+from .model import ModelParams, Workspace, _normalized_input, _rows_matmul, forward
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
@@ -112,13 +111,16 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
     the embedding gradient is computed only when the embedding is requested.
     The gradients are views of one flat vector in `trainable` order (a
     `FlatTensors`); it and every temporary come from the forward pass's
-    workspace, so a later backward of the same cache and names writes into
-    the same vector.
+    workspace, so a later backward of a new cache from the same workspace
+    and names writes into the same vector. Each activation gradient is
+    written over the cached activation just read for the last time, so a
+    cache serves one backward: a second raises ValueError.
     """
     cfg = params.config
     names = params.trainable_names() if trainable is None else list(trainable)
-    work = cache["work"]
-    hs, rs = cache["hs"], cache["rs"]
+    work, hs, rs = cache["work"], cache.pop("hs", None), cache["rs"]
+    if hs is None:
+        raise ValueError("a forward cache serves one backward: it holds gradients now")
     b, n, _ = loss_grad.shape
     ch, ce, ct, cm = cfg.hidden_dim, cfg.embed_dim, cfg.tod_dim, cfg.mix_dim
     rows = n * b
@@ -131,8 +133,13 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
     grads = work.keep(("grads", *names), gradient_vector)
     w = params.weights
     dy = np.ascontiguousarray(loss_grad.swapaxes(0, 1)).reshape(rows, -1)
+
+    def dead(a):  # cached rows read for the last time, to hold a gradient
+        a[:, cm] = 0.0
+        return a
+
     _layer_grads(grads, names, "w_o", "b_o", dy, hs[-1], work)
-    dh = _rows_matmul(dy, w["w_o"], _column(work, "dh", rows, cm, 0.0))
+    dh = _rows_matmul(dy, w["w_o"], dead(hs[-1]))
 
     d_emb_graph = None
     for i in range(cfg.num_blocks - 1, -1, -1):
@@ -147,13 +154,14 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
                 d_logits = a * (d_adj - (a * d_adj).sum(axis=1, keepdims=True))
                 d_gram = d_logits * (e @ e.T > 0)
                 d_emb_graph = (d_gram + d_gram.T) @ e
-            dh = np.matmul(a.T, dh_mixed,
-                           out=work.take("dh_premix", dh_mixed.shape)).reshape(rows, -1)
+            dh = cache["h_premix"]  # the pre-mix gradient, over the pre-mix rows
+            np.matmul(a.T, dh_mixed, out=dh.reshape(n, -1))
         _layer_grads(grads, names, f"w2_{i}", f"b2_{i}", dh[:, :cm], rs[i], work)
-        dz = _rows_matmul(dh[:, :cm], w[f"w2_{i}"], _column(work, "dz", rows, cm, 0.0))
-        dz *= np.greater(rs[i], 0.0, out=work.take("relu", dz.shape, bool))
+        relu = np.greater(rs[i], 0.0, out=work.take("relu", rs[i].shape, bool))
+        dz = _rows_matmul(dh[:, :cm], w[f"w2_{i}"], dead(rs[i]))
+        dz *= relu
         _layer_grads(grads, names, f"w1_{i}", f"b1_{i}", dz[:, :cm], hs[i], work)
-        dh += _rows_matmul(dz[:, :cm], w[f"w1_{i}"], _column(work, "dz_w1", rows, cm, 0.0))
+        dh += _rows_matmul(dz[:, :cm], w[f"w1_{i}"], dead(hs[i]))
 
     _layer_grads(grads, names, "w_x", "b_x", dh[:, :ch], cache["x"], work)
     dh = dh.reshape(n, b, -1)

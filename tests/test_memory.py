@@ -1,8 +1,9 @@
 """Memory bounded by one block, not by the series.
 
 `tracemalloc` sees numpy's array allocations, so a call's traced peak shows
-whether it built a full-size [W x N x l2] prediction array or a full copy of
-a file's text.
+whether it built a full-size [W x N x l2] prediction array, a full copy of
+a file's text, a gradient buffer beside each cached activation, or a second
+series.
 """
 
 import os
@@ -14,7 +15,8 @@ import pytest
 from stpca.dataset import (Normalizer, TrafficSeries, ingest_csv, make_windows,
                            write_series_csv)
 from stpca.metrics import evaluate
-from stpca.model import ModelConfig, init_params
+from stpca.model import ModelConfig, forward, init_params
+from stpca.synth import SynthSpec, generate
 from stpca.training import TrainConfig, fit
 from stpca.transfer import historical_average_baseline
 
@@ -84,6 +86,36 @@ def test_fit_validation_peak_below_a_quarter_of_predictions(series):
                                     Normalizer(mean=40.0, std=20.0), config)
     assert np.isfinite(report.best_val_mae)
     assert peak < PRED_BYTES / 4
+
+
+@pytest.mark.parametrize("use_graph", [False, True])
+def test_training_step_peak_below_one_and_a_half_forward_caches(series, use_graph):
+    # one B=32 batch at the default sizes: backward writes each gradient over
+    # the cached activation it has just read, not into buffers of its own
+    batch = 32
+    train = make_windows(series, (0, batch + 2 * L - 1), L, L)
+    val = make_windows(series, (T, T + 2 * L + 1), L, L)
+    assert len(train) == batch
+    params = init_params(ModelConfig(use_graph=use_graph), N, seed=0)
+    norm = Normalizer(mean=40.0, std=20.0)
+    _, cache = forward(params, None, norm.apply(train.history), train.tod, train.dow,
+                       cache=True)
+    held = [cache["x"], *cache["hs"], *cache["rs"]]
+    if use_graph:
+        held.append(cache["h_premix"])
+    cache_bytes = sum(a.nbytes for a in held)
+    assert cache_bytes >= 20 * 2**20
+    config = TrainConfig(max_epochs=1, patience=1, batch_size=batch)
+    (_, report), peak = traced_peak(fit, params, train, val, norm, config)
+    assert np.isfinite(report.best_val_mae)
+    assert peak < 1.5 * cache_bytes
+
+
+def test_synth_generate_peak_below_two_and_a_half_series():
+    # the clean signal is added day by day, never held at full size
+    spec = SynthSpec(n_nodes=N, days=21, steps_per_day=T)
+    (train, _, _), peak = traced_peak(generate, spec)
+    assert peak < 2.5 * train.values.nbytes
 
 
 def test_write_series_csv_peak_below_file_size(series, tmp_path):

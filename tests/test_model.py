@@ -413,11 +413,12 @@ class TestPemsShape:
             assert a.flags.c_contiguous and (a[:, -1] == 1.0).all()
         assert pred.shape == (self.B, self.N, 12) and pred.swapaxes(0, 1).flags.c_contiguous
         training.backward(params, cache, np.ones_like(pred))
-        # every full-size buffer of a step holds an activation, a relu mask or
-        # the gradient of one; none is a node-major copy of another
-        per_step = {"h0", "h1", "h2", "r0", "r1", "finite", "dh", "dz", "relu", "dz_w1"}
+        # every full-size buffer of a step holds an activation, then the
+        # gradient written over it, or a relu mask; none is a node-major copy
+        # of another
+        per_step = {"h0", "h1", "h2", "r0", "r1", "finite", "relu"}
         if use_graph:
-            per_step |= {"h3", "dh_premix"}
+            per_step |= {"h3"}
         rows = self.N * self.B * params.config.mix_dim
         full_size = {name for name, buf in work._buffers.items() if buf.size >= rows}
         assert full_size == per_step

@@ -258,8 +258,8 @@ class TestBackward:
         x, y, ti, di = batch(toy_windows(7, seed=8))
         pred, cache = forward(params, None, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
-        grads = backward(params, cache, lgrad)
         reference = einsum_backward(params, cache, lgrad)
+        grads = backward(params, cache, lgrad)
         assert set(grads) == set(params.trainable_names())
         for name, g in grads.items():
             scale = np.abs(reference[name]).max()
@@ -280,10 +280,12 @@ class TestBackward:
         pred, cache = forward(params, None, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
         names = list(params.tensors())
-        # a copy: a backward of the same cache and names reuses its vector
+        # a copy: a later backward in the same workspace with the same names
+        # reuses its vector
         full = {name: g.copy() for name, g in
                 backward(params, cache, lgrad, trainable=names).items()}
         requested = names if requested is None else requested
+        _, cache = forward(params, None, x, ti, di, cache=True)  # one backward per cache
 
         class NumpyWithoutScatter:
             """numpy, except that `np.add.at` raises."""
@@ -302,6 +304,17 @@ class TestBackward:
         assert list(grads) == requested
         for name, g in grads.items():
             np.testing.assert_array_equal(g, full[name], err_msg=name)
+
+    @pytest.mark.parametrize("use_graph", [False, True])
+    def test_cache_serves_one_backward(self, use_graph):
+        # backward writes gradients over the cached activations it has read
+        params = init_params(toy_config(num_blocks=2, use_graph=use_graph), 5, seed=0)
+        x, y, ti, di = batch(toy_windows(3))
+        pred, cache = forward(params, None, x, ti, di, cache=True)
+        _, lgrad = masked_mae_loss(pred, y, NORM)
+        backward(params, cache, lgrad)
+        with pytest.raises(ValueError, match="one backward"):
+            backward(params, cache, lgrad, trainable=["w_o"])
 
     def test_non_finite_gradient_names_tensor(self):
         params = init_params(toy_config(), 5, seed=0)
@@ -354,6 +367,7 @@ class TestBackward:
         pred, cache = forward(params, None, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
         full = backward(params, cache, lgrad, trainable=list(params.tensors()))
+        _, cache = forward(params, None, x, ti, di, cache=True)  # one backward per cache
 
         take = model.Workspace.take
 
@@ -389,6 +403,7 @@ class TestBiasGradients:
         reference = einsum_backward(params, cache, lgrad)  # sums over windows and nodes
         biases = [name for name in params.tensors() if name.startswith("b")]
         for trainable in (params.trainable_names(), biases):
+            _, cache = forward(params, None, x, ti, di, cache=True)  # one backward per cache
             grads = backward(params, cache, lgrad, trainable=trainable)
             for name in biases:
                 scale = np.abs(reference[name]).max()
@@ -409,8 +424,8 @@ class TestBackwardPemsShape:
         x, y, ti, di = batch(toy_windows(32, n_nodes=307, l1=12, l2=12, t=288, seed=8))
         pred, cache = forward(params, None, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
-        grads = backward(params, cache, lgrad)
         reference = einsum_backward(params, cache, lgrad)
+        grads = backward(params, cache, lgrad)
         assert set(grads) == set(params.trainable_names())
         for name, g in grads.items():
             scale = np.abs(reference[name]).max()
@@ -463,6 +478,7 @@ class TestAdam:
         _, lgrad = masked_mae_loss(pred, y, NORM)
         state = AdamState()
         adam_step(state, params, backward(params, cache, lgrad), lr=1e-3)
+        _, cache = forward(params, None, x, ti, di, cache=True)  # one backward per cache
         with pytest.raises(ValueError, match="Adam state"):
             adam_step(state, params, backward(params, cache, lgrad, trainable=["w_o"]),
                       lr=1e-3)
