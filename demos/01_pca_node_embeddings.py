@@ -11,8 +11,8 @@ Run:  python demos/01_pca_node_embeddings.py
 import numpy as np
 
 from stpca import (SynthSpec, fit_normalizer, fit_projection, generate,
-                   normalize_day_tensor, refresh_embedding, select_components,
-                   split_chronological, to_day_tensor)
+                   refresh_embedding, select_components, split_chronological,
+                   to_day_tensor)
 from stpca.serialize import write_embedding_csv
 
 spec = SynthSpec(n_nodes=16, n_roles=4, days=21, steps_per_day=48,
@@ -27,9 +27,10 @@ normalizer = fit_normalizer(series, train_range)
 print(f"train normalizer: mean {normalizer.mean:.2f}, std {normalizer.std:.2f}")
 
 # each (day, node) daily profile is one sample of length T
-z = normalize_day_tensor(to_day_tensor(series, train_range), normalizer)
-print(f"day tensor: {z.num_days} days x {z.num_nodes} nodes x "
-      f"{z.steps_per_day} slots -> {z.num_days * z.num_nodes} samples")
+z = normalizer.apply(to_day_tensor(series, train_range))
+days, nodes, slots = z.shape
+print(f"day tensor: {days} days x {nodes} nodes x "
+      f"{slots} slots -> {days * nodes} samples")
 
 proj = fit_projection(z, n_components=8)
 ratios = proj.explained_variance_ratio()

@@ -7,8 +7,8 @@ generalizes where a trained one does not. The rest of the API lives in the
 submodules (`stpca.dataset`, `stpca.model`, `stpca.training`, ...).
 """
 
-from .dataset import (fit_normalizer, ingest_csv, normalize_day_tensor,
-                      split_chronological, to_day_tensor, write_series_csv)
+from .dataset import (fit_normalizer, ingest_csv, split_chronological,
+                      to_day_tensor, write_series_csv)
 from .graph import build_adaptive_graph
 from .metrics import evaluate
 from .model import ModelConfig

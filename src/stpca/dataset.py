@@ -41,7 +41,6 @@ class TrafficSeries:
     """
 
     values: np.ndarray
-    interval_minutes: int
     steps_per_day: int
     start_slot: int
     start_dow: int
@@ -51,11 +50,9 @@ class TrafficSeries:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise DataError("values must be a [steps x nodes] matrix")
-        if self.steps_per_day * self.interval_minutes != MINUTES_PER_DAY:
-            raise DataError(
-                f"steps_per_day ({self.steps_per_day}) x interval "
-                f"({self.interval_minutes} min) must cover one day exactly"
-            )
+        if self.steps_per_day < 1 or MINUTES_PER_DAY % self.steps_per_day:
+            raise DataError(f"steps_per_day ({self.steps_per_day}) must divide "
+                            f"a day of {MINUTES_PER_DAY} minutes")
         if self.total_steps < self.steps_per_day:
             raise DataError(
                 f"less than one day of data: {self.total_steps} steps "
@@ -73,6 +70,10 @@ class TrafficSeries:
             raise DataError("node_ids length does not match value columns")
 
     @property
+    def interval_minutes(self) -> int:
+        return MINUTES_PER_DAY // self.steps_per_day
+
+    @property
     def total_steps(self) -> int:
         return self.values.shape[0]
 
@@ -87,26 +88,6 @@ class TrafficSeries:
     def dow_of(self, step):
         """Day of week of a step index (or of each entry of an index array)."""
         return (self.start_dow + (self.start_slot + step) // self.steps_per_day) % 7
-
-
-@dataclass
-class DayTensor:
-    """[D x N x T] reshape of a series segment, each day aligned to slot 0."""
-
-    data: np.ndarray
-    step_range: tuple
-
-    @property
-    def num_days(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def num_nodes(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def steps_per_day(self) -> int:
-        return self.data.shape[2]
 
 
 @dataclass
@@ -298,7 +279,6 @@ def _series(path, values, timestamps, linenos, node_ids) -> TrafficSeries:
 
     return TrafficSeries(
         values=values,
-        interval_minutes=interval_min,
         steps_per_day=steps_per_day,
         start_slot=minutes // interval_min,
         start_dow=first.weekday(),
@@ -387,10 +367,12 @@ def make_windows(series: TrafficSeries, step_range, l1=12, l2=12) -> Windows:
     )
 
 
-def to_day_tensor(series: TrafficSeries, step_range) -> DayTensor:
-    """Reshape the slot-0-aligned complete days inside the range to [D x N x T].
+def to_day_tensor(series: TrafficSeries, step_range) -> np.ndarray:
+    """Reshape the slot-0-aligned complete days inside the range to a
+    C-contiguous [D x N x T] array.
 
-    Misaligned head and tail steps are dropped, never padded; the data is a copy.
+    Misaligned head and tail steps are dropped, never padded; the array is a
+    copy.
     """
     lo, hi = step_range
     T = series.steps_per_day
@@ -398,14 +380,5 @@ def to_day_tensor(series: TrafficSeries, step_range) -> DayTensor:
     days = (hi - first) // T
     if days < 1:
         raise DataError(f"no complete day in range [{lo}, {hi})")
-    retained = (first, first + days * T)
-    data = series.values[retained[0] : retained[1]].reshape(days, T, series.num_nodes)
-    return DayTensor(
-        data=data.transpose(0, 2, 1).copy(),
-        step_range=retained,
-    )
-
-
-def normalize_day_tensor(z: DayTensor, normalizer: Normalizer) -> DayTensor:
-    """Apply the z-score transform to a day tensor, keeping its step range."""
-    return DayTensor(data=normalizer.apply(z.data), step_range=z.step_range)
+    data = series.values[first : first + days * T].reshape(days, T, series.num_nodes)
+    return data.transpose(0, 2, 1).copy()

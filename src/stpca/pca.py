@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import DayTensor, to_day_tensor
+from .dataset import to_day_tensor
 
 SYMMETRY_TOL = 1e-10
 # how an embedding slot is filled: trained, a frozen PCA table, or exact zeros
@@ -127,16 +127,16 @@ def select_components(eigenvalues: np.ndarray, theta: float) -> int:
     return int(np.searchsorted(ratios, theta - 1e-12) + 1)
 
 
-def fit_projection(z: DayTensor, n_components: Optional[int] = None,
+def fit_projection(z: np.ndarray, n_components: Optional[int] = None,
                    theta: Optional[float] = None) -> PcaProjection:
     """Fit the centered projection from the D*N day-profiles of a (normalized)
-    day tensor.
+    [D x N x T] day tensor.
 
     An explicit n_components wins over theta; with neither given, theta
     defaults to 0.9. Column signs are fixed so each component's
     largest-magnitude entry is positive.
     """
-    samples = z.data.reshape(-1, z.steps_per_day)
+    samples = z.reshape(-1, z.shape[-1])
     m, t = samples.shape
     if m < 2:
         raise ValueError(f"need at least 2 samples, got {m}")
@@ -166,21 +166,21 @@ def fit_projection(z: DayTensor, n_components: Optional[int] = None,
     return PcaProjection(mean=mean, components=comps, eigenvalues=eigvals)
 
 
-def refresh_embedding(target: DayTensor, proj: PcaProjection) -> EmbeddingTable:
-    """The pca table of a day tensor under a fixed projection.
+def refresh_embedding(target: np.ndarray, proj: PcaProjection) -> EmbeddingTable:
+    """The pca table of a [D x N x T] day tensor under a fixed projection.
 
     Each day's [N x T] profile block is projected to [N x C] and the days are
     averaged. The projection acts on the slot axis, so the target may carry a
     different node count than the data the projection was fitted on.
     """
-    if target.num_days < 1:
+    if len(target) < 1:
         raise ValueError("empty day tensor")
-    if target.steps_per_day != proj.num_slots:
+    if target.shape[-1] != proj.num_slots:
         raise ValueError(
-            f"slot mismatch: tensor T={target.steps_per_day}, "
+            f"slot mismatch: tensor T={target.shape[-1]}, "
             f"projection T={proj.num_slots}"
         )
-    per_day = (target.data - proj.mean) @ proj.components  # [D x N x C]
+    per_day = (target - proj.mean) @ proj.components  # [D x N x C]
     return EmbeddingTable(values=per_day.mean(axis=0), strategy="pca")
 
 
@@ -193,7 +193,7 @@ def pca_table(series, step_range, normalizer, proj: Optional[PcaProjection] = No
     (`fit_kwargs` go to `fit_projection`).
     """
     z = to_day_tensor(series, step_range)
-    normalizer.apply(z.data, out=z.data)  # a fresh tensor, scaled in place
+    normalizer.apply(z, out=z)  # a fresh tensor, scaled in place
     if proj is None:
         proj = fit_projection(z, **fit_kwargs)
     return refresh_embedding(z, proj), proj

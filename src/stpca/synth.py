@@ -36,7 +36,7 @@ class SynthSpec:
             raise ValueError("more roles than nodes")
         if not 0.0 <= self.shift_fraction <= 1.0:
             raise ValueError("shift_fraction must be in [0, 1]")
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:  # written so that a NaN fails it
             raise ValueError("noise_std must be non-negative")
         if MINUTES_PER_DAY % self.steps_per_day != 0:
             raise ValueError("steps_per_day must divide 1440 minutes")
@@ -95,7 +95,6 @@ def generate(spec: SynthSpec):
     values_shifted = _series_values(roles_shifted, spec, rng)
 
     common = dict(
-        interval_minutes=MINUTES_PER_DAY // spec.steps_per_day,
         steps_per_day=spec.steps_per_day,
         start_slot=0,
         start_dow=0,

@@ -25,9 +25,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.lr, self.max_epochs, self.patience, self.batch_size,
-               self.grad_clip_norm) <= 0:
-            raise ValueError("training hyperparameters must be positive")
+        for name in ("lr", "max_epochs", "patience", "batch_size", "grad_clip_norm"):
+            value = getattr(self, name)
+            if not value > 0:  # written so that a NaN fails it
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.patience > self.max_epochs:
             raise ValueError("patience cannot exceed max_epochs")
         if self.seed < 0:
@@ -253,31 +254,12 @@ def adam_step(state: AdamState, params: ModelParams, grads: FlatTensors, lr: flo
     state.theta -= s
 
 
-class EarlyStopping:
-    """Patience counter on strictly-improving validation MAE."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = float("inf")
-        self.best_epoch = 0
-        self.stale = 0
-
-    def update(self, epoch: int, val_mae: float) -> bool:
-        """Record one epoch; returns True when training should stop."""
-        if val_mae < self.best:
-            self.best = val_mae
-            self.best_epoch = epoch
-            self.stale = 0
-        else:
-            self.stale += 1
-        return self.stale >= self.patience
-
-
 def fit(params: ModelParams, train_windows, val_windows, normalizer,
         config: TrainConfig, trainable=None):
     """Train with seeded shuffling, keep the best validation snapshot.
 
-    Stops on patience exhaustion or the epoch cap (the report's
+    Only a strictly lower validation MAE is a new best; training stops after
+    `patience` epochs in a row without one, or at the epoch cap (the report's
     stopping_reason says which). A non-finite loss, like non-finite
     activations in `forward`, raises FloatingPointError. The model's embedding
     slot is updated only when the adaptive strategy (or an explicit trainable
@@ -296,7 +278,7 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
     rng = np.random.default_rng(config.seed)
     state = AdamState()
     report = TrainReport()
-    stopper = EarlyStopping(config.patience)
+    stale = 0  # epochs since the last improvement
     best = params.clone()
     # every step and every validation pass draws its arrays from here
     work = Workspace()
@@ -330,17 +312,16 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
         val_mae = _scored_mae(params, val_windows, normalizer, work)
         train_loss = float(np.mean(losses)) if losses else float("nan")
         report.epochs.append((epoch, train_loss, val_mae))
-        should_stop = stopper.update(epoch, val_mae)
-        if stopper.best_epoch == epoch:
+        if val_mae < report.best_val_mae:
+            report.best_epoch, report.best_val_mae, stale = epoch, val_mae, 0
             best = params.clone()
-        if should_stop:
+        else:
+            stale += 1
+        if stale >= config.patience:
             report.stopping_reason = "early_stopping"
             break
     else:
         report.stopping_reason = "max_epochs"
-
-    report.best_epoch = stopper.best_epoch
-    report.best_val_mae = stopper.best
     return best, report
 
 

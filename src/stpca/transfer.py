@@ -141,8 +141,7 @@ def zero_shot_transfer(params, source_normalizer, source_proj, target_series,
                      "zero_shot")
 
 
-def historical_average_baseline(target_series, eval_range, l1=12, l2=12,
-                                horizons=None):
+def historical_average_baseline(target_series, eval_range, l1=12, l2=12):
     """Per-(node, slot) mean over the steps before the evaluation range.
 
     The floor any learned transfer has to beat: it sees the same adaptation
@@ -165,4 +164,4 @@ def historical_average_baseline(target_series, eval_range, l1=12, l2=12,
               .transpose(0, 2, 1), windows.target[block])
              for block in _blocks(len(windows), target_series.num_nodes))
     meta = {"strategy": "historical_average", "eval_range": list(eval_range)}
-    return _report(pairs, horizons, metadata=meta)
+    return _report(pairs, metadata=meta)

@@ -15,7 +15,7 @@ import pytest
 
 import stpca
 from stpca.cli import main as cli_main
-from stpca.dataset import DayTensor, Normalizer, Windows
+from stpca.dataset import Normalizer, Windows
 from stpca.metrics import masked_metrics
 from stpca.model import ModelConfig, init_params, set_embedding
 from stpca.pca import EmbeddingTable, fit_projection, sym_eig, zero_embedding
@@ -110,8 +110,7 @@ def test_criterion_2_pca_oracle_equivalence():
     worst_cos_gap = worst_eig_rel = 0.0
     for _ in range(10):
         data = rng.normal(size=(10, 5, 8))  # 50 samples, T=8
-        z = DayTensor(data=data, step_range=(0, 80))
-        proj = fit_projection(z, n_components=8)
+        proj = fit_projection(data, n_components=8)
         samples = data.reshape(-1, 8)
         mu = samples.mean(axis=0)
         cov = (samples - mu).T @ (samples - mu) / (samples.shape[0] - 1)
@@ -135,8 +134,7 @@ def test_criterion_3_projection_invariants():
     monotone = True
     for _ in range(6):
         data = rng.normal(size=(6, 4, 10))
-        proj = fit_projection(DayTensor(data=data, step_range=(0, 60)),
-                              n_components=10)
+        proj = fit_projection(data, n_components=10)
         c = proj.num_components
         worst_orth = max(worst_orth, float(np.abs(
             proj.components.T @ proj.components - np.eye(c)).max()))

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 from stpca import cli
 from stpca.cli import (CONFIG_KEYS, build_parser, load_config, main,
                        resolved_config_text)
-from stpca.dataset import (DayTensor, Normalizer, fit_normalizer, ingest_csv,
-                           make_windows, normalize_day_tensor,
+from stpca.dataset import (Normalizer, fit_normalizer, ingest_csv, make_windows,
                            split_chronological, to_day_tensor)
 from stpca.metrics import evaluate
 from stpca.model import ModelConfig, init_params, set_embedding
@@ -187,19 +186,27 @@ class TestFaultExits:
         assert run_cli("train", "--config", str(cfg)) == 1
         assert "Unable to allocate" in assert_one_line_error(capsys, "error: ")
 
-    def test_negative_train_seed_exit_2_before_reading_data(self, synth_dir, tmp_path,
-                                                            capsys, monkeypatch):
+    # a NaN fails no `<= 0` test, so each check is written to fail it
+    @pytest.mark.parametrize("line", ["train.seed=-1", "train.lr=nan",
+                                      "train.grad_clip_norm=nan"])
+    def test_bad_train_value_exit_2_before_reading_data(self, synth_dir, tmp_path,
+                                                        capsys, monkeypatch, line):
         reads = []
         monkeypatch.setattr(cli, "ingest_csv", lambda *a, **k: reads.append(a))
         cfg = tmp_path / "bad.cfg"
-        write_config(cfg, synth_dir / "train.csv", tmp_path / "o", extra="train.seed=-1\n")
+        write_config(cfg, synth_dir / "train.csv", tmp_path / "o", extra=line + "\n")
         assert run_cli("train", "--config", str(cfg)) == 2
-        assert "bad train.* values: seed" in assert_one_line_error(capsys, "config error: ")
+        field = line.split("=")[0].removeprefix("train.")
+        assert (f"bad train.* values: {field}"
+                in assert_one_line_error(capsys, "config error: "))
         assert reads == [] and not (tmp_path / "o").exists()
 
-    def test_negative_synth_seed_exit_2(self, tmp_path, capsys):
-        assert run_cli("synth", "--seed", "-1", "--out-dir", str(tmp_path / "s")) == 2
-        assert "seed" in assert_one_line_error(capsys, "config error: ")
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--seed", "-1", "seed"), ("--noise-std", "nan", "noise_std"),
+    ], ids=["seed", "noise_std"])
+    def test_bad_synth_flag_exit_2(self, tmp_path, capsys, flag, value, field):
+        assert run_cli("synth", flag, value, "--out-dir", str(tmp_path / "s")) == 2
+        assert field in assert_one_line_error(capsys, "config error: ")
         assert not (tmp_path / "s").exists()
 
     def test_bad_ratios_flag_exit_2(self, synth_dir, trained_dir, tmp_path, capsys):
@@ -331,7 +338,7 @@ class TestEval:
         if strategy == "zero":
             table = zero_embedding(params.num_nodes, params.config.embed_dim)
         else:
-            z = normalize_day_tensor(to_day_tensor(series, ranges[0]), norm)
+            z = norm.apply(to_day_tensor(series, ranges[0]))
             table = refresh_embedding(z, load_projection(trained_dir / "proj.stpj"))
         manual = evaluate(set_embedding(params, table), None,
                           make_windows(series, ranges[2], 6, 6), norm)
@@ -547,7 +554,7 @@ class TestExportAndReport:
         train_range = split_chronological(series, (0.6, 0.2, 0.2))[0]
         z = to_day_tensor(series, train_range)
         reference = refresh_embedding(
-            normalize_day_tensor(z, fit_normalizer(series, train_range)), proj)
+            fit_normalizer(series, train_range).apply(z), proj)
         assert out.read_text() == embedding_csv(reference, series.node_ids)
         # and it is the frozen table the pca training run installed
         exported = np.array([[float(v) for v in line.split(",")[1:]]
@@ -647,9 +654,9 @@ class TestCutCheckpoints:
 
     def test_projection(self, synth_dir, tmp_path, capsys):
         rng = np.random.default_rng(0)
-        z = DayTensor(data=rng.normal(size=(3, 5, 4)), step_range=(0, 12))
         good = tmp_path / "good.stpj"
-        save_projection(fit_projection(z, n_components=2), good)
+        save_projection(fit_projection(rng.normal(size=(3, 5, 4)), n_components=2),
+                        good)
         cut = tmp_path / "cut.stpj"
         self.assert_every_cut_exits_1(
             good.read_bytes(), cut,

@@ -24,7 +24,6 @@ def make_series(total_steps, n_nodes=3, steps_per_day=288, start_slot=0,
         values = rng.uniform(1.0, 100.0, size=(total_steps, n_nodes))
     return TrafficSeries(
         values=values,
-        interval_minutes=1440 // steps_per_day,
         steps_per_day=steps_per_day,
         start_slot=start_slot,
         start_dow=start_dow,
@@ -43,6 +42,13 @@ def csv_rows(n, start="2024-01-01T00:00:00", minutes=5, n_nodes=3, value=1.0):
         + "," + ",".join(str(value) for _ in range(n_nodes))
         for i in range(n)
     ]
+
+
+class TestTrafficSeries:
+    @pytest.mark.parametrize("steps_per_day", [0, 7, -1])
+    def test_steps_per_day_must_divide_a_day(self, steps_per_day):
+        with pytest.raises(DataError, match="must divide a day"):
+            make_series(24, steps_per_day=steps_per_day)
 
 
 class TestIngest:
@@ -570,18 +576,25 @@ class TestWindowProperties:
                 arr[0, 0, 0] = 1.0
 
 
+def assert_days_are(z, series, starts):
+    """z is the [D x N x T] tensor of the days that begin at `starts`."""
+    T = series.steps_per_day
+    assert z.shape == (len(starts), series.num_nodes, T)
+    for day, start in zip(z, starts):
+        np.testing.assert_array_equal(day, series.values[start : start + T].T)
+
+
 class TestDayTensor:
     def test_two_exact_days(self):
         s = make_series(576)
         z = to_day_tensor(s, (0, 576))
-        assert z.data.shape == (2, 3, 288)
+        assert z.shape == (2, 3, 288)
 
     def test_misaligned_head_tail_dropped(self):
         s = make_series(676)
         z = to_day_tensor(s, (100, 676))
-        assert z.data.shape == (1, 3, 288)
-        assert z.step_range == (288, 576)
-        np.testing.assert_array_equal(z.data[0], s.values[288:576].T)
+        assert whole_days_in(s, 100, 676) == [288]
+        assert_days_are(z, s, [288])
 
     def test_no_complete_day(self):
         s = make_series(300)
@@ -592,7 +605,8 @@ class TestDayTensor:
         s = make_series(600, steps_per_day=288, start_slot=100)
         z = to_day_tensor(s, (0, 600))
         # step 188 is the first slot-0 step
-        assert z.step_range == (188, 476)
+        assert whole_days_in(s, 0, 600) == [188]
+        assert_days_are(z, s, [188])
 
     @pytest.mark.parametrize("n_nodes", [1, 3])
     def test_fresh_copy_never_a_view(self, n_nodes):
@@ -600,14 +614,14 @@ class TestDayTensor:
         # is still a copy, so scaling it in place leaves the series alone
         s = make_series(576, n_nodes=n_nodes)
         z = to_day_tensor(s, (0, 576))
-        assert z.data.flags.c_contiguous and not np.shares_memory(z.data, s.values)
+        assert z.flags.c_contiguous and not np.shares_memory(z, s.values)
 
     def test_roundtrip_values(self):
         s = make_series(600)
         z = to_day_tensor(s, (0, 600))
-        lo, hi = z.step_range
-        flat = z.data.transpose(0, 2, 1).reshape(-1, s.num_nodes)
-        np.testing.assert_array_equal(flat, s.values[lo:hi])
+        starts = whole_days_in(s, 0, 600)
+        flat = z.transpose(0, 2, 1).reshape(-1, s.num_nodes)
+        np.testing.assert_array_equal(flat, s.values[starts[0] : starts[-1] + 288])
 
 
 @st.composite
@@ -635,23 +649,12 @@ class TestDayAlignmentProperties:
     @given(day_cases())
     def test_day_tensor_holds_every_whole_day(self, case):
         series, (lo, hi) = case
-        T = series.steps_per_day
         starts = whole_days_in(series, lo, hi)
         if not starts:
             with pytest.raises(DataError, match="no complete day"):
                 to_day_tensor(series, (lo, hi))
             return
-        z = to_day_tensor(series, (lo, hi))
-        first, end = z.step_range
-        assert series.slot_of(first) == 0
-        assert (end - first) % T == 0
-        assert lo <= first and end <= hi
-        assert z.data.shape == (len(starts), series.num_nodes, T)
-        assert list(range(first, end, T)) == starts
-        for d in range(z.num_days):
-            for t in range(T):
-                np.testing.assert_array_equal(z.data[d, :, t],
-                                              series.values[first + d * T + t])
+        assert_days_are(to_day_tensor(series, (lo, hi)), series, starts)
 
     @settings(max_examples=200, deadline=None)
     @given(day_cases(), st.floats(0.01, 0.5))
@@ -668,4 +671,6 @@ class TestDayAlignmentProperties:
         assert series.slot_of(boundary) == 0
         assert boundary <= raw_end < boundary + T
         assert boundary < e_hi
-        assert to_day_tensor(series, (a_lo, boundary)).step_range[1] == boundary
+        starts = whole_days_in(series, a_lo, boundary)
+        assert starts[-1] + T == boundary
+        assert_days_are(to_day_tensor(series, (a_lo, boundary)), series, starts)

@@ -43,9 +43,8 @@ def series():
     rng = np.random.default_rng(0)
     values = rng.uniform(1.0, 80.0, size=(T + WINDOWS + 2 * L - 1, N))
     values[rng.random(values.shape) < 0.05] = 0.0
-    return TrafficSeries(values=values, interval_minutes=5, steps_per_day=T,
-                         start_slot=0, start_dow=0,
-                         node_ids=[f"n{i}" for i in range(N)])
+    return TrafficSeries(values=values, steps_per_day=T, start_slot=0,
+                         start_dow=0, node_ids=[f"n{i}" for i in range(N)])
 
 
 def small_model(use_graph):

@@ -272,7 +272,7 @@ class TestBlockedScoring:
         T, l1, l2 = 24, 6, 6
         values = rng.uniform(1, 60, size=(6 * T, self.N))
         values[rng.random(values.shape) < 0.2] = 0.0
-        series = TrafficSeries(values=values, interval_minutes=60, steps_per_day=T,
+        series = TrafficSeries(values=values, steps_per_day=T,
                                start_slot=5, start_dow=2,
                                node_ids=[f"n{i}" for i in range(self.N)])
         lo = 2 * T + 3

@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
 
-from stpca.dataset import (DayTensor, fit_normalizer, normalize_day_tensor,
-                           to_day_tensor)
+from stpca.dataset import fit_normalizer, to_day_tensor
 from stpca.pca import (EmbeddingTable, PcaProjection, fit_projection, pca_table,
                        refresh_embedding, select_components, sym_eig,
                        zero_embedding)
 from stpca.synth import SynthSpec, generate
-
-
-def day_tensor(data):
-    data = np.asarray(data, dtype=np.float64)
-    return DayTensor(data=data, step_range=(0, data.shape[0] * data.shape[2]))
 
 
 def brute_force_pca(samples):
@@ -26,7 +20,7 @@ def brute_force_pca(samples):
 
 def per_day_table(z, proj):
     """Reference oracle: project one day at a time, then average the days."""
-    per_day = [(z.data[d] - proj.mean) @ proj.components for d in range(z.num_days)]
+    per_day = [(day - proj.mean) @ proj.components for day in z]
     return np.mean(np.stack(per_day, axis=0), axis=0)
 
 
@@ -86,7 +80,7 @@ class TestSelectComponents:
 
 class TestFitProjection:
     def test_collinear_samples(self):
-        z = day_tensor([[[1.0, 1.0]], [[2.0, 2.0]], [[3.0, 3.0]], [[4.0, 4.0]]])
+        z = np.array([[[1.0, 1.0]], [[2.0, 2.0]], [[3.0, 3.0]], [[4.0, 4.0]]])
         proj = fit_projection(z, n_components=1)
         np.testing.assert_allclose(proj.mean, [2.5, 2.5])
         r2 = 1 / np.sqrt(2)
@@ -97,8 +91,7 @@ class TestFitProjection:
         rng = np.random.default_rng(0)
         for trial in range(10):
             data = rng.normal(size=(10, 5, 8))  # 50 samples, T=8
-            z = day_tensor(data)
-            proj = fit_projection(z, n_components=8)
+            proj = fit_projection(data, n_components=8)
             mu, lam, vec = brute_force_pca(data.reshape(-1, 8))
             np.testing.assert_allclose(proj.mean, mu, atol=1e-12)
             lam = np.maximum(lam, 0.0)
@@ -110,7 +103,7 @@ class TestFitProjection:
 
     def test_sign_convention(self):
         rng = np.random.default_rng(5)
-        z = day_tensor(rng.normal(size=(6, 4, 7)))
+        z = rng.normal(size=(6, 4, 7))
         proj = fit_projection(z, n_components=7)
         for j in range(7):
             col = proj.components[:, j]
@@ -118,16 +111,16 @@ class TestFitProjection:
 
     def test_theta_defaults_and_cap(self):
         rng = np.random.default_rng(6)
-        z = day_tensor(rng.normal(size=(2, 3, 8)))  # m=6 samples, cap=5
+        z = rng.normal(size=(2, 3, 8))  # m=6 samples, cap=5
         proj = fit_projection(z, theta=1.0)
         assert proj.num_components <= 5
 
     def test_errors(self):
         rng = np.random.default_rng(1)
-        z = day_tensor(rng.normal(size=(1, 1, 4)))
+        z = rng.normal(size=(1, 1, 4))
         with pytest.raises(ValueError, match="at least 2 samples"):
             fit_projection(z)
-        z2 = day_tensor(rng.normal(size=(4, 3, 6)))
+        z2 = rng.normal(size=(4, 3, 6))
         with pytest.raises(ValueError, match="theta"):
             fit_projection(z2, theta=1.5)
         with pytest.raises(ValueError, match="n_components"):
@@ -136,7 +129,7 @@ class TestFitProjection:
     def test_invariants_on_fitted_projections(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
-            z = day_tensor(rng.normal(size=(8, 5, 10)))
+            z = rng.normal(size=(8, 5, 10))
             proj = fit_projection(z, n_components=10)
             c = proj.num_components
             gram = proj.components.T @ proj.components
@@ -144,7 +137,7 @@ class TestFitProjection:
             ratios = proj.explained_variance_ratio()
             assert (np.diff(ratios) >= -1e-12).all()
             # reconstruction error non-increasing in k
-            samples = z.data.reshape(-1, 10) - proj.mean
+            samples = z.reshape(-1, 10) - proj.mean
             errs = []
             for k in range(1, c + 1):
                 p = proj.components[:, :k]
@@ -162,7 +155,7 @@ class TestEmbedDays:
     """refresh_embedding's projection of each day's [N x T] block."""
 
     def test_hand_computed(self):
-        table = refresh_embedding(day_tensor([[[3.0, 4.0]]]), hand_projection())
+        table = refresh_embedding(np.array([[[3.0, 4.0]]]), hand_projection())
         np.testing.assert_allclose(table.values, [[2.0]])
         assert table.strategy == "pca"
 
@@ -172,15 +165,15 @@ class TestEmbedDays:
         proj = PcaProjection(mean=np.zeros(5), components=np.eye(5),
                              eigenvalues=np.ones(5))
         np.testing.assert_array_equal(
-            refresh_embedding(day_tensor(data[:1]), proj).values, data[0])
-        np.testing.assert_allclose(refresh_embedding(day_tensor(data), proj).values,
+            refresh_embedding(data[:1], proj).values, data[0])
+        np.testing.assert_allclose(refresh_embedding(data, proj).values,
                                    data.mean(axis=0), atol=1e-15)
 
     def test_centered_rows_give_zero(self):
         mu = np.array([1.0, -2.0, 0.5])
         proj = PcaProjection(mean=mu, components=np.eye(3), eigenvalues=np.ones(3))
         for days in (1, 2):
-            table = refresh_embedding(day_tensor(np.tile(mu, (days, 4, 1))), proj)
+            table = refresh_embedding(np.tile(mu, (days, 4, 1)), proj)
             np.testing.assert_allclose(table.values, 0.0, atol=1e-14)
 
     def test_slot_mismatch(self):
@@ -188,18 +181,18 @@ class TestEmbedDays:
                              eigenvalues=np.ones(3))
         for days in (1, 2):
             with pytest.raises(ValueError, match="slot mismatch"):
-                refresh_embedding(day_tensor(np.zeros((days, 2, 4))), proj)
+                refresh_embedding(np.zeros((days, 2, 4)), proj)
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
-        proj = fit_projection(day_tensor(rng.normal(size=(4, 3, 6))), n_components=3)
+        proj = fit_projection(rng.normal(size=(4, 3, 6)), n_components=3)
         alpha = 0.3
         for days in (1, 2):
             a = rng.normal(size=(days, 3, 6))
             b = rng.normal(size=(days, 3, 6))
-            mixed = refresh_embedding(day_tensor(alpha * a + (1 - alpha) * b), proj)
-            ea = refresh_embedding(day_tensor(a), proj).values
-            eb = refresh_embedding(day_tensor(b), proj).values
+            mixed = refresh_embedding(alpha * a + (1 - alpha) * b, proj)
+            ea = refresh_embedding(a, proj).values
+            eb = refresh_embedding(b, proj).values
             np.testing.assert_allclose(mixed.values, alpha * ea + (1 - alpha) * eb,
                                        atol=1e-10)
 
@@ -208,37 +201,37 @@ class TestAveraging:
     """refresh_embedding's mean of the per-day projections."""
 
     def test_mean(self):
-        z = day_tensor([[[3.0, 4.0]], [[5.0, 0.0]]])  # days project to 2 and 4
+        z = np.array([[[3.0, 4.0]], [[5.0, 0.0]]])  # days project to 2 and 4
         table = refresh_embedding(z, hand_projection())
         np.testing.assert_allclose(table.values, [[3.0]])
         assert table.strategy == "pca"
 
     def test_single_day_identity(self):
         rng = np.random.default_rng(10)
-        proj = fit_projection(day_tensor(rng.normal(size=(4, 3, 8))), n_components=2)
-        one_day = day_tensor(rng.normal(size=(1, 3, 8)))
+        proj = fit_projection(rng.normal(size=(4, 3, 8)), n_components=2)
+        one_day = rng.normal(size=(1, 3, 8))
         np.testing.assert_array_equal(refresh_embedding(one_day, proj).values,
-                                      (one_day.data[0] - proj.mean) @ proj.components)
+                                      (one_day[0] - proj.mean) @ proj.components)
 
     def test_idempotent_on_identical_days(self):
         rng = np.random.default_rng(13)
-        proj = fit_projection(day_tensor(rng.normal(size=(4, 3, 8))), n_components=3)
+        proj = fit_projection(rng.normal(size=(4, 3, 8)), n_components=3)
         day = rng.normal(size=(1, 3, 8))
-        one = refresh_embedding(day_tensor(day), proj).values
-        five = refresh_embedding(day_tensor(np.repeat(day, 5, axis=0)), proj).values
+        one = refresh_embedding(day, proj).values
+        five = refresh_embedding(np.repeat(day, 5, axis=0), proj).values
         np.testing.assert_allclose(five, one, atol=1e-14)
 
     def test_errors(self):
         proj = PcaProjection(mean=np.zeros(3), components=np.eye(3),
                              eigenvalues=np.ones(3))
         with pytest.raises(ValueError, match="empty day tensor"):
-            refresh_embedding(day_tensor(np.zeros((0, 2, 3))), proj)
+            refresh_embedding(np.zeros((0, 2, 3)), proj)
 
 
 class TestRefresh:
     def test_equals_training_table_on_same_tensor(self):
         rng = np.random.default_rng(4)
-        z = day_tensor(rng.normal(size=(6, 8, 10)))
+        z = rng.normal(size=(6, 8, 10))
         proj = fit_projection(z, n_components=4)
         np.testing.assert_array_equal(refresh_embedding(z, proj).values,
                                       per_day_table(z, proj))
@@ -247,33 +240,33 @@ class TestRefresh:
                                        (20, 25, 12)])
     def test_matches_per_day_loop(self, shape):
         rng = np.random.default_rng(sum(shape))
-        proj = fit_projection(day_tensor(rng.normal(size=(4, 10, shape[2]))),
+        proj = fit_projection(rng.normal(size=(4, 10, shape[2])),
                               n_components=4)
-        for z in (day_tensor(rng.normal(size=shape) * 3.0 + 1.0),
-                  day_tensor(rng.normal(size=(2, 7, shape[2])))):
+        for z in (rng.normal(size=shape) * 3.0 + 1.0,
+                  rng.normal(size=(2, 7, shape[2]))):
             np.testing.assert_array_equal(refresh_embedding(z, proj).values,
                                           per_day_table(z, proj))
 
     def test_node_count_free(self):
         rng = np.random.default_rng(8)
-        proj = fit_projection(day_tensor(rng.normal(size=(5, 40, 12))), n_components=6)
-        table = refresh_embedding(day_tensor(rng.normal(size=(3, 25, 12))), proj)
+        proj = fit_projection(rng.normal(size=(5, 40, 12)), n_components=6)
+        table = refresh_embedding(rng.normal(size=(3, 25, 12)), proj)
         assert table.values.shape == (25, 6)
 
     def test_single_day(self):
         rng = np.random.default_rng(10)
-        proj = fit_projection(day_tensor(rng.normal(size=(4, 3, 8))), n_components=2)
-        one_day = day_tensor(rng.normal(size=(1, 3, 8)))
+        proj = fit_projection(rng.normal(size=(4, 3, 8)), n_components=2)
+        one_day = rng.normal(size=(1, 3, 8))
         np.testing.assert_array_equal(refresh_embedding(one_day, proj).values,
                                       per_day_table(one_day, proj))
 
     def test_node_permutation_equivariance(self):
         rng = np.random.default_rng(12)
         data = rng.normal(size=(4, 7, 9))
-        proj = fit_projection(day_tensor(data), n_components=3)
+        proj = fit_projection(data, n_components=3)
         perm = rng.permutation(7)
-        direct = refresh_embedding(day_tensor(data), proj).values
-        permuted = refresh_embedding(day_tensor(data[:, perm, :]), proj).values
+        direct = refresh_embedding(data, proj).values
+        permuted = refresh_embedding(data[:, perm, :], proj).values
         np.testing.assert_allclose(permuted, direct[perm], atol=1e-12)
 
 
@@ -283,7 +276,7 @@ class TestPcaTable:
                                     seed=5))[0]
         kept = series.values.copy()
         step_range, norm = (5, 130), fit_normalizer(series, (0, 100))
-        z = normalize_day_tensor(to_day_tensor(series, step_range), norm)
+        z = norm.apply(to_day_tensor(series, step_range))
         table, proj = pca_table(series, step_range, norm, n_components=3)
         want = fit_projection(z, n_components=3)
         for name in ("mean", "components", "eigenvalues"):

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from stpca.dataset import DayTensor, Normalizer
+from stpca.dataset import Normalizer
 from stpca.graph import build_adaptive_graph
 from stpca.ioutil import atomic_write_pieces
 from stpca.model import ModelConfig, init_params, set_embedding
@@ -16,8 +16,7 @@ from stpca.serialize import (MODEL_MAGIC, PROJECTION_MAGIC, STRATEGY_TAGS,
 
 def sample_projection(t=6, c=3, seed=0):
     rng = np.random.default_rng(seed)
-    z = DayTensor(data=rng.normal(size=(5, 4, t)), step_range=(0, 5 * t))
-    return fit_projection(z, n_components=c)
+    return fit_projection(rng.normal(size=(5, 4, t)), n_components=c)
 
 
 class TestProjectionCheckpoint:

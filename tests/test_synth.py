@@ -123,6 +123,8 @@ class TestGenerate:
             SynthSpec(shift_fraction=1.5)
         with pytest.raises(ValueError):
             SynthSpec(steps_per_day=7)
+        with pytest.raises(ValueError, match="noise_std"):
+            SynthSpec(noise_std=float("nan"))
 
     def test_role_recovery_noiseless(self):
         # embeddings of same-role nodes identical, different-role nodes apart

@@ -10,9 +10,9 @@ from stpca.graph import build_adaptive_graph
 from stpca.metrics import masked_mae
 from stpca.model import ModelConfig, forward, init_params, set_embedding
 from stpca.pca import EmbeddingTable, zero_embedding
-from stpca.training import (AdamState, EarlyStopping, FlatTensors, TrainConfig,
-                            adam_step, backward, clip_gradients,
-                            finite_difference_check, fit, masked_mae_loss)
+from stpca.training import (AdamState, FlatTensors, TrainConfig, adam_step,
+                            backward, clip_gradients, finite_difference_check,
+                            fit, masked_mae_loss)
 
 NORM = Normalizer(mean=10.0, std=4.0)
 
@@ -524,22 +524,43 @@ class TestAdam:
         np.testing.assert_array_equal(clipped["a"], [3.0, 4.0])
 
 
-class TestEarlyStopping:
-    def test_spec_sequence(self):
-        # patience 2, val MAE 5, 4, 4.5, 4.6 -> stop after epoch 4, best epoch 2
-        stopper = EarlyStopping(patience=2)
-        assert not stopper.update(1, 5.0)
-        assert not stopper.update(2, 4.0)
-        assert not stopper.update(3, 4.5)
-        assert stopper.update(4, 4.6)
-        assert stopper.best_epoch == 2
-        assert stopper.best == 4.0
+def scripted_fit(monkeypatch, maes, patience):
+    """`fit` on toy data whose validation passes score `maes` in turn, with an
+    epoch cap it must not reach; returns (best, report, the params each pass
+    scored)."""
+    left, scored = iter(maes), []
 
-    def test_ties_do_not_improve(self):
-        stopper = EarlyStopping(patience=1)
-        stopper.update(1, 3.0)
-        assert stopper.update(2, 3.0)
-        assert stopper.best_epoch == 1
+    def scripted(params, *args):
+        scored.append(params.clone())
+        return next(left)
+
+    monkeypatch.setattr(training, "_scored_mae", scripted)
+    cfg = TrainConfig(max_epochs=len(maes) + 5, patience=patience, batch_size=8)
+    best, report = fit(init_params(toy_config(), 5, seed=0), toy_windows(16),
+                       toy_windows(4, seed=1), NORM, cfg)
+    assert [row[2] for row in report.epochs] == maes
+    assert report.stopping_reason == "early_stopping"
+    return best, report, scored
+
+
+def assert_same_tensors(a, b):
+    """Two models hold the same bits in every tensor."""
+    b_tensors = b.tensors()
+    for name, tensor in a.tensors().items():
+        assert tensor.tobytes() == b_tensors[name].tobytes(), name
+
+
+class TestEarlyStopping:
+    def test_spec_sequence(self, monkeypatch):
+        # patience 2, val MAE 5, 4, 4.5, 4.6 -> stop after epoch 4, best epoch 2
+        best, report, scored = scripted_fit(monkeypatch, [5.0, 4.0, 4.5, 4.6], 2)
+        assert (report.best_epoch, report.best_val_mae) == (2, 4.0)
+        assert_same_tensors(best, scored[1])
+
+    def test_ties_do_not_improve(self, monkeypatch):
+        best, report, scored = scripted_fit(monkeypatch, [3.0, 3.0], 1)
+        assert (report.best_epoch, report.best_val_mae) == (1, 3.0)
+        assert_same_tensors(best, scored[0])
 
 
 def reference_fit(params, train, val, normalizer, config, trainable=None):
@@ -551,7 +572,7 @@ def reference_fit(params, train, val, normalizer, config, trainable=None):
         graph = build_adaptive_graph(params.embedding)
     rng = np.random.default_rng(config.seed)
     m, v, t = {}, {}, 0
-    stopper = EarlyStopping(config.patience)
+    best_mae, stale = float("inf"), 0
     best, rows, skipped = params.clone(), [], 0
     for epoch in range(1, config.max_epochs + 1):
         perm = rng.permutation(len(train))
@@ -584,11 +605,11 @@ def reference_fit(params, train, val, normalizer, config, trainable=None):
             losses.append(loss)
         val_mae = masked_mae(model.predict(params, None, val, normalizer), val.target)
         rows.append((epoch, float(np.mean(losses)) if losses else float("nan"), val_mae))
-        improved = val_mae < stopper.best
-        stop = stopper.update(epoch, val_mae)
-        if improved:
-            best = params.clone()
-        if stop:
+        if val_mae < best_mae:  # only a strict improvement resets patience
+            best_mae, stale, best = val_mae, 0, params.clone()
+        else:
+            stale += 1
+        if stale >= config.patience:
             break
     return best, rows, skipped
 
@@ -618,10 +639,8 @@ def assert_fit_matches_reference(params, train, val, trainable=None):
                                                 trainable=trainable)
     assert report.epochs == ref_rows
     assert sum("batch skipped" in str(w.message) for w in caught) == skipped
-    for got, ref in ((best, ref_best), (params, ref_params)):
-        ref_tensors = ref.tensors()
-        for name, tensor in got.tensors().items():
-            assert tensor.tobytes() == ref_tensors[name].tobytes(), name
+    assert_same_tensors(best, ref_best)
+    assert_same_tensors(params, ref_params)
     return report, skipped
 
 
@@ -820,3 +839,6 @@ class TestFit:
             TrainConfig(patience=10, max_epochs=5)
         with pytest.raises(ValueError):
             TrainConfig(lr=-1)
+        for name in ("lr", "grad_clip_norm"):
+            with pytest.raises(ValueError, match=f"^{name} must be positive"):
+                TrainConfig(**{name: float("nan")})

@@ -13,7 +13,7 @@ from stpca.training import TrainConfig
 from stpca.transfer import (TransferPlan, cross_year_eval,
                             historical_average_baseline, split_adaptation,
                             zero_shot_transfer)
-from stpca.dataset import normalize_day_tensor, to_day_tensor
+from stpca.dataset import to_day_tensor
 
 MODEL_KW = dict(l1=12, l2=12, embed_dim=4, tod_dim=8, dow_dim=4, hidden_dim=4,
                 num_blocks=1, use_graph=False, steps_per_day=24)
@@ -74,8 +74,7 @@ class TestCrossYear:
                               train_series, plan)
         adapt, ev = split_adaptation(train_series, 0.5)
         table = refresh_embedding(
-            normalize_day_tensor(to_day_tensor(train_series, adapt),
-                                 run.bundle.normalizer),
+            run.bundle.normalizer.apply(to_day_tensor(train_series, adapt)),
             run.projection)
         manual = evaluate(set_embedding(run.params, table), None,
                           make_windows(train_series, ev, 12, 12),
@@ -223,43 +222,38 @@ class TestHistoricalAverage:
         t = np.arange(days * T)
         base = 10 + 5 * np.sin(2 * np.pi * (t % T) / T)
         values = np.stack([base * (i + 1) for i in range(n)], axis=1)
-        return TrafficSeries(values=values, interval_minutes=1440 // T,
-                             steps_per_day=T, start_slot=0, start_dow=0,
-                             node_ids=[f"n{i}" for i in range(n)])
+        return TrafficSeries(values=values, steps_per_day=T, start_slot=0,
+                             start_dow=0, node_ids=[f"n{i}" for i in range(n)])
 
     def test_perfectly_periodic_zero_error(self):
         s = self.periodic_series()
-        rep = historical_average_baseline(s, (24, s.total_steps), l1=4, l2=4,
-                                          horizons=(1, 4))
+        rep = historical_average_baseline(s, (24, s.total_steps), l1=4, l2=4)
         assert rep.horizons["avg"].mae < 1e-9
 
     def test_constant_target(self):
         values = np.full((8 * 24, 2), 7.0)
-        s = TrafficSeries(values=values, interval_minutes=60, steps_per_day=24,
+        s = TrafficSeries(values=values, steps_per_day=24,
                           start_slot=0, start_dow=0, node_ids=["a", "b"])
-        rep = historical_average_baseline(s, (24, s.total_steps), l1=4, l2=4,
-                                          horizons=(1,))
+        rep = historical_average_baseline(s, (24, s.total_steps), l1=4, l2=4)
         assert rep.horizons["avg"].mae == 0.0
 
     def test_random_walk_positive_error(self):
         rng = np.random.default_rng(0)
         steps = rng.normal(size=(10 * 24, 2))
         values = np.abs(np.cumsum(steps, axis=0)) + 1.0
-        s = TrafficSeries(values=values, interval_minutes=60, steps_per_day=24,
+        s = TrafficSeries(values=values, steps_per_day=24,
                           start_slot=0, start_dow=0, node_ids=["a", "b"])
-        rep = historical_average_baseline(s, (48, s.total_steps), l1=4, l2=4,
-                                          horizons=(1,))
+        rep = historical_average_baseline(s, (48, s.total_steps), l1=4, l2=4)
         assert rep.horizons["avg"].mae > 0.1
 
     def test_matches_per_window_loop(self):
         rng = np.random.default_rng(2)
         values = rng.uniform(0, 30, size=(9 * 24, 3))
         values[rng.random(values.shape) < 0.1] = 0.0
-        s = TrafficSeries(values=values, interval_minutes=60, steps_per_day=24,
+        s = TrafficSeries(values=values, steps_per_day=24,
                           start_slot=5, start_dow=2, node_ids=["a", "b", "c"])
         eval_range, l2 = (40, s.total_steps), 6
-        rep = historical_average_baseline(s, eval_range, l1=3, l2=l2,
-                                          horizons=(1, 6))
+        rep = historical_average_baseline(s, eval_range, l1=3, l2=l2)
         # reference: the slot means and one prediction per window, in loops
         T, lo = 24, eval_range[0]
         slot_mean = np.stack([values[:lo][[s.slot_of(i) == slot for i in range(lo)]]
@@ -267,15 +261,14 @@ class TestHistoricalAverage:
         ws = make_windows(s, eval_range, 3, l2)
         preds = np.stack([slot_mean[[(ws.tod[i] + k) % T for k in range(l2)]].T
                           for i in range(len(ws))])
-        ref = horizon_report_from_arrays(preds, np.array(ws.target), horizons=(1, 6))
-        for key in ("1", "6", "avg"):
+        ref = horizon_report_from_arrays(preds, np.array(ws.target))
+        for key in ("3", "6", "avg"):
             assert rep.horizons[key].as_dict() == ref.horizons[key].as_dict()
 
     def test_requires_full_day_before_eval(self):
         s = self.periodic_series()
         with pytest.raises(DataError, match="full day"):
-            historical_average_baseline(s, (10, s.total_steps), l1=2, l2=2,
-                                        horizons=(1,))
+            historical_average_baseline(s, (10, s.total_steps), l1=2, l2=2)
 
 
 def test_composability_refresh_then_evaluate(trained):
@@ -284,7 +277,7 @@ def test_composability_refresh_then_evaluate(trained):
     auto = cross_year_eval(run.params, run.bundle.normalizer, run.projection,
                            shifted, plan)
     adapt, ev = split_adaptation(shifted, 0.5)
-    z = normalize_day_tensor(to_day_tensor(shifted, adapt), run.bundle.normalizer)
+    z = run.bundle.normalizer.apply(to_day_tensor(shifted, adapt))
     table = refresh_embedding(z, run.projection)
     manual = evaluate(set_embedding(run.params, table), None,
                       make_windows(shifted, ev, 12, 12), run.bundle.normalizer)
