@@ -42,7 +42,7 @@ for k in range(8):
 for theta in (0.5, 0.9, 0.99):
     print(f"theta={theta}: {select_components(proj.eigenvalues, theta)} components")
 
-# averaged per-day projections give one frozen embedding row per node
+# each node's mean day profile, projected: one frozen embedding row per node
 table = refresh_embedding(z, proj)
 print(f"\nembedding table: {table.values.shape}, strategy={table.strategy}")
 

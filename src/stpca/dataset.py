@@ -97,10 +97,9 @@ class Normalizer:
     mean: float
     std: float
 
-    def apply(self, x, out=None):
-        """z-score of x, C-contiguous whatever the layout of x; written into
-        `out` when it is given."""
-        out = np.subtract(x, self.mean, out=out, dtype=np.float64, order="C")
+    def apply(self, x):
+        """z-score of x as a fresh array, C-contiguous whatever the layout of x."""
+        out = np.subtract(x, self.mean, dtype=np.float64, order="C")
         out /= self.std
         return out
 
@@ -368,11 +367,10 @@ def make_windows(series: TrafficSeries, step_range, l1=12, l2=12) -> Windows:
 
 
 def to_day_tensor(series: TrafficSeries, step_range) -> np.ndarray:
-    """Reshape the slot-0-aligned complete days inside the range to a
-    C-contiguous [D x N x T] array.
+    """The slot-0-aligned complete days inside the range as a [D x N x T]
+    read-only view of the series values, like make_windows' arrays.
 
-    Misaligned head and tail steps are dropped, never padded; the array is a
-    copy.
+    Misaligned head and tail steps are dropped, never padded.
     """
     lo, hi = step_range
     T = series.steps_per_day
@@ -381,4 +379,5 @@ def to_day_tensor(series: TrafficSeries, step_range) -> np.ndarray:
     if days < 1:
         raise DataError(f"no complete day in range [{lo}, {hi})")
     data = series.values[first : first + days * T].reshape(days, T, series.num_nodes)
-    return data.transpose(0, 2, 1).copy()
+    data.flags.writeable = False
+    return data.transpose(0, 2, 1)

@@ -10,7 +10,7 @@ and returns [B x N x .] arrays, transposed views of node-major buffers.
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -43,10 +43,10 @@ class ModelConfig:
     steps_per_day: int = 288
 
     def __post_init__(self):
-        dims = (self.l1, self.l2, self.embed_dim, self.tod_dim, self.dow_dim,
-                self.hidden_dim, self.num_blocks, self.steps_per_day)
-        if any(d < 1 for d in dims):
-            raise ValueError("all config dimensions must be >= 1")
+        for f in fields(self):  # every int field is a size
+            value = getattr(self, f.name)
+            if f.type is int and not value >= 1:
+                raise ValueError(f"{f.name} must be >= 1, got {value}")
 
     @property
     def mix_dim(self) -> int:

@@ -1,10 +1,10 @@
 """PCA projections over daily profiles and the node embeddings they produce.
 
 Each (day, node) pair contributes one T-dimensional sample (the node's profile
-over that day). The projection maps profiles to C coordinates; averaging the
-per-day coordinates over the training days gives one frozen embedding row per
-node. Because the projection acts on the slot axis, it can be reused on a
-series with any node count, which is what makes cross-city transfer possible.
+over that day); the projection maps profiles to C coordinates. A node's row is
+the projection of its own mean day profile, so it depends on nothing but that
+node's data and the fixed projection: a new year or a new city needs no
+retraining.
 """
 
 from dataclasses import dataclass
@@ -54,7 +54,7 @@ class PcaProjection:
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.components = np.asarray(self.components, dtype=np.float64)
+        self.components = np.ascontiguousarray(self.components, dtype=np.float64)
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
         t, c = self.components.shape
         if self.mean.shape != (t,) or self.eigenvalues.shape != (t,):
@@ -129,71 +129,72 @@ def select_components(eigenvalues: np.ndarray, theta: float) -> int:
 
 def fit_projection(z: np.ndarray, n_components: Optional[int] = None,
                    theta: Optional[float] = None) -> PcaProjection:
-    """Fit the centered projection from the D*N day-profiles of a (normalized)
-    [D x N x T] day tensor.
+    """Fit the centered projection from the D*N day-profiles of a [D x N x T]
+    day tensor, which may be a read-only view; z is never copied.
 
     An explicit n_components wins over theta; with neither given, theta
     defaults to 0.9. Column signs are fixed so each component's
     largest-magnitude entry is positive.
     """
-    samples = z.reshape(-1, z.shape[-1])
-    m, t = samples.shape
+    days, n, t = z.shape
+    m = days * n
     if m < 2:
         raise ValueError(f"need at least 2 samples, got {m}")
-    mean = samples.mean(axis=0)
-    x = samples - mean
-    cov = (x.T @ x) / (m - 1)
+    x = np.empty((t, n))  # slot-major scratch: the day sums, then each centered day
+    # summing into x's fixed layout keeps z's layout out of the mean's bits
+    mean = np.sum(z, axis=0, out=x.T).sum(axis=0) / m
+    cov, prod = np.zeros((t, t)), np.empty((t, t))
+    for day in z:
+        np.subtract(day.T, mean[:, None], out=x)
+        cov += np.matmul(x, x.T, out=prod)  # x times its own transpose: exactly symmetric
 
-    eigvals, vecs = sym_eig(cov)
+    eigvals, vecs = sym_eig(cov / (m - 1))
     eigvals = np.maximum(eigvals, 0.0)  # covariance is PSD; clip rounding noise
 
     cap = min(t, m - 1)
     if n_components is not None:
         if not 1 <= n_components <= cap:
-            raise ValueError(
-                f"n_components {n_components} outside [1, {cap}] "
-                f"(T={t}, samples={m})"
-            )
+            raise ValueError(f"n_components {n_components} outside [1, {cap}] "
+                             f"(T={t}, samples={m})")
         c = n_components
     else:
         c = min(select_components(eigvals, 0.9 if theta is None else theta), cap)
 
-    comps = vecs[:, :c].copy()
-    for j in range(c):
-        k = int(np.argmax(np.abs(comps[:, j])))
-        if comps[k, j] < 0:
-            comps[:, j] = -comps[:, j]
+    comps = vecs[:, :c]
+    peaks = comps[np.abs(comps).argmax(axis=0), np.arange(c)]
+    comps = comps * np.where(peaks < 0, -1.0, 1.0)  # each largest entry positive
     return PcaProjection(mean=mean, components=comps, eigenvalues=eigvals)
 
 
 def refresh_embedding(target: np.ndarray, proj: PcaProjection) -> EmbeddingTable:
-    """The pca table of a [D x N x T] day tensor under a fixed projection.
-
-    Each day's [N x T] profile block is projected to [N x C] and the days are
-    averaged. The projection acts on the slot axis, so the target may carry a
-    different node count than the data the projection was fitted on.
+    """The pca table of a [D x N x T] day tensor under a fixed projection:
+    each node's mean day profile projected, which by linearity is the mean of
+    its per-day projections. The target may have any node count.
     """
     if len(target) < 1:
         raise ValueError("empty day tensor")
     if target.shape[-1] != proj.num_slots:
-        raise ValueError(
-            f"slot mismatch: tensor T={target.shape[-1]}, "
-            f"projection T={proj.num_slots}"
-        )
-    per_day = (target - proj.mean) @ proj.components  # [D x N x C]
-    return EmbeddingTable(values=per_day.mean(axis=0), strategy="pca")
+        raise ValueError(f"slot mismatch: tensor T={target.shape[-1]}, "
+                         f"projection T={proj.num_slots}")
+    # einsum sums each row on its own; a BLAS product picks its kernels by the
+    # row count, so a node's bits would depend on how many nodes the city has
+    values = np.einsum("nt,tc->nc", target.mean(axis=0) - proj.mean, proj.components)
+    return EmbeddingTable(values=values, strategy="pca")
 
 
 def pca_table(series, step_range, normalizer, proj: Optional[PcaProjection] = None,
               **fit_kwargs):
     """(pca table, projection) of a step range of a series.
 
-    The range's whole days, scaled by `normalizer`, are projected through
-    `proj`, or when it is None through a projection fitted on those days
-    (`fit_kwargs` go to `fit_projection`).
+    The range's whole days, scaled by `normalizer`, go through `proj`, or when
+    it is None through a projection fitted on them (`fit_kwargs` go to
+    `fit_projection`). The fit reads the series in place, in its own units;
+    the z-score is affine, so scaling keeps the components, scales the mean
+    like the data and divides the eigenvalues by std**2.
     """
     z = to_day_tensor(series, step_range)
-    normalizer.apply(z, out=z)  # a fresh tensor, scaled in place
     if proj is None:
-        proj = fit_projection(z, **fit_kwargs)
-    return refresh_embedding(z, proj), proj
+        raw = fit_projection(z, **fit_kwargs)
+        proj = PcaProjection(mean=normalizer.apply(raw.mean), components=raw.components,
+                             eigenvalues=raw.eigenvalues / normalizer.std ** 2)
+    return refresh_embedding(normalizer.apply(z.mean(axis=0, keepdims=True)), proj), proj

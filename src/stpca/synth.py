@@ -36,8 +36,8 @@ class SynthSpec:
             raise ValueError("more roles than nodes")
         if not 0.0 <= self.shift_fraction <= 1.0:
             raise ValueError("shift_fraction must be in [0, 1]")
-        if not self.noise_std >= 0:  # written so that a NaN fails it
-            raise ValueError("noise_std must be non-negative")
+        if not 0 <= self.noise_std < np.inf:  # written so that a NaN fails it
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if MINUTES_PER_DAY % self.steps_per_day != 0:
             raise ValueError("steps_per_day must divide 1440 minutes")
         if self.seed < 0:

@@ -27,8 +27,8 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("lr", "max_epochs", "patience", "batch_size", "grad_clip_norm"):
             value = getattr(self, name)
-            if not value > 0:  # written so that a NaN fails it
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0 < value < math.inf:  # written so that a NaN fails it
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.patience > self.max_epochs:
             raise ValueError("patience cannot exceed max_epochs")
         if self.seed < 0:

@@ -18,10 +18,10 @@ from stpca import cli
 from stpca.cli import (CONFIG_KEYS, build_parser, load_config, main,
                        resolved_config_text)
 from stpca.dataset import (Normalizer, fit_normalizer, ingest_csv, make_windows,
-                           split_chronological, to_day_tensor)
+                           split_chronological)
 from stpca.metrics import evaluate
 from stpca.model import ModelConfig, init_params, set_embedding
-from stpca.pca import fit_projection, refresh_embedding, zero_embedding
+from stpca.pca import fit_projection, pca_table, zero_embedding
 from stpca.serialize import (embedding_csv, load_model, load_projection,
                              save_model, save_projection)
 from test_dataset import csv_texts
@@ -149,7 +149,7 @@ class TestFaultExits:
         "data.ratios=a,b,c", "data.ratios=0.5,0.5", "data.ratios=0.5,0.2,0.2",
         "data.ratios=0.5,0.5,nan",
         "train.patience=0", "train.patience=5", "train.lr=-1",
-        "model.hidden_dim=0", "model.l2=-3", "model.theta=1.5",
+        "model.hidden_dim=0", "model.l1=0", "model.l2=-3", "model.theta=1.5",
         "embedding.strategy=banana",
     ])
     def test_bad_config_value_exit_2(self, synth_dir, tmp_path, capsys, line):
@@ -157,7 +157,8 @@ class TestFaultExits:
         write_config(cfg, synth_dir / "train.csv", tmp_path / "o", extra=line + "\n")
         assert run_cli("train", "--config", str(cfg)) == 2
         err = assert_one_line_error(capsys, "config error: ")
-        assert line.split("=")[0].split(".")[0] in err
+        section, field = line.split("=")[0].split(".")
+        assert section in err and field in err
         assert not (tmp_path / "o").exists()
 
     @settings(max_examples=100, deadline=None,
@@ -188,7 +189,8 @@ class TestFaultExits:
 
     # a NaN fails no `<= 0` test, so each check is written to fail it
     @pytest.mark.parametrize("line", ["train.seed=-1", "train.lr=nan",
-                                      "train.grad_clip_norm=nan"])
+                                      "train.grad_clip_norm=nan", "train.lr=inf",
+                                      "train.lr=-inf", "train.grad_clip_norm=inf"])
     def test_bad_train_value_exit_2_before_reading_data(self, synth_dir, tmp_path,
                                                         capsys, monkeypatch, line):
         reads = []
@@ -203,7 +205,8 @@ class TestFaultExits:
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--seed", "-1", "seed"), ("--noise-std", "nan", "noise_std"),
-    ], ids=["seed", "noise_std"])
+        ("--noise-std", "inf", "noise_std"),
+    ], ids=["seed", "noise_std", "noise_std-inf"])
     def test_bad_synth_flag_exit_2(self, tmp_path, capsys, flag, value, field):
         assert run_cli("synth", flag, value, "--out-dir", str(tmp_path / "s")) == 2
         assert field in assert_one_line_error(capsys, "config error: ")
@@ -338,8 +341,8 @@ class TestEval:
         if strategy == "zero":
             table = zero_embedding(params.num_nodes, params.config.embed_dim)
         else:
-            z = norm.apply(to_day_tensor(series, ranges[0]))
-            table = refresh_embedding(z, load_projection(trained_dir / "proj.stpj"))
+            table, _ = pca_table(series, ranges[0], norm,
+                                 load_projection(trained_dir / "proj.stpj"))
         manual = evaluate(set_embedding(params, table), None,
                           make_windows(series, ranges[2], 6, 6), norm)
         reported = json.loads(out.read_text())["horizons"]
@@ -548,13 +551,11 @@ class TestExportAndReport:
                        "--proj", str(trained_dir / "proj.stpj"),
                        "--data", str(synth_dir / "train.csv"),
                        "--out", str(out)) == 0
-        # the recipe the command ran before it called `pca_table`
         series = ingest_csv(str(synth_dir / "train.csv"))
         proj = load_projection(str(trained_dir / "proj.stpj"))
         train_range = split_chronological(series, (0.6, 0.2, 0.2))[0]
-        z = to_day_tensor(series, train_range)
-        reference = refresh_embedding(
-            fit_normalizer(series, train_range).apply(z), proj)
+        reference, _ = pca_table(series, train_range,
+                                 fit_normalizer(series, train_range), proj)
         assert out.read_text() == embedding_csv(reference, series.node_ids)
         # and it is the frozen table the pca training run installed
         exported = np.array([[float(v) for v in line.split(",")[1:]]

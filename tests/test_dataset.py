@@ -608,14 +608,6 @@ class TestDayTensor:
         assert whole_days_in(s, 0, 600) == [188]
         assert_days_are(z, s, [188])
 
-    @pytest.mark.parametrize("n_nodes", [1, 3])
-    def test_fresh_copy_never_a_view(self, n_nodes):
-        # one node makes the transposed days C-contiguous already; the data
-        # is still a copy, so scaling it in place leaves the series alone
-        s = make_series(576, n_nodes=n_nodes)
-        z = to_day_tensor(s, (0, 576))
-        assert z.flags.c_contiguous and not np.shares_memory(z, s.values)
-
     def test_roundtrip_values(self):
         s = make_series(600)
         z = to_day_tensor(s, (0, 600))

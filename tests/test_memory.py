@@ -2,8 +2,8 @@
 
 `tracemalloc` sees numpy's array allocations, so a call's traced peak shows
 whether it built a full-size [W x N x l2] prediction array, a full copy of
-a file's text, a gradient buffer beside each cached activation, or a second
-series.
+a file's text, a gradient buffer beside each cached activation, a second
+series, or a copy of the days a PCA table is built from.
 """
 
 import os
@@ -12,10 +12,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stpca.dataset import (Normalizer, TrafficSeries, ingest_csv, make_windows,
-                           write_series_csv)
+from stpca.dataset import (Normalizer, TrafficSeries, fit_normalizer, ingest_csv,
+                           make_windows, to_day_tensor, write_series_csv)
 from stpca.metrics import evaluate
 from stpca.model import ModelConfig, forward, init_params
+from stpca.pca import pca_table
 from stpca.synth import SynthSpec, generate
 from stpca.training import TrainConfig, fit
 from stpca.transfer import historical_average_baseline
@@ -130,3 +131,30 @@ def test_ingest_csv_peak_below_file_size(series, tmp_path):
     back, peak = traced_peak(ingest_csv, path)
     assert back.values.tobytes() == series.values.tobytes()
     assert peak < os.path.getsize(path)
+
+
+@pytest.mark.parametrize("n_nodes", [1, 3])
+def test_day_tensor_is_a_read_only_view(n_nodes):
+    # one node makes the transposed days C-contiguous; a view all the same
+    values = np.random.default_rng(2).uniform(1.0, 80.0, size=(2 * T, n_nodes))
+    s = TrafficSeries(values=values, steps_per_day=T, start_slot=0, start_dow=0,
+                      node_ids=[f"n{i}" for i in range(n_nodes)])
+    z = to_day_tensor(s, (0, 2 * T))
+    assert np.shares_memory(z, s.values)
+    with pytest.raises(ValueError, match="read-only"):
+        z[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("fit", [True, False], ids=["fit", "fixed-projection"])
+def test_pca_table_peak_below_a_quarter_of_the_day_tensor(fit):
+    # PEMS04's training range: 35 days of 307 nodes, 24.8 MB as a day tensor
+    days = 35
+    values = np.random.default_rng(3).uniform(1.0, 80.0, size=(days * T, N))
+    s = TrafficSeries(values=values, steps_per_day=T, start_slot=0, start_dow=0,
+                      node_ids=[f"n{i}" for i in range(N)])
+    step_range = (0, days * T)
+    norm = fit_normalizer(s, step_range)
+    proj = None if fit else pca_table(s, step_range, norm, n_components=8)[1]
+    (table, _), peak = traced_peak(pca_table, s, step_range, norm, proj, n_components=8)
+    assert table.values.shape == (N, 8)
+    assert peak < values.nbytes / 4

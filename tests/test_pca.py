@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stpca.dataset import fit_normalizer, to_day_tensor
+from stpca.dataset import TrafficSeries, fit_normalizer, to_day_tensor
 from stpca.pca import (EmbeddingTable, PcaProjection, fit_projection, pca_table,
                        refresh_embedding, select_components, sym_eig,
                        zero_embedding)
@@ -22,6 +24,12 @@ def per_day_table(z, proj):
     """Reference oracle: project one day at a time, then average the days."""
     per_day = [(day - proj.mean) @ proj.components for day in z]
     return np.mean(np.stack(per_day, axis=0), axis=0)
+
+
+def assert_near(got, reference):
+    """got equals the reference within 1e-12 of the reference's largest entry:
+    the same sums taken in another order."""
+    assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 class TestSymEig:
@@ -210,8 +218,8 @@ class TestAveraging:
         rng = np.random.default_rng(10)
         proj = fit_projection(rng.normal(size=(4, 3, 8)), n_components=2)
         one_day = rng.normal(size=(1, 3, 8))
-        np.testing.assert_array_equal(refresh_embedding(one_day, proj).values,
-                                      (one_day[0] - proj.mean) @ proj.components)
+        assert_near(refresh_embedding(one_day, proj).values,
+                    (one_day[0] - proj.mean) @ proj.components)
 
     def test_idempotent_on_identical_days(self):
         rng = np.random.default_rng(13)
@@ -233,8 +241,7 @@ class TestRefresh:
         rng = np.random.default_rng(4)
         z = rng.normal(size=(6, 8, 10))
         proj = fit_projection(z, n_components=4)
-        np.testing.assert_array_equal(refresh_embedding(z, proj).values,
-                                      per_day_table(z, proj))
+        assert_near(refresh_embedding(z, proj).values, per_day_table(z, proj))
 
     @pytest.mark.parametrize("shape", [(1, 3, 8), (16, 40, 48), (3, 170, 24),
                                        (20, 25, 12)])
@@ -244,8 +251,7 @@ class TestRefresh:
                               n_components=4)
         for z in (rng.normal(size=shape) * 3.0 + 1.0,
                   rng.normal(size=(2, 7, shape[2]))):
-            np.testing.assert_array_equal(refresh_embedding(z, proj).values,
-                                          per_day_table(z, proj))
+            assert_near(refresh_embedding(z, proj).values, per_day_table(z, proj))
 
     def test_node_count_free(self):
         rng = np.random.default_rng(8)
@@ -257,8 +263,7 @@ class TestRefresh:
         rng = np.random.default_rng(10)
         proj = fit_projection(rng.normal(size=(4, 3, 8)), n_components=2)
         one_day = rng.normal(size=(1, 3, 8))
-        np.testing.assert_array_equal(refresh_embedding(one_day, proj).values,
-                                      per_day_table(one_day, proj))
+        assert_near(refresh_embedding(one_day, proj).values, per_day_table(one_day, proj))
 
     def test_node_permutation_equivariance(self):
         rng = np.random.default_rng(12)
@@ -271,7 +276,8 @@ class TestRefresh:
 
 
 class TestPcaTable:
-    def test_in_place_scaling_equals_normalized_copy(self):
+    def test_equals_normalized_copy_recipe(self):
+        # the reference scales a copy of the days, fits on it and projects each day
         series = generate(SynthSpec(n_nodes=9, n_roles=3, days=6, steps_per_day=24,
                                     seed=5))[0]
         kept = series.values.copy()
@@ -280,11 +286,62 @@ class TestPcaTable:
         table, proj = pca_table(series, step_range, norm, n_components=3)
         want = fit_projection(z, n_components=3)
         for name in ("mean", "components", "eigenvalues"):
-            assert getattr(proj, name).tobytes() == getattr(want, name).tobytes()
-        assert table.values.tobytes() == refresh_embedding(z, want).values.tobytes()
+            assert_near(getattr(proj, name), getattr(want, name))
+        assert_near(table.values, per_day_table(z, want))
         again, _ = pca_table(series, step_range, norm, proj)
         assert again.values.tobytes() == table.values.tobytes()
         assert series.values.tobytes() == kept.tobytes()
+
+
+@st.composite
+def cities(draw):
+    """A small generated city, or two of them spliced side by side, and a step
+    range holding at least one whole day."""
+    steps_per_day = draw(st.sampled_from([4, 12, 24]))
+    days = draw(st.integers(2, 5))
+    parts = []
+    for _ in range(draw(st.integers(1, 2))):
+        n_nodes = draw(st.integers(1, 12))
+        spec = SynthSpec(n_nodes=n_nodes, n_roles=draw(st.integers(1, n_nodes)),
+                         days=days, steps_per_day=steps_per_day,
+                         seed=draw(st.integers(0, 2**16)))
+        parts.append(generate(spec)[0].values)
+    values = np.concatenate(parts, axis=1)
+    series = TrafficSeries(values=values, steps_per_day=steps_per_day,
+                           start_slot=0, start_dow=0,
+                           node_ids=[f"n{i}" for i in range(values.shape[1])])
+    lo = draw(st.integers(0, steps_per_day - 1))
+    first_day_end = (2 if lo else 1) * steps_per_day
+    hi = draw(st.integers(first_day_end, series.total_steps))
+    return series, (lo, hi)
+
+
+def node_subset(series, nodes):
+    return TrafficSeries(values=series.values[:, nodes],
+                         steps_per_day=series.steps_per_day,
+                         start_slot=series.start_slot, start_dow=series.start_dow,
+                         node_ids=[series.node_ids[i] for i in nodes])
+
+
+class TestLocality:
+    """A node's pca row is a function of its own days and the fixed projection
+    and normalizer: no other node enters it, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cities(), st.data())
+    def test_rows_of_permuted_city_and_node_subset(self, city, data):
+        series, step_range = city
+        n = series.num_nodes
+        norm = fit_normalizer(series, step_range)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        proj = fit_projection(rng.normal(size=(3, 4, series.steps_per_day)),
+                              n_components=min(3, series.steps_per_day))
+        full, _ = pca_table(series, step_range, norm, proj)
+        perm = data.draw(st.permutations(range(n)))
+        subset = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        for nodes in (perm, subset):
+            part, _ = pca_table(node_subset(series, nodes), step_range, norm, proj)
+            assert part.values.tobytes() == full.values[nodes].tobytes()
 
 
 class TestEmbeddingTable:

@@ -840,5 +840,6 @@ class TestFit:
         with pytest.raises(ValueError):
             TrainConfig(lr=-1)
         for name in ("lr", "grad_clip_norm"):
-            with pytest.raises(ValueError, match=f"^{name} must be positive"):
-                TrainConfig(**{name: float("nan")})
+            for value in ("nan", "inf", "-inf"):
+                with pytest.raises(ValueError, match=f"^{name} must be positive"):
+                    TrainConfig(**{name: float(value)})
