@@ -9,11 +9,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
-from .dataset import (DataError, check_ratios, fit_normalizer, ingest_csv,
-                      make_windows, split_chronological, write_series_csv)
+from .dataset import (RATIOS, ConfigError, DataError, _check, check_ratios,
+                      fit_normalizer, ingest_csv, make_windows, split_chronological,
+                      to_day_tensor, write_series_csv)
 from .metrics import HorizonReport, MetricSet, evaluate, render_report
 from .model import ModelConfig
 from .pca import check_theta, pca_table
@@ -26,10 +28,6 @@ from .training import TrainConfig
 from .transfer import (TransferPlan, cross_year_eval,
                        historical_average_baseline, split_adaptation,
                        with_strategy, zero_shot_transfer)
-
-
-class ConfigError(ValueError):
-    """Bad run configuration: unknown key, bad value, missing requirement."""
 
 
 def _bool(text):
@@ -51,28 +49,21 @@ def _train_strategy(text):
     return text
 
 
-# key -> (parser, default); None default means "unset"
+_RATIOS_TEXT = ",".join(map(str, RATIOS))
+
+# key -> (parser, default); None default means "unset". A model.* or train.*
+# key is a field of ModelConfig or TrainConfig, with that field's type,
+# default and range; steps_per_day is the data's.
 CONFIG_KEYS = {
     "data.csv": (str, None),
     "data.shifted_csv": (str, None),
-    "data.ratios": (str, "0.6,0.2,0.2"),
-    "model.l1": (int, 12),
-    "model.l2": (int, 12),
-    "model.embed_dim": (int, 8),
-    "model.tod_dim": (int, 8),
-    "model.dow_dim": (int, 4),
-    "model.hidden_dim": (int, 32),
-    "model.num_blocks": (int, 2),
-    "model.use_graph": (_bool, False),
+    "data.ratios": (str, _RATIOS_TEXT),
+    **{f"{section}.{f.name}": (_bool if f.type is bool else f.type, f.default)
+       for section, cls in (("model", ModelConfig), ("train", TrainConfig))
+       for f in fields(cls) if f.name != "steps_per_day"},
     "model.theta": (_theta, None),
     "embedding.strategy": (_train_strategy, "adaptive"),
-    "train.lr": (float, 1e-3),
-    "train.max_epochs": (int, 200),
-    "train.patience": (int, 20),
-    "train.batch_size": (int, 32),
-    "train.grad_clip_norm": (float, 5.0),
-    "train.seed": (int, 0),
-    "transfer.adaptation_fraction": (float, 0.05),
+    "transfer.adaptation_fraction": (float, TransferPlan.adaptation_fraction),
     "run.out_dir": (str, "run_out"),
 }
 
@@ -117,32 +108,18 @@ def parse_ratios(text, name):
         ratios = tuple(float(p) for p in text.split(","))
         check_ratios(ratios)
     except ValueError as exc:
-        raise ConfigError(f"bad {name} {text!r}: {exc}") from None
+        raise ConfigError(f"{name}={text}: {exc}") from None
     return ratios
 
 
-def model_config_from(config, steps_per_day) -> ModelConfig:
+def _section(cls, config, section):
+    """The `cls` whose fields are the config's `section.*` keys; a bad value's
+    message names its key."""
     try:
-        return ModelConfig(
-            l1=config["model.l1"], l2=config["model.l2"],
-            embed_dim=config["model.embed_dim"], tod_dim=config["model.tod_dim"],
-            dow_dim=config["model.dow_dim"], hidden_dim=config["model.hidden_dim"],
-            num_blocks=config["model.num_blocks"],
-            use_graph=config["model.use_graph"], steps_per_day=steps_per_day,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad model.* values: {exc}") from None
-
-
-def train_config_from(config) -> TrainConfig:
-    try:
-        return TrainConfig(
-            lr=config["train.lr"], max_epochs=config["train.max_epochs"],
-            patience=config["train.patience"], batch_size=config["train.batch_size"],
-            grad_clip_norm=config["train.grad_clip_norm"], seed=config["train.seed"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad train.* values: {exc}") from None
+        return cls(**{f.name: config[f"{section}.{f.name}"] for f in fields(cls)
+                      if f"{section}.{f.name}" in config})
+    except ConfigError as exc:
+        raise ConfigError(f"{section}.{exc}") from None
 
 
 def _require(config, key):
@@ -164,10 +141,11 @@ def _train_log_text(report):
 
 def cmd_train(args):
     config = load_config(args.config)
-    train_cfg = train_config_from(config)
+    train_cfg = _section(TrainConfig, config, "train")
+    model_cfg = _section(ModelConfig, config, "model")
     ratios = parse_ratios(config["data.ratios"], "data.ratios")
     series = ingest_csv(_require(config, "data.csv"))
-    model_cfg = model_config_from(config, series.steps_per_day)
+    model_cfg = replace(model_cfg, steps_per_day=series.steps_per_day)
     out_dir = config["run.out_dir"]
     os.makedirs(out_dir, exist_ok=True)
 
@@ -201,9 +179,10 @@ def _projection(args, strategies):
 
 
 def cmd_eval(args):
+    ratios = parse_ratios(args.ratios, "--ratios")
     params, norm = load_model(args.model)
     series = ingest_csv(args.data)
-    ranges = split_chronological(series, parse_ratios(args.ratios, "--ratios"))
+    ranges = split_chronological(series, ratios)
     strategy = STRATEGY_ALIASES[args.strategy]
     scored = with_strategy(params, strategy, series, ranges[0], norm,
                            _projection(args, [strategy]))
@@ -219,19 +198,15 @@ def cmd_eval(args):
 
 
 def cmd_transfer(args):
-    params, norm = load_model(args.model)
     plans = []
     for name in args.strategies.split(","):
         name = name.strip()
         if name not in STRATEGY_ALIASES:
             raise ConfigError(f"unknown transfer strategy {name!r}")
-        try:
-            plan = TransferPlan(adaptation_fraction=args.adaptation_fraction,
-                                strategy=STRATEGY_ALIASES[name],
-                                refit_projection=args.refit_projection)
-        except ValueError as exc:  # a bad flag value, as the strategy is known
-            raise ConfigError(f"--adaptation-fraction: {exc}") from None
-        plans.append((name, plan))
+        plans.append((name, TransferPlan(adaptation_fraction=args.adaptation_fraction,
+                                         strategy=STRATEGY_ALIASES[name],
+                                         refit_projection=args.refit_projection)))
+    params, norm = load_model(args.model)
     proj = _projection(args, [plan.strategy for _, plan in plans])
     target = ingest_csv(args.target)
     # the same sensors in a later year, or a foreign node set
@@ -262,21 +237,31 @@ def cmd_transfer(args):
 
 def cmd_sweep_components(args):
     config = load_config(args.config)
+    train_cfg = _section(TrainConfig, config, "train")
+    model_cfg = _section(ModelConfig, config, "model")
+    plan = _section(TransferPlan, config, "transfer")
     ratios = parse_ratios(config["data.ratios"], "data.ratios")
+    _check("--k-min", args.k_min, "[1, inf)")
+    _check(f"--k-max (--k-min is {args.k_min})", args.k_max, f"[{args.k_min}, inf)")
     series = ingest_csv(_require(config, "data.csv"))
     shifted = ingest_csv(_require(config, "data.shifted_csv"))
+    # fit_projection's cap on the component count: the slots per day, and one
+    # less than the (day, node) samples of the training range
+    T = series.steps_per_day
+    samples = series.num_nodes * len(
+        to_day_tensor(series, split_chronological(series, ratios)[0]))
+    _check(f"--k-max (T={T}, {samples} training samples)", args.k_max,
+           f"[{args.k_min}, {min(T, samples - 1)}]")
     out_dir = config["run.out_dir"]
     os.makedirs(out_dir, exist_ok=True)
 
     points = [(str(k), "pca", k) for k in range(args.k_min, args.k_max + 1)]
-    points.append(("adaptive", "adaptive", config["model.embed_dim"]))
+    points.append(("adaptive", "adaptive", model_cfg.embed_dim))
     lines = ["k,val_mae,test_mae,shifted_mae"]
     for label, strategy, embed_dim in points:
-        model_cfg = model_config_from({**config, "model.embed_dim": embed_dim},
-                                      series.steps_per_day)
         val_mae, test_mae, shifted_mae = sweep_run(
-            series, shifted, model_cfg, train_config_from(config), strategy,
-            config["transfer.adaptation_fraction"], ratios=ratios)
+            series, shifted, replace(model_cfg, embed_dim=embed_dim, steps_per_day=T),
+            train_cfg, strategy, plan.adaptation_fraction, ratios=ratios)
         lines.append(f"{label},{val_mae!r},{test_mae!r},{shifted_mae!r}")
         print(f"k={label}: val {val_mae:.4f} test {test_mae:.4f} "
               f"shifted {shifted_mae:.4f}")
@@ -288,13 +273,9 @@ def cmd_sweep_components(args):
 
 
 def cmd_synth(args):
-    try:
-        spec = SynthSpec(n_nodes=args.nodes, n_roles=args.roles, days=args.days,
-                         steps_per_day=args.steps_per_day,
-                         shift_fraction=args.shift_fraction,
-                         noise_std=args.noise_std, seed=args.seed)
-    except ValueError as exc:  # bad flag values are usage errors
-        raise ConfigError(str(exc))
+    spec = SynthSpec(n_nodes=args.nodes, n_roles=args.roles, days=args.days,
+                     steps_per_day=args.steps_per_day, shift_fraction=args.shift_fraction,
+                     noise_std=args.noise_std, seed=args.seed)
     train, shifted, role_maps = generate(spec)
     os.makedirs(args.out_dir, exist_ok=True)
     write_series_csv(train, os.path.join(args.out_dir, "train.csv"))
@@ -320,6 +301,7 @@ def cmd_ingest(args):
 
 
 def cmd_export_embeddings(args):
+    ratios = parse_ratios(args.ratios, "--ratios")
     if args.model:
         params, _ = load_model(args.model)
         table = params.embedding
@@ -329,7 +311,7 @@ def cmd_export_embeddings(args):
             raise ConfigError("need either --model or both --proj and --data")
         proj = load_projection(args.proj)
         series = ingest_csv(args.data)
-        ranges = split_chronological(series, parse_ratios(args.ratios, "--ratios"))
+        ranges = split_chronological(series, ratios)
         table, _ = pca_table(series, ranges[0], fit_normalizer(series, ranges[0]), proj)
         node_ids = series.node_ids
     write_embedding_csv(table, node_ids, args.out)
@@ -381,13 +363,13 @@ def build_parser():
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("synth", help="generate a synthetic train/shifted pair")
-    p.add_argument("--nodes", type=int, default=40)
-    p.add_argument("--roles", type=int, default=4)
-    p.add_argument("--days", type=int, default=28)
-    p.add_argument("--steps-per-day", type=int, default=48)
-    p.add_argument("--shift-fraction", type=float, default=0.5)
-    p.add_argument("--noise-std", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--nodes", type=int, default=SynthSpec.n_nodes)
+    p.add_argument("--roles", type=int, default=SynthSpec.n_roles)
+    p.add_argument("--days", type=int, default=SynthSpec.days)
+    p.add_argument("--steps-per-day", type=int, default=SynthSpec.steps_per_day)
+    p.add_argument("--shift-fraction", type=float, default=SynthSpec.shift_fraction)
+    p.add_argument("--noise-std", type=float, default=SynthSpec.noise_std)
+    p.add_argument("--seed", type=int, default=SynthSpec.seed)
     p.add_argument("--out-dir", default="synth_out")
     p.set_defaults(func=cmd_synth)
 
@@ -402,7 +384,7 @@ def build_parser():
                    default="vanilla")
     p.add_argument("--proj", default=None)
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
-    p.add_argument("--ratios", default="0.6,0.2,0.2")
+    p.add_argument("--ratios", default=_RATIOS_TEXT)
     p.add_argument("--out", default="report.json")
     p.set_defaults(func=cmd_eval)
 
@@ -411,7 +393,8 @@ def build_parser():
     p.add_argument("--proj", default=None)
     p.add_argument("--target", required=True)
     p.add_argument("--strategies", default="vanilla,zero,pca,finetune")
-    p.add_argument("--adaptation-fraction", type=float, default=0.05)
+    p.add_argument("--adaptation-fraction", type=float,
+                   default=TransferPlan.adaptation_fraction)
     p.add_argument("--refit-projection", action="store_true")
     p.add_argument("--include-baseline", action="store_true")
     p.add_argument("--out", default="comparison.json")
@@ -428,7 +411,7 @@ def build_parser():
     p.add_argument("--model", default=None)
     p.add_argument("--proj", default=None)
     p.add_argument("--data", default=None)
-    p.add_argument("--ratios", default="0.6,0.2,0.2")
+    p.add_argument("--ratios", default=_RATIOS_TEXT)
     p.add_argument("--out", default="embeddings.csv")
     p.add_argument("--graph-out", default=None,
                    help="also export the adaptive graph built from the table")

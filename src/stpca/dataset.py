@@ -2,7 +2,9 @@
 
 A series is a [total_steps x N] grid of non-negative flow readings at a uniform
 sampling interval. Zeros mark missing/noisy readings; they stay in the data and
-are masked out later by the loss and the metrics, not here.
+are masked out later by the loss and the metrics, not here. The module also
+holds the error types and the range check of the run settings that the other
+modules share.
 """
 
 import csv
@@ -11,7 +13,7 @@ import itertools
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -20,6 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .ioutil import atomic_write_pieces
 
 MINUTES_PER_DAY = 1440
+RATIOS = (0.6, 0.2, 0.2)  # train:val:test, the 6:2:2 chronological split
 # a value cell holding nothing but spaces and tabs
 _BLANK_CELL = re.compile(r",[ \t]*(?:[,\r\n]|$)")
 # the line ends that text-mode reading splits on
@@ -30,6 +33,39 @@ _LOADTXT_AT = re.compile(r"at row (\d+), column (\d+)")
 
 class DataError(ValueError):
     """Raised when an input file or a step range violates the data contract."""
+
+
+class ConfigError(ValueError):
+    """Bad run configuration: unknown key, bad value, missing requirement."""
+
+
+def _check(name, value, rule):
+    """Raise ConfigError `<name> must be <rule>, got <value>` unless value obeys
+    rule: an interval such as "(0, 0.5]", in which no NaN lies, or a tuple of
+    the allowed values."""
+    if isinstance(rule, str):
+        lo, hi = (float(bound) for bound in rule[1:-1].split(","))
+        ok = ((lo <= value) if rule[0] == "[" else (lo < value)) and (
+            (value <= hi) if rule[-1] == "]" else (value < hi))
+        rule = f"in {rule}"
+    else:
+        ok = value in rule
+        rule = ("one of " if len(rule) > 1 else "") + ", ".join(map(str, rule))
+    if not ok:
+        raise ConfigError(f"{name} must be {rule}, got {value}")
+
+
+def _setting(default, rule):
+    """A config dataclass field: its default, and the `_check` rule that
+    `_check_fields` holds it to."""
+    return field(default=default, metadata={"rule": rule})
+
+
+def _check_fields(config):
+    """`_check` each field of a config dataclass that `_setting` gave a rule."""
+    for f in fields(config):
+        if "rule" in f.metadata:
+            _check(f.name, getattr(config, f.name), f.metadata["rule"])
 
 
 @dataclass
@@ -308,15 +344,14 @@ def write_series_csv(series: TrafficSeries, path):
 
 
 def check_ratios(ratios):
-    """Raise DataError unless ratios are three positive fractions summing to 1."""
-    # written so that a NaN fails each test
-    if len(ratios) != 3 or any(not r > 0 for r in ratios):
-        raise DataError("ratios must be three positive fractions")
-    if not abs(sum(ratios) - 1.0) <= 1e-9:
-        raise DataError(f"ratios must sum to 1, got {sum(ratios)}")
+    """Raise ConfigError unless ratios are three positive fractions summing to 1."""
+    _check("ratios count", len(ratios), (3,))
+    for part in ratios:
+        _check("each of the ratios", part, "(0, 1)")
+    _check("ratios sum", sum(ratios), "[0.999999999, 1.000000001]")
 
 
-def split_chronological(series: TrafficSeries, ratios=(0.6, 0.2, 0.2)):
+def split_chronological(series: TrafficSeries, ratios=RATIOS):
     """Split [0, total) into contiguous train/val/test step ranges.
 
     Boundaries are floors of the cumulative fractions; the remainder goes to
@@ -347,7 +382,7 @@ def fit_normalizer(series: TrafficSeries, step_range) -> Normalizer:
     return Normalizer(mean=mean, std=std)
 
 
-def make_windows(series: TrafficSeries, step_range, l1=12, l2=12) -> Windows:
+def make_windows(series: TrafficSeries, step_range, l1, l2) -> Windows:
     """Slide a stride-1 window over the range; one window per valid offset.
 
     Histories and targets never cross the range boundary, so windows built per

@@ -10,11 +10,12 @@ and returns [B x N x .] arrays, transposed views of node-major buffers.
 
 import copy
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .dataset import _check_fields, _setting
 from .graph import AdaptiveGraph, build_adaptive_graph, graph_mix
 from .pca import EmbeddingTable, zero_embedding
 
@@ -32,21 +33,18 @@ CHUNK_MACS = 1_000_000
 
 @dataclass
 class ModelConfig:
-    l1: int = 12
-    l2: int = 12
-    embed_dim: int = 8
-    tod_dim: int = 8
-    dow_dim: int = 4
-    hidden_dim: int = 32
-    num_blocks: int = 2
+    l1: int = _setting(12, "[1, inf)")
+    l2: int = _setting(12, "[1, inf)")
+    embed_dim: int = _setting(8, "[1, inf)")
+    tod_dim: int = _setting(8, "[1, inf)")
+    dow_dim: int = _setting(4, "[1, inf)")
+    hidden_dim: int = _setting(32, "[1, inf)")
+    num_blocks: int = _setting(2, "[1, inf)")
     use_graph: bool = False
-    steps_per_day: int = 288
+    steps_per_day: int = _setting(288, "[1, inf)")
 
     def __post_init__(self):
-        for f in fields(self):  # every int field is a size
-            value = getattr(self, f.name)
-            if f.type is int and not value >= 1:
-                raise ValueError(f"{f.name} must be >= 1, got {value}")
+        _check_fields(self)
 
     @property
     def mix_dim(self) -> int:

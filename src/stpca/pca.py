@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import to_day_tensor
+from .dataset import _check, to_day_tensor
 
 SYMMETRY_TOL = 1e-10
 # how an embedding slot is filled: trained, a frozen PCA table, or exact zeros
@@ -111,9 +111,8 @@ def zero_embedding(n: int, c: int) -> EmbeddingTable:
 
 
 def check_theta(theta):
-    """Raise ValueError unless theta is an explained-variance fraction in (0, 1]."""
-    if not 0 < theta <= 1:
-        raise ValueError(f"theta must be in (0, 1], got {theta}")
+    """Raise ConfigError unless theta is an explained-variance fraction in (0, 1]."""
+    _check("theta", theta, "(0, 1]")
 
 
 def select_components(eigenvalues: np.ndarray, theta: float) -> int:

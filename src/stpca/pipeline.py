@@ -3,8 +3,8 @@
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .dataset import (TrafficSeries, Windows, fit_normalizer, make_windows,
-                      split_chronological)
+from .dataset import (RATIOS, TrafficSeries, Windows, _check, fit_normalizer,
+                      make_windows, split_chronological)
 from .metrics import evaluate
 from .model import ModelConfig, ModelParams, init_params, set_embedding
 from .pca import TABLE_STRATEGIES, pca_table, zero_embedding
@@ -13,10 +13,8 @@ from .transfer import TransferPlan, cross_year_eval
 
 
 def check_train_strategy(strategy):
-    """Raise ValueError unless strategy is one of TABLE_STRATEGIES."""
-    if strategy not in TABLE_STRATEGIES:
-        raise ValueError(f"unknown training strategy {strategy!r} "
-                         f"(one of {', '.join(TABLE_STRATEGIES)})")
+    """Raise ConfigError unless strategy is one of TABLE_STRATEGIES."""
+    _check("strategy", strategy, TABLE_STRATEGIES)
 
 
 @dataclass
@@ -29,8 +27,8 @@ class DataBundle:
     test_windows: Windows
 
 
-def prepare_data(series: TrafficSeries, ratios=(0.6, 0.2, 0.2), l1=12,
-                 l2=12) -> DataBundle:
+def prepare_data(series: TrafficSeries, ratios=RATIOS, l1=ModelConfig.l1,
+                 l2=ModelConfig.l2) -> DataBundle:
     ranges = split_chronological(series, ratios)
     normalizer = fit_normalizer(series, ranges[0])
     return DataBundle(
@@ -59,7 +57,7 @@ class TrainedRun:
 
 def train_run(series: TrafficSeries, model_cfg: ModelConfig,
               train_cfg: TrainConfig, strategy: str = "adaptive",
-              ratios=(0.6, 0.2, 0.2), theta: Optional[float] = None) -> TrainedRun:
+              ratios=RATIOS, theta: Optional[float] = None) -> TrainedRun:
     """Train one model under an embedding strategy on a 6:2:2-style split.
 
     Under the pca strategy the projection is fitted on the training range and
@@ -88,7 +86,7 @@ def train_run(series: TrafficSeries, model_cfg: ModelConfig,
 
 
 def sweep_run(series, shifted, model_cfg, train_cfg, strategy, adaptation_fraction,
-              ratios=(0.6, 0.2, 0.2)):
+              ratios=RATIOS):
     """(best val MAE, test MAE, shifted MAE) of one `train_run`: a sweep point.
 
     The shifted MAE is the cross-year score on `shifted`: a pca run refreshes

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MINUTES_PER_DAY, TrafficSeries
+from .dataset import MINUTES_PER_DAY, TrafficSeries, _check, _check_fields, _setting
 from .ioutil import atomic_write_text
 
 AR_COEF = 0.8
@@ -21,27 +21,18 @@ WEEKEND_FACTOR = 0.7
 
 @dataclass
 class SynthSpec:
-    n_nodes: int = 40
-    n_roles: int = 4
-    days: int = 28
-    steps_per_day: int = 48
-    shift_fraction: float = 0.5
-    noise_std: float = 2.0
-    seed: int = 0
+    n_nodes: int = _setting(40, "[1, inf)")
+    n_roles: int = _setting(4, "[1, inf)")
+    days: int = _setting(28, "[1, inf)")
+    steps_per_day: int = _setting(48, tuple(t for t in range(1, MINUTES_PER_DAY + 1)
+                                            if MINUTES_PER_DAY % t == 0))
+    shift_fraction: float = _setting(0.5, "[0, 1]")
+    noise_std: float = _setting(2.0, "[0, inf)")
+    seed: int = _setting(0, "[0, inf)")
 
     def __post_init__(self):
-        if min(self.n_nodes, self.n_roles, self.days, self.steps_per_day) < 1:
-            raise ValueError("all size fields must be positive")
-        if self.n_roles > self.n_nodes:
-            raise ValueError("more roles than nodes")
-        if not 0.0 <= self.shift_fraction <= 1.0:
-            raise ValueError("shift_fraction must be in [0, 1]")
-        if not 0 <= self.noise_std < np.inf:  # written so that a NaN fails it
-            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
-        if MINUTES_PER_DAY % self.steps_per_day != 0:
-            raise ValueError("steps_per_day must divide 1440 minutes")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        _check_fields(self)
+        _check("n_roles", self.n_roles, f"[1, {self.n_nodes}]")
 
 
 def role_profile(role: int, n_roles: int, steps_per_day: int) -> np.ndarray:

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import Normalizer
+from .dataset import Normalizer, _check, _check_fields, _setting
 from .graph import build_adaptive_graph
 from .metrics import _scored_mae
 from .model import ModelParams, Workspace, _normalized_input, _rows_matmul, forward
@@ -17,22 +17,16 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator flo
 
 @dataclass
 class TrainConfig:
-    lr: float = 1e-3
-    max_epochs: int = 200
-    patience: int = 20
-    batch_size: int = 32
-    grad_clip_norm: float = 5.0
-    seed: int = 0
+    lr: float = _setting(1e-3, "(0, inf)")
+    max_epochs: int = _setting(200, "[1, inf)")
+    patience: int = _setting(20, "[1, inf)")
+    batch_size: int = _setting(32, "[1, inf)")
+    grad_clip_norm: float = _setting(5.0, "(0, inf)")
+    seed: int = _setting(0, "[0, inf)")
 
     def __post_init__(self):
-        for name in ("lr", "max_epochs", "patience", "batch_size", "grad_clip_norm"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:  # written so that a NaN fails it
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.patience > self.max_epochs:
-            raise ValueError("patience cannot exceed max_epochs")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        _check_fields(self)
+        _check("patience", self.patience, f"[1, {self.max_epochs}]")
 
 
 @dataclass

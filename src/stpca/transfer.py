@@ -10,9 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataError, TrafficSeries, fit_normalizer, make_windows
+from .dataset import (DataError, TrafficSeries, _check_fields, _setting, fit_normalizer,
+                      make_windows)
 from .metrics import _report, evaluate
-from .model import _blocks, set_embedding
+from .model import ModelConfig, _blocks, set_embedding
 from .pca import pca_table, zero_embedding
 from .training import TrainConfig, fit
 
@@ -21,15 +22,12 @@ STRATEGIES = ("vanilla_adaptive", "zero_emb", "pca_emb", "finetune_emb")
 
 @dataclass
 class TransferPlan:
-    adaptation_fraction: float = 0.05
-    strategy: str = "pca_emb"
+    adaptation_fraction: float = _setting(0.05, "(0, 0.5]")
+    strategy: str = _setting("pca_emb", STRATEGIES)
     refit_projection: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.adaptation_fraction <= 0.5:
-            raise ValueError("adaptation_fraction must be in (0, 0.5]")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+        _check_fields(self)
 
 
 def split_adaptation(series: TrafficSeries, fraction: float):
@@ -141,7 +139,8 @@ def zero_shot_transfer(params, source_normalizer, source_proj, target_series,
                      "zero_shot")
 
 
-def historical_average_baseline(target_series, eval_range, l1=12, l2=12):
+def historical_average_baseline(target_series, eval_range, l1=ModelConfig.l1,
+                                l2=ModelConfig.l2):
     """Per-(node, slot) mean over the steps before the evaluation range.
 
     The floor any learned transfer has to beat: it sees the same adaptation

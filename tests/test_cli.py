@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import inspect
 import json
 import math
@@ -198,9 +199,8 @@ class TestFaultExits:
         cfg = tmp_path / "bad.cfg"
         write_config(cfg, synth_dir / "train.csv", tmp_path / "o", extra=line + "\n")
         assert run_cli("train", "--config", str(cfg)) == 2
-        field = line.split("=")[0].removeprefix("train.")
-        assert (f"bad train.* values: {field}"
-                in assert_one_line_error(capsys, "config error: "))
+        key = line.split("=")[0]
+        assert_one_line_error(capsys, f"config error: {key} must be ")
         assert reads == [] and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag, value, field", [
@@ -420,8 +420,8 @@ class TestTransfer:
                 "--strategies", "vanilla,zero", "--adaptation-fraction", fraction,
                 "--out", str(out)]
         assert run_cli(*argv, *(["--include-baseline"] if baseline else [])) == 2
-        err = assert_one_line_error(capsys, "config error: --adaptation-fraction: ")
-        assert "(0, 0.5]" in err
+        assert_one_line_error(
+            capsys, f"config error: adaptation_fraction must be in (0, 0.5], got {fraction}")
         assert not out.exists()
 
     def protocol_of(self, trained_dir, target, out):
@@ -493,18 +493,46 @@ class TestTransfer:
 
 
 class TestSweep:
-    def test_sweep_rows(self, synth_dir, tmp_path):
+    @staticmethod
+    def sweep_config(synth_dir, tmp_path):
         cfg = tmp_path / "sweep.cfg"
-        out_dir = tmp_path / "sweep_out"
-        write_config(cfg, synth_dir / "train.csv", out_dir,
+        write_config(cfg, synth_dir / "train.csv", tmp_path / "sweep_out",
                      extra=f"data.shifted_csv={synth_dir / 'shifted.csv'}\n"
                            "transfer.adaptation_fraction=0.3\n")
+        return cfg
+
+    def test_sweep_rows(self, synth_dir, tmp_path):
+        cfg = self.sweep_config(synth_dir, tmp_path)
         assert run_cli("sweep-components", "--config", str(cfg),
                        "--k-min", "1", "--k-max", "3") == 0
-        lines = (out_dir / "sweep.csv").read_text().splitlines()
+        lines = (tmp_path / "sweep_out" / "sweep.csv").read_text().splitlines()
         assert lines[0] == "k,val_mae,test_mae,shifted_mae"
         assert len(lines) == 1 + 3 + 1
         assert lines[-1].startswith("adaptive,")
+
+    def test_k_max_at_the_cap_runs(self, synth_dir, tmp_path):
+        # 8 nodes x 6 training days are 48 samples, so T = 24 caps k
+        cfg = self.sweep_config(synth_dir, tmp_path)
+        assert run_cli("sweep-components", "--config", str(cfg),
+                       "--k-min", "24", "--k-max", "24") == 0
+        lines = (tmp_path / "sweep_out" / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["24", "adaptive"]
+
+    @pytest.mark.parametrize("k_min, k_max, message", [
+        ("17", "30", "--k-max (T=24, 48 training samples) must be in [17, 24], got 30"),
+        ("25", "25", "--k-max (T=24, 48 training samples) must be in [25, 24], got 25"),
+        ("3", "1", "--k-max (--k-min is 3) must be in [3, inf), got 1"),
+        ("0", "2", "--k-min must be in [1, inf), got 0"),
+    ], ids=["above-cap", "k-min-above-cap", "k-max-below-k-min", "k-min-zero"])
+    def test_bad_k_range_exit_2_before_training(self, synth_dir, tmp_path, capsys,
+                                                monkeypatch, k_min, k_max, message):
+        runs = []
+        monkeypatch.setattr(cli, "sweep_run", lambda *a, **k: runs.append(a))
+        cfg = self.sweep_config(synth_dir, tmp_path)
+        assert run_cli("sweep-components", "--config", str(cfg),
+                       "--k-min", k_min, "--k-max", k_max) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert runs == [] and not (tmp_path / "sweep_out").exists()
 
 
 # any JSON value, and report-shaped ones whose metric values may be huge
@@ -684,6 +712,11 @@ class TestNoUnusedKnobs:
                   and node.func.id == "_require"
                   and isinstance(node.args[1], ast.Constant)):
                 read.add(node.args[1].value)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "_section"):
+                # _section(cls, config, "section") reads each `section.<field>` key
+                cls, section = getattr(cli, node.args[0].id), node.args[2].value
+                read.update(f"{section}.{f.name}" for f in dataclasses.fields(cls))
         assert sorted(set(CONFIG_KEYS) - read) == []
 
     def test_every_subcommand_flag_is_read(self):
@@ -699,6 +732,144 @@ class TestNoUnusedKnobs:
             if not isinstance(action, argparse._HelpAction)
             and action.dest not in read)
         assert unread == []
+
+
+NON_FINITE = ["nan", "inf", "-inf"]
+# out-of-range values of each numeric config key, past each side of its
+# range; every key also gets the NON_FINITE values
+BAD_CONFIG_VALUES = {
+    "model.l1": ["0"], "model.l2": ["-1"], "model.embed_dim": ["0"],
+    "model.tod_dim": ["0"], "model.dow_dim": ["0"], "model.hidden_dim": ["-3"],
+    "model.num_blocks": ["0"], "model.theta": ["0", "1.5"],
+    "train.lr": ["0", "-1"], "train.max_epochs": ["0"],
+    "train.patience": ["0", "3"],  # above SMALL_CONFIG's train.max_epochs=2
+    "train.batch_size": ["0"], "train.grad_clip_norm": ["0", "-5"],
+    "train.seed": ["-1"], "transfer.adaptation_fraction": ["0", "0.6"],
+}
+SPLIT = ["0.6", "0.2", "0.2"]
+# each part of the split made non-finite, zero or whole, a wrong part count,
+# a wrong sum and a part that is no number
+BAD_RATIOS = ["0.5,0.5", "0.5,0.2,0.2", "1,x,1"] + [
+    ",".join(SPLIT[:i] + [bad] + SPLIT[i + 1:])
+    for i in range(3) for bad in [*NON_FINITE, "0", "1"]]
+BAD_FLAG_VALUES = {
+    ("synth", "--nodes"): ["0"],
+    ("synth", "--roles"): ["0", "41"],  # more roles than the default 40 nodes
+    ("synth", "--days"): ["0"],
+    ("synth", "--steps-per-day"): ["0", "7"],  # 7 divides no day of 1440 minutes
+    ("synth", "--shift-fraction"): ["-0.1", "1.5"],
+    ("synth", "--noise-std"): ["-1"],
+    ("synth", "--seed"): ["-1"],
+    ("transfer", "--adaptation-fraction"): ["0", "0.6"],
+    ("sweep-components", "--k-min"): ["0"],
+    ("sweep-components", "--k-max"): ["0"],  # below the default --k-min 1
+    ("eval", "--ratios"): BAD_RATIOS,
+    ("export-embeddings", "--ratios"): BAD_RATIOS,
+}
+
+
+def subcommand_actions():
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return {(name, action.option_strings[0]): action
+            for name, parser in sub.choices.items() for action in parser._actions
+            if action.option_strings and not isinstance(action, argparse._HelpAction)}
+
+
+class TestNumericSettings:
+    """Every numeric config key and flag refuses NaN, the infinities and each
+    side of its range: exit 2 with one line naming it, before any input is
+    read or output written."""
+
+    def test_every_numeric_key_has_a_row(self):
+        def numeric(parser):
+            try:
+                return type(parser("1")) in (int, float)
+            except ValueError:
+                return False
+
+        keys = {key for key, (parser, _) in CONFIG_KEYS.items() if numeric(parser)}
+        assert sorted(keys - set(BAD_CONFIG_VALUES)) == []
+
+    def test_every_numeric_flag_has_a_row(self):
+        flags = {flag for flag, action in subcommand_actions().items()
+                 if action.type in (int, float) or action.dest == "ratios"}
+        assert sorted(flags - set(BAD_FLAG_VALUES)) == []
+
+    @pytest.mark.parametrize("command, key, value", [
+        (command, key, value)
+        for key, values in [*BAD_CONFIG_VALUES.items(), ("data.ratios", BAD_RATIOS)]
+        for value in (values if key == "data.ratios" else [*NON_FINITE, *values])
+        for command in ("sweep-components",) + (() if key.startswith("transfer.")
+                                                else ("train",))])
+    def test_bad_config_value(self, tmp_path, capsys, monkeypatch, command, key, value):
+        reads = []
+        monkeypatch.setattr(cli, "ingest_csv", lambda *a, **k: reads.append(a))
+        cfg = tmp_path / "bad.cfg"
+        write_config(cfg, tmp_path / "train.csv", tmp_path / "o", strategy="adaptive",
+                     extra=f"data.shifted_csv={tmp_path / 'shifted.csv'}\n"
+                           f"{key}={value}\n")
+        assert run_cli(command, "--config", str(cfg)) == 2
+        assert key in assert_one_line_error(capsys, "config error: ")
+        assert reads == [] and list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("command, flag, value", [
+        (command, flag, value) for (command, flag), values in BAD_FLAG_VALUES.items()
+        for value in [*NON_FINITE, *values]])
+    def test_bad_flag_value(self, tmp_path, capsys, monkeypatch, command, flag, value):
+        reads = []
+        monkeypatch.setattr(cli, "ingest_csv", lambda *a, **k: reads.append(a))
+        t = tmp_path  # inputs named here do not exist, so a read would fail
+        given = {"synth": ["--out-dir", t / "o"],
+                 "transfer": ["--model", t / "m.stpf", "--target", t / "t.csv",
+                              "--out", t / "o"],
+                 "sweep-components": ["--config", t / "sweep.cfg"],
+                 "eval": ["--model", t / "m.stpf", "--data", t / "d.csv", "--out", t / "o"],
+                 "export-embeddings": ["--proj", t / "p.stpj", "--data", t / "d.csv",
+                                       "--out", t / "o"]}
+        write_config(t / "sweep.cfg", t / "train.csv", t / "o",
+                     extra=f"data.shifted_csv={t / 'shifted.csv'}\n")
+        argv = [command, *map(str, given[command]), f"{flag}={value}"]
+        before = sorted(tmp_path.iterdir())
+        action = subcommand_actions()[command, flag]
+        if action.type is int and not re.fullmatch(r"-?\d+", value):
+            # argparse refuses a value its type cannot read: usage, then one line
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err.splitlines()[-1]
+            assert f"error: argument {flag}: invalid int value: '{value}'" in err
+        else:
+            assert run_cli(*argv) == 2
+            err = assert_one_line_error(capsys, "config error: ")
+            assert flag in err or action.dest in err
+        assert reads == [] and sorted(tmp_path.iterdir()) == before
+
+    def test_defaults_pinned(self, tmp_path):
+        # the model.*, train.* and transfer.* defaults are dataclass fields;
+        # a change to one changes what a config without that key means
+        cfg = tmp_path / "only.cfg"
+        cfg.write_text("data.csv=flow.csv\n")
+        assert resolved_config_text(load_config(cfg)) == (
+            "data.csv=flow.csv\n"
+            "data.ratios=0.6,0.2,0.2\n"
+            "embedding.strategy=adaptive\n"
+            "model.dow_dim=4\n"
+            "model.embed_dim=8\n"
+            "model.hidden_dim=32\n"
+            "model.l1=12\n"
+            "model.l2=12\n"
+            "model.num_blocks=2\n"
+            "model.tod_dim=8\n"
+            "model.use_graph=false\n"
+            "run.out_dir=run_out\n"
+            "train.batch_size=32\n"
+            "train.grad_clip_norm=5.0\n"
+            "train.lr=0.001\n"
+            "train.max_epochs=200\n"
+            "train.patience=20\n"
+            "train.seed=0\n"
+            "transfer.adaptation_fraction=0.05\n")
 
 
 class TestReadme:

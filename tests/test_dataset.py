@@ -11,8 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stpca import dataset
-from stpca.dataset import (DataError, Normalizer, TrafficSeries, fit_normalizer,
-                           ingest_csv, make_windows, split_chronological,
+from stpca.dataset import (ConfigError, DataError, Normalizer, TrafficSeries,
+                           fit_normalizer, ingest_csv, make_windows, split_chronological,
                            to_day_tensor, write_series_csv)
 from stpca.transfer import split_adaptation
 
@@ -449,7 +449,7 @@ class TestSplit:
         s = make_series(10, steps_per_day=5)
         for ratios in ((0.5, 0.2, 0.2), (0.5, 0.5, float("nan")),
                        (float("nan"), 0.5, 0.5)):
-            with pytest.raises(DataError):
+            with pytest.raises(ConfigError, match="ratios"):
                 split_chronological(s, ratios)
 
     def test_partition_property(self):

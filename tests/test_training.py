@@ -841,5 +841,6 @@ class TestFit:
             TrainConfig(lr=-1)
         for name in ("lr", "grad_clip_norm"):
             for value in ("nan", "inf", "-inf"):
-                with pytest.raises(ValueError, match=f"^{name} must be positive"):
+                with pytest.raises(ValueError,
+                                   match=rf"^{name} must be in \(0, inf\), got {value}$"):
                     TrainConfig(**{name: float(value)})
