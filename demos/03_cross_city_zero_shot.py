@@ -27,7 +27,7 @@ run = train_run(city_a, cfg, TrainConfig(lr=2e-3, max_epochs=60, patience=12,
                                          batch_size=16, seed=3),
                 strategy="pca")
 print(f"city A model trained: {run.params.num_nodes} nodes, "
-      f"graph {build_adaptive_graph(run.params.embedding).weights.shape}")
+      f"graph {build_adaptive_graph(run.params.embedding).shape}")
 
 plan = TransferPlan(adaptation_fraction=0.25, strategy="pca_emb")
 report = zero_shot_transfer(run.params, run.bundle.normalizer, run.projection,

@@ -139,18 +139,32 @@ def _train_log_text(report):
     return "\n".join(lines) + "\n"
 
 
+def _check_components(name, k, k_min, series, ratios):
+    """ConfigError unless k lies in [k_min, fit_projection's cap on components]:
+    the slots per day, and one less than the training range's (day, node) samples."""
+    T = series.steps_per_day
+    samples = series.num_nodes * len(
+        to_day_tensor(series, split_chronological(series, ratios)[0]))
+    _check(f"{name} (T={T}, {samples} training samples)", k,
+           f"[{k_min}, {min(T, samples - 1)}]")
+
+
 def cmd_train(args):
     config = load_config(args.config)
     train_cfg = _section(TrainConfig, config, "train")
     model_cfg = _section(ModelConfig, config, "model")
+    _section(TransferPlan, config, "transfer")  # checked, as config.resolved records it
     ratios = parse_ratios(config["data.ratios"], "data.ratios")
     series = ingest_csv(_require(config, "data.csv"))
     model_cfg = replace(model_cfg, steps_per_day=series.steps_per_day)
+    strategy = config["embedding.strategy"]
+    if strategy == "pca" and config["model.theta"] is None:
+        _check_components("model.embed_dim", model_cfg.embed_dim, 1, series, ratios)
+
+    run = train_run(series, model_cfg, train_cfg, strategy=strategy,
+                    ratios=ratios, theta=config["model.theta"])
     out_dir = config["run.out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-
-    run = train_run(series, model_cfg, train_cfg, strategy=config["embedding.strategy"],
-                    ratios=ratios, theta=config["model.theta"])
     save_model(run.params, run.bundle.normalizer, os.path.join(out_dir, "model.stpf"))
     if run.projection is not None:
         save_projection(run.projection, os.path.join(out_dir, "proj.stpj"))
@@ -245,13 +259,8 @@ def cmd_sweep_components(args):
     _check(f"--k-max (--k-min is {args.k_min})", args.k_max, f"[{args.k_min}, inf)")
     series = ingest_csv(_require(config, "data.csv"))
     shifted = ingest_csv(_require(config, "data.shifted_csv"))
-    # fit_projection's cap on the component count: the slots per day, and one
-    # less than the (day, node) samples of the training range
-    T = series.steps_per_day
-    samples = series.num_nodes * len(
-        to_day_tensor(series, split_chronological(series, ratios)[0]))
-    _check(f"--k-max (T={T}, {samples} training samples)", args.k_max,
-           f"[{args.k_min}, {min(T, samples - 1)}]")
+    _check_components("--k-max", args.k_max, args.k_min, series, ratios)
+    model_cfg = replace(model_cfg, steps_per_day=series.steps_per_day)
     out_dir = config["run.out_dir"]
     os.makedirs(out_dir, exist_ok=True)
 
@@ -260,7 +269,7 @@ def cmd_sweep_components(args):
     lines = ["k,val_mae,test_mae,shifted_mae"]
     for label, strategy, embed_dim in points:
         val_mae, test_mae, shifted_mae = sweep_run(
-            series, shifted, replace(model_cfg, embed_dim=embed_dim, steps_per_day=T),
+            series, shifted, replace(model_cfg, embed_dim=embed_dim),
             train_cfg, strategy, plan.adaptation_fraction, ratios=ratios)
         lines.append(f"{label},{val_mae!r},{test_mae!r},{shifted_mae!r}")
         print(f"k={label}: val {val_mae:.4f} test {test_mae:.4f} "

@@ -1,31 +1,8 @@
 """Row-stochastic adaptive adjacency built from node embeddings."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .pca import EmbeddingTable
-
-
-@dataclass
-class AdaptiveGraph:
-    """[N x N] non-negative weights; every row sums to 1."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        n = self.weights.shape[0]
-        if self.weights.shape != (n, n):
-            raise ValueError("graph weights must be square")
-        if self.weights.min() < 0:
-            raise ValueError("negative graph weight")
-        if np.abs(self.weights.sum(axis=1) - 1.0).max() > 1e-9:
-            raise ValueError("rows must sum to 1")
-
-    @property
-    def num_nodes(self) -> int:
-        return self.weights.shape[0]
 
 
 def row_softmax(logits: np.ndarray, out=None) -> np.ndarray:
@@ -41,8 +18,9 @@ def row_softmax(logits: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def build_adaptive_graph(embedding) -> AdaptiveGraph:
-    """Similarity graph: row-wise softmax of the rectified embedding Gram matrix.
+def build_adaptive_graph(embedding) -> np.ndarray:
+    """Similarity graph: row-wise softmax of the rectified embedding Gram matrix,
+    [N x N] non-negative weights whose every row sums to 1.
 
     Non-positive similarities become zero logits (not -inf), so a node with no
     positive neighbor gets uniform outgoing weights.
@@ -54,24 +32,24 @@ def build_adaptive_graph(embedding) -> AdaptiveGraph:
         raise ValueError("non-finite embedding")
     weights = e @ e.T  # fresh per build (a forward cache keeps it), then in place
     np.maximum(weights, 0.0, out=weights)
-    return AdaptiveGraph(weights=row_softmax(weights, out=weights))
+    return row_softmax(weights, out=weights)
 
 
-def graph_mix(g: AdaptiveGraph, h: np.ndarray, out=None, per_window=False):
+def graph_mix(g: np.ndarray, h: np.ndarray, out=None, per_window=False):
     """One propagation step: each node receives the weighted mean of its neighbors.
 
-    h is node-major, [N x ...]: a batch [N x B x F] mixes in one [N x N] @
-    [N x B*F] GEMM, into `out` (C-contiguous) when it is given. BLAS picks
-    kernels by shape, so a column's bits can depend on the rest of its call:
-    `per_window` runs one GEMM per window, whose bits the batch cannot change.
+    g is the [N x N] graph and h is node-major, [N x ...]: a batch [N x B x F]
+    mixes in one [N x N] @ [N x B*F] GEMM, into `out` (C-contiguous) when it
+    is given. BLAS picks kernels by shape, so a column's bits can depend on the
+    rest of its call: `per_window` runs one GEMM per window, whose bits the
+    batch cannot change.
     """
     h = np.asarray(h, dtype=np.float64)
-    if len(h) != g.num_nodes:
-        raise ValueError(f"feature rows ({len(h)}) do not match graph nodes "
-                         f"({g.num_nodes})")
+    if len(h) != len(g):
+        raise ValueError(f"feature rows ({len(h)}) do not match graph nodes ({len(g)})")
     out = np.empty(h.shape) if out is None else out
     if per_window:
-        np.matmul(g.weights, h.swapaxes(0, 1), out=out.swapaxes(0, 1))
+        np.matmul(g, h.swapaxes(0, 1), out=out.swapaxes(0, 1))
     else:
-        np.matmul(g.weights, h.reshape(len(h), -1), out=out.reshape(len(h), -1))
+        np.matmul(g, h.reshape(len(h), -1), out=out.reshape(len(h), -1))
     return out

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Workspace, _blocks, _predict_blocks
+from .model import Workspace, _blocks, _predict_blocks, set_embedding
 
 DEFAULT_HORIZONS = (3, 6, 12)
 
@@ -142,16 +142,19 @@ def horizon_report_from_arrays(pred, target, horizons=None,
 
 def _scored_mae(params, windows, normalizer, work: Workspace) -> float:
     """`masked_mae(predict(...), windows.target)` block by block: 'avg' alone."""
-    pairs = _predict_blocks(params, None, windows, normalizer, work)
+    pairs = _predict_blocks(params, windows, normalizer, work)
     return _report(pairs, horizons=()).horizons["avg"].mae
 
 
 def evaluate(params, embedding, windows, normalizer, metadata=None) -> HorizonReport:
     """Forward, de-normalize, and report metrics at the default horizons, block
-    by block: the report of `predict`'s array, bit for bit, without building it."""
+    by block: the report of `predict`'s array, bit for bit, without building it.
+    A table other than None is swapped into the model's slot by `set_embedding`."""
     if not windows:
         raise ValueError("no windows to evaluate")
-    pairs = _predict_blocks(params, embedding, windows, normalizer, Workspace())
+    if embedding is not None:
+        params = set_embedding(params, embedding)
+    pairs = _predict_blocks(params, windows, normalizer, Workspace())
     return _report(pairs, metadata=metadata)
 
 

@@ -5,7 +5,7 @@ embedding table. That is what lets a trained model run on a different node set
 once the table is swapped, and what the optional graph step mixes over.
 Activations are held node-major, [N x B x F]: node-shared weights see one flat
 row axis, and the graph mix is one [N x N] @ [N x B*F] GEMM. `forward` takes
-and returns [B x N x .] arrays, transposed views of node-major buffers.
+raw history [B x N x l1] and returns transposed node-major buffers [B x N x l2].
 """
 
 import copy
@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import _check_fields, _setting
-from .graph import AdaptiveGraph, build_adaptive_graph, graph_mix
+from .graph import build_adaptive_graph, graph_mix
 from .pca import EmbeddingTable, zero_embedding
 
 # windows x nodes per block (`_blocks`) of inference and scoring, so a block's
@@ -200,17 +200,6 @@ def _column(work: Workspace, name, rows: int, f: int, value: float) -> np.ndarra
     return a
 
 
-def _normalized_input(work: Workspace, normalizer, history: np.ndarray) -> np.ndarray:
-    """`normalizer.apply(history)` of a [B x N x l1] batch written straight into
-    `forward`'s input rows, one division over whole rows; their [B x N x l1] view."""
-    b, n, l1 = history.shape
-    rows = _column(work, "x", n * b, l1, 1.0)  # set first: stale memory could overflow
-    view = rows[:, :l1].reshape(n, b, l1)
-    np.subtract(history.swapaxes(0, 1), normalizer.mean, out=view)
-    rows /= normalizer.std
-    return view.swapaxes(0, 1)
-
-
 def _rows_matmul(a: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
     """`a @ w` into the first F' columns of `out` for a node-shared weight w
     [F x F'], the leading axes of a and out one row axis, in even chunks of at
@@ -224,32 +213,29 @@ def _rows_matmul(a: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
-            x: np.ndarray, tod_idx, dow_idx, cache: bool = False,
-            graph: Optional[AdaptiveGraph] = None,
+def forward(params: ModelParams, normalizer, history: np.ndarray, tod_idx, dow_idx,
+            cache: bool = False, graph: Optional[np.ndarray] = None,
             work: Optional[Workspace] = None):
-    """Run the forecaster on a normalized batch.
+    """Run the forecaster on a raw batch, with the model's own embedding slot.
 
-    x: [B x N x l1], copied into node-major rows that end in a 1 unless it is
-    `_normalized_input`'s view of them; returns predictions [B x N x l2] in
+    history: [B x N x l1] in original units, z-scored by `normalizer` straight
+    into node-major rows that end in a 1; returns predictions [B x N x l2] in
     normalized units. With cache=True also returns the intermediates needed
-    for the backward pass. The embedding defaults to the model's own slot.
-    With use_graph, `graph` is the adaptive graph of that embedding, passed in
-    by a caller that forwards several batches while the table stays fixed;
-    when it is None the graph is built here. Activations, the cache's
-    included, are written into `work`, so the next call with it overwrites
-    them; without one the call takes a workspace of its own.
+    for the backward pass. With use_graph, `graph` is the [N x N] adaptive
+    graph of the slot, passed in by a caller that forwards several batches
+    while the table stays fixed; when it is None the graph is built here.
+    Activations, the cache's included, are written into `work`, so the next
+    call with it overwrites them; without one the call takes a workspace of
+    its own.
     """
     cfg = params.config
     work = Workspace() if work is None else work
-    emb = params.embedding if embedding is None else embedding
-    b, n, l1 = x.shape
+    emb = params.embedding
+    b, n, l1 = history.shape
     if l1 != cfg.l1:
         raise ValueError(f"history length {l1} != l1 {cfg.l1}")
     if emb.num_nodes != n:
         raise ValueError(f"embedding rows {emb.num_nodes} != batch nodes {n}")
-    if emb.dim != cfg.embed_dim:
-        raise ValueError(f"embedding dim {emb.dim} != embed_dim {cfg.embed_dim}")
 
     ch, ce, ct, cm = cfg.hidden_dim, cfg.embed_dim, cfg.tod_dim, cfg.mix_dim
     rows = n * b
@@ -262,10 +248,10 @@ def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
     def nodes(a):  # [N x B x F] view of rows that end in a 1
         return a[:, :-1].reshape(n, b, -1)
 
-    xs = _column(work, "x", rows, l1, 1.0)
-    xv = xs[:, :l1].reshape(n, b, l1).swapaxes(0, 1)
-    if x.__array_interface__ != xv.__array_interface__:
-        np.copyto(xv, x)
+    xs = _column(work, "x", rows, l1, 1.0)  # ones first: stale memory could overflow
+    np.subtract(history.swapaxes(0, 1), normalizer.mean, out=xs[:, :l1].reshape(n, b, l1))
+    xs /= normalizer.std  # one division over whole rows, then the ones again
+    xs[:, l1] = 1.0
     w = params.weights
     h = activation(0, 1.0)  # [history features | embedding | time of day | day of week]
     _rows_matmul(xs, _in_out(w["w_x"], w["b_x"]), h)
@@ -311,7 +297,7 @@ def forward(params: ModelParams, embedding: Optional[EmbeddingTable],
     return y, {
         "x": xs, "hs": hs, "rs": rs, "h_premix": h_premix,
         "tod_idx": tod_idx, "dow_idx": dow_idx,
-        "graph": adp, "embedding": emb, "work": work,
+        "graph": adp, "work": work,
     }
 
 
@@ -324,7 +310,7 @@ def _blocks(count: int, n: int):
         yield slice(lo, lo + step)
 
 
-def _predict_blocks(params, embedding, windows, normalizer, work: Workspace):
+def _predict_blocks(params, windows, normalizer, work: Workspace):
     """Forward the windows in blocks: yields each block's predictions in
     original units with its targets, both [b x N x l2].
 
@@ -334,22 +320,20 @@ def _predict_blocks(params, embedding, windows, normalizer, work: Workspace):
     of `work`, so it is valid until the next one is drawn; a window's
     prediction does not depend on the block it falls in.
     """
-    emb = params.embedding if embedding is None else embedding
-    graph = build_adaptive_graph(emb) if params.config.use_graph else None
+    graph = build_adaptive_graph(params.embedding) if params.config.use_graph else None
     for rows in _blocks(len(windows), windows.history.shape[1]):
-        x = _normalized_input(work, normalizer, windows.history[rows])
-        y = forward(params, embedding, x, windows.tod[rows],
+        y = forward(params, normalizer, windows.history[rows], windows.tod[rows],
                     windows.dow[rows], graph=graph, work=work)
         yield normalizer.invert(y, out=y), windows.target[rows]
 
 
-def predict(params: ModelParams, embedding, windows, normalizer,
+def predict(params: ModelParams, windows, normalizer,
             work: Optional[Workspace] = None) -> np.ndarray:
     """Predictions [W x N x l2] in original units, gathered from the blocks of
     `_predict_blocks` (through `work`'s buffers, or else the pass's own)."""
     pred = np.empty(windows.history.shape[:2] + (params.config.l2,))
     lo = 0
-    for block, _ in _predict_blocks(params, embedding, windows, normalizer,
+    for block, _ in _predict_blocks(params, windows, normalizer,
                                      Workspace() if work is None else work):
         pred[lo : lo + len(block)] = block
         lo += len(block)

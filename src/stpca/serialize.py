@@ -160,10 +160,9 @@ def write_embedding_csv(table: EmbeddingTable, node_ids, path):
 
 
 def write_graph_csv(graph, node_ids, path):
-    """One `src,dst,weight` row per node pair."""
+    """One `src,dst,weight` row per node pair of the [N x N] graph."""
     lines = ["src,dst,weight"]
-    w = graph.weights
     for i, src in enumerate(node_ids):
         for j, dst in enumerate(node_ids):
-            lines.append(f"{src},{dst},{w[i, j]:.17g}")
+            lines.append(f"{src},{dst},{graph[i, j]:.17g}")
     atomic_write_text(path, "\n".join(lines) + "\n")

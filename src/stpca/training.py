@@ -10,7 +10,7 @@ import numpy as np
 from .dataset import Normalizer, _check, _check_fields, _setting
 from .graph import build_adaptive_graph
 from .metrics import _scored_mae
-from .model import ModelParams, Workspace, _normalized_input, _rows_matmul, forward
+from .model import ModelParams, Workspace, _rows_matmul, forward
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
@@ -139,13 +139,13 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
     d_emb_graph = None
     for i in range(cfg.num_blocks - 1, -1, -1):
         if cfg.use_graph and i == 0:
-            a = cache["graph"].weights
+            a = cache["graph"]
             dh_mixed = dh.reshape(n, -1)
             if "embedding" in names:
                 # mixing weights -> softmax rows -> relu -> gram -> embedding
                 d_adj = np.matmul(dh_mixed, cache["h_premix"].reshape(n, -1).T,
                                   out=work.take("d_adj", (n, n)))
-                e = cache["embedding"].values
+                e = params.embedding.values
                 d_logits = a * (d_adj - (a * d_adj).sum(axis=1, keepdims=True))
                 d_gram = d_logits * (e @ e.T > 0)
                 d_emb_graph = (d_gram + d_gram.T) @ e
@@ -290,10 +290,9 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
             if not mask.any():
                 warnings.warn("batch skipped: no valid (nonzero) targets")
                 continue
-            x = _normalized_input(work, normalizer, train_windows.history[idx])
-            pred, cache = forward(params, None, x, train_windows.tod[idx],
-                                  train_windows.dow[idx], cache=True,
-                                  graph=frozen_graph, work=work)
+            pred, cache = forward(params, normalizer, train_windows.history[idx],
+                                  train_windows.tod[idx], train_windows.dow[idx],
+                                  cache=True, graph=frozen_graph, work=work)
             loss, lgrad = masked_mae_loss(pred, y_batch.swapaxes(0, 1), normalizer,
                                           mask=mask.swapaxes(0, 1), work=work)
             if not np.isfinite(loss):
@@ -328,8 +327,8 @@ def finite_difference_check(params: ModelParams, windows, normalizer,
     are below 1e-7 count as exact (the difference is pure roundoff).
     """
     names = params.trainable_names()
-    x = normalizer.apply(windows.history)
-    pred, cache = forward(params, None, x, windows.tod, windows.dow, cache=True)
+    pred, cache = forward(params, normalizer, windows.history, windows.tod, windows.dow,
+                          cache=True)
     _, lgrad = masked_mae_loss(pred, windows.target, normalizer)
     grads = backward(params, cache, lgrad, trainable=names)
 

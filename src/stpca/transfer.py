@@ -152,11 +152,8 @@ def historical_average_baseline(target_series, eval_range, l1=ModelConfig.l1,
         raise DataError("need at least one full day before the eval range")
     slots = target_series.slot_of(np.arange(lo))
     slot_mean = np.zeros((T, target_series.num_nodes))
-    for slot in range(T):
-        rows = target_series.values[:lo][slots == slot]
-        if rows.shape[0] == 0:
-            raise DataError(f"no adaptation data for slot {slot}")
-        slot_mean[slot] = rows.mean(axis=0)
+    for slot in range(T):  # lo >= T: every slot occurs in [0, lo)
+        slot_mean[slot] = target_series.values[:lo][slots == slot].mean(axis=0)
 
     windows = make_windows(target_series, eval_range, l1, l2)
     pairs = ((slot_mean[(windows.tod[block, None] + np.arange(l2)) % T]

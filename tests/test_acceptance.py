@@ -157,7 +157,7 @@ def test_criterion_4_adaptive_graph():
     entries_ok = True
     for _ in range(20):
         e = rng.normal(size=(4, 3))
-        g = stpca.build_adaptive_graph(e).weights
+        g = stpca.build_adaptive_graph(e)
         worst_rowsum = max(worst_rowsum, float(np.abs(g.sum(axis=1) - 1).max()))
         entries_ok &= bool((g >= 0).all())
         logits = np.maximum(e @ e.T, 0.0)
@@ -165,7 +165,7 @@ def test_criterion_4_adaptive_graph():
         oracle = w / w.sum(axis=1, keepdims=True)
         worst_oracle = max(worst_oracle, float(np.abs(g - oracle).max()))
         perm = rng.permutation(4)
-        gp = stpca.build_adaptive_graph(e[perm]).weights
+        gp = stpca.build_adaptive_graph(e[perm])
         perm_exact &= bool((gp == g[np.ix_(perm, perm)]).all())
     ok = (worst_rowsum <= 1e-9 and entries_ok and perm_exact
           and worst_oracle <= 1e-12)

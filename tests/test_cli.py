@@ -238,7 +238,7 @@ class TestFaultExits:
                      extra="train.lr=1e300\n")
         assert run_cli("train", "--config", str(cfg)) == 1
         assert_one_line_error(capsys, "error: ")
-        assert not (tmp_path / "o" / "model.stpf").exists()
+        assert not (tmp_path / "o").exists()  # the directory comes after training
 
 
 class TestTrain:
@@ -296,6 +296,27 @@ class TestTrain:
             err = assert_one_line_error(capsys, "config error: ")
             assert f"unknown key {line.split('=')[0]!r}" in err
             assert not (tmp_path / "o").exists()
+
+    def test_pca_embed_dim_above_the_cap_exit_2_before_training(self, synth_dir, tmp_path,
+                                                                capsys, monkeypatch):
+        # 8 nodes x 6 training days are 48 samples, so T = 24 caps k
+        runs = []
+        monkeypatch.setattr(cli, "train_run", lambda *a, **k: runs.append(a))
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, synth_dir / "train.csv", tmp_path / "o",
+                     extra="model.embed_dim=25\n")
+        assert run_cli("train", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == (
+            "config error: model.embed_dim (T=24, 48 training samples) "
+            "must be in [1, 24], got 25\n")
+        assert runs == [] and not (tmp_path / "o").exists()
+
+    def test_pca_embed_dim_unchecked_when_theta_picks_k(self, synth_dir, tmp_path):
+        out = tmp_path / "o"
+        write_config(tmp_path / "run.cfg", synth_dir / "train.csv", out,
+                     extra="model.embed_dim=25\nmodel.theta=0.9\n")
+        assert run_cli("train", "--config", str(tmp_path / "run.cfg")) == 0
+        assert (out / "proj.stpj").exists()
 
 
 @pytest.fixture(scope="module")
@@ -800,8 +821,7 @@ class TestNumericSettings:
         (command, key, value)
         for key, values in [*BAD_CONFIG_VALUES.items(), ("data.ratios", BAD_RATIOS)]
         for value in (values if key == "data.ratios" else [*NON_FINITE, *values])
-        for command in ("sweep-components",) + (() if key.startswith("transfer.")
-                                                else ("train",))])
+        for command in ("sweep-components", "train")])
     def test_bad_config_value(self, tmp_path, capsys, monkeypatch, command, key, value):
         reads = []
         monkeypatch.setattr(cli, "ingest_csv", lambda *a, **k: reads.append(a))

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stpca.graph import (AdaptiveGraph, build_adaptive_graph, graph_mix,
-                         row_softmax)
+from stpca.graph import build_adaptive_graph, graph_mix, row_softmax
 from stpca.pca import EmbeddingTable
 
 
@@ -20,41 +19,41 @@ class TestBuildGraph:
     def test_identity_embedding_closed_form(self):
         g = build_adaptive_graph(np.eye(2))
         p = math.e / (math.e + 1)
-        np.testing.assert_allclose(g.weights, [[p, 1 - p], [1 - p, p]], atol=1e-12)
-        np.testing.assert_allclose(g.weights[0, 0], 0.73106, atol=5e-6)
+        np.testing.assert_allclose(g, [[p, 1 - p], [1 - p, p]], atol=1e-12)
+        np.testing.assert_allclose(g[0, 0], 0.73106, atol=5e-6)
 
     def test_zero_embedding_uniform(self):
         g = build_adaptive_graph(np.zeros((3, 5)))
-        np.testing.assert_allclose(g.weights, np.full((3, 3), 1 / 3), atol=1e-15)
+        np.testing.assert_allclose(g, np.full((3, 3), 1 / 3), atol=1e-15)
 
     def test_formula_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             e = rng.normal(size=(4, 3))
             g = build_adaptive_graph(e)
-            assert np.abs(g.weights - formula_oracle(e)).max() <= 1e-12
+            assert np.abs(g - formula_oracle(e)).max() <= 1e-12
 
     def test_row_stochastic(self):
         rng = np.random.default_rng(1)
         for scale in (1e-3, 1.0, 1e3):
             g = build_adaptive_graph(rng.normal(size=(6, 4)) * scale)
-            assert (g.weights >= 0).all()
-            np.testing.assert_allclose(g.weights.sum(axis=1), 1.0, atol=1e-9)
+            assert (g >= 0).all()
+            np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=1e-9)
 
     def test_scaling_preserves_row_argmax(self):
         rng = np.random.default_rng(2)
         e = rng.normal(size=(5, 3))
         g1 = build_adaptive_graph(e)
         g2 = build_adaptive_graph(3.0 * e)
-        np.testing.assert_array_equal(g1.weights.argmax(axis=1),
-                                      g2.weights.argmax(axis=1))
+        np.testing.assert_array_equal(g1.argmax(axis=1),
+                                      g2.argmax(axis=1))
 
     def test_permutation_equivariance_exact(self):
         rng = np.random.default_rng(3)
         e = rng.normal(size=(7, 4))
         perm = rng.permutation(7)
-        g = build_adaptive_graph(e).weights
-        gp = build_adaptive_graph(e[perm]).weights
+        g = build_adaptive_graph(e)
+        gp = build_adaptive_graph(e[perm])
         np.testing.assert_array_equal(gp, g[np.ix_(perm, perm)])
         # at PEMS size the BLAS Gram matrix itself is not permutation-exact,
         # so the softmax is checked on permuted logits
@@ -74,8 +73,8 @@ class TestBuildGraph:
         shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
         want = shifted / np.cumsum(np.sort(shifted, axis=1), axis=1)[:, -1][:, None]
         first, second = build_adaptive_graph(e), build_adaptive_graph(e)
-        assert first.weights.tobytes() == want.tobytes()
-        assert not np.shares_memory(first.weights, second.weights)
+        assert first.tobytes() == want.tobytes()
+        assert not np.shares_memory(first, second)
         kept = logits.copy()
         assert row_softmax(logits).tobytes() == want.tobytes()
         assert logits.tobytes() == kept.tobytes()  # without `out`, input untouched
@@ -84,28 +83,22 @@ class TestBuildGraph:
 
     def test_accepts_embedding_table(self):
         t = EmbeddingTable(values=np.eye(3), strategy="pca")
-        g = build_adaptive_graph(t)
-        assert g.num_nodes == 3
+        assert build_adaptive_graph(t).shape == (3, 3)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             build_adaptive_graph(np.array([[np.nan, 1.0]]))
 
-    def test_rows_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            AdaptiveGraph(weights=np.array([[0.5, 0.4], [0.5, 0.5]]))
-
 
 class TestGraphMix:
     def test_uniform_two_node_average(self):
-        g = AdaptiveGraph(weights=np.full((2, 2), 0.5))
+        g = np.full((2, 2), 0.5)
         np.testing.assert_allclose(graph_mix(g, np.array([[0.0], [2.0]])),
                                    [[1.0], [1.0]])
 
     def test_near_identity_graph(self):
         eps = 1e-9
-        w = np.array([[1 - eps, eps], [eps, 1 - eps]])
-        g = AdaptiveGraph(weights=w)
+        g = np.array([[1 - eps, eps], [eps, 1 - eps]])
         h = np.array([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_allclose(graph_mix(g, h), h, atol=1e-8)
 
@@ -113,7 +106,7 @@ class TestGraphMix:
         rng = np.random.default_rng(4)
         g = build_adaptive_graph(rng.normal(size=(5, 3)))
         h = rng.normal(size=(5, 7))
-        np.testing.assert_array_equal(graph_mix(g, h), g.weights @ h)
+        np.testing.assert_array_equal(graph_mix(g, h), g @ h)
 
     def test_batch_mixes_each_row(self):
         rng = np.random.default_rng(6)
@@ -122,9 +115,9 @@ class TestGraphMix:
         mixed = graph_mix(g, h)
         assert mixed.shape == h.shape
         np.testing.assert_array_equal(mixed.reshape(5, -1),
-                                      g.weights @ h.reshape(5, -1))
+                                      g @ h.reshape(5, -1))
         for b in range(4):
-            np.testing.assert_allclose(mixed[:, b], g.weights @ h[:, b], rtol=1e-14)
+            np.testing.assert_allclose(mixed[:, b], g @ h[:, b], rtol=1e-14)
         out = np.empty_like(h)
         assert graph_mix(g, h, out=out) is out
         np.testing.assert_array_equal(out, mixed)
@@ -151,6 +144,6 @@ class TestGraphMix:
         np.testing.assert_allclose(graph_mix(g, h), h, atol=1e-12)
 
     def test_shape_mismatch(self):
-        g = AdaptiveGraph(weights=np.eye(3))
+        g = np.eye(3)
         with pytest.raises(ValueError, match="do not match"):
             graph_mix(g, np.zeros((4, 2)))

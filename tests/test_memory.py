@@ -98,8 +98,7 @@ def test_training_step_peak_below_one_and_a_half_forward_caches(series, use_grap
     assert len(train) == batch
     params = init_params(ModelConfig(use_graph=use_graph), N, seed=0)
     norm = Normalizer(mean=40.0, std=20.0)
-    _, cache = forward(params, None, norm.apply(train.history), train.tod, train.dow,
-                       cache=True)
+    _, cache = forward(params, norm, train.history, train.tod, train.dow, cache=True)
     held = [cache["x"], *cache["hs"], *cache["rs"]]
     if use_graph:
         held.append(cache["h_premix"])

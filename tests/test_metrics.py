@@ -9,7 +9,8 @@ from stpca.dataset import Normalizer, TrafficSeries, Windows, make_windows
 from stpca.metrics import (HorizonReport, MetricSet, evaluate,
                            horizon_report_from_arrays, masked_mae,
                            masked_metrics, render_report)
-from stpca.model import ModelConfig, init_params
+from stpca.model import ModelConfig, init_params, set_embedding
+from stpca.pca import EmbeddingTable, zero_embedding
 from stpca.transfer import historical_average_baseline
 
 
@@ -241,13 +242,8 @@ class TestBlockedScoring:
 
     N = 40
 
-    @pytest.mark.parametrize("use_graph", [False, True])
-    @pytest.mark.parametrize("windows_per_block", [1, 7, 13, None])
-    def test_evaluate_equals_report_of_predict(self, monkeypatch, use_graph,
-                                               windows_per_block):
-        if windows_per_block is not None:
-            # one block rule (`model._blocks`) cuts inference and scoring alike
-            monkeypatch.setattr(model, "PREDICT_ROWS", windows_per_block * self.N)
+    def scored(self, use_graph):
+        """(params, windows, normalizer) of a 100-window pass."""
         rng = np.random.default_rng(3)
         params = init_params(ModelConfig(l1=6, l2=6, hidden_dim=8, steps_per_day=24,
                                          use_graph=use_graph), self.N, seed=1)
@@ -257,11 +253,35 @@ class TestBlockedScoring:
         windows = Windows(history=rng.uniform(0, 60, size=(100, self.N, 6)),
                           target=target, tod=rng.integers(0, 24, 100),
                           dow=rng.integers(0, 7, 100))
-        norm = Normalizer(mean=30.0, std=15.0)
+        return params, windows, Normalizer(mean=30.0, std=15.0)
+
+    @pytest.mark.parametrize("use_graph", [False, True])
+    @pytest.mark.parametrize("windows_per_block", [1, 7, 13, None])
+    def test_evaluate_equals_report_of_predict(self, monkeypatch, use_graph,
+                                               windows_per_block):
+        if windows_per_block is not None:
+            # one block rule (`model._blocks`) cuts inference and scoring alike
+            monkeypatch.setattr(model, "PREDICT_ROWS", windows_per_block * self.N)
+        params, windows, norm = self.scored(use_graph)
         report = evaluate(params, None, windows, norm, metadata={"seed": 1})
-        reference = horizon_report_from_arrays(model.predict(params, None, windows, norm),
+        reference = horizon_report_from_arrays(model.predict(params, windows, norm),
                                                windows.target, metadata={"seed": 1})
         assert report.to_json_dict() == reference.to_json_dict()
+
+    @pytest.mark.parametrize("use_graph", [False, True])
+    def test_a_table_is_swapped_in_by_set_embedding(self, use_graph):
+        # the one swap path: a table given to evaluate scores as the model
+        # that set_embedding builds around it, bit for bit
+        params, windows, norm = self.scored(use_graph)
+        kept = params.embedding.values.copy()
+        pca = EmbeddingTable(np.random.default_rng(5).normal(size=(self.N, 8)), "pca")
+        for table in (pca, zero_embedding(self.N, 8)):
+            given = evaluate(params, table, windows, norm)
+            swapped = evaluate(set_embedding(params, table), None, windows, norm)
+            assert repr(given.to_json_dict()) == repr(swapped.to_json_dict())
+            assert given.to_json_dict() != evaluate(params, None, windows,
+                                                    norm).to_json_dict()
+        assert params.embedding.values.tobytes() == kept.tobytes()
 
     @pytest.mark.parametrize("windows_per_block", [1, 7, 13, None])
     def test_baseline_equals_report_of_whole_prediction(self, monkeypatch,

@@ -132,22 +132,22 @@ class TestForward:
         for tensor in params.tensors().values():
             tensor[...] = 0.0
         x, ti, di = batch(toy_windows(3, 5))
-        np.testing.assert_array_equal(forward(params, None, x, ti, di), 0.0)
+        np.testing.assert_array_equal(forward(params, NORM, x, ti, di), 0.0)
 
     def test_output_shape(self):
         cfg = toy_config(l2=12)
         params = init_params(cfg, 5, seed=0)
         ws = toy_windows(2, 5, l1=4, l2=12)
         x, ti, di = batch(ws)
-        assert forward(params, None, x, ti, di).shape == (2, 5, 12)
+        assert forward(params, NORM, x, ti, di).shape == (2, 5, 12)
 
     def test_embedding_slot_is_live(self):
         params = init_params(toy_config(), 5, seed=0)
         x, ti, di = batch(toy_windows(3, 5))
         rng = np.random.default_rng(1)
         pca_table = EmbeddingTable(values=rng.normal(size=(5, 3)), strategy="pca")
-        out_pca = forward(params, pca_table, x, ti, di)
-        out_zero = forward(params, zero_embedding(5, 3), x, ti, di)
+        out_pca = forward(set_embedding(params, pca_table), NORM, x, ti, di)
+        out_zero = forward(set_embedding(params, zero_embedding(5, 3)), NORM, x, ti, di)
         assert np.abs(out_pca - out_zero).max() > 1e-8
 
     @pytest.mark.parametrize("use_graph", [False, True])
@@ -157,16 +157,31 @@ class TestForward:
         for tensor in params.tensors().values():
             tensor += rng.normal(0, 0.3, size=tensor.shape)
         x, ti, di = batch(toy_windows(7, 5, seed=2))
-        out = forward(params, None, x, ti, di)
+        out = forward(params, NORM, x, ti, di)
         reference = einsum_forward(params, x, ti, di)
         scale = np.abs(reference).max()
         assert np.abs(out - reference).max() <= 1e-12 * scale
 
+    @pytest.mark.parametrize("use_graph", [False, True], ids=["flat", "graph"])
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_raw_history_equals_unit_normalizer_on_its_z_score(self, cache, use_graph):
+        # forward z-scores raw history into its input rows: the bits of the
+        # z-scored batch under Normalizer(0, 1), whose (x - 0) / 1 is x
+        params = init_params(toy_config(use_graph=use_graph), 5, seed=4)
+        ws = toy_windows(6, 5, seed=3)
+        norm = Normalizer(mean=4.7, std=2.9)
+        raw = forward(params, norm, ws.history, ws.tod, ws.dow, cache=cache)
+        unit = forward(params, NORM, norm.apply(ws.history), ws.tod, ws.dow, cache=cache)
+        if cache:
+            assert raw[1]["x"].tobytes() == unit[1]["x"].tobytes()
+            raw, unit = raw[0], unit[0]
+        assert raw.tobytes() == unit.tobytes()
+
     def test_deterministic(self):
         params = init_params(toy_config(use_graph=True), 5, seed=0)
         x, ti, di = batch(toy_windows(3, 5))
-        a = forward(params, None, x, ti, di)
-        b = forward(params, None, x, ti, di)
+        a = forward(params, NORM, x, ti, di)
+        b = forward(params, NORM, x, ti, di)
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("use_graph", [False, True])
@@ -175,11 +190,11 @@ class TestForward:
         params = init_params(cfg, 6, seed=2)
         ws = toy_windows(3, 6)
         x, ti, di = batch(ws)
-        out = forward(params, None, x, ti, di)
+        out = forward(params, NORM, x, ti, di)
         perm = np.random.default_rng(0).permutation(6)
         emb_p = EmbeddingTable(values=params.embedding.values[perm],
                                strategy="adaptive")
-        out_p = forward(params, emb_p, x[:, perm, :], ti, di)
+        out_p = forward(set_embedding(params, emb_p), NORM, x[:, perm, :], ti, di)
         if use_graph:
             # the mixing matmul reorders its reduction under permutation
             np.testing.assert_allclose(out_p, out[:, perm, :], rtol=0, atol=1e-12)
@@ -190,26 +205,26 @@ class TestForward:
         params = init_params(toy_config(), 5, seed=0)
         x, ti, di = batch(toy_windows(2, 5))
         with pytest.raises(ValueError, match="embedding rows"):
-            forward(params, zero_embedding(4, 3), x, ti, di)
+            forward(set_embedding(params, zero_embedding(4, 3)), NORM, x, ti, di)
         with pytest.raises(ValueError, match="history length"):
-            forward(params, None, x[:, :, :3], ti, di)
+            forward(params, NORM, x[:, :, :3], ti, di)
 
     def test_non_finite_reported_with_block(self):
         params = init_params(toy_config(), 5, seed=0)
         params.weights["w2_1"][0, 0] = np.inf
         x, ti, di = batch(toy_windows(2, 5))
         with pytest.raises(FloatingPointError, match="block 1"):
-            forward(params, None, x, ti, di)
+            forward(params, NORM, x, ti, di)
 
     def test_predict_independent_of_batch_size(self, monkeypatch):
         ws = toy_windows(10, 5)
         x, ti, di = batch(ws)
         for use_graph in (False, True):
             params = init_params(toy_config(use_graph=use_graph), 5, seed=0)
-            single = NORM.invert(forward(params, None, x, ti, di))
+            single = NORM.invert(forward(params, NORM, x, ti, di))
             for batch_size in (1, 3, 10, 100):
                 monkeypatch.setattr(model, "PREDICT_ROWS", batch_size * 5)
-                np.testing.assert_array_equal(predict(params, None, ws, NORM), single)
+                np.testing.assert_array_equal(predict(params, ws, NORM), single)
 
 
 def ones_columns(work, cache, n, b, cfg):
@@ -237,7 +252,7 @@ class TestBiasFold:
             tensor += rng.normal(0, 0.3, size=tensor.shape)
         x, ti, di = batch(toy_windows(3, n, seed=2))
         work = model.Workspace()
-        out = forward(params, None, x, ti, di, cache=cache, work=work)
+        out = forward(params, NORM, x, ti, di, cache=cache, work=work)
         out, held = out if cache else (out, None)
         reference = einsum_forward(params, x, ti, di)
         assert np.abs(out - reference).max() <= 1e-12 * np.abs(reference).max()
@@ -252,7 +267,7 @@ class TestBiasFold:
         work = model.Workspace()
         for windows, cache in ((7, True), (3, False), (2, True), (7, False)):
             x, ti, di = batch(toy_windows(windows, 5, seed=windows))
-            out = forward(params, None, x, ti, di, cache=cache, work=work)
+            out = forward(params, NORM, x, ti, di, cache=cache, work=work)
             held = out[1] if cache else None
             for rows in ones_columns(work, held, 5, windows, params.config):
                 assert (rows[:, -1] == 1.0).all()
@@ -266,11 +281,11 @@ class TestBuffers:
         params = init_params(toy_config(use_graph=use_graph), 5, seed=0)
         x1, ti1, di1 = batch(toy_windows(3, 5, seed=1))
         x2, ti2, di2 = batch(toy_windows(3, 5, seed=2))
-        first = forward(params, None, x1, ti1, di1)
-        pred, cache = forward(params, None, x1, ti1, di1, cache=True)
+        first = forward(params, NORM, x1, ti1, di1)
+        pred, cache = forward(params, NORM, x1, ti1, di1, cache=True)
         kept = [a.copy() for a in [first, pred, *cache["hs"], *cache["rs"]]]
-        forward(params, None, x2, ti2, di2)
-        forward(params, None, x2, ti2, di2, cache=True)
+        forward(params, NORM, x2, ti2, di2)
+        forward(params, NORM, x2, ti2, di2, cache=True)
         for a, b in zip([first, pred, *cache["hs"], *cache["rs"]], kept):
             np.testing.assert_array_equal(a, b)
 
@@ -278,9 +293,9 @@ class TestBuffers:
     def test_predict_calls_return_fresh_arrays(self, monkeypatch, use_graph):
         monkeypatch.setattr(model, "PREDICT_ROWS", 3 * 5)  # ragged blocks of 3
         params = init_params(toy_config(use_graph=use_graph), 5, seed=0)
-        first = predict(params, None, toy_windows(10, 5, seed=1), NORM)
+        first = predict(params, toy_windows(10, 5, seed=1), NORM)
         kept = first.copy()
-        second = predict(params, None, toy_windows(10, 5, seed=2), NORM)
+        second = predict(params, toy_windows(10, 5, seed=2), NORM)
         assert not np.shares_memory(first, second)
         np.testing.assert_array_equal(first, kept)
 
@@ -293,8 +308,8 @@ class TestBuffers:
         work = model.Workspace()
         for n_windows, seed in ((10, 1), (3, 2), (17, 3), (10, 1)):
             ws = toy_windows(n_windows, 5, seed=seed)
-            np.testing.assert_array_equal(predict(params, None, ws, NORM, work=work),
-                                          predict(params, None, ws, NORM))
+            np.testing.assert_array_equal(predict(params, ws, NORM, work=work),
+                                          predict(params, ws, NORM))
 
     def test_workspace_buffers(self):
         work = model.Workspace()
@@ -337,7 +352,7 @@ class TestPredictBlocks:
         outputs = []
         for windows_per_block in (1, 7, 13, len(ws)):
             monkeypatch.setattr(model, "PREDICT_ROWS", windows_per_block * self.N)
-            outputs.append(predict(params, None, ws, NORM))
+            outputs.append(predict(params, ws, NORM))
         for out in outputs[1:]:
             np.testing.assert_array_equal(out, outputs[0])
 
@@ -347,8 +362,8 @@ class TestPredictBlocks:
         params = self.pems_model(use_graph)
         build = Spy(model.build_adaptive_graph)
         monkeypatch.setattr(model, "build_adaptive_graph", build)
-        predict(params, None, ws, NORM)
-        predict(params, zero_embedding(self.N, 8), ws, NORM)
+        predict(params, ws, NORM)
+        predict(set_embedding(params, zero_embedding(self.N, 8)), ws, NORM)
         assert len(build.calls) == (2 if use_graph else 0)
 
     @pytest.mark.parametrize("n_nodes", [5, 307, model.PREDICT_ROWS + 1])
@@ -357,7 +372,7 @@ class TestPredictBlocks:
         params = init_params(toy_config(use_graph=True), n_nodes, seed=0)
         fwd = Spy(model.forward)
         monkeypatch.setattr(model, "forward", fwd)
-        predict(params, None, ws, NORM)
+        predict(params, ws, NORM)
         rows = [args[2].shape[0] * args[2].shape[1] for args, _ in fwd.calls]
         assert all(r <= max(model.PREDICT_ROWS, n_nodes) for r in rows)
         assert sum(args[2].shape[0] for args, _ in fwd.calls) == len(ws)
@@ -384,25 +399,26 @@ class TestPemsShape:
         reference = einsum_forward(params, x, ti, di)
         scale = np.abs(reference).max()
         for cache in (False, True):
-            out = forward(params, None, x, ti, di, cache=cache)
+            out = forward(params, NORM, x, ti, di, cache=cache)
             out = out[0] if cache else out
             assert np.abs(out - reference).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("use_graph", [False, True])
     def test_layout_guard(self, use_graph):
         params, x, ti, di = self.batch(use_graph)
-        node_major = np.ascontiguousarray(x.swapaxes(0, 1)).swapaxes(0, 1)
+        norm, history = Normalizer(mean=40.0, std=20.0), 40.0 + 20.0 * x  # raw units
+        node_major = np.ascontiguousarray(history.swapaxes(0, 1)).swapaxes(0, 1)
         assert not node_major.flags.c_contiguous
-        np.testing.assert_array_equal(node_major, x)
+        np.testing.assert_array_equal(node_major, history)
         for cache in (False, True):
-            plain = forward(params, None, x, ti, di, cache=cache)
-            viewed = forward(params, None, node_major, ti, di, cache=cache)
+            plain = forward(params, norm, history, ti, di, cache=cache)
+            viewed = forward(params, norm, node_major, ti, di, cache=cache)
             if cache:
                 plain, viewed = plain[0], viewed[0]
             assert plain.tobytes() == viewed.tobytes()
 
         work = model.Workspace()
-        pred, cache = forward(params, None, node_major, ti, di, cache=True, work=work)
+        pred, cache = forward(params, norm, node_major, ti, di, cache=True, work=work)
         held = cache["hs"] + cache["rs"]
         if use_graph:
             held.append(cache["h_premix"])
@@ -433,7 +449,7 @@ class TestSetEmbedding:
         assert swapped.num_nodes == 25
         ws = toy_windows(2, 25)
         x, ti, di = batch(ws)
-        assert forward(swapped, None, x, ti, di).shape == (2, 25, 4)
+        assert forward(swapped, NORM, x, ti, di).shape == (2, 25, 4)
 
     def test_zero_strategy_forces_exact_zeros(self):
         params = init_params(toy_config(), 5, seed=0)
@@ -447,8 +463,8 @@ class TestSetEmbedding:
                                strategy="adaptive")
         swapped = set_embedding(params, table)
         x, ti, di = batch(toy_windows(3, 5))
-        np.testing.assert_array_equal(forward(swapped, None, x, ti, di),
-                                      forward(params, None, x, ti, di))
+        np.testing.assert_array_equal(forward(swapped, NORM, x, ti, di),
+                                      forward(params, NORM, x, ti, di))
 
     def test_dim_mismatch(self):
         params = init_params(toy_config(), 5, seed=0)

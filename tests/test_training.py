@@ -39,8 +39,9 @@ def toy_windows(n_windows, n_nodes=5, l1=4, l2=4, t=8, seed=0, zero_frac=0.15):
 
 
 def batch(windows):
-    """Model-ready (x, y, tod_idx, dow_idx) of a whole Windows record."""
-    return NORM.apply(windows.history), windows.target, windows.tod, windows.dow
+    """Raw (history, y, tod_idx, dow_idx) of a whole Windows record; `forward`
+    z-scores the history by NORM."""
+    return windows.history, windows.target, windows.tod, windows.dow
 
 
 def flat_grads(arrays):
@@ -74,11 +75,10 @@ def einsum_backward(params, cache, loss_grad):
     d_emb_graph = None
     for i in range(cfg.num_blocks - 1, -1, -1):
         if cfg.use_graph and i == 0:
-            adp, h_pre = cache["graph"], features(cache["h_premix"])
-            e = cache["embedding"].values
+            a, h_pre = cache["graph"], features(cache["h_premix"])
+            e = params.embedding.values
             d_adj = np.einsum("buf,bvf->uv", dh, h_pre)
-            dh = np.einsum("uv,buf->bvf", adp.weights, dh)
-            a = adp.weights
+            dh = np.einsum("uv,buf->bvf", a, dh)
             d_logits = a * (d_adj - (a * d_adj).sum(axis=1, keepdims=True))
             d_gram = d_logits * (np.maximum(e @ e.T, 0.0) > 0)
             d_emb_graph = (d_gram + d_gram.T) @ e
@@ -195,7 +195,7 @@ class TestBackward:
     def test_zero_loss_grad_gives_zero_gradients(self):
         params = init_params(toy_config(), 5, seed=0)
         x, _, ti, di = batch(toy_windows(3))
-        _, cache = forward(params, None, x, ti, di, cache=True)
+        _, cache = forward(params, NORM, x, ti, di, cache=True)
         grads = backward(params, cache, np.zeros((3, 5, 4)))
         for g in grads.values():
             np.testing.assert_array_equal(g, 0.0)
@@ -204,13 +204,13 @@ class TestBackward:
         params = init_params(toy_config(), 5, seed=0)
         ws = toy_windows(3)
         x, y, ti, di = batch(ws)
-        pred, cache = forward(params, None, x, ti, di, cache=True)
+        pred, cache = forward(params, NORM, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
         g1 = backward(params, cache, lgrad)
 
         x2 = np.concatenate([x, x]); y2 = np.concatenate([y, y])
         ti2 = np.concatenate([ti, ti]); di2 = np.concatenate([di, di])
-        pred2, cache2 = forward(params, None, x2, ti2, di2, cache=True)
+        pred2, cache2 = forward(params, NORM, x2, ti2, di2, cache=True)
         _, lgrad2 = masked_mae_loss(pred2, y2, NORM)
         # same per-cell grad scale: feed the single-batch grad duplicated
         g2 = backward(params, cache2, np.concatenate([lgrad, lgrad]))
@@ -223,7 +223,7 @@ class TestBackward:
 
         def gradients(seed):
             x, y, ti, di = batch(toy_windows(3, seed=seed))
-            pred, cache = forward(params, None, x, ti, di, cache=True)
+            pred, cache = forward(params, NORM, x, ti, di, cache=True)
             return backward(params, cache, masked_mae_loss(pred, y, NORM)[1])
 
         first = gradients(1)
@@ -256,7 +256,7 @@ class TestBackward:
         for name, tensor in params.tensors().items():
             tensor += rng.normal(0, 0.3, size=tensor.shape)
         x, y, ti, di = batch(toy_windows(7, seed=8))
-        pred, cache = forward(params, None, x, ti, di, cache=True)
+        pred, cache = forward(params, NORM, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
         reference = einsum_backward(params, cache, lgrad)
         grads = backward(params, cache, lgrad)
@@ -277,7 +277,7 @@ class TestBackward:
         for tensor in params.tensors().values():
             tensor += rng.normal(0, 0.3, size=tensor.shape)
         x, y, ti, di = batch(toy_windows(7, seed=8))
-        pred, cache = forward(params, None, x, ti, di, cache=True)
+        pred, cache = forward(params, NORM, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
         names = list(params.tensors())
         # a copy: a later backward in the same workspace with the same names
@@ -285,7 +285,7 @@ class TestBackward:
         full = {name: g.copy() for name, g in
                 backward(params, cache, lgrad, trainable=names).items()}
         requested = names if requested is None else requested
-        _, cache = forward(params, None, x, ti, di, cache=True)  # one backward per cache
+        _, cache = forward(params, NORM, x, ti, di, cache=True)  # one backward per cache
 
         class NumpyWithoutScatter:
             """numpy, except that `np.add.at` raises."""
@@ -310,7 +310,7 @@ class TestBackward:
         # backward writes gradients over the cached activations it has read
         params = init_params(toy_config(num_blocks=2, use_graph=use_graph), 5, seed=0)
         x, y, ti, di = batch(toy_windows(3))
-        pred, cache = forward(params, None, x, ti, di, cache=True)
+        pred, cache = forward(params, NORM, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
         backward(params, cache, lgrad)
         with pytest.raises(ValueError, match="one backward"):
@@ -319,7 +319,7 @@ class TestBackward:
     def test_non_finite_gradient_names_tensor(self):
         params = init_params(toy_config(), 5, seed=0)
         x, _, ti, di = batch(toy_windows(3))
-        _, cache = forward(params, None, x, ti, di, cache=True)
+        _, cache = forward(params, NORM, x, ti, di, cache=True)
         lgrad = np.zeros((3, 5, 4))
         lgrad[0, 0, 0] = np.inf
         with np.errstate(invalid="ignore"), \
@@ -336,7 +336,7 @@ class TestBackward:
         # not the finite gradients before it, whatever the request order
         params = init_params(toy_config(), 5, seed=0)
         x, y, ti, di = batch(toy_windows(3))
-        pred, cache = forward(params, None, x, ti, di, cache=True)
+        pred, cache = forward(params, NORM, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
         cache["x"][0, 0] = np.inf  # the input rows backward reads
         with np.errstate(invalid="ignore"), \
@@ -348,7 +348,7 @@ class TestBackward:
         params = set_embedding(
             params, EmbeddingTable(values=params.embedding.values, strategy="pca"))
         x, y, ti, di = batch(toy_windows(3))
-        pred, cache = forward(params, None, x, ti, di, cache=True)
+        pred, cache = forward(params, NORM, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
         grads = backward(params, cache, lgrad)
         assert "embedding" not in grads
@@ -364,10 +364,10 @@ class TestBackward:
                  if strategy == "pca" else zero_embedding(5, 3))
         params = set_embedding(params, table)
         x, y, ti, di = batch(toy_windows(7, seed=8))
-        pred, cache = forward(params, None, x, ti, di, cache=True)
+        pred, cache = forward(params, NORM, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
         full = backward(params, cache, lgrad, trainable=list(params.tensors()))
-        _, cache = forward(params, None, x, ti, di, cache=True)  # one backward per cache
+        _, cache = forward(params, NORM, x, ti, di, cache=True)  # one backward per cache
 
         take = model.Workspace.take
 
@@ -398,12 +398,12 @@ class TestBiasGradients:
         for tensor in params.tensors().values():
             tensor += rng.normal(0, 0.3, size=tensor.shape)
         x, y, ti, di = batch(toy_windows(6, n_nodes=n, seed=3))
-        pred, cache = forward(params, None, x, ti, di, cache=True)
+        pred, cache = forward(params, NORM, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
         reference = einsum_backward(params, cache, lgrad)  # sums over windows and nodes
         biases = [name for name in params.tensors() if name.startswith("b")]
         for trainable in (params.trainable_names(), biases):
-            _, cache = forward(params, None, x, ti, di, cache=True)  # one backward per cache
+            _, cache = forward(params, NORM, x, ti, di, cache=True)  # one backward per cache
             grads = backward(params, cache, lgrad, trainable=trainable)
             for name in biases:
                 scale = np.abs(reference[name]).max()
@@ -422,7 +422,7 @@ class TestBackwardPemsShape:
         for tensor in params.tensors().values():
             tensor += rng.normal(0, 0.1, size=tensor.shape)
         x, y, ti, di = batch(toy_windows(32, n_nodes=307, l1=12, l2=12, t=288, seed=8))
-        pred, cache = forward(params, None, x, ti, di, cache=True)
+        pred, cache = forward(params, NORM, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
         reference = einsum_backward(params, cache, lgrad)
         grads = backward(params, cache, lgrad)
@@ -474,11 +474,11 @@ class TestAdam:
     def test_backward_gradient_set_must_not_change(self):
         params = init_params(toy_config(), 5, seed=0)
         x, y, ti, di = batch(toy_windows(3))
-        pred, cache = forward(params, None, x, ti, di, cache=True)
+        pred, cache = forward(params, NORM, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
         state = AdamState()
         adam_step(state, params, backward(params, cache, lgrad), lr=1e-3)
-        _, cache = forward(params, None, x, ti, di, cache=True)  # one backward per cache
+        _, cache = forward(params, NORM, x, ti, di, cache=True)  # one backward per cache
         with pytest.raises(ValueError, match="Adam state"):
             adam_step(state, params, backward(params, cache, lgrad, trainable=["w_o"]),
                       lr=1e-3)
@@ -583,7 +583,7 @@ def reference_fit(params, train, val, normalizer, config, trainable=None):
             if not (y != 0).any():
                 skipped += 1
                 continue
-            pred, cache = forward(params, None, normalizer.apply(train.history[idx]),
+            pred, cache = forward(params, normalizer, train.history[idx],
                                   train.tod[idx], train.dow[idx], cache=True,
                                   graph=graph)
             loss, lgrad = masked_mae_loss(pred, y, normalizer)
@@ -603,7 +603,7 @@ def reference_fit(params, train, val, normalizer, config, trainable=None):
                 v[name] = v.get(name, 0.0) * 0.999 + (1 - 0.999) * (g * g)
                 tensors[name] -= m[name] / (np.sqrt(v[name]) + 1e-8 * root_c2) * step
             losses.append(loss)
-        val_mae = masked_mae(model.predict(params, None, val, normalizer), val.target)
+        val_mae = masked_mae(model.predict(params, val, normalizer), val.target)
         rows.append((epoch, float(np.mean(losses)) if losses else float("nan"), val_mae))
         if val_mae < best_mae:  # only a strict improvement resets patience
             best_mae, stale, best = val_mae, 0, params.clone()
@@ -781,7 +781,7 @@ class TestFit:
             _, report = fit(params, train, val, NORM, cfg)
             # the live model holds the last epoch's weights
             assert report.epochs[-1][2] == masked_mae(
-                model.predict(params, None, val, NORM), val.target)
+                model.predict(params, val, NORM), val.target)
 
     def test_best_shares_no_memory_with_live_model(self):
         params = init_params(toy_config(num_blocks=2), 5, seed=1)
@@ -826,7 +826,7 @@ class TestFit:
         state = AdamState()
         losses = []
         for _ in range(50):
-            pred, cache = forward(params, None, x, ti, di, cache=True)
+            pred, cache = forward(params, NORM, x, ti, di, cache=True)
             loss, lgrad = masked_mae_loss(pred, y, NORM)
             losses.append(loss)
             grads, _ = clip_gradients(bwd(params, cache, lgrad), 5.0)
