@@ -12,7 +12,7 @@ Strategies compared on the shifted data:
   pca       recompute the PCA embedding from the adaptation prefix
   finetune  gradient-tune only the embedding table on the adaptation prefix
 
-Run:  python demos/02_spatial_shift_strategies.py   (~2 minutes)
+Run:  python demos/02_spatial_shift_strategies.py   (~10 s)
 """
 
 import time

@@ -6,7 +6,7 @@ can predict city B (15 sensors) by projecting B's daily profiles through A's
 PCA axes and swapping the table, with the adaptive graph rebuilt at B's size.
 No gradient steps are taken on city B.
 
-Run:  python demos/03_cross_city_zero_shot.py   (~1 minute)
+Run:  python demos/03_cross_city_zero_shot.py   (~3 s)
 """
 
 from stpca import (ModelConfig, SynthSpec, TrainConfig, TransferPlan,
@@ -27,7 +27,7 @@ run = train_run(city_a, cfg, TrainConfig(lr=2e-3, max_epochs=60, patience=12,
                                          batch_size=16, seed=3),
                 strategy="pca")
 print(f"city A model trained: {run.params.num_nodes} nodes, "
-      f"graph {build_adaptive_graph(run.params.embedding).shape}")
+      f"graph {build_adaptive_graph(run.params.embedding.values).shape}")
 
 plan = TransferPlan(adaptation_fraction=0.25, strategy="pca_emb")
 report = zero_shot_transfer(run.params, run.bundle.normalizer, run.projection,

@@ -6,7 +6,7 @@ on new data. This sweep trains one model per component count and reports
 in-distribution and shifted-data error next to the trainable-embedding
 baseline, the same curve the sweep-components CLI command emits as CSV.
 
-Run:  python demos/04_component_sweep.py   (~3 minutes)
+Run:  python demos/04_component_sweep.py   (~30 s)
 """
 
 from stpca import ModelConfig, SynthSpec, TrainConfig, generate

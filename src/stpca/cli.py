@@ -218,8 +218,7 @@ def cmd_transfer(args):
         if name not in STRATEGY_ALIASES:
             raise ConfigError(f"unknown transfer strategy {name!r}")
         plans.append((name, TransferPlan(adaptation_fraction=args.adaptation_fraction,
-                                         strategy=STRATEGY_ALIASES[name],
-                                         refit_projection=args.refit_projection)))
+                                         strategy=STRATEGY_ALIASES[name])))
     params, norm = load_model(args.model)
     proj = _projection(args, [plan.strategy for _, plan in plans])
     target = ingest_csv(args.target)
@@ -327,7 +326,7 @@ def cmd_export_embeddings(args):
     print(f"wrote {args.out}")
     if args.graph_out:
         from .graph import build_adaptive_graph
-        write_graph_csv(build_adaptive_graph(table), node_ids, args.graph_out)
+        write_graph_csv(build_adaptive_graph(table.values), node_ids, args.graph_out)
         print(f"wrote {args.graph_out}")
     return 0
 
@@ -404,7 +403,6 @@ def build_parser():
     p.add_argument("--strategies", default="vanilla,zero,pca,finetune")
     p.add_argument("--adaptation-fraction", type=float,
                    default=TransferPlan.adaptation_fraction)
-    p.add_argument("--refit-projection", action="store_true")
     p.add_argument("--include-baseline", action="store_true")
     p.add_argument("--out", default="comparison.json")
     p.set_defaults(func=cmd_transfer)

@@ -2,8 +2,6 @@
 
 import numpy as np
 
-from .pca import EmbeddingTable
-
 
 def row_softmax(logits: np.ndarray, out=None) -> np.ndarray:
     # written into `out` when given, which may be `logits`. The max subtraction
@@ -18,19 +16,27 @@ def row_softmax(logits: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def build_adaptive_graph(embedding) -> np.ndarray:
-    """Similarity graph: row-wise softmax of the rectified embedding Gram matrix,
-    [N x N] non-negative weights whose every row sums to 1.
+def _gram(e: np.ndarray) -> np.ndarray:
+    # a fresh [N x N] array. einsum sums each entry over C on its own, so
+    # permuting nodes permutes it bit-exactly; BLAS's `e @ e.T` does not at
+    # PEMS size (N=307, C=8)
+    return np.einsum("nc,mc->nm", e, e)
+
+
+def build_adaptive_graph(e: np.ndarray) -> np.ndarray:
+    """Similarity graph of an [N x C] embedding array: row-wise softmax of the
+    rectified Gram matrix, [N x N] non-negative weights whose every row sums
+    to 1. Permuting the nodes permutes the graph bit-exactly.
 
     Non-positive similarities become zero logits (not -inf), so a node with no
     positive neighbor gets uniform outgoing weights.
     """
-    e = embedding.values if isinstance(embedding, EmbeddingTable) else np.asarray(embedding)
+    e = np.asarray(e)
     if e.ndim != 2 or e.shape[0] < 1:
         raise ValueError("embedding must be [N x C] with N >= 1")
     if not np.isfinite(e).all():
         raise ValueError("non-finite embedding")
-    weights = e @ e.T  # fresh per build (a forward cache keeps it), then in place
+    weights = _gram(e)  # fresh per build (a forward cache keeps it), then in place
     np.maximum(weights, 0.0, out=weights)
     return row_softmax(weights, out=weights)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import _check_fields, _setting
 from .graph import build_adaptive_graph, graph_mix
-from .pca import EmbeddingTable, zero_embedding
+from .pca import EmbeddingTable
 
 # windows x nodes per block (`_blocks`) of inference and scoring, so a block's
 # [rows x mix_dim] activations (0.85 MB at the default sizes) stay in a core's
@@ -163,10 +163,9 @@ def init_params(config: ModelConfig, n: int, seed: int) -> ModelParams:
 
 
 def set_embedding(params: ModelParams, table: EmbeddingTable) -> ModelParams:
-    """Return a copy of the model with the embedding slot replaced.
-
-    A zero-strategy table always lands as exact zeros. The node count may
-    change freely; no other tensor depends on it.
+    """Return a copy of the model with the embedding slot replaced by a copy
+    of `table`. The node count may change freely; no other tensor depends on
+    it.
     """
     if table.dim != params.config.embed_dim:
         raise ValueError(
@@ -174,11 +173,7 @@ def set_embedding(params: ModelParams, table: EmbeddingTable) -> ModelParams:
             f"{params.config.embed_dim}"
         )
     out = params.clone()
-    if table.strategy == "zero":
-        out.embedding = zero_embedding(table.num_nodes, table.dim)
-    else:
-        out.embedding = EmbeddingTable(values=table.values.copy(),
-                                       strategy=table.strategy)
+    out.embedding = EmbeddingTable(values=table.values.copy(), strategy=table.strategy)
     return out
 
 
@@ -261,7 +256,7 @@ def forward(params: ModelParams, normalizer, history: np.ndarray, tod_idx, dow_i
 
     adp = None
     if cfg.use_graph:
-        adp = build_adaptive_graph(emb) if graph is None else graph
+        adp = build_adaptive_graph(emb.values) if graph is None else graph
 
     # the rows backward reads, [N*B x F + 1], are kept only when it needs them
     hs, rs = [h], []
@@ -320,7 +315,8 @@ def _predict_blocks(params, windows, normalizer, work: Workspace):
     of `work`, so it is valid until the next one is drawn; a window's
     prediction does not depend on the block it falls in.
     """
-    graph = build_adaptive_graph(params.embedding) if params.config.use_graph else None
+    graph = (build_adaptive_graph(params.embedding.values) if params.config.use_graph
+             else None)
     for rows in _blocks(len(windows), windows.history.shape[1]):
         y = forward(params, normalizer, windows.history[rows], windows.tod[rows],
                     windows.dow[rows], graph=graph, work=work)

@@ -83,7 +83,7 @@ class PcaProjection:
 
 @dataclass
 class EmbeddingTable:
-    """[N x C] per-node embedding with its strategy tag."""
+    """[N x C] per-node embedding with its strategy tag; a zero table is zeros."""
 
     values: np.ndarray
     strategy: str
@@ -96,6 +96,8 @@ class EmbeddingTable:
             raise ValueError("non-finite embedding entries")
         if self.strategy not in TABLE_STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.strategy == "zero" and self.values.any():
+            raise ValueError("zero-strategy embedding has nonzero entries")
 
     @property
     def num_nodes(self) -> int:

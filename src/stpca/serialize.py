@@ -99,8 +99,8 @@ def save_model(params: ModelParams, normalizer: Normalizer, path):
 def load_model(path):
     """Returns (params, normalizer).
 
-    A cut file, or tensors whose shapes disagree with the header config,
-    raise ValueError naming the path.
+    A cut file, tensors whose shapes disagree with the header config, or a
+    zero-strategy table with a nonzero entry raise ValueError naming the path.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -140,7 +140,10 @@ def _parse_model(raw: bytes, path):
     if off + 1 != len(raw):
         raise ValueError(f"{path}: trailing bytes in checkpoint")
 
-    params = _from_tensors(cfg, tensors, TAG_STRATEGIES[tag])
+    try:
+        params = _from_tensors(cfg, tensors, TAG_STRATEGIES[tag])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return params, Normalizer(mean=mean, std=std)
 
 

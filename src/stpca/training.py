@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import Normalizer, _check, _check_fields, _setting
-from .graph import build_adaptive_graph
+from .graph import _gram, build_adaptive_graph
 from .metrics import _scored_mae
 from .model import ModelParams, Workspace, _rows_matmul, forward
 
@@ -147,7 +147,7 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
                                   out=work.take("d_adj", (n, n)))
                 e = params.embedding.values
                 d_logits = a * (d_adj - (a * d_adj).sum(axis=1, keepdims=True))
-                d_gram = d_logits * (e @ e.T > 0)
+                d_gram = d_logits * (_gram(e) > 0)
                 d_emb_graph = (d_gram + d_gram.T) @ e
             dh = cache["h_premix"]  # the pre-mix gradient, over the pre-mix rows
             np.matmul(a.T, dh_mixed, out=dh.reshape(n, -1))
@@ -267,7 +267,7 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
     # a table that no step updates keeps one graph for the whole fit
     frozen_graph = None
     if params.config.use_graph and "embedding" not in names:
-        frozen_graph = build_adaptive_graph(params.embedding)
+        frozen_graph = build_adaptive_graph(params.embedding.values)
 
     rng = np.random.default_rng(config.seed)
     state = AdamState()

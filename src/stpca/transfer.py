@@ -24,7 +24,6 @@ STRATEGIES = ("vanilla_adaptive", "zero_emb", "pca_emb", "finetune_emb")
 class TransferPlan:
     adaptation_fraction: float = _setting(0.05, "(0, 0.5]")
     strategy: str = _setting("pca_emb", STRATEGIES)
-    refit_projection: bool = False
 
     def __post_init__(self):
         _check_fields(self)
@@ -49,14 +48,14 @@ def split_adaptation(series: TrafficSeries, fraction: float):
 
 
 def with_strategy(params, strategy, series, step_range, normalizer, proj=None,
-                  refit=False, finetune_config=None):
+                  finetune_config=None):
     """The model with its embedding slot filled under one transfer strategy.
 
     vanilla_adaptive keeps the trained table and zero_emb zeroes it. pca_emb
     refreshes it from the day tensor of `step_range`, scaled by `normalizer`,
-    through `proj`, or with `refit` through a projection of as many components
-    fitted on that tensor. finetune_emb trains only the table on the range's
-    windows. The passed-in params are never mutated.
+    through `proj`, the source projection the weights were trained with.
+    finetune_emb trains only the table on the range's windows. The passed-in
+    params are never mutated.
     """
     cfg = params.config
     if strategy == "vanilla_adaptive":
@@ -66,11 +65,7 @@ def with_strategy(params, strategy, series, step_range, normalizer, proj=None,
     if strategy == "pca_emb":
         if proj is None:
             raise ValueError("pca_emb requires the source projection")
-        if refit:
-            table, _ = pca_table(series, step_range, normalizer,
-                                 n_components=proj.num_components)
-        else:
-            table, _ = pca_table(series, step_range, normalizer, proj)
+        table, _ = pca_table(series, step_range, normalizer, proj)
         return set_embedding(params, table)
     if strategy == "finetune_emb":
         windows = make_windows(series, step_range, cfg.l1, cfg.l2)
@@ -99,11 +94,10 @@ def _transfer(params, normalizer, proj, target_series, plan, protocol,
     tensor_norm = (normalizer if protocol == "cross_year"
                    else fit_normalizer(target_series, adapt_range))
     scored = with_strategy(params, plan.strategy, target_series, adapt_range,
-                           tensor_norm, proj, plan.refit_projection, finetune_config)
+                           tensor_norm, proj, finetune_config)
 
     meta = {"strategy": plan.strategy, "protocol": protocol,
             "adaptation_range": list(adapt_range), "eval_range": list(eval_range),
-            "refit_projection": plan.refit_projection,
             "input_normalizer": [normalizer.mean, normalizer.std]}
     if plan.strategy == "pca_emb":
         meta["tensor_normalizer"] = [tensor_norm.mean, tensor_norm.std]

@@ -218,17 +218,20 @@ class TestFaultExits:
                        "--out", str(tmp_path / "r.json")) == 2
         assert_one_line_error(capsys, "config error: ")
 
-    @pytest.mark.parametrize("command", ["transfer", "export-embeddings"])
-    def test_removed_flag_exit_2(self, synth_dir, trained_dir, tmp_path, command):
+    @pytest.mark.parametrize("command, removed", [
+        ("transfer", ["--csv-out", "{tmp}/cmp.csv"]), ("transfer", ["--refit-projection"]),
+        ("export-embeddings", ["--min-weight", "0.1"]),
+    ], ids=["transfer", "transfer-refit-projection", "export-embeddings"])
+    def test_removed_flag_exit_2(self, synth_dir, trained_dir, tmp_path, command,
+                                 removed):
         model = ["--model", str(trained_dir / "model.stpf")]
         if command == "transfer":
             argv = [*model, "--target", str(synth_dir / "shifted.csv"),
-                    "--csv-out", str(tmp_path / "cmp.csv")]
+                    "--out", str(tmp_path / "cmp.json")]
         else:
-            argv = [*model, "--graph-out", str(tmp_path / "g.csv"),
-                    "--min-weight", "0.1"]
+            argv = [*model, "--graph-out", str(tmp_path / "g.csv")]
         with pytest.raises(SystemExit) as exc:
-            run_cli(command, *argv)
+            run_cli(command, *argv, *(a.format(tmp=tmp_path) for a in removed))
         assert exc.value.code == 2
         assert list(tmp_path.iterdir()) == []
 
@@ -373,6 +376,20 @@ class TestEval:
         assert run_cli("eval", "--model", str(tmp_path / "missing.stpf"),
                        "--data", str(synth_dir / "train.csv")) == 1
 
+    def test_dirty_zero_checkpoint_exit_1(self, synth_dir, trained_dir, tmp_path,
+                                          capsys):
+        # a zero-strategy checkpoint whose table was rewritten to 5.0
+        params, norm = load_model(trained_dir / "model.stpf")
+        params.embedding = zero_embedding(params.num_nodes, params.config.embed_dim)
+        params.embedding.values[:] = 5.0  # past the table's own check
+        dirty = tmp_path / "dirty.stpf"
+        save_model(params, norm, dirty)
+        assert run_cli("eval", "--model", str(dirty), "--data",
+                       str(synth_dir / "train.csv"), "--strategy", "vanilla",
+                       "--out", str(tmp_path / "r.json")) == 1
+        assert "nonzero" in assert_one_line_error(capsys, f"error: {dirty}: ")
+        assert not (tmp_path / "r.json").exists()
+
     def test_eval_rerun_byte_identical(self, synth_dir, trained_dir, tmp_path):
         outs = []
         for name in ("r1.json", "r2.json"):
@@ -406,16 +423,6 @@ class TestTransfer:
         entries = json.loads(out.read_text())
         assert [e["strategy"] for e in entries] == [
             "vanilla", "zero", "pca", "finetune", "hist_avg"]
-
-    def test_refit_flag_recorded(self, synth_dir, trained_dir, tmp_path):
-        out = tmp_path / "cmp.json"
-        assert run_cli("transfer", "--model", str(trained_dir / "model.stpf"),
-                       "--proj", str(trained_dir / "proj.stpj"),
-                       "--target", str(synth_dir / "shifted.csv"),
-                       "--strategies", "pca", "--adaptation-fraction", "0.3",
-                       "--refit-projection", "--out", str(out)) == 0
-        entry = json.loads(out.read_text())[0]
-        assert entry["report"]["meta"]["refit_projection"] is True
 
     def test_steps_per_day_mismatch_exit_1(self, trained_dir, tmp_path, capsys):
         other = tmp_path / "other"
@@ -613,24 +620,38 @@ class TestExportAndReport:
         np.testing.assert_array_equal(exported, params.embedding.values)
 
     def test_export_with_graph(self, synth_dir, trained_dir, tmp_path):
-        emb = tmp_path / "emb3.csv"
-        graph = tmp_path / "graph.csv"
-        assert run_cli("export-embeddings", "--model",
-                       str(trained_dir / "model.stpf"), "--out", str(emb),
-                       "--graph-out", str(graph)) == 0
-        lines = graph.read_text().splitlines()
-        assert lines[0] == "src,dst,weight"
-        assert len(lines) == 1 + 8 * 8  # every node pair
+        # from the model's own table, and from the projection over a series
+        for source in (["--model", str(trained_dir / "model.stpf")],
+                       ["--proj", str(trained_dir / "proj.stpj"),
+                        "--data", str(synth_dir / "train.csv")]):
+            emb = tmp_path / "emb3.csv"
+            graph = tmp_path / "graph.csv"
+            assert run_cli("export-embeddings", *source, "--out", str(emb),
+                           "--graph-out", str(graph)) == 0
+            lines = graph.read_text().splitlines()
+            assert lines[0] == "src,dst,weight"
+            assert len(lines) == 1 + 8 * 8  # every node pair
 
     def test_report_rendering(self, synth_dir, trained_dir, tmp_path, capsys):
-        rep = tmp_path / "r.json"
+        # an eval report, then a transfer comparison list of four entries
+        rep, cmp = tmp_path / "r.json", tmp_path / "cmp.json"
         assert run_cli("eval", "--model", str(trained_dir / "model.stpf"),
                        "--data", str(synth_dir / "train.csv"),
                        "--out", str(rep)) == 0
+        assert run_cli("transfer", "--model", str(trained_dir / "model.stpf"),
+                       "--proj", str(trained_dir / "proj.stpj"),
+                       "--target", str(synth_dir / "shifted.csv"),
+                       "--strategies", "vanilla,zero,pca",
+                       "--adaptation-fraction", "0.3", "--include-baseline",
+                       "--out", str(cmp)) == 0
         capsys.readouterr()
-        assert run_cli("report", "--report", str(rep)) == 0
-        text = capsys.readouterr().out
-        assert "Average" in text and "&" in text
+        for path, strategies in ((rep, ["vanilla"]),
+                                 (cmp, ["vanilla", "zero", "pca", "hist_avg"])):
+            assert run_cli("report", "--report", str(path)) == 0
+            text = capsys.readouterr().out
+            heads = [line for line in text.splitlines() if line.startswith("--- ")]
+            assert heads == [f"--- {name}" for name in strategies]
+            assert text.count("Average") == len(strategies) and "&" in text
 
     def test_byte_order_mark_report_same_rendering(self, synth_dir, trained_dir,
                                                     tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Every demo runs to its last line. Demo 01 takes ~0.2 s and runs with the
-unit tests; 02-04 take ~35 s together and run under the acceptance marker."""
+unit tests; 02-04 take ~45 s together and run under the acceptance marker."""
 
 import pathlib
 import runpy

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from stpca.graph import build_adaptive_graph, graph_mix, row_softmax
-from stpca.pca import EmbeddingTable
 
 
 def formula_oracle(e):
@@ -49,27 +48,21 @@ class TestBuildGraph:
                                       g2.argmax(axis=1))
 
     def test_permutation_equivariance_exact(self):
+        # at 100 x 2 and 307 x 8, BLAS's `e @ e.T` gives permuted rows other bits
         rng = np.random.default_rng(3)
-        e = rng.normal(size=(7, 4))
-        perm = rng.permutation(7)
-        g = build_adaptive_graph(e)
-        gp = build_adaptive_graph(e[perm])
-        np.testing.assert_array_equal(gp, g[np.ix_(perm, perm)])
-        # at PEMS size the BLAS Gram matrix itself is not permutation-exact,
-        # so the softmax is checked on permuted logits
-        e = rng.normal(size=(307, 8))
-        logits = np.maximum(e @ e.T, 0.0)
-        w = row_softmax(logits)
-        for _ in range(5):
-            perm = rng.permutation(307)
-            np.testing.assert_array_equal(row_softmax(logits[np.ix_(perm, perm)]),
-                                          w[np.ix_(perm, perm)])
+        for n, c in [(7, 4), (100, 2), (307, 8)]:
+            e = rng.normal(size=(n, c))
+            g = build_adaptive_graph(e)
+            for _ in range(5):
+                perm = rng.permutation(n)
+                np.testing.assert_array_equal(build_adaptive_graph(e[perm]),
+                                              g[np.ix_(perm, perm)])
 
     @pytest.mark.parametrize("n", [4, 40, 307])
     def test_in_place_build_equals_fresh_arrays(self, n):
         # the out-of-place sorted-sum softmax the in-place build replaces
         e = np.random.default_rng(n).normal(size=(n, 8))
-        logits = np.maximum(e @ e.T, 0.0)
+        logits = np.maximum(np.einsum("nc,mc->nm", e, e), 0.0)
         shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
         want = shifted / np.cumsum(np.sort(shifted, axis=1), axis=1)[:, -1][:, None]
         first, second = build_adaptive_graph(e), build_adaptive_graph(e)
@@ -80,10 +73,6 @@ class TestBuildGraph:
         assert logits.tobytes() == kept.tobytes()  # without `out`, input untouched
         assert row_softmax(logits, out=logits) is logits
         assert logits.tobytes() == want.tobytes()
-
-    def test_accepts_embedding_table(self):
-        t = EmbeddingTable(values=np.eye(3), strategy="pca")
-        assert build_adaptive_graph(t).shape == (3, 3)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):

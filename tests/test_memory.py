@@ -3,10 +3,14 @@
 `tracemalloc` sees numpy's array allocations, so a call's traced peak shows
 whether it built a full-size [W x N x l2] prediction array, a full copy of
 a file's text, a gradient buffer beside each cached activation, a second
-series, or a copy of the days a PCA table is built from.
+series, or a copy of the days a PCA table is built from. The PEMS04-length
+CLI chain is bounded by each command's peak RSS instead, in a fresh process.
 """
 
 import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -157,3 +161,59 @@ def test_pca_table_peak_below_a_quarter_of_the_day_tensor(fit):
     (table, _), peak = traced_peak(pca_table, s, step_range, norm, proj, n_components=8)
     assert table.values.shape == (N, 8)
     assert peak < values.nbytes / 4
+
+
+# one stpca command in this process, then its peak RSS in MB as the last line.
+# It reads VmHWM, the peak of the process's own memory since exec: ru_maxrss
+# keeps the resident size of the process that forked it (the test runner's)
+# across the exec
+BOUNDED = """
+import sys
+from stpca.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024)
+sys.exit(code)
+"""
+
+
+@pytest.mark.acceptance
+def test_pems04_length_cli_peaks(tmp_path):
+    # 307 nodes, 59 days of 5-minute slots, one BLAS thread: each command's
+    # peak RSS stays under its bound in MB (~30 s and ~200 MB on disk)
+    d = tmp_path
+    for name, extra in [("run", []), ("graph", ["model.use_graph=true"]),
+                        ("pca", ["embedding.strategy=pca"])]:
+        (d / f"{name}.cfg").write_text("\n".join([
+            f"data.csv={d / 'small' / 'train.csv'}", *extra, "train.max_epochs=1",
+            "train.patience=1", f"run.out_dir={d / name}"]) + "\n")
+    pems04 = ["--nodes", "307", "--steps-per-day", "288"]
+    steps = [
+        (140, ["synth", *pems04, "--days", "59", "--out-dir", str(d / "data")]),
+        (140, ["synth", *pems04, "--days", "4", "--seed", "1",
+               "--out-dir", str(d / "small")]),
+        (200, ["train", "--config", str(d / "run.cfg")]),
+        (85, ["train", "--config", str(d / "graph.cfg")]),
+        (85, ["train", "--config", str(d / "pca.cfg")]),
+        # the pca table of the 59-day series reads its days in place
+        (110, ["export-embeddings", "--proj", str(d / "pca" / "proj.stpj"),
+               "--data", str(d / "data" / "train.csv"), "--out", str(d / "emb.csv")]),
+        (200, ["transfer", "--model", str(d / "run" / "model.stpf"),
+               "--target", str(d / "data" / "shifted.csv"), "--strategies", "zero",
+               "--include-baseline", "--out", str(d / "comparison.json")]),
+    ]
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    over = []
+    for bound, argv in steps:
+        done = subprocess.run([sys.executable, "-c", BOUNDED, *argv], env=env,
+                              capture_output=True, text=True)
+        command = " ".join(["stpca", *argv]).replace(f"{d}{os.sep}", "")
+        assert done.returncode == 0, f"{command}: exit {done.returncode}: {done.stderr}"
+        peak = float(done.stdout.splitlines()[-1])
+        print(f"{command}: peak RSS {peak:.0f} MB (bound {bound} MB)")
+        if peak > bound:
+            over.append(f"{command}: peak RSS {peak:.0f} MB > {bound} MB")
+    assert not over, "; ".join(over)

@@ -451,11 +451,11 @@ class TestSetEmbedding:
         x, ti, di = batch(ws)
         assert forward(swapped, NORM, x, ti, di).shape == (2, 25, 4)
 
-    def test_zero_strategy_forces_exact_zeros(self):
-        params = init_params(toy_config(), 5, seed=0)
-        dirty = EmbeddingTable(values=np.ones((5, 3)), strategy="zero")
-        swapped = set_embedding(params, dirty)
-        np.testing.assert_array_equal(swapped.embedding.values, 0.0)
+    def test_zero_strategy_table_with_a_nonzero_entry_cannot_be_built(self):
+        values = np.zeros((5, 3))
+        values[2, 1] = 5.0
+        with pytest.raises(ValueError, match="zero-strategy embedding has nonzero"):
+            EmbeddingTable(values=values, strategy="zero")
 
     def test_identity_swap_preserves_outputs(self):
         params = init_params(toy_config(), 5, seed=0)

@@ -569,7 +569,7 @@ def reference_fit(params, train, val, normalizer, config, trainable=None):
     names = params.trainable_names() if trainable is None else list(trainable)
     graph = None
     if params.config.use_graph and "embedding" not in names:
-        graph = build_adaptive_graph(params.embedding)
+        graph = build_adaptive_graph(params.embedding.values)
     rng = np.random.default_rng(config.seed)
     m, v, t = {}, {}, 0
     best_mae, stale = float("inf"), 0

@@ -192,22 +192,6 @@ class TestZeroShot:
                                  TransferPlan(adaptation_fraction=0.25))
         assert np.isfinite(rep.horizons["avg"].mae)
 
-    def test_refit_projection_mode(self, trained):
-        run, _, _ = trained
-        city_b = generate(SynthSpec(n_nodes=6, n_roles=4, days=21,
-                                    steps_per_day=24, shift_fraction=0.0,
-                                    noise_std=2.0, seed=44))[0]
-        reuse = zero_shot_transfer(run.params, run.bundle.normalizer,
-                                   run.projection, city_b,
-                                   TransferPlan(adaptation_fraction=0.25))
-        refit = zero_shot_transfer(run.params, run.bundle.normalizer,
-                                   run.projection, city_b,
-                                   TransferPlan(adaptation_fraction=0.25,
-                                                refit_projection=True))
-        assert refit.metadata["refit_projection"] is True
-        assert not math.isclose(reuse.horizons["avg"].mae,
-                                refit.horizons["avg"].mae, rel_tol=1e-12)
-
     def test_identity_transfer_equals_in_distribution(self, trained):
         run, train_series, _ = trained
         plan = TransferPlan(adaptation_fraction=0.5)
