@@ -101,14 +101,6 @@ class Workspace:
     def __init__(self):
         self._buffers = {}
         self._views = {}
-        self._kept = {}
-
-    def keep(self, key, build):
-        """`build()` on the first call with this key, the same object after."""
-        obj = self._kept.get(key)
-        if obj is None:
-            obj = self._kept[key] = build()
-        return obj
 
     def take(self, name, shape, dtype=np.float64):
         view = self._views.get((name, shape))

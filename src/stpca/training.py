@@ -81,51 +81,47 @@ class FlatTensors(dict):
             self[name] = flat[lo:hi].reshape(shape)
             lo = hi
 
+    @classmethod
+    def of(cls, params: ModelParams, names) -> "FlatTensors":
+        """An uninitialized vector shaped like the model's named tensors."""
+        tensors = params.tensors()
+        shapes = {name: tensors[name].shape for name in names}
+        return cls(np.empty(sum(map(math.prod, shapes.values()))), shapes)
 
-def _layer_grads(grads, names, w, b, d, rows, work):
+
+def _layer_grads(grads, w, b, d, rows, work):
     """Gradients of weight `w` and bias `b` of a layer that read `rows`, which
     end in a ones column, and got back d: one GEMM d.T @ rows."""
-    if w in names or b in names:
+    if w in grads or b in grads:
         wb = np.matmul(d.T, rows, out=work.take("wb", (d.shape[1], rows.shape[1])))
         for name, part in ((w, wb[:, :-1]), (b, wb[:, -1])):
-            if name in names:
+            if name in grads:
                 grads[name][...] = part
 
 
 def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
-             trainable=None):
-    """Exact gradients of the cached forward pass for the requested tensors.
+             grads: FlatTensors) -> FlatTensors:
+    """Exact gradients of the cached forward pass, written into `grads`.
 
-    `trainable` names the tensors (default: the model's trainable ones); only
-    their gradients are computed, while the `dh` chain runs through every
-    block. Batch and node axes are contracted as one flat node-major [N*B]
-    axis, so a layer's weight and bias gradients are one BLAS matmul against
-    its input rows and their ones column, and each graph product one GEMM on
-    [N x B*F] views. The gradients of activation rows carry a last column of
-    exact zeros, which adds exact zeros to those GEMMs. The graph's share of
-    the embedding gradient is computed only when the embedding is requested.
-    The gradients are views of one flat vector in `trainable` order (a
-    `FlatTensors`); it and every temporary come from the forward pass's
-    workspace, so a later backward of a new cache from the same workspace
-    and names writes into the same vector. Each activation gradient is
-    written over the cached activation just read for the last time, so a
-    cache serves one backward: a second raises ValueError.
+    Only the tensors that `grads` names are differentiated, while the `dh`
+    chain runs through every block. Batch and node axes are contracted as one
+    flat node-major [N*B] axis, so a layer's weight and bias gradients are
+    one BLAS matmul against its input rows and their ones column, and each
+    graph product one GEMM on [N x B*F] views. The gradients of activation
+    rows carry a last column of exact zeros, which adds exact zeros to those
+    GEMMs. The graph's share of the embedding gradient is computed only when
+    the embedding is requested. Temporaries come from the forward pass's
+    workspace. Each activation gradient is written over the cached
+    activation just read for the last time, so a cache serves one backward:
+    a second raises ValueError.
     """
     cfg = params.config
-    names = params.trainable_names() if trainable is None else list(trainable)
     work, hs, rs = cache["work"], cache.pop("hs", None), cache["rs"]
     if hs is None:
         raise ValueError("a forward cache serves one backward: it holds gradients now")
     b, n, _ = loss_grad.shape
     ch, ce, ct, cm = cfg.hidden_dim, cfg.embed_dim, cfg.tod_dim, cfg.mix_dim
     rows = n * b
-
-    def gradient_vector():
-        tensors = params.tensors()
-        shapes = {name: tensors[name].shape for name in names}
-        return FlatTensors(np.empty(sum(map(math.prod, shapes.values()))), shapes)
-
-    grads = work.keep(("grads", *names), gradient_vector)
     w = params.weights
     dy = np.ascontiguousarray(loss_grad.swapaxes(0, 1)).reshape(rows, -1)
 
@@ -133,7 +129,7 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
         a[:, cm] = 0.0
         return a
 
-    _layer_grads(grads, names, "w_o", "b_o", dy, hs[-1], work)
+    _layer_grads(grads, "w_o", "b_o", dy, hs[-1], work)
     dh = _rows_matmul(dy, w["w_o"], dead(hs[-1]))
 
     d_emb_graph = None
@@ -141,7 +137,7 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
         if cfg.use_graph and i == 0:
             a = cache["graph"]
             dh_mixed = dh.reshape(n, -1)
-            if "embedding" in names:
+            if "embedding" in grads:
                 # mixing weights -> softmax rows -> relu -> gram -> embedding
                 d_adj = np.matmul(dh_mixed, cache["h_premix"].reshape(n, -1).T,
                                   out=work.take("d_adj", (n, n)))
@@ -151,26 +147,27 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
                 d_emb_graph = (d_gram + d_gram.T) @ e
             dh = cache["h_premix"]  # the pre-mix gradient, over the pre-mix rows
             np.matmul(a.T, dh_mixed, out=dh.reshape(n, -1))
-        _layer_grads(grads, names, f"w2_{i}", f"b2_{i}", dh[:, :cm], rs[i], work)
+        _layer_grads(grads, f"w2_{i}", f"b2_{i}", dh[:, :cm], rs[i], work)
         relu = np.greater(rs[i], 0.0, out=work.take("relu", rs[i].shape, bool))
         dz = _rows_matmul(dh[:, :cm], w[f"w2_{i}"], dead(rs[i]))
         dz *= relu
-        _layer_grads(grads, names, f"w1_{i}", f"b1_{i}", dz[:, :cm], hs[i], work)
+        _layer_grads(grads, f"w1_{i}", f"b1_{i}", dz[:, :cm], hs[i], work)
         dh += _rows_matmul(dz[:, :cm], w[f"w1_{i}"], dead(hs[i]))
 
-    _layer_grads(grads, names, "w_x", "b_x", dh[:, :ch], cache["x"], work)
+    _layer_grads(grads, "w_x", "b_x", dh[:, :ch], cache["x"], work)
     dh = dh.reshape(n, b, -1)
-    ones = work.keep(("ones", max(n, b)), lambda: np.ones(max(n, b)))
-    if "embedding" in names:
+    ones = work.take("ones", (max(n, b),))
+    ones.fill(1.0)
+    if "embedding" in grads:
         d_emb = np.matmul(ones[:b], dh[:, :, ch : ch + ce], out=grads["embedding"])
         if d_emb_graph is not None:
             d_emb += d_emb_graph
-    if "tod" in names or "dow" in names:
+    if "tod" in grads or "dow" in grads:
         # each window's sums over nodes, one product for both tables
         dh_sum = np.matmul(ones[:n], dh.reshape(n, -1),
                            out=work.take("dh_sum", (b * (cm + 1),))).reshape(b, -1)
     for name, lo, hi in (("tod", ch + ce, ch + ce + ct), ("dow", ch + ce + ct, cm)):
-        if name in names:
+        if name in grads:
             grads[name].fill(0.0)
             np.add.at(grads[name], cache[f"{name}_idx"], dh_sum[:, lo:hi])
 
@@ -182,8 +179,8 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
 
 
 def clip_gradients(grads: FlatTensors, max_norm: float):
-    """Scale `backward`'s gradient vector down, in place, if its global norm
-    exceeds max_norm. Returns (grads, pre-clip norm)."""
+    """Scale the gradient vector down, in place, if its global norm exceeds
+    max_norm. Returns (grads, pre-clip norm)."""
     total = math.sqrt(float(grads.flat @ grads.flat))
     if total > max_norm:
         grads.flat *= max_norm / total
@@ -192,44 +189,42 @@ def clip_gradients(grads: FlatTensors, max_norm: float):
 
 @dataclass
 class AdamState:
-    """Adam over one flat vector of every trained tensor, in gradient order.
+    """Adam over one flat vector `theta` of the trained tensors, which the
+    model's tensors are views of; `m` and `v` are its moments and `scratch`
+    a vector the update works in."""
 
-    On the first step `theta` takes the tensors' values and the model's
-    tensors become views of it; `m` and `v` are its moments and `scratch` a
-    vector the update works in.
-    """
-
-    theta: Optional[np.ndarray] = None
-    m: Optional[np.ndarray] = None
-    v: Optional[np.ndarray] = None
-    scratch: Optional[np.ndarray] = None
+    theta: FlatTensors
+    m: np.ndarray
+    v: np.ndarray
+    scratch: np.ndarray
     t: int = 0
-    names: tuple = ()  # the gradient names theta was laid out for
-    model: Optional[ModelParams] = None  # whose tensors are views of theta
+
+    @classmethod
+    def bound(cls, params: ModelParams, names) -> "AdamState":
+        """A fresh state whose `theta` holds the named tensors' values, the
+        model's tensors rebound to its views. A table that enters `theta` is
+        trained, so its tag becomes adaptive."""
+        theta = FlatTensors.of(params, names)
+        tensors = params.tensors()
+        np.concatenate([tensors[name].ravel() for name in theta], out=theta.flat)
+        params.bind(theta)
+        if "embedding" in theta:
+            params.embedding.strategy = "adaptive"
+        flat = theta.flat
+        return cls(theta, np.zeros_like(flat), np.zeros_like(flat), np.empty_like(flat))
 
 
-def adam_step(state: AdamState, params: ModelParams, grads: FlatTensors, lr: float):
-    """One bias-corrected Adam update of the model's tensors by `backward`'s
-    (clipped) gradient vector.
+def adam_step(state: AdamState, grads: FlatTensors, lr: float):
+    """One bias-corrected Adam update of `state.theta` by the (clipped)
+    gradient vector of the same tensors.
 
     The update is a dozen whole-vector operations, and both bias corrections
     fold into two scalars: lr * m_hat / (sqrt(v_hat) + EPS) equals
     step * m / (sqrt(v) + eps_hat) with step = lr * sqrt(c2) / c1 and
     eps_hat = EPS * sqrt(c2), where c1, c2 are 1 - BETA1**t, 1 - BETA2**t.
     """
-    names = tuple(grads)
-    if state.theta is None:
-        tensors = params.tensors()
-        state.theta = np.concatenate([tensors[name].ravel() for name in names])
-        state.m, state.v = np.zeros_like(state.theta), np.zeros_like(state.theta)
-        state.scratch = np.empty_like(state.theta)
-        state.names, state.model = names, params
-        params.bind(FlatTensors(state.theta, {name: tensors[name].shape
-                                               for name in names}))
-    elif names != state.names:
-        raise ValueError(f"Adam state holds {state.names}, got gradients for {names}")
-    elif params is not state.model:
-        raise ValueError("Adam state is bound to another model's tensors")
+    if list(grads) != list(state.theta):
+        raise ValueError(f"Adam state holds {list(state.theta)}, got {list(grads)}")
     state.t += 1
     root_c2 = math.sqrt(1 - BETA2 ** state.t)
     step = lr * root_c2 / (1 - BETA1 ** state.t)
@@ -245,7 +240,7 @@ def adam_step(state: AdamState, params: ModelParams, grads: FlatTensors, lr: flo
     s += eps_hat
     np.divide(m, s, out=s)
     s *= step
-    state.theta -= s
+    state.theta.flat -= s
 
 
 def fit(params: ModelParams, train_windows, val_windows, normalizer,
@@ -255,9 +250,10 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
     Only a strictly lower validation MAE is a new best; training stops after
     `patience` epochs in a row without one, or at the epoch cap (the report's
     stopping_reason says which). A non-finite loss, like non-finite
-    activations in `forward`, raises FloatingPointError. The model's embedding
-    slot is updated only when the adaptive strategy (or an explicit trainable
-    list) includes it; otherwise it is untouched, bit for bit.
+    activations in `forward`, raises FloatingPointError. The trained tensors
+    become views of Adam's vector before the first step. The embedding slot
+    is one of them only under the adaptive strategy or an explicit trainable
+    list, which tags it adaptive; otherwise it is untouched, bit for bit.
     """
     if not train_windows or not val_windows:
         raise ValueError("train and validation windows must be non-empty")
@@ -270,7 +266,8 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
         frozen_graph = build_adaptive_graph(params.embedding.values)
 
     rng = np.random.default_rng(config.seed)
-    state = AdamState()
+    state = AdamState.bound(params, names)
+    grads = FlatTensors.of(params, names)
     report = TrainReport()
     stale = 0  # epochs since the last improvement
     best = params.clone()
@@ -297,9 +294,9 @@ def fit(params: ModelParams, train_windows, val_windows, normalizer,
                                           mask=mask.swapaxes(0, 1), work=work)
             if not np.isfinite(loss):
                 raise FloatingPointError("non-finite training loss")
-            grads, _ = clip_gradients(backward(params, cache, lgrad, trainable=names),
-                                      config.grad_clip_norm)
-            adam_step(state, params, grads, config.lr)
+            backward(params, cache, lgrad, grads)
+            clip_gradients(grads, config.grad_clip_norm)
+            adam_step(state, grads, config.lr)
             losses.append(loss)
 
         val_mae = _scored_mae(params, val_windows, normalizer, work)
@@ -330,7 +327,7 @@ def finite_difference_check(params: ModelParams, windows, normalizer,
     pred, cache = forward(params, normalizer, windows.history, windows.tod, windows.dow,
                           cache=True)
     _, lgrad = masked_mae_loss(pred, windows.target, normalizer)
-    grads = backward(params, cache, lgrad, trainable=names)
+    grads = backward(params, cache, lgrad, FlatTensors.of(params, names))
 
     work = Workspace()
 

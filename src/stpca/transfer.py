@@ -54,8 +54,8 @@ def with_strategy(params, strategy, series, step_range, normalizer, proj=None,
     vanilla_adaptive keeps the trained table and zero_emb zeroes it. pca_emb
     refreshes it from the day tensor of `step_range`, scaled by `normalizer`,
     through `proj`, the source projection the weights were trained with.
-    finetune_emb trains only the table on the range's windows. The passed-in
-    params are never mutated.
+    finetune_emb trains only the table on the range's windows, and tags it
+    adaptive. The passed-in params are never mutated.
     """
     cfg = params.config
     if strategy == "vanilla_adaptive":

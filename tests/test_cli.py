@@ -151,7 +151,7 @@ class TestFaultExits:
         "data.ratios=0.5,0.5,nan",
         "train.patience=0", "train.patience=5", "train.lr=-1",
         "model.hidden_dim=0", "model.l1=0", "model.l2=-3", "model.theta=1.5",
-        "embedding.strategy=banana",
+        "embedding.strategy=banana", "model.use_graph=maybe",
     ])
     def test_bad_config_value_exit_2(self, synth_dir, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
@@ -235,6 +235,36 @@ class TestFaultExits:
         assert exc.value.code == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("case, code, line", [
+        ("train-without-data", 2,
+         "config error: config key data.csv is required for this command"),
+        ("unknown-strategy", 2, "config error: unknown transfer strategy 'banana'"),
+        ("export-without-source", 2,
+         "config error: need either --model or both --proj and --data"),
+        ("header-l1-zero", 1,
+         "error: {model}: bad header config: l1 must be in [1, inf), got 0"),
+    ], ids=["train-without-data", "unknown-strategy", "export-without-source",
+            "header-l1-zero"])
+    def test_input_fault_exit(self, synth_dir, trained_dir, tmp_path, capsys, case,
+                              code, line):
+        model = tmp_path / "model.stpf"
+        raw = bytearray((trained_dir / "model.stpf").read_bytes())
+        raw[9:13] = (0).to_bytes(4, "little")  # the header's l1
+        model.write_bytes(bytes(raw))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"run.out_dir={tmp_path / 'o'}\n")
+        out = str(tmp_path / "out.json")
+        argv = {"train-without-data": ["train", "--config", str(cfg)],
+                "unknown-strategy": ["transfer", "--model", str(model),
+                                     "--target", str(synth_dir / "shifted.csv"),
+                                     "--strategies", "vanilla,banana", "--out", out],
+                "export-without-source": ["export-embeddings", "--out", out],
+                "header-l1-zero": ["eval", "--model", str(model),
+                                   "--data", str(synth_dir / "train.csv"), "--out", out]}
+        assert run_cli(*argv[case]) == code
+        assert capsys.readouterr().err == line.format(model=model) + "\n"
+        assert sorted(tmp_path.iterdir()) == [model, cfg]
+
     def test_diverging_training_exit_1(self, synth_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         write_config(cfg, synth_dir / "train.csv", tmp_path / "o",
@@ -270,12 +300,16 @@ class TestTrain:
         for name in ("model.stpf", "proj.stpj", "train_log.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-    def test_adaptive_strategy_no_projection_file(self, synth_dir, tmp_path):
+    @pytest.mark.parametrize("strategy", ["adaptive", "zero"])
+    def test_no_projection_file(self, synth_dir, tmp_path, strategy):
         cfg = tmp_path / "run.cfg"
         out = tmp_path / "out"
-        write_config(cfg, synth_dir / "train.csv", out, strategy="adaptive")
+        write_config(cfg, synth_dir / "train.csv", out, strategy=strategy)
         assert run_cli("train", "--config", str(cfg)) == 0
         assert not (out / "proj.stpj").exists()
+        params, _ = load_model(out / "model.stpf")
+        assert params.embedding.strategy == strategy
+        assert params.embedding.values.any() == (strategy == "adaptive")
 
     def test_byte_order_mark_config_same_resolved_config(self, synth_dir, tmp_path):
         # Windows editors may start a UTF-8 file with the bytes EF BB BF

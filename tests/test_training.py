@@ -46,9 +46,14 @@ def batch(windows):
 
 def flat_grads(arrays):
     """The arrays copied into one `FlatTensors` vector, the layout `backward`
-    returns and `clip_gradients` and `adam_step` take."""
+    fills and `clip_gradients` and `adam_step` take."""
     return FlatTensors(np.concatenate([np.ravel(a) for a in arrays.values()]),
                        {name: np.shape(a) for name, a in arrays.items()})
+
+
+def vector(params, names=None):
+    """A gradient vector for the named tensors (default: the trainable ones)."""
+    return FlatTensors.of(params, params.trainable_names() if names is None else names)
 
 
 def einsum_backward(params, cache, loss_grad):
@@ -196,7 +201,7 @@ class TestBackward:
         params = init_params(toy_config(), 5, seed=0)
         x, _, ti, di = batch(toy_windows(3))
         _, cache = forward(params, NORM, x, ti, di, cache=True)
-        grads = backward(params, cache, np.zeros((3, 5, 4)))
+        grads = backward(params, cache, np.zeros((3, 5, 4)), vector(params))
         for g in grads.values():
             np.testing.assert_array_equal(g, 0.0)
 
@@ -206,14 +211,14 @@ class TestBackward:
         x, y, ti, di = batch(ws)
         pred, cache = forward(params, NORM, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
-        g1 = backward(params, cache, lgrad)
+        g1 = backward(params, cache, lgrad, vector(params))
 
         x2 = np.concatenate([x, x]); y2 = np.concatenate([y, y])
         ti2 = np.concatenate([ti, ti]); di2 = np.concatenate([di, di])
         pred2, cache2 = forward(params, NORM, x2, ti2, di2, cache=True)
         _, lgrad2 = masked_mae_loss(pred2, y2, NORM)
         # same per-cell grad scale: feed the single-batch grad duplicated
-        g2 = backward(params, cache2, np.concatenate([lgrad, lgrad]))
+        g2 = backward(params, cache2, np.concatenate([lgrad, lgrad]), vector(params))
         for name in g1:
             np.testing.assert_allclose(g2[name], 2 * g1[name], atol=1e-12)
 
@@ -224,7 +229,8 @@ class TestBackward:
         def gradients(seed):
             x, y, ti, di = batch(toy_windows(3, seed=seed))
             pred, cache = forward(params, NORM, x, ti, di, cache=True)
-            return backward(params, cache, masked_mae_loss(pred, y, NORM)[1])
+            _, lgrad = masked_mae_loss(pred, y, NORM)
+            return backward(params, cache, lgrad, vector(params))
 
         first = gradients(1)
         kept = first.flat.copy()
@@ -259,7 +265,7 @@ class TestBackward:
         pred, cache = forward(params, NORM, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
         reference = einsum_backward(params, cache, lgrad)
-        grads = backward(params, cache, lgrad)
+        grads = backward(params, cache, lgrad, vector(params))
         assert set(grads) == set(params.trainable_names())
         for name, g in grads.items():
             scale = np.abs(reference[name]).max()
@@ -280,10 +286,7 @@ class TestBackward:
         pred, cache = forward(params, NORM, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
         names = list(params.tensors())
-        # a copy: a later backward in the same workspace with the same names
-        # reuses its vector
-        full = {name: g.copy() for name, g in
-                backward(params, cache, lgrad, trainable=names).items()}
+        full = backward(params, cache, lgrad, vector(params, names))
         requested = names if requested is None else requested
         _, cache = forward(params, NORM, x, ti, di, cache=True)  # one backward per cache
 
@@ -300,7 +303,7 @@ class TestBackward:
 
         if not {"tod", "dow"} & set(requested):
             monkeypatch.setattr(training, "np", NumpyWithoutScatter())
-        grads = backward(params, cache, lgrad, trainable=requested)
+        grads = backward(params, cache, lgrad, vector(params, requested))
         assert list(grads) == requested
         for name, g in grads.items():
             np.testing.assert_array_equal(g, full[name], err_msg=name)
@@ -312,9 +315,9 @@ class TestBackward:
         x, y, ti, di = batch(toy_windows(3))
         pred, cache = forward(params, NORM, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
-        backward(params, cache, lgrad)
+        backward(params, cache, lgrad, vector(params))
         with pytest.raises(ValueError, match="one backward"):
-            backward(params, cache, lgrad, trainable=["w_o"])
+            backward(params, cache, lgrad, vector(params, ["w_o"]))
 
     def test_non_finite_gradient_names_tensor(self):
         params = init_params(toy_config(), 5, seed=0)
@@ -324,7 +327,7 @@ class TestBackward:
         lgrad[0, 0, 0] = np.inf
         with np.errstate(invalid="ignore"), \
                 pytest.raises(FloatingPointError, match="gradient for b_o"):
-            backward(params, cache, lgrad, trainable=["b_o"])
+            backward(params, cache, lgrad, vector(params, ["b_o"]))
 
     @pytest.mark.parametrize("requested,named", [
         (["b_o", "w_o", "w_x", "b_x"], "w_x"),
@@ -341,7 +344,7 @@ class TestBackward:
         cache["x"][0, 0] = np.inf  # the input rows backward reads
         with np.errstate(invalid="ignore"), \
                 pytest.raises(FloatingPointError, match=f"gradient for {named}$"):
-            backward(params, cache, lgrad, trainable=requested)
+            backward(params, cache, lgrad, vector(params, requested))
 
     def test_frozen_embedding_gets_no_gradient(self):
         params = init_params(toy_config(), 5, seed=0)
@@ -350,7 +353,7 @@ class TestBackward:
         x, y, ti, di = batch(toy_windows(3))
         pred, cache = forward(params, NORM, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
-        grads = backward(params, cache, lgrad)
+        grads = backward(params, cache, lgrad, vector(params))
         assert "embedding" not in grads
 
     @pytest.mark.parametrize("strategy", ["pca", "zero"])
@@ -366,7 +369,7 @@ class TestBackward:
         x, y, ti, di = batch(toy_windows(7, seed=8))
         pred, cache = forward(params, NORM, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
-        full = backward(params, cache, lgrad, trainable=list(params.tensors()))
+        full = backward(params, cache, lgrad, vector(params, list(params.tensors())))
         _, cache = forward(params, NORM, x, ti, di, cache=True)  # one backward per cache
 
         take = model.Workspace.take
@@ -377,7 +380,7 @@ class TestBackward:
             return take(work, name, *args)
 
         monkeypatch.setattr(model.Workspace, "take", take_no_adjacency_gradient)
-        grads = backward(params, cache, lgrad)
+        grads = backward(params, cache, lgrad, vector(params))
         assert set(grads) == set(params.trainable_names())
         for name, g in grads.items():
             np.testing.assert_array_equal(g, full[name], err_msg=name)
@@ -404,7 +407,7 @@ class TestBiasGradients:
         biases = [name for name in params.tensors() if name.startswith("b")]
         for trainable in (params.trainable_names(), biases):
             _, cache = forward(params, NORM, x, ti, di, cache=True)  # one backward per cache
-            grads = backward(params, cache, lgrad, trainable=trainable)
+            grads = backward(params, cache, lgrad, vector(params, trainable))
             for name in biases:
                 scale = np.abs(reference[name]).max()
                 assert np.abs(grads[name] - reference[name]).max() <= 1e-12 * scale, name
@@ -425,7 +428,7 @@ class TestBackwardPemsShape:
         pred, cache = forward(params, NORM, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
         reference = einsum_backward(params, cache, lgrad)
-        grads = backward(params, cache, lgrad)
+        grads = backward(params, cache, lgrad, vector(params))
         assert set(grads) == set(params.trainable_names())
         for name, g in grads.items():
             scale = np.abs(reference[name]).max()
@@ -453,9 +456,9 @@ class TestAdam:
         slow = fast.clone()
         grads_seq = [{name: rng.normal(size=t.shape) * 10.0 ** rng.integers(-4, 2)
                       for name, t in fast.tensors().items()} for _ in range(20)]
-        state = AdamState()
+        state = AdamState.bound(fast, list(fast.tensors()))
         for grads in grads_seq:
-            adam_step(state, fast, flat_grads(grads), lr=1e-2)
+            adam_step(state, flat_grads(grads), lr=1e-2)
         textbook_adam(slow, grads_seq, lr=1e-2)
         assert state.t == 20
         for name, tensor in fast.tensors().items():
@@ -464,42 +467,43 @@ class TestAdam:
 
     def test_gradient_set_must_not_change(self):
         params = init_params(toy_config(), 2, seed=0)
-        state = AdamState()
+        state = AdamState.bound(params, ["w_x"])
         w = params.weights
-        adam_step(state, params, flat_grads({"w_x": np.ones_like(w["w_x"])}), lr=1e-3)
+        adam_step(state, flat_grads({"w_x": np.ones_like(w["w_x"])}), lr=1e-3)
         with pytest.raises(ValueError, match="Adam state"):
-            adam_step(state, params, flat_grads({"b_x": np.ones_like(w["b_x"])}),
-                      lr=1e-3)
+            adam_step(state, flat_grads({"b_x": np.ones_like(w["b_x"])}), lr=1e-3)
 
     def test_backward_gradient_set_must_not_change(self):
         params = init_params(toy_config(), 5, seed=0)
         x, y, ti, di = batch(toy_windows(3))
         pred, cache = forward(params, NORM, x, ti, di, cache=True)
         _, lgrad = masked_mae_loss(pred, y, NORM)
-        state = AdamState()
-        adam_step(state, params, backward(params, cache, lgrad), lr=1e-3)
+        state = AdamState.bound(params, params.trainable_names())
+        adam_step(state, backward(params, cache, lgrad, vector(params)), lr=1e-3)
         _, cache = forward(params, NORM, x, ti, di, cache=True)  # one backward per cache
         with pytest.raises(ValueError, match="Adam state"):
-            adam_step(state, params, backward(params, cache, lgrad, trainable=["w_o"]),
+            adam_step(state, backward(params, cache, lgrad, vector(params, ["w_o"])),
                       lr=1e-3)
 
     def test_state_is_bound_to_its_model(self):
+        # bound at construction: before any step the named tensors are views
+        # of theta holding their old values, and the others are left alone
         params = init_params(toy_config(), 2, seed=0)
-        state = AdamState()
-        adam_step(state, params, flat_grads({"w_x": np.ones_like(params.weights["w_x"])}),
-                  lr=1e-3)
-        assert np.shares_memory(params.weights["w_x"], state.theta)
-        other = params.clone()
-        with pytest.raises(ValueError, match="another model"):
-            adam_step(state, other, flat_grads({"w_x": np.ones_like(other.weights["w_x"])}),
-                      lr=1e-3)
+        before = {k: v.copy() for k, v in params.tensors().items()}
+        state = AdamState.bound(params, ["b_x", "w_x"])
+        assert list(state.theta) == ["b_x", "w_x"] and state.t == 0
+        for name, tensor in params.tensors().items():
+            assert np.shares_memory(tensor, state.theta.flat) == (name in state.theta)
+            assert tensor.tobytes() == before[name].tobytes(), name
+        adam_step(state, flat_grads({"b_x": np.ones(6), "w_x": np.ones((6, 4))}), lr=1e-3)
+        assert (params.weights["w_x"] < before["w_x"]).all()
 
     def test_first_step_magnitude(self):
         cfg = toy_config()
         params = init_params(cfg, 2, seed=0)
         before = params.weights["w_x"].copy()
         grads = flat_grads({"w_x": np.ones_like(before)})
-        adam_step(AdamState(), params, grads, lr=1e-3)
+        adam_step(AdamState.bound(params, ["w_x"]), grads, lr=1e-3)
         np.testing.assert_allclose(before - params.weights["w_x"], 1e-3 / (1 + 1e-8),
                                    atol=1e-12)
 
@@ -507,7 +511,7 @@ class TestAdam:
         params = init_params(toy_config(), 2, seed=0)
         before = {k: v.copy() for k, v in params.tensors().items()}
         grads = flat_grads({k: np.zeros_like(v) for k, v in params.tensors().items()})
-        adam_step(AdamState(), params, grads, lr=1e-3)
+        adam_step(AdamState.bound(params, list(params.tensors())), grads, lr=1e-3)
         for k, v in params.tensors().items():
             np.testing.assert_array_equal(v, before[k])
 
@@ -587,8 +591,7 @@ def reference_fit(params, train, val, normalizer, config, trainable=None):
                                   train.tod[idx], train.dow[idx], cache=True,
                                   graph=graph)
             loss, lgrad = masked_mae_loss(pred, y, normalizer)
-            grads = {name: g.copy() for name, g in
-                     backward(params, cache, lgrad, trainable=names).items()}
+            grads = backward(params, cache, lgrad, vector(params, names))
             flat = np.concatenate([g.ravel() for g in grads.values()])
             norm = math.sqrt(float(flat @ flat))
             if norm > config.grad_clip_norm:
@@ -822,15 +825,15 @@ class TestFit:
         params = init_params(toy_config(), 5, seed=4)
         ws = toy_windows(8, seed=9, zero_frac=0.0)
         x, y, ti, di = batch(ws)
-        from stpca.training import AdamState, adam_step, backward as bwd
-        state = AdamState()
+        state = AdamState.bound(params, params.trainable_names())
+        grads = vector(params)
         losses = []
         for _ in range(50):
             pred, cache = forward(params, NORM, x, ti, di, cache=True)
             loss, lgrad = masked_mae_loss(pred, y, NORM)
             losses.append(loss)
-            grads, _ = clip_gradients(bwd(params, cache, lgrad), 5.0)
-            adam_step(state, params, grads, lr=1e-3)
+            clip_gradients(backward(params, cache, lgrad, grads), 5.0)
+            adam_step(state, grads, lr=1e-3)
         assert losses[-1] < losses[0]
         assert min(losses) == losses[-1] or losses[-1] < losses[0] * 0.9
 

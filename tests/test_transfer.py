@@ -6,13 +6,14 @@ import pytest
 from stpca.dataset import DataError, TrafficSeries, make_windows
 from stpca.metrics import evaluate, horizon_report_from_arrays
 from stpca.model import ModelConfig, set_embedding
-from stpca.pca import refresh_embedding
+from stpca.pca import refresh_embedding, zero_embedding
 from stpca.pipeline import prepare_data, train_run
+from stpca.serialize import load_model, save_model
 from stpca.synth import SynthSpec, generate
 from stpca.training import TrainConfig
 from stpca.transfer import (TransferPlan, cross_year_eval,
                             historical_average_baseline, split_adaptation,
-                            zero_shot_transfer)
+                            with_strategy, zero_shot_transfer)
 from stpca.dataset import to_day_tensor
 
 MODEL_KW = dict(l1=12, l2=12, embed_dim=4, tod_dim=8, dow_dim=4, hidden_dim=4,
@@ -101,7 +102,6 @@ class TestCrossYear:
         rep = cross_year_eval(run.params, run.bundle.normalizer, None, shifted, plan)
         assert rep.metadata["strategy"] == "zero_emb"
         # reference: manual zero swap
-        from stpca.pca import zero_embedding
         manual = evaluate(
             set_embedding(run.params, zero_embedding(10, 4)), None,
             make_windows(shifted, split_adaptation(shifted, 0.5)[1], 12, 12),
@@ -119,6 +119,25 @@ class TestCrossYear:
         # the passed-in params object is cloned inside; originals untouched
         for name, tensor in run.params.tensors().items():
             np.testing.assert_array_equal(tensor, snap[name])
+
+    @pytest.mark.parametrize("source", ["zero", "pca"])
+    def test_finetuned_table_is_adaptive(self, trained, tmp_path, source):
+        # a fine-tuned table holds trained values, whatever table it started
+        # from, so it saves and loads as an adaptive table
+        run, _, shifted = trained
+        params = (run.params if source == "pca"
+                  else set_embedding(run.params, zero_embedding(10, 4)))
+        ft_cfg = TrainConfig(lr=5e-3, max_epochs=2, patience=2, batch_size=32, seed=1)
+        tuned = with_strategy(params, "finetune_emb", shifted,
+                              split_adaptation(shifted, 0.5)[0], run.bundle.normalizer,
+                              finetune_config=ft_cfg)
+        assert params.embedding.strategy == source
+        assert tuned.embedding.strategy == "adaptive"
+        assert (tuned.embedding.values != params.embedding.values).any()
+        save_model(tuned, run.bundle.normalizer, tmp_path / "tuned.stpf")
+        back, _ = load_model(tmp_path / "tuned.stpf")
+        assert back.embedding.strategy == "adaptive"
+        assert back.embedding.values.tobytes() == tuned.embedding.values.tobytes()
 
     def test_node_count_mismatch_rejected(self, trained):
         run, _, _ = trained
