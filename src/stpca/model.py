@@ -8,8 +8,11 @@ row axis, and the graph mix is one [N x N] @ [N x B*F] GEMM. `forward` takes
 raw history [B x N x l1] and returns transposed node-major buffers [B x N x l2].
 """
 
+import contextvars
 import copy
 import math
+import os
+from concurrent import futures
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,9 +24,11 @@ from .pca import EmbeddingTable
 
 # windows x nodes per block (`_blocks`) of inference and scoring, so a block's
 # [rows x mix_dim] activations (0.85 MB at the default sizes) stay in a core's
-# L2 cache. With node-major activations on one BLAS thread, 1024, 2048 and 4096
-# rows ran within 6% of each other per window at N = 40, 170 and 307, and the
-# order changed between runs (N=307 with the graph: 722/731/774, 675/702/662 us).
+# L2 cache; with the helper thread of `_predict_blocks` two blocks are in
+# flight, one per core. With node-major activations on one BLAS thread, 1024,
+# 2048 and 4096 rows ran within 6% of each other per window at N = 40, 170 and
+# 307, and the order changed between runs (N=307 with the graph: 722/731/774,
+# 675/702/662 us).
 PREDICT_ROWS = 2048
 # multiply-adds per BLAS call of a node-shared product, OpenBLAS's small-matrix
 # limit. One BLAS thread ran [9824 x 52] @ [52 x 52] in 2.18 ms as one call and
@@ -96,11 +101,20 @@ class Workspace:
     contents. A name's buffer grows to the largest size asked for, and a
     smaller shape (a ragged last batch or block) gets a leading slice of it,
     so a loop over blocks of one pass allocates nothing after its first block.
+    A workspace serves one thread at a time; `lane` is its pair, which the
+    helper thread of `_predict_blocks` forwards the odd blocks into.
     """
 
     def __init__(self):
         self._buffers = {}
         self._views = {}
+        self._lane = None
+
+    @property
+    def lane(self) -> "Workspace":
+        if self._lane is None:
+            self._lane = Workspace()
+        return self._lane
 
     def take(self, name, shape, dtype=np.float64):
         view = self._views.get((name, shape))
@@ -297,6 +311,21 @@ def _blocks(count: int, n: int):
         yield slice(lo, lo + step)
 
 
+_HELPER = None  # (process id, its helper thread or None)
+
+
+def _helper():
+    """The one helper thread of this process, made on first use, or None when
+    the process may use only one CPU. A forked child makes its own: its copy
+    of the parent's executor has no thread."""
+    global _HELPER
+    if _HELPER is None or _HELPER[0] != os.getpid():
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        _HELPER = os.getpid(), futures.ThreadPoolExecutor(1) if cpus > 1 else None
+    return _HELPER[1]
+
+
 def _predict_blocks(params, windows, normalizer, work: Workspace):
     """Forward the windows in blocks: yields each block's predictions in
     original units with its targets, both [b x N x l2].
@@ -305,14 +334,41 @@ def _predict_blocks(params, windows, normalizer, work: Workspace):
     built once per pass, since the table is fixed for the whole pass. Every
     block is normalized, forwarded and de-normalized in place through buffers
     of `work`, so it is valid until the next one is drawn; a window's
-    prediction does not depend on the block it falls in.
+    prediction does not depend on the block it falls in, so the blocks may
+    run at the same time. With a `_helper` thread, the odd blocks go into
+    `work.lane` instead, and from block 3 on the helper forwards each odd
+    block while this thread forwards the even one before it. This thread
+    forwards blocks 0 and 1 itself, so both lanes' buffers come from its
+    allocator. Blocks are still yielded in order, so the error raised is the
+    first in block order. A helper block runs in a copy of this thread's
+    context, so `np.errstate` holds there too, and a pass that ends early
+    waits for its helper block before it returns.
     """
     graph = (build_adaptive_graph(params.embedding.values) if params.config.use_graph
              else None)
-    for rows in _blocks(len(windows), windows.history.shape[1]):
+
+    def run(rows, into):
         y = forward(params, normalizer, windows.history[rows], windows.tod[rows],
-                    windows.dow[rows], graph=graph, work=work)
-        yield normalizer.invert(y, out=y), windows.target[rows]
+                    windows.dow[rows], graph=graph, work=into)
+        return normalizer.invert(y, out=y), windows.target[rows]
+
+    helper = _helper()
+    lane = work if helper is None else work.lane
+    blocks = list(_blocks(len(windows), windows.history.shape[1]))
+    pending = None
+    try:
+        for i, rows in enumerate(blocks):
+            if i % 2:
+                yield run(rows, lane) if pending is None else pending.result()
+                pending = None
+                continue
+            if helper is not None and 0 < i < len(blocks) - 1:
+                pending = helper.submit(contextvars.copy_context().run, run,
+                                        blocks[i + 1], lane)
+            yield run(rows, work)
+    finally:
+        if pending is not None and not pending.cancel():
+            futures.wait((pending,))
 
 
 def predict(params: ModelParams, windows, normalizer,

@@ -13,6 +13,10 @@ from .metrics import _scored_mae
 from .model import ModelParams, Workspace, _rows_matmul, forward
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+# entries per dot product of the clip norm: OpenBLAS threads `ddot` above
+# ~10,000 entries, and a threaded dot adds in another order, so a vector's
+# norm is a sum of dots over fixed chunks, one BLAS thread each, added in order
+NORM_CHUNK = 8192
 
 
 @dataclass
@@ -180,8 +184,11 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
 
 def clip_gradients(grads: FlatTensors, max_norm: float):
     """Scale the gradient vector down, in place, if its global norm exceeds
-    max_norm. Returns (grads, pre-clip norm)."""
-    total = math.sqrt(float(grads.flat @ grads.flat))
+    max_norm. Returns (grads, pre-clip norm), whose bits do not depend on
+    the BLAS thread count."""
+    g = grads.flat
+    total = math.sqrt(sum(float(g[lo : lo + NORM_CHUNK] @ g[lo : lo + NORM_CHUNK])
+                          for lo in range(0, len(g), NORM_CHUNK)))
     if total > max_norm:
         grads.flat *= max_norm / total
     return grads, total

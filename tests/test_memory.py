@@ -1,4 +1,4 @@
-"""Memory bounded by one block, not by the series.
+"""Memory bounded by the blocks in flight, not by the series.
 
 `tracemalloc` sees numpy's array allocations, so a call's traced peak shows
 whether it built a full-size [W x N x l2] prediction array, a full copy of

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -526,6 +529,52 @@ class TestAdam:
         clipped, total = clip_gradients(g, 5.0)
         assert total == 5.0
         np.testing.assert_array_equal(clipped["a"], [3.0, 4.0])
+
+    @pytest.mark.parametrize("size", [4969, 8192, 12552, 20000])
+    def test_norm_sums_fixed_chunks_in_order(self, size):
+        # a vector of one chunk (the acceptance model's has 4969 entries)
+        # keeps the bits of one dot product
+        a = np.random.default_rng(size).normal(size=size)
+        chunks = [a[lo : lo + 8192] for lo in range(0, size, 8192)]
+        expected = math.sqrt(sum(float(c @ c) for c in chunks))
+        if size <= 8192:
+            assert expected == math.sqrt(float(a @ a))
+        assert clip_gradients(flat_grads({"a": a}), 1e9)[1] == expected
+
+
+# a default-size fit (12,552 trained entries) on an 8-node synth; prints the
+# sha256 of its weights
+FIT_SHA256 = """
+import hashlib
+import numpy as np
+from stpca.model import ModelConfig
+from stpca.pipeline import train_run
+from stpca.synth import SynthSpec, generate
+from stpca.training import TrainConfig
+series, _, _ = generate(SynthSpec(n_nodes=8, days=14, steps_per_day=48))
+run = train_run(series, ModelConfig(steps_per_day=48), TrainConfig(max_epochs=2, patience=2))
+digest = hashlib.sha256()
+for tensor in run.params.tensors().values():
+    digest.update(np.ascontiguousarray(tensor).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_fit_bits_independent_of_blas_threads():
+    # OpenBLAS threads a dot product of the whole gradient vector at 2 threads,
+    # which summed it in another order and forked the weights from step 2 on
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.environ.get("PYTHONPATH")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        done = subprocess.run([sys.executable, "-c", FIT_SHA256], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout.split()[-1])
+    assert len(digests) == 1, digests
 
 
 def scripted_fit(monkeypatch, maes, patience):
