@@ -16,11 +16,11 @@ def row_softmax(logits: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _gram(e: np.ndarray) -> np.ndarray:
-    # a fresh [N x N] array. einsum sums each entry over C on its own, so
-    # permuting nodes permutes it bit-exactly; BLAS's `e @ e.T` does not at
+def _gram(e: np.ndarray, out=None) -> np.ndarray:
+    # [N x N], into `out` when given. einsum sums each entry over C on its own,
+    # so permuting nodes permutes it bit-exactly; BLAS's `e @ e.T` does not at
     # PEMS size (N=307, C=8)
-    return np.einsum("nc,mc->nm", e, e)
+    return np.einsum("nc,mc->nm", e, e, out=out)
 
 
 def build_adaptive_graph(e: np.ndarray) -> np.ndarray:
@@ -59,3 +59,13 @@ def graph_mix(g: np.ndarray, h: np.ndarray, out=None, per_window=False):
     else:
         np.matmul(g, h.reshape(len(h), -1), out=out.reshape(len(h), -1))
     return out
+
+
+def _embedding_grad(g, d_mixed, h, e, d_adj, scratch):
+    """d/de of a batch mix `g @ h` (rows [N x M]) by g = build_adaptive_graph(e),
+    given its gradient d_mixed, with [N x N] temporaries in d_adj and scratch."""
+    np.matmul(d_mixed, h.T, out=d_adj)
+    d_adj -= np.multiply(g, d_adj, out=scratch).sum(axis=1, keepdims=True)
+    d_adj *= g  # the softmax logits' gradient
+    d_adj *= np.greater(_gram(e, out=scratch), 0.0, out=scratch)  # the gram's
+    return np.add(d_adj, d_adj.T, out=scratch) @ e

@@ -34,6 +34,10 @@ PREDICT_ROWS = 2048
 # limit. One BLAS thread ran [9824 x 52] @ [52 x 52] in 2.18 ms as one call and
 # 1.49 ms in chunks of <= 369 rows (this budget); 1.62 ms at half, 2.18 at twice.
 CHUNK_MACS = 1_000_000
+# multiply-adds below which the helper thread's hand-off does not pay: on one BLAS
+# thread, inference passes took 1.03x as long with it below 15M helper multiply-
+# adds, 0.92x at 30-60M; backward 1.12x at 1.4M, 0.84x at 38M.
+HELPER_MACS = 20_000_000
 
 
 @dataclass
@@ -101,8 +105,9 @@ class Workspace:
     contents. A name's buffer grows to the largest size asked for, and a
     smaller shape (a ragged last batch or block) gets a leading slice of it,
     so a loop over blocks of one pass allocates nothing after its first block.
-    A workspace serves one thread at a time; `lane` is its pair, which the
-    helper thread of `_predict_blocks` forwards the odd blocks into.
+    A workspace serves one thread at a time, save two buffers that backward's
+    graph step lends the helper thread until it joins it; `lane` is its pair,
+    which the helper thread of `_predict_blocks` forwards the odd blocks into.
     """
 
     def __init__(self):
@@ -314,47 +319,47 @@ def _blocks(count: int, n: int):
 _HELPER = None  # (process id, its helper thread or None)
 
 
-def _helper():
-    """The one helper thread of this process, made on first use, or None when
-    the process may use only one CPU. A forked child makes its own: its copy
-    of the parent's executor has no thread."""
+def _helper(macs):
+    """The one helper thread of this process, made on first use, for `macs`
+    multiply-adds of work; None below HELPER_MACS or on one CPU. A forked
+    child makes its own: its copy of the parent's executor has no thread."""
     global _HELPER
     if _HELPER is None or _HELPER[0] != os.getpid():
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
         _HELPER = os.getpid(), futures.ThreadPoolExecutor(1) if cpus > 1 else None
-    return _HELPER[1]
+    return _HELPER[1] if macs >= HELPER_MACS else None
 
 
 def _predict_blocks(params, windows, normalizer, work: Workspace):
     """Forward the windows in blocks: yields each block's predictions in
     original units with its targets, both [b x N x l2].
 
-    Blocks are the windows' `_blocks` of N nodes. The adaptive graph is
-    built once per pass, since the table is fixed for the whole pass. Every
-    block is normalized, forwarded and de-normalized in place through buffers
-    of `work`, so it is valid until the next one is drawn; a window's
-    prediction does not depend on the block it falls in, so the blocks may
-    run at the same time. With a `_helper` thread, the odd blocks go into
-    `work.lane` instead, and from block 3 on the helper forwards each odd
-    block while this thread forwards the even one before it. This thread
-    forwards blocks 0 and 1 itself, so both lanes' buffers come from its
-    allocator. Blocks are still yielded in order, so the error raised is the
-    first in block order. A helper block runs in a copy of this thread's
-    context, so `np.errstate` holds there too, and a pass that ends early
-    waits for its helper block before it returns.
+    Blocks are the windows' `_blocks` of N nodes, and the adaptive graph is
+    built once per pass. Every block is normalized, forwarded and
+    de-normalized in place through buffers of `work`, so it is valid until
+    the next one is drawn; a window's prediction does not depend on its
+    block, so blocks may run at the same time. With a `_helper` thread for
+    the multiply-adds of blocks 3, 5, ..., the odd blocks go into
+    `work.lane`, and from block 3 on the helper forwards each odd block while
+    this thread forwards the even one before it (and blocks 0 and 1, so both
+    lanes' buffers come from its allocator). Blocks are yielded in order, so
+    the error raised is the first in block order. A helper block runs in a
+    copy of this thread's context, so `np.errstate` holds there too, and a
+    pass that ends early waits for its helper block.
     """
-    graph = (build_adaptive_graph(params.embedding.values) if params.config.use_graph
-             else None)
+    count, n = windows.history.shape[:2]
+    blocks, cfg = list(_blocks(count, n)), params.config
+    graph = build_adaptive_graph(params.embedding.values) if cfg.use_graph else None
 
     def run(rows, into):
         y = forward(params, normalizer, windows.history[rows], windows.tod[rows],
                     windows.dow[rows], graph=graph, work=into)
         return normalizer.invert(y, out=y), windows.target[rows]
 
-    helper = _helper()
+    helper = _helper(n * sum(len(range(count)[s]) for s in blocks[3::2]) * cfg.mix_dim
+                     * (2 * cfg.num_blocks * cfg.mix_dim + cfg.use_graph * n))
     lane = work if helper is None else work.lane
-    blocks = list(_blocks(len(windows), windows.history.shape[1]))
     pending = None
     try:
         for i, rows in enumerate(blocks):

@@ -1,5 +1,6 @@
 """Masked loss, exact reverse-mode gradients, Adam, and the training loop."""
 
+import contextvars
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -7,8 +8,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import model
 from .dataset import Normalizer, _check, _check_fields, _setting
-from .graph import _gram, build_adaptive_graph
+from .graph import _embedding_grad, build_adaptive_graph
 from .metrics import _scored_mae
 from .model import ModelParams, Workspace, _rows_matmul, forward
 
@@ -109,15 +111,18 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
 
     Only the tensors that `grads` names are differentiated, while the `dh`
     chain runs through every block. Batch and node axes are contracted as one
-    flat node-major [N*B] axis, so a layer's weight and bias gradients are
-    one BLAS matmul against its input rows and their ones column, and each
-    graph product one GEMM on [N x B*F] views. The gradients of activation
-    rows carry a last column of exact zeros, which adds exact zeros to those
-    GEMMs. The graph's share of the embedding gradient is computed only when
-    the embedding is requested. Temporaries come from the forward pass's
-    workspace. Each activation gradient is written over the cached
-    activation just read for the last time, so a cache serves one backward:
-    a second raises ValueError.
+    flat node-major [N*B] axis: a layer's weight and bias gradients are one
+    BLAS matmul against its input rows and their ones column, and each graph
+    product one GEMM on [N x B*F] views; gradient rows end in a column of
+    exact zeros, which adds exact zeros to those GEMMs. Temporaries come from
+    the forward's workspace, and each activation gradient is written over
+    the cached activation just read for the last time, so a cache serves one
+    backward: a second raises ValueError. The graph's share of the embedding
+    gradient is computed only when the embedding is requested; with two
+    blocks or more the `_helper` thread computes it, in a copy of this
+    context, while this thread writes the pre-mix gradient into block 1's
+    spent rows and runs block 0 and `w_x`. Neither writes what the other
+    reads, and every exit waits for it.
     """
     cfg = params.config
     work, hs, rs = cache["work"], cache.pop("hs", None), cache["rs"]
@@ -136,44 +141,49 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
     _layer_grads(grads, "w_o", "b_o", dy, hs[-1], work)
     dh = _rows_matmul(dy, w["w_o"], dead(hs[-1]))
 
-    d_emb_graph = None
-    for i in range(cfg.num_blocks - 1, -1, -1):
-        if cfg.use_graph and i == 0:
-            a = cache["graph"]
-            dh_mixed = dh.reshape(n, -1)
-            if "embedding" in grads:
-                # mixing weights -> softmax rows -> relu -> gram -> embedding
-                d_adj = np.matmul(dh_mixed, cache["h_premix"].reshape(n, -1).T,
-                                  out=work.take("d_adj", (n, n)))
-                e = params.embedding.values
-                d_logits = a * (d_adj - (a * d_adj).sum(axis=1, keepdims=True))
-                d_gram = d_logits * (_gram(e) > 0)
-                d_emb_graph = (d_gram + d_gram.T) @ e
-            dh = cache["h_premix"]  # the pre-mix gradient, over the pre-mix rows
-            np.matmul(a.T, dh_mixed, out=dh.reshape(n, -1))
-        _layer_grads(grads, f"w2_{i}", f"b2_{i}", dh[:, :cm], rs[i], work)
-        relu = np.greater(rs[i], 0.0, out=work.take("relu", rs[i].shape, bool))
-        dz = _rows_matmul(dh[:, :cm], w[f"w2_{i}"], dead(rs[i]))
-        dz *= relu
-        _layer_grads(grads, f"w1_{i}", f"b1_{i}", dz[:, :cm], hs[i], work)
-        dh += _rows_matmul(dz[:, :cm], w[f"w1_{i}"], dead(hs[i]))
+    d_emb_graph = pending = None  # the graph's share, or the helper's future of it
+    try:
+        for i in range(cfg.num_blocks - 1, -1, -1):
+            if cfg.use_graph and i == 0:
+                a, h_premix, dh_mixed = cache["graph"], cache["h_premix"], dh.reshape(n, -1)
+                if "embedding" in grads:
+                    args = (a, dh_mixed, h_premix.reshape(n, -1), params.embedding.values,
+                            work.take("d_adj", (n, n)), work.take("d_gram", (n, n)))
+                    helper = cfg.num_blocks > 1 and model._helper(n * rows * (cm + 1))
+                    if not helper:
+                        d_emb_graph = _embedding_grad(*args)
+                    else:
+                        pending = helper.submit(contextvars.copy_context().run,
+                                                _embedding_grad, *args)
+                # pre-mix gradient: into block 1's spent rows, else over pre-mix rows read
+                dh = hs[1] if cfg.num_blocks > 1 else h_premix
+                np.matmul(a.T, dh_mixed, out=dh.reshape(n, -1))
+            _layer_grads(grads, f"w2_{i}", f"b2_{i}", dh[:, :cm], rs[i], work)
+            relu = np.greater(rs[i], 0.0, out=work.take("relu", rs[i].shape, bool))
+            dz = _rows_matmul(dh[:, :cm], w[f"w2_{i}"], dead(rs[i]))
+            dz *= relu
+            _layer_grads(grads, f"w1_{i}", f"b1_{i}", dz[:, :cm], hs[i], work)
+            dh += _rows_matmul(dz[:, :cm], w[f"w1_{i}"], dead(hs[i]))
 
-    _layer_grads(grads, "w_x", "b_x", dh[:, :ch], cache["x"], work)
-    dh = dh.reshape(n, b, -1)
-    ones = work.take("ones", (max(n, b),))
-    ones.fill(1.0)
-    if "embedding" in grads:
-        d_emb = np.matmul(ones[:b], dh[:, :, ch : ch + ce], out=grads["embedding"])
-        if d_emb_graph is not None:
-            d_emb += d_emb_graph
-    if "tod" in grads or "dow" in grads:
-        # each window's sums over nodes, one product for both tables
-        dh_sum = np.matmul(ones[:n], dh.reshape(n, -1),
-                           out=work.take("dh_sum", (b * (cm + 1),))).reshape(b, -1)
-    for name, lo, hi in (("tod", ch + ce, ch + ce + ct), ("dow", ch + ce + ct, cm)):
-        if name in grads:
-            grads[name].fill(0.0)
-            np.add.at(grads[name], cache[f"{name}_idx"], dh_sum[:, lo:hi])
+        _layer_grads(grads, "w_x", "b_x", dh[:, :ch], cache["x"], work)
+        dh = dh.reshape(n, b, -1)
+        ones = work.take("ones", (max(n, b),))
+        ones.fill(1.0)
+        if "embedding" in grads:
+            np.matmul(ones[:b], dh[:, :, ch : ch + ce], out=grads["embedding"])
+        if "tod" in grads or "dow" in grads:
+            # each window's sums over nodes, one product for both tables
+            dh_sum = np.matmul(ones[:n], dh.reshape(n, -1),
+                               out=work.take("dh_sum", (b * (cm + 1),))).reshape(b, -1)
+        for name, lo, hi in (("tod", ch + ce, ch + ce + ct), ("dow", ch + ce + ct, cm)):
+            if name in grads:
+                grads[name].fill(0.0)
+                np.add.at(grads[name], cache[f"{name}_idx"], dh_sum[:, lo:hi])
+    finally:  # every exit waits; a helper error, first in one-thread order, wins
+        if pending is not None:
+            d_emb_graph = pending.result()
+    if d_emb_graph is not None:
+        grads["embedding"] += d_emb_graph
 
     if not np.isfinite(grads.flat).all():
         for name, g in grads.items():  # name the first bad tensor
