@@ -34,10 +34,17 @@ PREDICT_ROWS = 2048
 # limit. One BLAS thread ran [9824 x 52] @ [52 x 52] in 2.18 ms as one call and
 # 1.49 ms in chunks of <= 369 rows (this budget); 1.62 ms at half, 2.18 at twice.
 CHUNK_MACS = 1_000_000
-# multiply-adds below which the helper thread's hand-off does not pay: on one BLAS
-# thread, inference passes took 1.03x as long with it below 15M helper multiply-
-# adds, 0.92x at 30-60M; backward 1.12x at 1.4M, 0.84x at 38M.
+# multiply-adds below which a task's hand-off to the helper thread does not
+# pay, each measured on one BLAS thread: inference passes took 1.03x as long
+# with it below 15M, 0.92x at 30-60M; backward with the graph chain 1.19-1.21x
+# at 0.3-0.7M, 0.96-0.99x at 1.4-2.7M, 0.72-0.94x from 5.4M; a training
+# forward's node half 0.96-1.16x at 7.7M, 0.55-1.00x from 14.5M; one layer's
+# weight-gradient GEMM beside its activation product 0.91-1.18x at 7M,
+# 0.80-1.03x at 13M, 0.70-0.96x at 27M.
 HELPER_MACS = 20_000_000
+CHAIN_MACS = 4_000_000
+HALF_MACS = 10_000_000
+LAYER_MACS = 16_000_000
 
 
 @dataclass
@@ -105,8 +112,10 @@ class Workspace:
     contents. A name's buffer grows to the largest size asked for, and a
     smaller shape (a ragged last batch or block) gets a leading slice of it,
     so a loop over blocks of one pass allocates nothing after its first block.
-    A workspace serves one thread at a time, save two buffers that backward's
-    graph step lends the helper thread until it joins it; `lane` is its pair,
+    A workspace serves one thread at a time, which alone calls `take`. That
+    thread lends views of its buffers to the helper thread until it joins it:
+    a training `forward`'s upper node half writes its own rows of each
+    activation, and `backward`'s layer GEMMs write `wb`. `lane` is its pair,
     which the helper thread of `_predict_blocks` forwards the odd blocks into.
     """
 
@@ -131,10 +140,6 @@ class Workspace:
                 self._views = {k: v for k, v in self._views.items() if k[0] != name}
             view = self._views[name, shape] = buf[:size].reshape(shape)
         return view
-
-
-def _all_finite(a, work):
-    return np.isfinite(a, out=work.take("finite", a.shape, bool)).all()
 
 
 def _tensor_shapes(cfg: ModelConfig):
@@ -190,20 +195,12 @@ def set_embedding(params: ModelParams, table: EmbeddingTable) -> ModelParams:
 
 def _in_out(w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """C-contiguous [in + 1 x out] operand [w.T; b] of an [out x in] weight and
-    its bias: rows ending in a 1 (`_column`) times it are `w @ row + b`, run by
+    its bias: rows ending in a 1 (`forward`'s) times it are `w @ row + b`, run by
     BLAS's NN kernel (`h @ w.T`, a transposed view, takes the NT kernel, 25-40%
     slower at these shapes on OpenBLAS). The copy costs microseconds a call."""
     wb = np.empty((w.shape[1] + 1, w.shape[0]))
     wb[:-1], wb[-1] = w.T, b
     return wb
-
-
-def _column(work: Workspace, name, rows: int, f: int, value: float) -> np.ndarray:
-    """Buffer `name` of `work`, [rows x f + 1], its last column set to `value`:
-    1.0 for a layer's input rows, 0.0 for the gradient of such rows."""
-    a = work.take(name, (rows, f + 1))
-    a[:, f] = value
-    return a
 
 
 def _rows_matmul(a: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -233,6 +230,18 @@ def forward(params: ModelParams, normalizer, history: np.ndarray, tod_idx, dow_i
     Activations, the cache's included, are written into `work`, so the next
     call with it overwrites them; without one the call takes a workspace of
     its own.
+
+    Rows are node-major, so the nodes split the rows: with cache=True and a
+    `_helper` thread for HALF_MACS of work, the helper runs the upper half of
+    the nodes while this thread runs the lower half and builds the graph.
+    They join for the graph mix, which this thread runs as the one GEMM of
+    one thread (a row split of it can move last bits: OpenBLAS tiles rows by
+    their offset in the call), and then run the later blocks on their halves
+    again. Each half's products stay chunked as `_rows_matmul` cuts them, so
+    every row keeps the bits of one thread. Every buffer is taken here, on
+    this thread, and every exit waits for the helper; the non-finite check
+    that fails first in block order is the one raised, and the output is
+    checked last, whole.
     """
     cfg = params.config
     work = Workspace() if work is None else work
@@ -244,64 +253,100 @@ def forward(params: ModelParams, normalizer, history: np.ndarray, tod_idx, dow_i
         raise ValueError(f"embedding rows {emb.num_nodes} != batch nodes {n}")
 
     ch, ce, ct, cm = cfg.hidden_dim, cfg.embed_dim, cfg.tod_dim, cfg.mix_dim
-    rows = n * b
+    rows, blocks = n * b, cfg.num_blocks
     # activation k goes to buffer h{k}, node-major rows [N*B x mix_dim + 1]
     # that end in a 1. The backward pass reads every one, but inference reads
     # only activation k-1 while writing k, so two alternate.
-    def activation(k, value):
-        return _column(work, f"h{k if cache else k % 2}", rows, cm, value)
+    # taken in the order of first use: where the buffers land in memory moved
+    # a 40-node fit by 3%
+    xs, acts, rs = work.take("x", (rows, l1 + 1)), [work.take("h0", (rows, cm + 1))], []
+    for i in range(blocks if cache else 1):
+        rs.append(work.take(f"r{i}", (rows, cm + 1)))
+        for _ in range(1 + (cache and cfg.use_graph and i == 0)):
+            acts.append(work.take(f"h{len(acts)}", (rows, cm + 1)))
+    finite = work.take("flags", (rows, cm + 1), bool)
+    ys = work.take("y", (rows, cfg.l2))
+    w = params.weights
+    ops = [_in_out(w[f"{name}_{i}"], w[f"b{name[1]}_{i}"])
+           for i in range(blocks) for name in ("w1", "w2")]
+    w_x, w_o = _in_out(w["w_x"], w["b_x"]), _in_out(w["w_o"], w["b_o"])
+    tod, dow = w["tod"][tod_idx], w["dow"][dow_idx]
+    adp = graph if cfg.use_graph else None
 
     def nodes(a):  # [N x B x F] view of rows that end in a 1
-        return a[:, :-1].reshape(n, b, -1)
+        return a[:, :-1].reshape(len(a) // b, b, -1)
 
-    xs = _column(work, "x", rows, l1, 1.0)  # ones first: stale memory could overflow
-    np.subtract(history.swapaxes(0, 1), normalizer.mean, out=xs[:, :l1].reshape(n, b, l1))
-    xs /= normalizer.std  # one division over whole rows, then the ones again
-    xs[:, l1] = 1.0
-    w = params.weights
-    h = activation(0, 1.0)  # [history features | embedding | time of day | day of week]
-    _rows_matmul(xs, _in_out(w["w_x"], w["b_x"]), h)
-    nodes(h)[:, :, ch : ch + ce] = emb.values[:, None, :]
-    nodes(h)[:, :, ch + ce : ch + ce + ct] = w["tod"][tod_idx]
-    nodes(h)[:, :, ch + ce + ct :] = w["dow"][dow_idx]
-
-    adp = None
-    if cfg.use_graph:
-        adp = build_adaptive_graph(emb.values) if graph is None else graph
-
-    # the rows backward reads, [N*B x F + 1], are kept only when it needs them
-    hs, rs = [h], []
-    h_premix, k = None, 0
-    for i in range(cfg.num_blocks):
-        r = _rows_matmul(h, _in_out(w[f"w1_{i}"], w[f"b1_{i}"]),
-                         _column(work, f"r{i if cache else 0}", rows, cm, 1.0))
-        np.maximum(r, 0.0, out=r)  # relu in place: r > 0 exactly where z > 0
-        k += 1
-        h_next = _rows_matmul(r, _in_out(w[f"w2_{i}"], w[f"b2_{i}"]), activation(k, 0.0))
-        h_next += h  # the residual, whose 1 lands on the 0 of the ones column
-        if cfg.use_graph and i == 0:
-            h_premix, h_next = h_next, activation(k + 1, 1.0)
+    def run(lo, hi):
+        """Nodes lo:hi through the net, writing only their rows: yields None
+        at the graph mix, then the block whose check failed, or None."""
+        part = slice(lo * b, hi * b)
+        x = xs[part]
+        x[:, l1] = 1.0  # ones first: stale memory could overflow
+        np.subtract(history[:, lo:hi].swapaxes(0, 1), normalizer.mean,
+                    out=x[:, :l1].reshape(hi - lo, b, l1))
+        x /= normalizer.std  # one division over whole rows, then the ones again
+        x[:, l1] = 1.0
+        h = acts[0][part]  # [history features | embedding | time of day | day of week]
+        h[:, cm] = 1.0
+        _rows_matmul(x, w_x, h)
+        nodes(h)[:, :, ch : ch + ce] = emb.values[lo:hi, None, :]
+        nodes(h)[:, :, ch + ce : ch + ce + ct] = tod
+        nodes(h)[:, :, ch + ce + ct :] = dow
+        k = 0
+        for i in range(blocks):
+            r = rs[i if cache else 0][part]
+            r[:, cm] = 1.0
+            _rows_matmul(h, ops[2 * i], r)
+            np.maximum(r, 0.0, out=r)  # relu in place: r > 0 exactly where z > 0
             k += 1
-            if cache:  # one GEMM, over the ones column too: it sums to 1 within an ulp
-                graph_mix(adp, h_premix.reshape(n, b, -1), out=h_next.reshape(n, b, -1))
-                h_next[:, cm] = 1.0
-            else:  # per window: a prediction is the same in any block
-                graph_mix(adp, nodes(h_premix), out=nodes(h_next), per_window=True)
-        if not _all_finite(h_next, work):
-            raise FloatingPointError(f"non-finite activations in block {i}")
-        if cache:
-            rs.append(r)
-            hs.append(h_next)
-        h = h_next
+            h_next = acts[k if cache else k % 2][part]
+            h_next[:, cm] = 0.0
+            _rows_matmul(r, ops[2 * i + 1], h_next)
+            h_next += h  # the residual, whose 1 lands on the 0 of the ones column
+            if cfg.use_graph and i == 0:
+                yield  # the pre-mix rows are written; the caller mixes every node's
+                k += 1
+                h_next = acts[k if cache else 0][part]
+            if not np.isfinite(h_next, out=finite[part]).all():
+                yield i
+                return
+            h = h_next
+        _rows_matmul(h, w_o, ys[part])
+        yield None
 
-    y = _rows_matmul(h, _in_out(w["w_o"], w["b_o"]), work.take("y", (rows, cfg.l2)))
-    if not _all_finite(y, work):
+    helper = None
+    if cache and n > 1:  # the multiply-adds of the helper's half
+        helper = _helper((n - n // 2) * b * (
+            (l1 + 1) * ch + (cm + 1) * (2 * blocks * cm + cfg.l2)), HALF_MACS)
+    halves = [run(0, n)] if helper is None else [run(0, n // 2), run(n // 2, n)]
+    for phase in range(1 + cfg.use_graph):  # a graph model's halves join for the mix
+        if phase:
+            premix, mixed = acts[1], acts[2 if cache else 0]
+            if cache:  # one GEMM, over the ones column too: it sums to 1 within an ulp
+                graph_mix(adp, premix.reshape(n, b, -1), out=mixed.reshape(n, b, -1))
+            else:  # per window: a prediction is the same in any block
+                graph_mix(adp, nodes(premix), out=nodes(mixed), per_window=True)
+            mixed[:, cm] = 1.0
+        task = None if helper is None else helper.submit(
+            contextvars.copy_context().run, next, halves[1])
+        try:
+            failed = [next(halves[0])]
+            if cfg.use_graph and adp is None:
+                adp = build_adaptive_graph(emb.values)
+        finally:  # a helper error, like a later half in one-thread order, wins
+            if task is not None:
+                failed.append(task.result())
+    failed = [i for i in failed if i is not None]
+    if failed:
+        raise FloatingPointError(f"non-finite activations in block {min(failed)}")
+    if not np.isfinite(ys, out=work.take("flags", ys.shape, bool)).all():
         raise FloatingPointError("non-finite output")
-    y = y.reshape(n, b, -1).swapaxes(0, 1)
+    y = ys.reshape(n, b, -1).swapaxes(0, 1)
     if not cache:
         return y
     return y, {
-        "x": xs, "hs": hs, "rs": rs, "h_premix": h_premix,
+        "x": xs, "hs": acts[:1] + acts[1 + cfg.use_graph :], "rs": rs,
+        "h_premix": acts[1] if cfg.use_graph else None,
         "tod_idx": tod_idx, "dow_idx": dow_idx,
         "graph": adp, "work": work,
     }
@@ -319,16 +364,21 @@ def _blocks(count: int, n: int):
 _HELPER = None  # (process id, its helper thread or None)
 
 
-def _helper(macs):
+def _helper(macs, floor=HELPER_MACS):
     """The one helper thread of this process, made on first use, for `macs`
-    multiply-adds of work; None below HELPER_MACS or on one CPU. A forked
-    child makes its own: its copy of the parent's executor has no thread."""
+    multiply-adds of work; None below `floor`, the task's break-even, or on
+    one CPU. It forwards the odd inference blocks of `_predict_blocks`
+    (HELPER_MACS), a training `forward`'s upper node half (HALF_MACS), and
+    `backward`'s layer GEMMs (LAYER_MACS) and graph chain (CHAIN_MACS), each
+    in a copy of the caller's context; a training task calls no public
+    function. A forked child makes its own: its copy of the parent's
+    executor has no thread."""
     global _HELPER
     if _HELPER is None or _HELPER[0] != os.getpid():
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
         _HELPER = os.getpid(), futures.ThreadPoolExecutor(1) if cpus > 1 else None
-    return _HELPER[1] if macs >= HELPER_MACS else None
+    return _HELPER[1] if macs >= floor else None
 
 
 def _predict_blocks(params, windows, normalizer, work: Workspace):

@@ -1,9 +1,12 @@
 """The helper thread (`model._helper`), forced off and on whatever the runner's
 CPU count and the work handed to it. In inference (`model._predict_blocks`)
-and in graph training (the embedding-gradient chain of `training.backward`)
-both paths give the same bits, the same first error and the same
-floating-point rules, and no helper task outlives the call that submitted it."""
+and in training (a cached `forward`'s node halves, `training.backward`'s layer
+GEMMs and graph embedding-gradient chain) both paths give the same bits, the
+same first error and the same floating-point rules, and no helper task
+outlives the call that submitted it."""
 
+import functools
+import inspect
 import os
 import signal
 import sys
@@ -14,6 +17,7 @@ from concurrent import futures
 import numpy as np
 import pytest
 
+import stpca
 from stpca import model, training
 from stpca.dataset import Normalizer, Windows
 from stpca.metrics import evaluate
@@ -43,15 +47,18 @@ def toy_windows(n_windows, seed=0):
 
 
 class Recording(futures.ThreadPoolExecutor):
-    """A one-thread executor that keeps every future it hands out."""
+    """A one-thread executor that keeps every future it hands out, and in
+    `tasks` the name of each task's function (run as `context.run(function,
+    ...)`; a training forward's half runs as `next(half)`)."""
 
     def __init__(self):
         super().__init__(1)
-        self.submitted = []
+        self.submitted, self.tasks = [], []
 
-    def submit(self, *args, **kwargs):
-        future = super().submit(*args, **kwargs)
+    def submit(self, run, *args, **kwargs):
+        future = super().submit(run, *args, **kwargs)
         self.submitted.append(future)
+        self.tasks.append(args[0].__name__)
         return future
 
 
@@ -62,7 +69,8 @@ def helper(monkeypatch):
     executor = Recording()
 
     def use(on):
-        monkeypatch.setattr(model, "_helper", lambda macs: executor if on else None)
+        monkeypatch.setattr(model, "_helper",
+                            lambda macs, floor=None: executor if on else None)
         return executor
 
     yield use
@@ -218,6 +226,7 @@ def chain(monkeypatch):
     thread; returns the list of whether each call ran on the main thread."""
     real, on_main = training._embedding_grad, []
 
+    @functools.wraps(real)
     def wrapped(*args):
         on_main.append(threading.current_thread() is threading.main_thread())
         if not on_main[-1]:
@@ -256,8 +265,14 @@ def test_backward_bit_identical(helper, chain, table, num_blocks):
         flats.append(one_backward(params, ws, trainable).flat.tobytes())
     assert flats[0] == flats[1]
     on_helper = num_blocks > 1 and table != "pca"
-    assert len(executor.submitted) == on_helper
+    assert executor.tasks.count("_embedding_grad") == on_helper
     assert chain == ([] if table == "pca" else [True, not on_helper])
+    # the forward's two halves join once for the mix. Every requested
+    # layer's GEMM runs on the helper (w_o, two a block, w_x), save the three
+    # that come while the slow chain holds it; a fine-tuned table asks for none
+    assert executor.tasks.count("next") == 2
+    layers = 0 if trainable else 2 * num_blocks + 2 - 3 * on_helper
+    assert executor.tasks.count("_layer_grads") == layers
 
 
 @pytest.mark.parametrize("table", ["adaptive", "finetune", "pca"])
@@ -277,7 +292,8 @@ def test_graph_fit_bit_identical(helper, table, num_blocks):
     for name, tensor in best_off.tensors().items():
         assert tensor.tobytes() == on_tensors[name].tobytes(), name
     steps = 3 * 3 if num_blocks > 1 and table != "pca" else 0
-    assert len(executor.submitted) == steps
+    assert executor.tasks.count("_embedding_grad") == steps
+    assert executor.tasks.count("next") == 2 * 3 * 3
 
 
 @pytest.mark.parametrize("on", [False, True], ids=["off", "on"])
@@ -323,7 +339,7 @@ def test_cache_serves_one_backward_with_the_helper(helper):
     backward(params, cache, lgrad, grads)
     with pytest.raises(ValueError, match="serves one backward"):
         backward(params, cache, lgrad, grads)
-    assert len(executor.submitted) == 1
+    assert executor.tasks.count("_embedding_grad") == 1
 
 
 def test_backward_under_fast_thread_switches(helper):
@@ -339,4 +355,206 @@ def test_backward_under_fast_thread_switches(helper):
         flats = [one_backward(params, ws).flat.tobytes() for _ in range(30)]
     finally:
         sys.setswitchinterval(interval)
-    assert flats == [expected] * 30 and len(executor.submitted) == 30
+    assert flats == [expected] * 30 and executor.tasks.count("_embedding_grad") == 30
+
+
+# ------------------------------------------- training: forward halves and layer GEMMs
+
+def pems_windows(n_windows, seed):
+    rng = np.random.default_rng(seed)
+    target = rng.uniform(0, 300, size=(n_windows, 307, 12))
+    target[rng.random(target.shape) < 0.05] = 0.0
+    return Windows(history=rng.uniform(0, 300, size=(n_windows, 307, 12)), target=target,
+                   tod=rng.integers(0, 288, n_windows), dow=rng.integers(0, 7, n_windows))
+
+
+@pytest.mark.parametrize("table", ["adaptive", "pca"])
+def test_pems_steps_bit_identical(helper, table):
+    # two steps at N=307, B=32 and a ragged 28: only at this size do the
+    # halves' chunked products, the graph mix and the weight-gradient GEMMs
+    # run where a lost chunk, a split GEMM or a changed operand moves the last
+    # bits (a row split of the mix does at B=28); toy sizes cannot show it
+    config = TrainConfig(max_epochs=1, patience=1, batch_size=32, seed=1)
+    train, val = pems_windows(60, seed=2), pems_windows(2, seed=3)
+    runs = []
+    for on in (False, True):
+        executor = helper(on)
+        params = init_params(ModelConfig(use_graph=True), 307, seed=4)
+        params.embedding.strategy = table
+        runs.append(fit(params, train, val, Normalizer(mean=150.0, std=80.0), config))
+    (best_off, report_off), (best_on, report_on) = runs
+    assert report_on == report_off  # the step's loss and the validation MAE
+    on_tensors = best_on.tensors()
+    for name, tensor in best_off.tensors().items():
+        assert tensor.tobytes() == on_tensors[name].tobytes(), name
+    assert executor.tasks.count("next") == 2 * 2
+    assert executor.tasks.count("_layer_grads") >= 2 * 3  # w_o and block 1's
+
+
+def test_training_asks_for_each_task_share(monkeypatch):
+    asked = []
+    monkeypatch.setattr(model, "_helper",
+                        lambda macs, floor=model.HELPER_MACS: asked.append((macs, floor)))
+    params, ws = toy_params(True), toy_windows(7)
+    one_backward(params, ws)
+    cm, rows = params.config.mix_dim, N * 7
+    half = (N - N // 2) * 7 * (5 * 6 + (cm + 1) * (2 * 2 * cm + 4))
+    assert asked == [(half, model.HALF_MACS), (rows * (cm + 1) * cm, model.LAYER_MACS),
+                     (N * rows * (cm + 1), model.CHAIN_MACS)]
+
+
+@pytest.mark.parametrize("config, n", [
+    (ModelConfig(l1=12, l2=12, embed_dim=8, tod_dim=16, dow_dim=4, hidden_dim=1,
+                 steps_per_day=48), 40),  # the acceptance shift model
+    (ModelConfig(use_graph=True), 40),
+], ids=["shift", "default-graph"])
+def test_acceptance_sizes_stay_on_one_thread(monkeypatch, config, n):
+    # batches of 16 windows, as the acceptance runs train them
+    asked = []
+    monkeypatch.setattr(model, "_helper",
+                        lambda macs, floor=model.HELPER_MACS: asked.append((macs, floor)))
+    params = init_params(config, n, seed=0)
+    rng = np.random.default_rng(0)
+    ws = Windows(history=rng.uniform(0, 10, size=(16, n, 12)),
+                 target=rng.uniform(1, 10, size=(16, n, 12)),
+                 tod=np.arange(16), dow=np.arange(16) % 7)
+    one_backward(params, ws)
+    assert len(asked) == 2 + config.use_graph
+    assert all(macs < floor for macs, floor in asked)
+
+
+@pytest.mark.parametrize("use_graph", [False, True], ids=["flat", "graph"])
+@pytest.mark.parametrize("bad, expected", [
+    ("upper", "non-finite activations in block 0"),
+    ("lower", "non-finite activations in block 0"),
+    ("output", "non-finite output"),
+])
+def test_non_finite_half_raises_as_one_thread(helper, use_graph, bad, expected):
+    # nodes 0-1 are this thread's half, 2-4 the helper's. An inf history fails
+    # its half at block 0 and an inf output bias fails every row at the
+    # output: the earlier block is the one named, whichever half found it
+    params, ws = toy_params(use_graph), toy_windows(7)
+    params.weights["b_o"][0] = np.inf
+    if bad != "output":
+        ws.history[:, slice(2, None) if bad == "upper" else slice(0, 2)] = np.inf
+    messages = []
+    for on in (False, True):
+        executor = helper(on)
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(FloatingPointError) as error:
+            forward(params, NORM, ws.history, ws.tod, ws.dow, cache=True)
+        messages.append(str(error.value))
+    assert messages == [expected] * 2
+    assert executor.tasks == ["next"] * (1 + use_graph)
+    assert all(f.done() for f in executor.submitted)
+
+
+def off_main(fn, seconds):
+    """`fn`, first sleeping `seconds` when it runs off the main thread."""
+
+    @functools.wraps(fn)
+    def slow(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(seconds)
+        return fn(*args, **kwargs)
+
+    return slow
+
+
+def test_forward_error_waits_for_the_helper_half(monkeypatch, helper):
+    # this thread fails while it builds the graph; the helper's half is slow
+    monkeypatch.setattr(model, "_rows_matmul", off_main(model._rows_matmul, 0.05))
+
+    def failing(e):
+        raise ValueError("graph fails")
+
+    monkeypatch.setattr(model, "build_adaptive_graph", failing)
+    executor = helper(True)
+    ws = toy_windows(7)
+    with pytest.raises(ValueError, match="graph fails"):
+        forward(toy_params(True), NORM, ws.history, ws.tod, ws.dow, cache=True)
+    assert executor.tasks == ["next"] and executor.submitted[0].done()
+
+
+def test_backward_error_waits_for_the_layer_gemm(monkeypatch, helper):
+    # this thread's activation product fails while the helper's GEMM is slow
+    monkeypatch.setattr(training, "_layer_grads", off_main(training._layer_grads, 0.05))
+
+    def failing(*args):
+        raise ValueError("product fails")
+
+    executor = helper(True)
+    params, ws = toy_params(False), toy_windows(7)
+    pred, cache = forward(params, NORM, ws.history, ws.tod, ws.dow, cache=True)
+    _, lgrad = masked_mae_loss(pred, ws.target, NORM)
+    monkeypatch.setattr(training, "_rows_matmul", failing)
+    with pytest.raises(ValueError, match="product fails"):
+        backward(params, cache, lgrad, FlatTensors.of(params, params.trainable_names()))
+    assert executor.tasks[-1] == "_layer_grads" and executor.submitted[-1].done()
+
+
+def test_helper_runs_no_public_function_and_takes_no_buffer(monkeypatch, helper):
+    # a span of a public function would land on the tracer's one shared
+    # stack, and a workspace serves one thread: both stay on this thread
+    off_main_calls = []
+
+    def watch(name, fn):
+        @functools.wraps(fn)
+        def watched(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                off_main_calls.append(name)
+            return fn(*args, **kwargs)
+        return watched
+
+    monkeypatch.setattr(model.Workspace, "take", watch("take", model.Workspace.take))
+    for module in {m for m in vars(stpca).values() if inspect.ismodule(m)}:
+        for name, fn in list(vars(module).items()):
+            if inspect.isfunction(fn) and not name.startswith("_") and \
+                    fn.__module__.startswith("stpca."):
+                monkeypatch.setattr(module, name, watch(name, fn))
+    executor = helper(True)
+    for use_graph in (False, True):
+        params, ws = toy_params(use_graph, num_blocks=3), toy_windows(7)
+        one_backward(params, ws)
+    assert "next" in executor.tasks and "_layer_grads" in executor.tasks
+    assert "_embedding_grad" in executor.tasks and off_main_calls == []
+
+
+@pytest.mark.parametrize("on", [False, True], ids=["off", "on"])
+def test_overflow_in_a_helper_half_raises(helper, on):
+    # with a tiny std the helper's nodes 2-4 overflow while they are z-scored,
+    # and this thread's stay finite; the helper's half sees `np.errstate` too
+    params, ws = toy_params(False), toy_windows(7)
+    ws.history[:, 2:] = 1e30
+    norm = Normalizer(mean=0.0, std=1e-290)
+    helper(on)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        forward(params, norm, ws.history, ws.tod, ws.dow, cache=True)
+    with np.errstate(over="warn", invalid="ignore"), \
+            pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.raises(FloatingPointError, match="non-finite activations in block 0"):
+        forward(params, norm, ws.history, ws.tod, ws.dow, cache=True)
+
+
+@pytest.mark.parametrize("on", [False, True], ids=["off", "on"])
+def test_overflow_in_a_layer_gemm_raises(helper, on):
+    # activations and gradients near 1e200 are finite, and so are the
+    # activation products; the weight-gradient GEMMs, on the helper, overflow
+    params, ws = toy_params(False), toy_windows(7)
+    ws.history[...] *= 1e200
+    executor = helper(on)
+
+    def one(over):
+        pred, cache = forward(params, NORM, ws.history, ws.tod, ws.dow, cache=True)
+        _, lgrad = masked_mae_loss(pred, ws.target, NORM)
+        grads = FlatTensors.of(params, params.trainable_names())
+        with np.errstate(over=over, invalid="ignore"):
+            backward(params, cache, lgrad * 1e200, grads)
+
+    with pytest.raises(FloatingPointError, match="overflow encountered in matmul"):
+        one("raise")
+    with pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.raises(FloatingPointError, match="non-finite gradient for w_x"):
+        one("warn")
+    # w_o's GEMM raises at once; then w_o, two a block and w_x
+    assert executor.tasks.count("_layer_grads") == (1 + 6 if on else 0)

@@ -293,13 +293,19 @@ class TestBackward:
         requested = names if requested is None else requested
         _, cache = forward(params, NORM, x, ti, di, cache=True)  # one backward per cache
 
+        class AddWithoutScatter:
+            """`np.add`, except that its `at` raises."""
+
+            def __call__(self, *args, **kwargs):
+                return np.add(*args, **kwargs)
+
+            def at(self, *args):
+                raise AssertionError("np.add.at ran for an unrequested table")
+
         class NumpyWithoutScatter:
             """numpy, except that `np.add.at` raises."""
 
-            class add:
-                @staticmethod
-                def at(*args):
-                    raise AssertionError("np.add.at ran for an unrequested table")
+            add = AddWithoutScatter()
 
             def __getattr__(self, name):
                 return getattr(np, name)
