@@ -35,16 +35,11 @@ PREDICT_ROWS = 2048
 # 1.49 ms in chunks of <= 369 rows (this budget); 1.62 ms at half, 2.18 at twice.
 CHUNK_MACS = 1_000_000
 # multiply-adds below which a task's hand-off to the helper thread does not
-# pay, each measured on one BLAS thread: inference passes took 1.03x as long
-# with it below 15M, 0.92x at 30-60M; backward with the graph chain 1.19-1.21x
-# at 0.3-0.7M, 0.96-0.99x at 1.4-2.7M, 0.72-0.94x from 5.4M; a training
-# forward's node half 0.96-1.16x at 7.7M, 0.55-1.00x from 14.5M; one layer's
-# weight-gradient GEMM beside its activation product 0.91-1.18x at 7M,
-# 0.80-1.03x at 13M, 0.70-0.96x at 27M.
+# pay, measured on one BLAS thread: inference passes took 1.03x as long with
+# it below 15M, 0.92x at 30-60M. Single training tasks break even lower
+# (CHANGES.md has the sweeps), but every workload's tasks lie below 4M or
+# above 20M, where one threshold makes the same choice.
 HELPER_MACS = 20_000_000
-CHAIN_MACS = 4_000_000
-HALF_MACS = 10_000_000
-LAYER_MACS = 16_000_000
 
 
 @dataclass
@@ -112,11 +107,11 @@ class Workspace:
     contents. A name's buffer grows to the largest size asked for, and a
     smaller shape (a ragged last batch or block) gets a leading slice of it,
     so a loop over blocks of one pass allocates nothing after its first block.
-    A workspace serves one thread at a time, which alone calls `take`. That
-    thread lends views of its buffers to the helper thread until it joins it:
-    a training `forward`'s upper node half writes its own rows of each
-    activation, and `backward`'s layer GEMMs write `wb`. `lane` is its pair,
-    which the helper thread of `_predict_blocks` forwards the odd blocks into.
+    A workspace serves one thread at a time, which alone calls `take`; a
+    training `forward` lends the helper thread views of its buffers, whose
+    rows of the upper node half it writes until they join. `lane` is its
+    pair, which the helper thread of `_predict_blocks` forwards the odd
+    blocks into.
     """
 
     def __init__(self):
@@ -232,16 +227,16 @@ def forward(params: ModelParams, normalizer, history: np.ndarray, tod_idx, dow_i
     its own.
 
     Rows are node-major, so the nodes split the rows: with cache=True and a
-    `_helper` thread for HALF_MACS of work, the helper runs the upper half of
-    the nodes while this thread runs the lower half and builds the graph.
-    They join for the graph mix, which this thread runs as the one GEMM of
-    one thread (a row split of it can move last bits: OpenBLAS tiles rows by
-    their offset in the call), and then run the later blocks on their halves
-    again. Each half's products stay chunked as `_rows_matmul` cuts them, so
-    every row keeps the bits of one thread. Every buffer is taken here, on
-    this thread, and every exit waits for the helper; the non-finite check
-    that fails first in block order is the one raised, and the output is
-    checked last, whole.
+    `_helper` thread for the upper half's work, the helper runs the upper
+    half of the nodes while this thread runs the lower half and builds the
+    graph. They join for the graph mix, which this thread runs as the one
+    GEMM of one thread (a row or column split of it can move last bits:
+    OpenBLAS tiles a GEMM by the offsets in the call), and then run the later
+    blocks on their halves again. Each half's products stay chunked as
+    `_rows_matmul` cuts them, so every row keeps the bits of one thread. Every
+    buffer is taken here, on this thread, and every exit waits for the
+    helper; the non-finite check that fails first in block order is the one
+    raised, and the output is checked last, whole.
     """
     cfg = params.config
     work = Workspace() if work is None else work
@@ -257,14 +252,14 @@ def forward(params: ModelParams, normalizer, history: np.ndarray, tod_idx, dow_i
     # activation k goes to buffer h{k}, node-major rows [N*B x mix_dim + 1]
     # that end in a 1. The backward pass reads every one, but inference reads
     # only activation k-1 while writing k, so two alternate.
-    # taken in the order of first use: where the buffers land in memory moved
-    # a 40-node fit by 3%
+    # all taken here, before either half runs, the activations in the order of
+    # first use: where the buffers land in memory moved a 40-node fit by 3%
     xs, acts, rs = work.take("x", (rows, l1 + 1)), [work.take("h0", (rows, cm + 1))], []
     for i in range(blocks if cache else 1):
         rs.append(work.take(f"r{i}", (rows, cm + 1)))
         for _ in range(1 + (cache and cfg.use_graph and i == 0)):
             acts.append(work.take(f"h{len(acts)}", (rows, cm + 1)))
-    finite = work.take("flags", (rows, cm + 1), bool)
+    finite = work.take("finite", (rows, cm + 1), bool)
     ys = work.take("y", (rows, cfg.l2))
     w = params.weights
     ops = [_in_out(w[f"{name}_{i}"], w[f"b{name[1]}_{i}"])
@@ -317,7 +312,7 @@ def forward(params: ModelParams, normalizer, history: np.ndarray, tod_idx, dow_i
     helper = None
     if cache and n > 1:  # the multiply-adds of the helper's half
         helper = _helper((n - n // 2) * b * (
-            (l1 + 1) * ch + (cm + 1) * (2 * blocks * cm + cfg.l2)), HALF_MACS)
+            (l1 + 1) * ch + (cm + 1) * (2 * blocks * cm + cfg.l2)))
     halves = [run(0, n)] if helper is None else [run(0, n // 2), run(n // 2, n)]
     for phase in range(1 + cfg.use_graph):  # a graph model's halves join for the mix
         if phase:
@@ -329,8 +324,9 @@ def forward(params: ModelParams, normalizer, history: np.ndarray, tod_idx, dow_i
             mixed[:, cm] = 1.0
         task = None if helper is None else helper.submit(
             contextvars.copy_context().run, next, halves[1])
+        failed = []
         try:
-            failed = [next(halves[0])]
+            failed.append(next(halves[0]))
             if cfg.use_graph and adp is None:
                 adp = build_adaptive_graph(emb.values)
         finally:  # a helper error, like a later half in one-thread order, wins
@@ -339,7 +335,7 @@ def forward(params: ModelParams, normalizer, history: np.ndarray, tod_idx, dow_i
     failed = [i for i in failed if i is not None]
     if failed:
         raise FloatingPointError(f"non-finite activations in block {min(failed)}")
-    if not np.isfinite(ys, out=work.take("flags", ys.shape, bool)).all():
+    if not np.isfinite(ys, out=work.take("finite", ys.shape, bool)).all():
         raise FloatingPointError("non-finite output")
     y = ys.reshape(n, b, -1).swapaxes(0, 1)
     if not cache:
@@ -364,21 +360,19 @@ def _blocks(count: int, n: int):
 _HELPER = None  # (process id, its helper thread or None)
 
 
-def _helper(macs, floor=HELPER_MACS):
+def _helper(macs):
     """The one helper thread of this process, made on first use, for `macs`
-    multiply-adds of work; None below `floor`, the task's break-even, or on
-    one CPU. It forwards the odd inference blocks of `_predict_blocks`
-    (HELPER_MACS), a training `forward`'s upper node half (HALF_MACS), and
-    `backward`'s layer GEMMs (LAYER_MACS) and graph chain (CHAIN_MACS), each
-    in a copy of the caller's context; a training task calls no public
-    function. A forked child makes its own: its copy of the parent's
-    executor has no thread."""
+    multiply-adds of work; None below HELPER_MACS or on one CPU. It forwards
+    the odd inference blocks of `_predict_blocks`, and a training `forward`'s
+    upper node half and `backward`'s graph chain, each in a copy of the
+    caller's context; a training task calls no public function. A forked
+    child makes its own: its copy of the parent's executor has no thread."""
     global _HELPER
     if _HELPER is None or _HELPER[0] != os.getpid():
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
         _HELPER = os.getpid(), futures.ThreadPoolExecutor(1) if cpus > 1 else None
-    return _HELPER[1] if macs >= floor else None
+    return _HELPER[1] if macs >= HELPER_MACS else None
 
 
 def _predict_blocks(params, windows, normalizer, work: Workspace):

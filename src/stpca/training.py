@@ -95,13 +95,14 @@ class FlatTensors(dict):
         return cls(np.empty(sum(map(math.prod, shapes.values()))), shapes)
 
 
-def _layer_grads(grads, w, b, d, rows, wb):
+def _layer_grads(grads, w, b, d, rows, work):
     """Gradients of weight `w` and bias `b` of a layer that read `rows`, which
-    end in a ones column, and got back d: one GEMM d.T @ rows, into wb."""
-    np.matmul(d.T, rows, out=wb)
-    for name, part in ((w, wb[:, :-1]), (b, wb[:, -1])):
-        if name in grads:
-            grads[name][...] = part
+    end in a ones column, and got back d: one GEMM d.T @ rows."""
+    if w in grads or b in grads:
+        wb = np.matmul(d.T, rows, out=work.take("wb", (d.shape[1], rows.shape[1])))
+        for name, part in ((w, wb[:, :-1]), (b, wb[:, -1])):
+            if name in grads:
+                grads[name][...] = part
 
 
 def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
@@ -115,19 +116,13 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
     product one GEMM on [N x B*F] views; gradient rows end in a column of
     exact zeros, which adds exact zeros to those GEMMs. Temporaries come from
     the forward's workspace, and each activation gradient is written over
-    cached rows read for the last time, so a cache serves one backward: a
-    second raises ValueError. With a `_helper` thread for LAYER_MACS of work
-    each layer's weight-gradient GEMM runs on it, in a copy of this context,
-    while this thread computes the activation gradient into rows that GEMM
-    does not read: `dh` into one buffer of its own, `dz` over the spent last
-    activation and `dz @ w1` over the spent relu rows. On one thread each goes
-    over the rows its GEMM has just read, which are still in cache. The
-    graph's share of the embedding gradient is computed only when the
-    embedding is requested; with two blocks or more the helper computes it
-    while this thread writes the pre-mix gradient into block 1's spent rows
-    and runs block 0 and `w_x`, whose GEMMs then stay here until the chain is
-    done. No task writes what another reads, every buffer is taken on this
-    thread, and every exit waits for the helper.
+    the cached activation just read for the last time, so a cache serves one
+    backward: a second raises ValueError. The graph's share of the embedding
+    gradient is computed only when the embedding is requested; with two
+    blocks or more the `_helper` thread computes it, in a copy of this
+    context, while this thread writes the pre-mix gradient into block 1's
+    spent rows and runs block 0 and `w_x`. Neither writes what the other
+    reads, and every exit waits for it.
     """
     cfg = params.config
     work, hs, rs = cache["work"], cache.pop("hs", None), cache["rs"]
@@ -138,57 +133,39 @@ def backward(params: ModelParams, cache: dict, loss_grad: np.ndarray,
     rows = n * b
     w = params.weights
     dy = np.ascontiguousarray(loss_grad.swapaxes(0, 1)).reshape(rows, -1)
-    helper = model._helper(rows * (cm + 1) * cm, model.LAYER_MACS)
+
+    def dead(a):  # cached rows read for the last time, to hold a gradient
+        a[:, cm] = 0.0
+        return a
+
+    _layer_grads(grads, "w_o", "b_o", dy, hs[-1], work)
+    dh = _rows_matmul(dy, w["w_o"], dead(hs[-1]))
+
     d_emb_graph = pending = None  # the graph's share, or the helper's future of it
-
-    def layer(w_name, b_name, d, x, weight=None, out=None):
-        """A layer's weight-gradient GEMM `d.T @ x`, on the helper when it is
-        free, beside `d @ weight` into `out`, whose last column becomes 0."""
-        task = None
-        if w_name in grads or b_name in grads:
-            args = grads, w_name, b_name, d, x, work.take("wb", (d.shape[1], x.shape[1]))
-            if helper is None or (pending is not None and not pending.done()):
-                _layer_grads(*args)
-            else:
-                task = helper.submit(contextvars.copy_context().run, _layer_grads, *args)
-        try:
-            if weight is not None:
-                out[:, cm] = 0.0
-                return _rows_matmul(d, weight, out)
-        finally:  # a GEMM error, first in one-thread order, wins
-            if task is not None:
-                task.result()
-
-    spare = helper is not None  # with the helper, no product writes what its GEMM reads
-    dh = layer("w_o", "b_o", dy, hs[-1], w["w_o"],
-               work.take("dh", (rows, cm + 1)) if spare else hs[-1])
     try:
         for i in range(cfg.num_blocks - 1, -1, -1):
             if cfg.use_graph and i == 0:
                 a, h_premix, dh_mixed = cache["graph"], cache["h_premix"], dh.reshape(n, -1)
                 if "embedding" in grads:
-                    # its [N x N] temporaries are the step's own, like the graph,
-                    # so a validation pass does not hold them
                     args = (a, dh_mixed, h_premix.reshape(n, -1), params.embedding.values,
-                            np.empty((n, n)), np.empty((n, n)))
-                    chain = cfg.num_blocks > 1 and model._helper(n * rows * (cm + 1),
-                                                                 model.CHAIN_MACS)
-                    if not chain:
+                            work.take("d_adj", (n, n)), work.take("d_gram", (n, n)))
+                    helper = cfg.num_blocks > 1 and model._helper(n * rows * (cm + 1))
+                    if not helper:
                         d_emb_graph = _embedding_grad(*args)
                     else:
-                        pending = chain.submit(contextvars.copy_context().run,
-                                               _embedding_grad, *args)
+                        pending = helper.submit(contextvars.copy_context().run,
+                                                _embedding_grad, *args)
                 # pre-mix gradient: into block 1's spent rows, else over pre-mix rows read
                 dh = hs[1] if cfg.num_blocks > 1 else h_premix
                 np.matmul(a.T, dh_mixed, out=dh.reshape(n, -1))
-            relu = np.greater(rs[i], 0.0, out=work.take("flags", rs[i].shape, bool))
-            dz = layer(f"w2_{i}", f"b2_{i}", dh[:, :cm], rs[i], w[f"w2_{i}"],
-                       hs[-1] if spare else rs[i])
+            _layer_grads(grads, f"w2_{i}", f"b2_{i}", dh[:, :cm], rs[i], work)
+            relu = np.greater(rs[i], 0.0, out=work.take("relu", rs[i].shape, bool))
+            dz = _rows_matmul(dh[:, :cm], w[f"w2_{i}"], dead(rs[i]))
             dz *= relu
-            dh += layer(f"w1_{i}", f"b1_{i}", dz[:, :cm], hs[i], w[f"w1_{i}"],
-                        rs[i] if spare else hs[i])
+            _layer_grads(grads, f"w1_{i}", f"b1_{i}", dz[:, :cm], hs[i], work)
+            dh += _rows_matmul(dz[:, :cm], w[f"w1_{i}"], dead(hs[i]))
 
-        layer("w_x", "b_x", dh[:, :ch], cache["x"])
+        _layer_grads(grads, "w_x", "b_x", dh[:, :ch], cache["x"], work)
         dh = dh.reshape(n, b, -1)
         ones = work.take("ones", (max(n, b),))
         ones.fill(1.0)

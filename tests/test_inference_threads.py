@@ -1,9 +1,9 @@
 """The helper thread (`model._helper`), forced off and on whatever the runner's
 CPU count and the work handed to it. In inference (`model._predict_blocks`)
-and in training (a cached `forward`'s node halves, `training.backward`'s layer
-GEMMs and graph embedding-gradient chain) both paths give the same bits, the
-same first error and the same floating-point rules, and no helper task
-outlives the call that submitted it."""
+and in training (a cached `forward`'s node halves and the graph
+embedding-gradient chain of `training.backward`) both paths give the same
+bits, the same first error and the same floating-point rules, and no helper
+task outlives the call that submitted it."""
 
 import functools
 import inspect
@@ -69,8 +69,7 @@ def helper(monkeypatch):
     executor = Recording()
 
     def use(on):
-        monkeypatch.setattr(model, "_helper",
-                            lambda macs, floor=None: executor if on else None)
+        monkeypatch.setattr(model, "_helper", lambda macs: executor if on else None)
         return executor
 
     yield use
@@ -267,12 +266,7 @@ def test_backward_bit_identical(helper, chain, table, num_blocks):
     on_helper = num_blocks > 1 and table != "pca"
     assert executor.tasks.count("_embedding_grad") == on_helper
     assert chain == ([] if table == "pca" else [True, not on_helper])
-    # the forward's two halves join once for the mix. Every requested
-    # layer's GEMM runs on the helper (w_o, two a block, w_x), save the three
-    # that come while the slow chain holds it; a fine-tuned table asks for none
-    assert executor.tasks.count("next") == 2
-    layers = 0 if trainable else 2 * num_blocks + 2 - 3 * on_helper
-    assert executor.tasks.count("_layer_grads") == layers
+    assert executor.tasks.count("next") == 2  # the halves join once, for the mix
 
 
 @pytest.mark.parametrize("table", ["adaptive", "finetune", "pca"])
@@ -358,7 +352,7 @@ def test_backward_under_fast_thread_switches(helper):
     assert flats == [expected] * 30 and executor.tasks.count("_embedding_grad") == 30
 
 
-# ------------------------------------------- training: forward halves and layer GEMMs
+# ---------------------------------------------------- training: forward halves
 
 def pems_windows(n_windows, seed):
     rng = np.random.default_rng(seed)
@@ -371,9 +365,9 @@ def pems_windows(n_windows, seed):
 @pytest.mark.parametrize("table", ["adaptive", "pca"])
 def test_pems_steps_bit_identical(helper, table):
     # two steps at N=307, B=32 and a ragged 28: only at this size do the
-    # halves' chunked products, the graph mix and the weight-gradient GEMMs
-    # run where a lost chunk, a split GEMM or a changed operand moves the last
-    # bits (a row split of the mix does at B=28); toy sizes cannot show it
+    # halves' chunked products and the graph mix run where a lost chunk or a
+    # split GEMM moves the last bits (a row split of the mix does at B=28);
+    # toy sizes cannot show it
     config = TrainConfig(max_epochs=1, patience=1, batch_size=32, seed=1)
     train, val = pems_windows(60, seed=2), pems_windows(2, seed=3)
     runs = []
@@ -388,19 +382,16 @@ def test_pems_steps_bit_identical(helper, table):
     for name, tensor in best_off.tensors().items():
         assert tensor.tobytes() == on_tensors[name].tobytes(), name
     assert executor.tasks.count("next") == 2 * 2
-    assert executor.tasks.count("_layer_grads") >= 2 * 3  # w_o and block 1's
 
 
 def test_training_asks_for_each_task_share(monkeypatch):
     asked = []
-    monkeypatch.setattr(model, "_helper",
-                        lambda macs, floor=model.HELPER_MACS: asked.append((macs, floor)))
+    monkeypatch.setattr(model, "_helper", asked.append)
     params, ws = toy_params(True), toy_windows(7)
     one_backward(params, ws)
     cm, rows = params.config.mix_dim, N * 7
     half = (N - N // 2) * 7 * (5 * 6 + (cm + 1) * (2 * 2 * cm + 4))
-    assert asked == [(half, model.HALF_MACS), (rows * (cm + 1) * cm, model.LAYER_MACS),
-                     (N * rows * (cm + 1), model.CHAIN_MACS)]
+    assert asked == [half, N * rows * (cm + 1)]
 
 
 @pytest.mark.parametrize("config, n", [
@@ -411,16 +402,15 @@ def test_training_asks_for_each_task_share(monkeypatch):
 def test_acceptance_sizes_stay_on_one_thread(monkeypatch, config, n):
     # batches of 16 windows, as the acceptance runs train them
     asked = []
-    monkeypatch.setattr(model, "_helper",
-                        lambda macs, floor=model.HELPER_MACS: asked.append((macs, floor)))
+    monkeypatch.setattr(model, "_helper", asked.append)
     params = init_params(config, n, seed=0)
     rng = np.random.default_rng(0)
     ws = Windows(history=rng.uniform(0, 10, size=(16, n, 12)),
                  target=rng.uniform(1, 10, size=(16, n, 12)),
                  tod=np.arange(16), dow=np.arange(16) % 7)
     one_backward(params, ws)
-    assert len(asked) == 2 + config.use_graph
-    assert all(macs < floor for macs, floor in asked)
+    assert len(asked) == 1 + config.use_graph
+    assert all(macs < model.HELPER_MACS for macs in asked)
 
 
 @pytest.mark.parametrize("use_graph", [False, True], ids=["flat", "graph"])
@@ -476,23 +466,6 @@ def test_forward_error_waits_for_the_helper_half(monkeypatch, helper):
     assert executor.tasks == ["next"] and executor.submitted[0].done()
 
 
-def test_backward_error_waits_for_the_layer_gemm(monkeypatch, helper):
-    # this thread's activation product fails while the helper's GEMM is slow
-    monkeypatch.setattr(training, "_layer_grads", off_main(training._layer_grads, 0.05))
-
-    def failing(*args):
-        raise ValueError("product fails")
-
-    executor = helper(True)
-    params, ws = toy_params(False), toy_windows(7)
-    pred, cache = forward(params, NORM, ws.history, ws.tod, ws.dow, cache=True)
-    _, lgrad = masked_mae_loss(pred, ws.target, NORM)
-    monkeypatch.setattr(training, "_rows_matmul", failing)
-    with pytest.raises(ValueError, match="product fails"):
-        backward(params, cache, lgrad, FlatTensors.of(params, params.trainable_names()))
-    assert executor.tasks[-1] == "_layer_grads" and executor.submitted[-1].done()
-
-
 def test_helper_runs_no_public_function_and_takes_no_buffer(monkeypatch, helper):
     # a span of a public function would land on the tracer's one shared
     # stack, and a workspace serves one thread: both stay on this thread
@@ -516,45 +489,27 @@ def test_helper_runs_no_public_function_and_takes_no_buffer(monkeypatch, helper)
     for use_graph in (False, True):
         params, ws = toy_params(use_graph, num_blocks=3), toy_windows(7)
         one_backward(params, ws)
-    assert "next" in executor.tasks and "_layer_grads" in executor.tasks
-    assert "_embedding_grad" in executor.tasks and off_main_calls == []
+    assert "next" in executor.tasks and "_embedding_grad" in executor.tasks
+    assert off_main_calls == []
 
 
 @pytest.mark.parametrize("on", [False, True], ids=["off", "on"])
-def test_overflow_in_a_helper_half_raises(helper, on):
-    # with a tiny std the helper's nodes 2-4 overflow while they are z-scored,
-    # and this thread's stay finite; the helper's half sees `np.errstate` too
-    params, ws = toy_params(False), toy_windows(7)
-    ws.history[:, 2:] = 1e30
+@pytest.mark.parametrize("use_graph", [False, True], ids=["flat", "graph"])
+@pytest.mark.parametrize("bad", [slice(2, None), slice(0, 2)], ids=["upper", "lower"])
+def test_overflow_in_a_half_raises(helper, on, use_graph, bad):
+    # with a tiny std the bad half's nodes overflow while they are z-scored
+    # (nodes 2-4 are the helper's, 0-1 this thread's) and the other half's
+    # stay finite; the helper's half sees `np.errstate` too, and either
+    # half's error leaves forward only after the helper's half is done
+    params, ws = toy_params(use_graph), toy_windows(7)
+    ws.history[:, bad] = 1e30
     norm = Normalizer(mean=0.0, std=1e-290)
-    helper(on)
+    executor = helper(on)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
         forward(params, norm, ws.history, ws.tod, ws.dow, cache=True)
     with np.errstate(over="warn", invalid="ignore"), \
             pytest.warns(RuntimeWarning, match="overflow"), \
             pytest.raises(FloatingPointError, match="non-finite activations in block 0"):
         forward(params, norm, ws.history, ws.tod, ws.dow, cache=True)
-
-
-@pytest.mark.parametrize("on", [False, True], ids=["off", "on"])
-def test_overflow_in_a_layer_gemm_raises(helper, on):
-    # activations and gradients near 1e200 are finite, and so are the
-    # activation products; the weight-gradient GEMMs, on the helper, overflow
-    params, ws = toy_params(False), toy_windows(7)
-    ws.history[...] *= 1e200
-    executor = helper(on)
-
-    def one(over):
-        pred, cache = forward(params, NORM, ws.history, ws.tod, ws.dow, cache=True)
-        _, lgrad = masked_mae_loss(pred, ws.target, NORM)
-        grads = FlatTensors.of(params, params.trainable_names())
-        with np.errstate(over=over, invalid="ignore"):
-            backward(params, cache, lgrad * 1e200, grads)
-
-    with pytest.raises(FloatingPointError, match="overflow encountered in matmul"):
-        one("raise")
-    with pytest.warns(RuntimeWarning, match="overflow"), \
-            pytest.raises(FloatingPointError, match="non-finite gradient for w_x"):
-        one("warn")
-    # w_o's GEMM raises at once; then w_o, two a block and w_x
-    assert executor.tasks.count("_layer_grads") == (1 + 6 if on else 0)
+    assert len(executor.submitted) == (2 + use_graph if on else 0)
+    assert all(f.done() for f in executor.submitted)

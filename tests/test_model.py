@@ -430,13 +430,9 @@ class TestPemsShape:
         grads = training.FlatTensors.of(params, params.trainable_names())
         training.backward(params, cache, np.ones_like(pred), grads)
         # every full-size buffer of a step holds an activation, then the
-        # gradient written over it, the finite flags and then the relu mask,
-        # or `dh`, the one gradient that the helper's weight-gradient GEMMs
-        # keep off the activations; none is a node-major copy of another
-        per_step = {"h0", "h1", "h2", "r0", "r1", "flags"}
-        cm = params.config.mix_dim
-        if model._helper(self.N * self.B * (cm + 1) * cm, model.LAYER_MACS):
-            per_step.add("dh")
+        # gradient written over it, or a relu mask; none is a node-major copy
+        # of another
+        per_step = {"h0", "h1", "h2", "r0", "r1", "finite", "relu"}
         if use_graph:
             per_step |= {"h3"}
         rows = self.N * self.B * params.config.mix_dim
