@@ -417,16 +417,20 @@ def test_acceptance_sizes_stay_on_one_thread(monkeypatch, config, n):
 @pytest.mark.parametrize("bad, expected", [
     ("upper", "non-finite activations in block 0"),
     ("lower", "non-finite activations in block 0"),
+    ("lower-then-block-1", "non-finite activations in block 0"),
     ("output", "non-finite output"),
 ])
 def test_non_finite_half_raises_as_one_thread(helper, use_graph, bad, expected):
     # nodes 0-1 are this thread's half, 2-4 the helper's. An inf history fails
-    # its half at block 0 and an inf output bias fails every row at the
-    # output: the earlier block is the one named, whichever half found it
+    # its half at block 0, an inf in block 1's weight fails every row there
+    # and an inf output bias every row at the output: the earliest block is
+    # the one named, whichever half found it
     params, ws = toy_params(use_graph), toy_windows(7)
     params.weights["b_o"][0] = np.inf
     if bad != "output":
         ws.history[:, slice(2, None) if bad == "upper" else slice(0, 2)] = np.inf
+    if bad.endswith("block-1"):
+        params.weights["w1_1"][0, 0] = np.inf
     messages = []
     for on in (False, True):
         executor = helper(on)
