@@ -107,11 +107,11 @@ class Workspace:
     contents. A name's buffer grows to the largest size asked for, and a
     smaller shape (a ragged last batch or block) gets a leading slice of it,
     so a loop over blocks of one pass allocates nothing after its first block.
-    A workspace serves one thread at a time, which alone calls `take`; a
-    training `forward` lends the helper thread views of its buffers, whose
-    rows of the upper node half it writes until they join. `lane` is its
-    pair, which the helper thread of `_predict_blocks` forwards the odd
-    blocks into.
+    A workspace serves one thread at a time, which alone calls `take` and
+    lends the helper thread views until they join: a training `forward` the
+    upper node half's rows of its buffers, and backward's graph step its two
+    [N x N] buffers. `lane` is its pair, which the helper thread of
+    `_predict_blocks` forwards the odd blocks into.
     """
 
     def __init__(self):
