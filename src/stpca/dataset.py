@@ -3,15 +3,18 @@
 A series is a [total_steps x N] grid of non-negative flow readings at a uniform
 sampling interval. Zeros mark missing/noisy readings; they stay in the data and
 are masked out later by the loss and the metrics, not here. The module also
-holds the error types and the range check of the run settings that the other
-modules share.
+holds the error types, the range check of the run settings and the CPU count
+that the other modules share.
 """
 
 import csv
 import io
 import itertools
 import math
+import os
+import pickle
 import re
+import signal
 import warnings
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
@@ -29,6 +32,12 @@ _BLANK_CELL = re.compile(r",[ \t]*(?:[,\r\n]|$)")
 _LINE_BREAK = re.compile(rb"\r\n|\r|\n")
 # where np.loadtxt's ValueError places a cell it cannot convert
 _LOADTXT_AT = re.compile(r"at row (\d+), column (\d+)")
+# file bytes from which `ingest_csv` parses the data lines past the middle
+# byte in a forked child process. In interleaved runs (31 of each, in a
+# process holding 60 MB more, 3 to 307 nodes) two processes took 1.3-2.0x as
+# long as one at 0.22-0.71 MB, 0.88-0.92x at 0.89-0.93 MB, 0.76-0.84x at
+# 1.7-2.0 MB and 0.62x at 6.7 MB.
+FORK_BYTES = 1_000_000
 
 
 class DataError(ValueError):
@@ -37,6 +46,13 @@ class DataError(ValueError):
 
 class ConfigError(ValueError):
     """Bad run configuration: unknown key, bad value, missing requirement."""
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the one rule for a second thread
+    (`model._helper`) and for a second process (`ingest_csv`)."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def _check(name, value, rule):
@@ -170,9 +186,20 @@ def ingest_csv(path) -> TrafficSeries:
     Rows must be strictly increasing in time at a uniform interval, inferred
     from the first two rows. The header may be quoted, data cells may not;
     empty or blank (spaces/tabs only) cells read as 0 (missing). The data
-    lines stream into one `np.loadtxt` call. Faults name their `path:line:`:
-    first the first quote, cell-count, timestamp or unparseable cell in file
-    order, then the first negative or non-finite value.
+    lines stream into one `np.loadtxt` call. A file of at least FORK_BYTES,
+    read by a process that may use more than one CPU, is parsed by two
+    processes: a child made with `os.fork` parses the data lines that start
+    past the middle byte while this process parses the ones before, and
+    this process reads the child's rows into the tail of its own array. The
+    values, the metadata and the error are those of one process, bit for
+    bit: if the child fails for any reason, this process parses its lines
+    itself. Faults name their `path:line:`: first the first quote,
+    cell-count, timestamp or unparseable cell in file order, then the first
+    negative or non-finite value.
+
+    No task of `model._helper`'s thread is in flight while this runs (each
+    is waited for before the call that submitted it returns), so the child
+    forks from an idle process and touches no lock that thread holds.
     """
     timestamps, linenos = [], []
     try:
@@ -180,25 +207,16 @@ def ingest_csv(path) -> TrafficSeries:
             # csv.writer may quote node ids, so the header goes through csv
             reader = csv.reader(fh)
             node_ids = _node_ids(path, next(reader, None))
-            lines = _data_lines(path, fh, reader.line_num, len(node_ids),
-                                timestamps, linenos)
-            with warnings.catch_warnings():  # a header-only file is no data
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                values = np.loadtxt(lines, delimiter=",",
-                                    usecols=range(1, len(node_ids) + 1),
-                                    dtype=np.float64, comments=None, ndmin=2)
+            head, n = reader.line_num, len(node_ids)
+            split = _split(path, head)
+            values = None if split is None else _load_halves(
+                path, fh, head, split, n, timestamps, linenos)
+            if values is None:  # one process
+                values = _load(path, _data_lines(path, fh, head, n, timestamps,
+                                                 linenos), n, linenos)
     # UnicodeDecodeError is a ValueError, and so is DataError
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    except DataError:
-        raise
-    except ValueError as exc:
-        # loadtxt pulls a line only after converting the one before, so this
-        # is the first unparseable cell in file order; every line it gets has
-        # the right cell count, so a failed conversion is its only ValueError
-        row, col = map(int, _LOADTXT_AT.search(str(exc)).groups())
-        raise DataError(f"{path}:{linenos[row]}: bad value "
-                        f"{_cell(path, linenos[row], col - 1)!r}") from None
     if not (np.isfinite(values).all() and (values >= 0).all()):
         row, col = np.argwhere(~np.isfinite(values) | (values < 0))[0]
         if np.isfinite(values[row, col]):
@@ -207,6 +225,157 @@ def ingest_csv(path) -> TrafficSeries:
         raise DataError(f"{path}:{linenos[row]}: non-finite value "
                         f"{_cell(path, linenos[row], col + 1)!r}")
     return _series(path, values, timestamps, linenos, node_ids)
+
+
+def _load(path, lines, n, linenos):
+    """The [rows x n] values of `_data_lines` through one `np.loadtxt` call;
+    `linenos` holds the line numbers of any rows before them."""
+    skip = len(linenos)
+    try:
+        with warnings.catch_warnings():  # a header-only file is no data
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(lines, delimiter=",", usecols=range(1, n + 1),
+                              dtype=np.float64, comments=None, ndmin=2)
+    except (UnicodeDecodeError, DataError):
+        raise
+    except ValueError as exc:
+        # loadtxt pulls a line only after converting the one before, so this
+        # is the first unparseable cell in file order; every line it gets has
+        # the right cell count, so a failed conversion is its only ValueError
+        row, col = map(int, _LOADTXT_AT.search(str(exc)).groups())
+        lineno = linenos[skip + row]
+        raise DataError(f"{path}:{lineno}: bad value "
+                        f"{_cell(path, lineno, col - 1)!r}") from None
+
+
+def _split(path, head):
+    """(start, split): the byte offsets of the data lines and of the first
+    line that starts past the middle byte, where a child process takes over,
+    for a file past its `head` header lines; None to parse in one process:
+    below FORK_BYTES, on one CPU, or when no data line starts there."""
+    size = os.path.getsize(path)
+    if size < FORK_BYTES or _usable_cpus() < 2:
+        return None
+    with open(path, "rb") as fh:
+        start, split = _past_breaks(fh, 0, head), _past_breaks(fh, size // 2, 1)
+    if start is None or split is None or not start < split < size:
+        return None
+    return start, split
+
+
+def _past_breaks(fh, at, count):
+    """The offset just past the `count`-th line break from byte `at` of a
+    binary file, or None when the file ends first."""
+    fh.seek(at)
+    block = b""
+    while True:
+        more = fh.read(1 << 16)
+        block += more
+        ends = [m.end() for m in itertools.islice(_LINE_BREAK.finditer(block), count)]
+        # a "\r" at the end of the block may begin a "\r\n"
+        if len(ends) == count and (ends[-1] < len(block) or not more):
+            return at + ends[-1]
+        if not more:
+            return None
+
+
+def _load_halves(path, fh, head, bounds, n, timestamps, linenos):
+    """`_load` of `fh`'s data lines in two processes, split at the byte
+    offsets (start, split) of `_split`, or None when no second process can
+    be made: a forked child parses the lines from `split` on and sends them
+    down a pipe (`_send_half`), while this process parses the lines before
+    and then reads the child's rows into its own array, enlarged in place.
+    A fault in this process's half kills the child; if the child fails, this
+    process parses its lines too."""
+    start, split = bounds
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # a process limit, or no memory for one more process
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:  # the child never returns into the caller's stack
+        code = 1
+        try:
+            os.close(r)
+            _send_half(path, split, n, w)
+            code = 0
+        finally:
+            os._exit(code)
+    try:
+        os.close(w)
+        with open(r, "rb") as pipe:
+            counted = []
+            lines = _lines_before(fh, start, split, counted)
+            values = _load(path, _data_lines(path, lines, head, n, timestamps, linenos),
+                           n, linenos)
+            rows = len(values)
+            half = _receive_half(pipe, values)
+    except BaseException:  # a fault in this half, or an interrupt
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    lineno = head + counted[0]
+    if os.waitpid(pid, 0)[1] == 0 and half is not None:
+        first, step, offsets = half
+        timestamps += [first[0] + k * step for k in range(len(offsets))]
+        linenos += [lineno + offset for offset in offsets]
+        return values
+    rest = _load(path, _data_lines(path, fh, lineno, n, timestamps, linenos), n, linenos)
+    return np.concatenate((values[:rows], rest))
+
+
+def _lines_before(fh, pos, stop, count):
+    """Yield the lines of text file `fh`, now at byte `pos`, that start before
+    byte `stop`; then append how many there were to `count`."""
+    lines = 0
+    for line in fh:
+        yield line
+        lines += 1
+        pos += len(line) if line.isascii() else len(line.encode("utf-8"))
+        if pos >= stop:
+            break
+    count.append(lines)
+
+
+def _send_half(path, split, n, w):
+    """In the child: parse the data lines from byte `split` on, and write to
+    pipe `w` a pickle of the first timestamp, the step and the line offsets
+    (1 for the first line), then the raw rows. The first timestamp and the
+    step stand for the others, written alike, when every step is the same
+    and no UTC offset changes; a half where one does, or where a naive and
+    an aware timestamp meet (they do not subtract), sends nothing, and the
+    parent parses it itself."""
+    timestamps, offsets = [], []
+    with open(path, "rb") as raw:
+        raw.seek(split)
+        lines = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+        values = _load(path, _data_lines(path, lines, 0, n, timestamps, offsets),
+                       n, offsets)
+    step = timestamps[1] - timestamps[0] if len(timestamps) > 1 else timedelta(0)
+    if any(t - u != step or t.utcoffset() != u.utcoffset()
+           for u, t in zip(timestamps, timestamps[1:])):
+        return
+    with open(w, "wb") as pipe:
+        pickle.dump((timestamps[:1], step, offsets), pipe, pickle.HIGHEST_PROTOCOL)
+        pipe.write(values)
+
+
+def _receive_half(pipe, values):
+    """The child's (first timestamp, step, line offsets) from `pipe`, with its
+    rows read into `values`, enlarged in place; None when the child sent
+    less."""
+    try:
+        first, step, offsets = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        return None
+    own = len(values)
+    # loadtxt's array is this call's alone, so no other view sees it move
+    values.resize((own + len(offsets), values.shape[1]), refcheck=False)
+    if pipe.readinto(values[own:]) != values[own:].nbytes:
+        return None
+    return first, step, offsets
 
 
 def _data_lines(path, fh, header_lines, n, timestamps, linenos):

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import _check_fields, _setting
+from .dataset import _check_fields, _setting, _usable_cpus
 from .graph import build_adaptive_graph, graph_mix
 from .pca import EmbeddingTable
 
@@ -201,7 +201,9 @@ def _in_out(w: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _rows_matmul(a: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
     """`a @ w` into the first F' columns of `out` for a node-shared weight w
     [F x F'], the leading axes of a and out one row axis, in even chunks of at
-    most CHUNK_MACS // (F * F') rows; returns `out`."""
+    most CHUNK_MACS // (F * F') rows; returns `out`. A row has the same bits
+    in every call of two or more rows; a call of one row (a one-row `a`)
+    takes BLAS's matrix-vector path, whose last bits may differ."""
     a2, out2 = a.reshape(-1, a.shape[-1]), out.reshape(-1, out.shape[-1])[:, : w.shape[1]]
     rows = len(a2)
     chunks = -(-rows // max(1, CHUNK_MACS // w.size))
@@ -369,9 +371,7 @@ def _helper(macs):
     child makes its own: its copy of the parent's executor has no thread."""
     global _HELPER
     if _HELPER is None or _HELPER[0] != os.getpid():
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        _HELPER = os.getpid(), futures.ThreadPoolExecutor(1) if cpus > 1 else None
+        _HELPER = os.getpid(), futures.ThreadPoolExecutor(1) if _usable_cpus() > 1 else None
     return _HELPER[1] if macs >= HELPER_MACS else None
 
 
@@ -382,15 +382,19 @@ def _predict_blocks(params, windows, normalizer, work: Workspace):
     Blocks are the windows' `_blocks` of N nodes, and the adaptive graph is
     built once per pass. Every block is normalized, forwarded and
     de-normalized in place through buffers of `work`, so it is valid until
-    the next one is drawn; a window's prediction does not depend on its
-    block, so blocks may run at the same time. With a `_helper` thread for
-    the multiply-adds of blocks 3, 5, ..., the odd blocks go into
-    `work.lane`, and from block 3 on the helper forwards each odd block while
-    this thread forwards the even one before it (and blocks 0 and 1, so both
-    lanes' buffers come from its allocator). Blocks are yielded in order, so
-    the error raised is the first in block order. A helper block runs in a
-    copy of this thread's context, so `np.errstate` holds there too, and a
-    pass that ends early waits for its helper block.
+    the next one is drawn. A block's predictions depend on its own windows
+    alone, so blocks may run at the same time. A window's prediction has the
+    same bits in every block of two or more rows (windows x nodes); in a
+    block of one row, one window of a one-node model, the products take
+    BLAS's matrix-vector path (see `_rows_matmul`) and the last bits may
+    differ. With a `_helper` thread for the multiply-adds of blocks 3, 5,
+    ..., the odd blocks go into `work.lane`, and from block 3 on the helper
+    forwards each odd block while this thread forwards the even one before
+    it (and blocks 0 and 1, so both lanes' buffers come from its allocator).
+    Blocks are yielded in order, so the error raised is the first in block
+    order. A helper block runs in a copy of this thread's context, so
+    `np.errstate` holds there too, and a pass that ends early waits for its
+    helper block.
     """
     count, n = windows.history.shape[:2]
     blocks, cfg = list(_blocks(count, n)), params.config

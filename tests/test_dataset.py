@@ -1,9 +1,11 @@
 import csv
 import io
 import math
+import os
 import re
+import time
 import warnings
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -390,6 +392,228 @@ class TestIngestFastPath:
             expected = outcome(read, plain)
             assert isinstance(expected, tuple)
             assert outcome(read, marked) == expected
+
+
+@pytest.fixture
+def two_processes(monkeypatch):
+    """Every file at least FORK_BYTES long; afterwards no child is left."""
+    monkeypatch.setattr(dataset, "FORK_BYTES", 0)
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestIngestTwoProcesses(TestIngestFastPath):
+    """TestIngestFastPath again with a child for the second half of every
+    file, when this process may use more than one CPU."""
+
+    @pytest.fixture(autouse=True)
+    def _every_file_forks(self, two_processes):
+        pass
+
+    # Hypothesis runs a test function for one class only, so this one is new
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_texts())
+    def test_same_series_or_same_error_as_row_loop(self, tmp_path, text):
+        super().test_same_series_or_same_error_as_row_loop.hypothesis.inner_test(
+            self, tmp_path, text)
+
+
+def one_and_two_processes(monkeypatch, path):
+    """outcome(ingest_csv) with one process, then with two on two CPUs."""
+    monkeypatch.setattr(dataset, "FORK_BYTES", os.path.getsize(path) + 1)
+    expected = outcome(ingest_csv, path)
+    monkeypatch.setattr(dataset, "FORK_BYTES", 0)
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
+    return expected, outcome(ingest_csv, path)
+
+
+def test_pems_width_file_same_bytes_in_two_processes(monkeypatch, tmp_path, two_processes):
+    rng = np.random.default_rng(11)
+    src = make_series(1152, n_nodes=307, values=rng.uniform(0, 700, size=(1152, 307)))
+    p = tmp_path / "flow.csv"
+    write_series_csv(src, p)
+    monkeypatch.setattr(dataset, "FORK_BYTES", os.path.getsize(p) + 1)
+    one = ingest_csv(p)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(dataset, "FORK_BYTES", os.path.getsize(p))
+    two = ingest_csv(p)
+    assert len(forks) == (dataset._usable_cpus() > 1)
+    assert one.values.tobytes() == two.values.tobytes() == src.values.tobytes()
+    assert two.values.flags.c_contiguous and two.values.flags.owndata
+    assert ((one.steps_per_day, one.start_slot, one.start_dow, one.node_ids)
+            == (two.steps_per_day, two.start_slot, two.start_dow, two.node_ids))
+
+
+def split_row(path):
+    """The index of the first data row that starts past the middle byte:
+    the child's first row."""
+    data = path.read_bytes()
+    start = data.index(b"\n", len(data) // 2) + 1
+    return data.count(b"\n", 0, start) - 1  # less the header line
+
+
+# a row planted in a file of 576 rows of 1.0: its template, and its error
+FAULTS = {
+    "bad value": ("{ts},1,1_0,1", "bad value '1_0'"),
+    "negative": ("{ts},1,-3,1", "negative reading -3.0"),
+    "non-finite": ("{ts},1,1,inf", "non-finite value 'inf'"),
+    "ragged": ("{ts},1,1", "ragged row (3 cells, expected 4)"),
+    "quote": ('{ts},1,"1",1', "quoted cells are not supported"),
+    "timestamp": ("2024-13-01,1,1,1", "bad timestamp '2024-13-01'"),
+    "interval": ("{later},1,1,1", "non-uniform interval"),
+    "not utf-8": ("{ts},1,\udcff1,1", "not UTF-8 text (byte 0xff)"),
+    "blank cell": ("{ts},1,,1", None),
+}
+
+
+@pytest.mark.parametrize("side", [-1, 0], ids=["before-split", "past-split"])
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_fault_at_the_split_gives_the_one_process_outcome(monkeypatch, tmp_path,
+                                                          two_processes, fault, side):
+    p = tmp_path / "flow.csv"
+    rows = csv_rows(576)
+    write_csv(p, rows)
+    at = split_row(p) + side
+    ts = rows[at].split(",", 1)[0]
+    later = (datetime.fromisoformat(ts) + timedelta(minutes=1)).isoformat()
+    template, error = FAULTS[fault]
+    rows[at] = template.format(ts=ts, later=later)
+    p.write_bytes(("timestamp,node_0,node_1,node_2\n" + "\n".join(rows) + "\n")
+                  .encode("utf-8", "surrogateescape"))  # \udcff is the byte 0xff
+    assert split_row(p) == at - side
+    expected, got = one_and_two_processes(monkeypatch, p)
+    assert got == expected
+    if error is None:  # a blank cell reads as 0
+        assert np.frombuffer(got[0]).reshape(got[1])[at].tolist() == [1.0, 0.0, 1.0]
+    else:
+        assert got.startswith(f"{p}:{at + 2}: {error}")
+
+
+@pytest.mark.parametrize("second_half", ["shifted", "aware", "other-offset",
+                                         "other-offset-and-step"])
+def test_second_half_time_axis_gives_the_one_process_outcome(monkeypatch, tmp_path,
+                                                            two_processes, second_half):
+    # the child's half is sent as its first timestamp and step: a shifted
+    # half, a half of UTC-offset stamps after naive ones, the same instants
+    # written at another offset (a valid file), and a half at twice the step
+    # that changes offset after its first row (the fault is named at its
+    # second row, written as in the file)
+    p = tmp_path / "flow.csv"
+    naive = second_half in ("shifted", "aware")
+    rows = csv_rows(576, start="2024-01-01T00:00:00" if naive
+                    else "2024-01-01T00:00:00+01:00")
+    write_csv(p, rows)
+    at = split_row(p)
+    for i in range(at, len(rows)):
+        ts, cells = rows[i].split(",", 1)
+        t = datetime.fromisoformat(ts)
+        if second_half == "shifted":
+            t += timedelta(minutes=1)
+        elif second_half == "aware":
+            t = t.replace(tzinfo=timezone.utc)
+        elif second_half == "other-offset":
+            t = t.astimezone(timezone(timedelta(hours=2)))
+        elif i > at:
+            t += (i - at) * timedelta(minutes=5)
+            t = t.astimezone(timezone(timedelta(hours=-5)))
+        rows[i] = t.isoformat() + "," + cells
+    if second_half == "aware":  # as long as "+00:00", so the split stays
+        rows[:at] = [row.replace(",1.0", ",1.0000000", 1) for row in rows[:at]]
+    write_csv(p, rows)
+    assert split_row(p) == at
+    expected, got = one_and_two_processes(monkeypatch, p)
+    assert got == expected
+    if second_half == "other-offset":
+        assert isinstance(got, tuple)
+    else:
+        line = at + (3 if second_half == "other-offset-and-step" else 2)
+        assert got.startswith(f"{p}:{line}: ")
+
+
+@pytest.mark.parametrize("failure", ["child raises", "no fork"])
+def test_failed_child_leaves_its_half_to_this_process(monkeypatch, tmp_path,
+                                                      two_processes, failure):
+    # a BaseException in the child's parse ends the child, not the test run
+    p = tmp_path / "flow.csv"
+    write_csv(p, csv_rows(576, value=2.5))
+    parent, load, calls = os.getpid(), dataset._load, []
+
+    def raising_in_child(*args):
+        if os.getpid() != parent:
+            raise KeyboardInterrupt
+        calls.append(1)
+        return load(*args)
+
+    def no_fork():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    monkeypatch.setattr(dataset, "_load", raising_in_child)
+    if failure == "no fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+    unwound = tmp_path / "unwound"
+    try:
+        expected, got = one_and_two_processes(monkeypatch, p)
+    finally:
+        if os.getpid() != parent:  # a child that came back into this test
+            unwound.touch()
+            os._exit(1)
+    assert not unwound.exists()
+    assert got == expected and isinstance(got, tuple)
+    # one process; then this half and the child's, or the whole file again
+    assert len(calls) == (1 + 2 if failure == "child raises" else 1 + 1)
+
+
+@pytest.mark.parametrize("end, after", [(b"\r\n", 2), (b"\r", 1), (b"\n", 1)])
+def test_line_break_at_a_block_edge(end, after):
+    # the first break ends the 64 KB block that _past_breaks reads: a "\r"
+    # there may begin a "\r\n" that the next block ends
+    line = b"x" * (65536 - 1)
+    data = io.BytesIO(line + end + b"y\r\n")
+    assert dataset._past_breaks(data, 0, 1) == len(line) + after
+    assert dataset._past_breaks(data, 0, 2) == len(line) + after + 3
+    assert dataset._past_breaks(data, 0, 3) is None
+
+
+def test_child_that_sends_too_few_rows_leaves_its_half_to_this_process(
+        monkeypatch, tmp_path, two_processes):
+    p = tmp_path / "flow.csv"
+    write_csv(p, csv_rows(576, value=2.5))
+    send = dataset._send_half
+
+    def short(path, split, n, w):
+        r, w2 = os.pipe()
+        send(path, split, n, w2)  # the whole half, into a pipe of its own
+        with open(r, "rb") as whole, open(w, "wb") as pipe:
+            pipe.write(whole.read(65536)[:-8])  # one cell less
+
+    monkeypatch.setattr(dataset, "_send_half", short)
+    expected, got = one_and_two_processes(monkeypatch, p)
+    assert got == expected and isinstance(got, tuple)
+
+
+def test_fault_in_this_half_kills_the_child_without_waiting(monkeypatch, tmp_path,
+                                                            two_processes):
+    p = tmp_path / "flow.csv"
+    rows = csv_rows(576)
+    rows[3] = rows[3] + ",9"
+    write_csv(p, rows)
+    parent, load = os.getpid(), dataset._load
+
+    def slow_in_child(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return load(*args)
+
+    monkeypatch.setattr(dataset, "_load", slow_in_child)
+    monkeypatch.setattr(dataset, "FORK_BYTES", 0)
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
+    t0 = time.perf_counter()
+    with pytest.raises(DataError, match=r"flow.csv:5: ragged row"):
+        ingest_csv(p)
+    assert time.perf_counter() - t0 < 30
 
 
 def per_cell_csv(series):

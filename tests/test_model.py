@@ -355,6 +355,22 @@ class TestPredictBlocks:
         for out in outputs[1:]:
             np.testing.assert_array_equal(out, outputs[0])
 
+    def test_one_row_block_agrees_to_rounding(self, monkeypatch):
+        # one node: a block of one window is one row, which BLAS runs as a
+        # matrix-vector product; in blocks of two or more rows the bits hold
+        ws = toy_windows(7, 1, l1=12, l2=12, t=288)
+        params = init_params(ModelConfig(), 1, seed=0)
+        whole = predict(params, ws, NORM)
+        for windows_per_block in (1, 2, 3, 4, 6):
+            monkeypatch.setattr(model, "PREDICT_ROWS", windows_per_block)
+            out = predict(params, ws, NORM)
+            for rows in model._blocks(len(ws), 1):
+                if len(range(len(ws))[rows]) > 1:
+                    np.testing.assert_array_equal(out[rows], whole[rows])
+                else:
+                    np.testing.assert_allclose(out[rows], whole[rows], rtol=1e-13,
+                                               atol=1e-13 * np.abs(whole).max())
+
     @pytest.mark.parametrize("use_graph", [False, True])
     def test_graph_built_once_per_pass(self, monkeypatch, use_graph):
         ws = toy_windows(30, self.N, l1=12, l2=12, t=288)
