@@ -608,7 +608,6 @@ def test_fault_in_this_half_kills_the_child_without_waiting(monkeypatch, tmp_pat
         return load(*args)
 
     monkeypatch.setattr(dataset, "_load", slow_in_child)
-    monkeypatch.setattr(dataset, "FORK_BYTES", 0)
     monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
     t0 = time.perf_counter()
     with pytest.raises(DataError, match=r"flow.csv:5: ragged row"):
