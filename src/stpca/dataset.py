@@ -7,6 +7,7 @@ holds the error types, the range check of the run settings and the CPU count
 that the other modules share.
 """
 
+import contextlib
 import csv
 import io
 import itertools
@@ -15,6 +16,7 @@ import os
 import pickle
 import re
 import signal
+import tempfile
 import warnings
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
@@ -33,10 +35,13 @@ _LINE_BREAK = re.compile(rb"\r\n|\r|\n")
 # where np.loadtxt's ValueError places a cell it cannot convert
 _LOADTXT_AT = re.compile(r"at row (\d+), column (\d+)")
 # file bytes from which `ingest_csv` parses the data lines past the middle
-# byte in a forked child process. In interleaved runs (31 of each, in a
-# process holding 60 MB more, 3 to 307 nodes) two processes took 1.3-2.0x as
-# long as one at 0.22-0.71 MB, 0.88-0.92x at 0.89-0.93 MB, 0.76-0.84x at
-# 1.7-2.0 MB and 0.62x at 6.7 MB.
+# byte, and `write_series_csv` formats the rows past the middle one, in a
+# forked child process. In interleaved runs (31 of each, in a process holding
+# 60 MB more, 3 to 307 nodes) two processes took, to read, 1.3-2.0x as long
+# as one at 0.22-0.71 MB, 0.88-0.92x at 0.89-0.93 MB, 0.76-0.84x at 1.7-2.0
+# MB and 0.62x at 6.7 MB; to write, 1.00-1.60x at 0.1-0.2 MB, 0.75-1.03x at
+# 0.35-0.5 MB, 0.72-0.89x at 0.7-1.0 MB and 0.61-0.75x at 1.5-6.7 MB. The
+# writer breaks even lower; one threshold gives up 2-15 ms a file there.
 FORK_BYTES = 1_000_000
 
 
@@ -50,9 +55,50 @@ class ConfigError(ValueError):
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on: the one rule for a second thread
-    (`model._helper`) and for a second process (`ingest_csv`)."""
+    (`model._helper`) and for a second process (`_forks`)."""
     return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+
+
+def _forks(size) -> bool:
+    """Whether a CSV of `size` bytes is read or written by two processes: at
+    least FORK_BYTES, by a process that may use more than one CPU."""
+    return size >= FORK_BYTES and _usable_cpus() > 1
+
+
+@contextlib.contextmanager
+def _second_process(work):
+    """Run `work()` in a child made with `os.fork` while the with-block runs
+    in this process. The block gets `done`, a call that waits for the child
+    and tells whether `work` returned. It is also False when `os.fork`
+    raised, so the caller does the child's share itself whenever it is
+    False. The child always ends in `os._exit`, 1 when `work` raised
+    anything. Leaving the block before `done`, by a fault or an interrupt,
+    kills the child (SIGKILL) and reaps it without waiting for its work."""
+    try:
+        pid = os.fork()
+    except OSError:  # a process limit, or no memory for one more process
+        pid = None
+    if pid == 0:  # the child never returns into the caller's stack
+        code = 1
+        try:
+            work()
+            code = 0
+        finally:
+            os._exit(code)
+    status = []
+
+    def done():
+        if pid is not None and not status:
+            status.append(os.waitpid(pid, 0)[1])
+        return status == [0]
+
+    try:
+        yield done
+    finally:
+        if pid is not None and not status:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _check(name, value, rule):
@@ -209,11 +255,11 @@ def ingest_csv(path) -> TrafficSeries:
             node_ids = _node_ids(path, next(reader, None))
             head, n = reader.line_num, len(node_ids)
             split = _split(path, head)
-            values = None if split is None else _load_halves(
-                path, fh, head, split, n, timestamps, linenos)
-            if values is None:  # one process
+            if split is None:  # one process
                 values = _load(path, _data_lines(path, fh, head, n, timestamps,
                                                  linenos), n, linenos)
+            else:
+                values = _load_halves(path, fh, head, split, n, timestamps, linenos)
     # UnicodeDecodeError is a ValueError, and so is DataError
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
@@ -254,7 +300,7 @@ def _split(path, head):
     for a file past its `head` header lines; None to parse in one process:
     below FORK_BYTES, on one CPU, or when no data line starts there."""
     size = os.path.getsize(path)
-    if size < FORK_BYTES or _usable_cpus() < 2:
+    if not _forks(size):
         return None
     with open(path, "rb") as fh:
         start, split = _past_breaks(fh, 0, head), _past_breaks(fh, size // 2, 1)
@@ -281,29 +327,19 @@ def _past_breaks(fh, at, count):
 
 def _load_halves(path, fh, head, bounds, n, timestamps, linenos):
     """`_load` of `fh`'s data lines in two processes, split at the byte
-    offsets (start, split) of `_split`, or None when no second process can
-    be made: a forked child parses the lines from `split` on and sends them
-    down a pipe (`_send_half`), while this process parses the lines before
-    and then reads the child's rows into its own array, enlarged in place.
-    A fault in this process's half kills the child; if the child fails, this
-    process parses its lines too."""
+    offsets (start, split) of `_split`: a `_second_process` parses the lines
+    from `split` on and sends them down a pipe (`_send_half`), while this
+    process parses the lines before and then reads the child's rows into its
+    own array, enlarged in place. If the child fails, this process parses
+    its lines too."""
     start, split = bounds
     r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # a process limit, or no memory for one more process
+
+    def send():
         os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:  # the child never returns into the caller's stack
-        code = 1
-        try:
-            os.close(r)
-            _send_half(path, split, n, w)
-            code = 0
-        finally:
-            os._exit(code)
-    try:
+        _send_half(path, split, n, w)
+
+    with _second_process(send) as done:
         os.close(w)
         with open(r, "rb") as pipe:
             counted = []
@@ -312,12 +348,9 @@ def _load_halves(path, fh, head, bounds, n, timestamps, linenos):
                            n, linenos)
             rows = len(values)
             half = _receive_half(pipe, values)
-    except BaseException:  # a fault in this half, or an interrupt
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        raise
+        sent = done() and half is not None
     lineno = head + counted[0]
-    if os.waitpid(pid, 0)[1] == 0 and half is not None:
+    if sent:
         first, step, offsets = half
         timestamps += [first[0] + k * step for k in range(len(offsets))]
         linenos += [lineno + offset for offset in offsets]
@@ -495,21 +528,58 @@ def write_series_csv(series: TrafficSeries, path):
 
     Timestamps are synthesized from a fixed Monday epoch so that re-ingesting
     reproduces start_slot and start_dow exactly. Values are written at 17
-    significant digits, so they read back bit for bit.
+    significant digits, so they read back bit for bit. Rows stream to a
+    temporary file that is renamed over `path` (`atomic_write_pieces`).
+
+    An output of at least FORK_BYTES (its first row times the row count),
+    written by a process that may use more than one CPU, is formatted by two
+    processes, as `ingest_csv` reads one: a `_second_process` formats the
+    rows from the middle one on into an unnamed temporary file beside `path`
+    while this process writes the header and the rows before, then appends
+    the child's file in 64 KB reads. The bytes are those of one process: if
+    the child fails, or no child can be made, this process formats its rows
+    itself. A fault or an interrupt in this process's half kills the child,
+    and neither temporary file is left. The child's memory is in neither
+    this process's `ru_maxrss` nor its VmHWM.
     """
-    base = datetime(2024, 1, 1)  # a Monday
-    t0 = base + timedelta(
-        days=series.start_dow, minutes=series.start_slot * series.interval_minutes
-    )
-    step = timedelta(minutes=series.interval_minutes)
     header = io.StringIO()
     csv.writer(header).writerow(["timestamp"] + list(series.node_ids))
+    head = header.getvalue().encode("utf-8")
+    total, mid = series.total_steps, series.total_steps // 2
+    if not (mid and _forks(len(head) + len(next(_csv_rows(series, 0, 1))) * total)):
+        atomic_write_pieces(path, itertools.chain([head], _csv_rows(series, 0, total)))
+        return
+
+    def write_tail():
+        tail.writelines(_csv_rows(series, mid, total))
+        tail.flush()  # os._exit flushes nothing
+
+    def pieces():
+        yield head
+        yield from _csv_rows(series, 0, mid)
+        if done():
+            tail.seek(0)
+            yield from iter(lambda: tail.read(1 << 16), b"")
+        else:
+            yield from _csv_rows(series, mid, total)
+
+    with (tempfile.TemporaryFile(dir=os.path.dirname(os.fspath(path)) or ".") as tail,
+          _second_process(write_tail) as done):
+        atomic_write_pieces(path, pieces())
+
+
+def _csv_rows(series, lo, hi):
+    """Yield the encoded CSV lines of steps [lo, hi) of a series, one at a
+    time."""
+    t0 = datetime(2024, 1, 1) + timedelta(  # a Monday
+        days=series.start_dow, minutes=series.start_slot * series.interval_minutes)
+    step = timedelta(minutes=series.interval_minutes)
     # the csv module would quote none of these fields: ISO timestamps and %g
     # numbers hold no comma, quote or line break
     row_format = "%s," + ",".join(["%.17g"] * series.num_nodes) + "\r\n"
-    rows = ((row_format % ((t0 + s * step).isoformat(), *row.tolist())).encode()
-            for s, row in enumerate(series.values))  # streamed, one row at a time
-    atomic_write_pieces(path, itertools.chain([header.getvalue().encode("utf-8")], rows))
+    for s in range(lo, hi):
+        yield (row_format % ((t0 + s * step).isoformat(),
+                             *series.values[s].tolist())).encode()
 
 
 def check_ratios(ratios):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 import os
@@ -562,8 +563,8 @@ def test_failed_child_leaves_its_half_to_this_process(monkeypatch, tmp_path,
             os._exit(1)
     assert not unwound.exists()
     assert got == expected and isinstance(got, tuple)
-    # one process; then this half and the child's, or the whole file again
-    assert len(calls) == (1 + 2 if failure == "child raises" else 1 + 1)
+    # one process; then this half and the child's half, both in this process
+    assert len(calls) == 1 + 2
 
 
 @pytest.mark.parametrize("end, after", [(b"\r\n", 2), (b"\r", 1), (b"\n", 1)])
@@ -652,6 +653,112 @@ class TestWriteSeriesCsv:
         assert p.read_bytes() == per_cell_csv(series)
         back = ingest_csv(p)
         assert back.values.tobytes() == series.values.tobytes()
+
+
+class TestWriteSeriesCsvTwoProcesses(TestWriteSeriesCsv):
+    """TestWriteSeriesCsv again with a child formatting the second half of
+    the rows of every file."""
+
+    @pytest.fixture(autouse=True)
+    def _every_file_forks(self, monkeypatch, two_processes):
+        monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
+
+    # Hypothesis runs a test function for one class only, so this one is new
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 6), st.data())
+    def test_bytes_match_per_cell_writer(self, tmp_path, n, start_slot, start_dow,
+                                         data):
+        super().test_bytes_match_per_cell_writer.hypothesis.inner_test(
+            self, tmp_path, n, start_slot, start_dow, data)
+
+
+def test_pems_width_file_same_sha256_written_by_two_processes(monkeypatch, tmp_path,
+                                                               two_processes):
+    rng = np.random.default_rng(12)
+    src = make_series(1152, n_nodes=307, values=rng.uniform(0, 700, size=(1152, 307)))
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    parent, rows, calls = os.getpid(), dataset._csv_rows, []
+
+    def counted(series, lo, hi):
+        if os.getpid() == parent:
+            calls.append((lo, hi))
+        return rows(series, lo, hi)
+
+    monkeypatch.setattr(dataset, "_csv_rows", counted)
+    digests = []
+    for fork_bytes in (2 ** 62, 0):
+        monkeypatch.setattr(dataset, "FORK_BYTES", fork_bytes)
+        write_series_csv(src, tmp_path / "flow.csv")
+        digests.append(hashlib.sha256((tmp_path / "flow.csv").read_bytes()).hexdigest())
+    assert len(forks) == (dataset._usable_cpus() > 1)
+    assert digests == [hashlib.sha256(per_cell_csv(src)).hexdigest()] * 2
+    assert os.listdir(tmp_path) == ["flow.csv"]
+    # the second file's rows past the middle are the child's alone
+    assert calls == [(0, 1), (0, 1152), (0, 1)] + (
+        [(0, 576)] if forks else [(0, 1152)])
+
+
+@pytest.mark.parametrize("failure", ["child raises", "no fork"])
+def test_failed_writer_child_leaves_its_rows_to_this_process(monkeypatch, tmp_path,
+                                                             two_processes, failure):
+    # a BaseException in the child's rows ends the child, not the test run
+    src = make_series(576, n_nodes=3)
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
+    parent, rows, calls = os.getpid(), dataset._csv_rows, []
+
+    def raising_in_child(series, lo, hi):
+        if os.getpid() != parent:
+            raise KeyboardInterrupt
+        calls.append((lo, hi))
+        return rows(series, lo, hi)
+
+    def no_fork():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    monkeypatch.setattr(dataset, "_csv_rows", raising_in_child)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or (
+        no_fork() if failure == "no fork" else fork()))
+    unwound = tmp_path / "unwound"
+    out = tmp_path / "out"
+    out.mkdir()
+    try:
+        write_series_csv(src, out / "flow.csv")
+    finally:
+        if os.getpid() != parent:  # a child that came back into this test
+            unwound.touch()
+            os._exit(1)
+    assert not unwound.exists()
+    assert (out / "flow.csv").read_bytes() == per_cell_csv(src)
+    assert os.listdir(out) == ["flow.csv"]
+    # the size estimate's first row, this half, then the child's half
+    assert calls == [(0, 1), (0, 288), (288, 576)] and forks == [1]
+
+
+def test_interrupt_in_this_half_kills_the_writer_child(monkeypatch, tmp_path,
+                                                       two_processes):
+    src = make_series(576, n_nodes=3)
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
+    parent, rows = os.getpid(), dataset._csv_rows
+
+    def interrupted_here(series, lo, hi):
+        if os.getpid() != parent:
+            time.sleep(60)
+        for k, line in enumerate(rows(series, lo, hi)):
+            if (lo, k) == (0, 100):
+                raise KeyboardInterrupt
+            yield line
+
+    monkeypatch.setattr(dataset, "_csv_rows", interrupted_here)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        write_series_csv(src, tmp_path / "flow.csv")
+    assert time.perf_counter() - t0 < 30 and forks == [1]
+    assert os.listdir(tmp_path) == []  # no output, no temporary file
 
 
 class TestSplit:

@@ -16,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from stpca import dataset
 from stpca.dataset import (Normalizer, TrafficSeries, fit_normalizer, ingest_csv,
                            make_windows, to_day_tensor, write_series_csv)
 from stpca.metrics import evaluate
@@ -121,7 +122,11 @@ def test_synth_generate_peak_below_two_and_a_half_series():
     assert peak < 2.5 * train.values.nbytes
 
 
-def test_write_series_csv_peak_below_file_size(series, tmp_path):
+@pytest.mark.parametrize("processes", [1, 2], ids=["one-process", "two-processes"])
+def test_write_series_csv_peak_below_file_size(series, tmp_path, monkeypatch, processes):
+    # with two, this process's peak includes appending the child's rows
+    monkeypatch.setattr(dataset, "FORK_BYTES", 2 ** 62 if processes == 1 else 0)
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: processes)
     path = tmp_path / "series.csv"
     _, peak = traced_peak(write_series_csv, series, path)
     assert peak < os.path.getsize(path)

@@ -1,3 +1,5 @@
+import os
+import stat
 import struct
 
 import numpy as np
@@ -204,6 +206,21 @@ def test_streamed_write_that_raises_leaves_nothing(tmp_path):
         atomic_write_pieces(p, pieces())
     assert list(tmp_path.iterdir()) == [p]
     assert p.read_bytes() == b"old file"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_atomic_write_gives_the_mode_of_a_fresh_open(tmp_path, umask):
+    # mkstemp makes its file 0o600 whatever the umask
+    old = os.umask(umask)
+    try:
+        atomic_write_pieces(tmp_path / "out.csv", [b"rows"])
+        with open(tmp_path / "fresh.csv", "wb"):
+            pass
+    finally:
+        os.umask(old)
+    modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+             for name in ("out.csv", "fresh.csv")]
+    assert modes == [0o666 & ~umask] * 2
 
 
 def test_strategy_tags_cover_the_table_strategies():
