@@ -20,9 +20,8 @@ from .metrics import HorizonReport, MetricSet, evaluate, render_report
 from .model import ModelConfig
 from .pca import check_theta, pca_table
 from .pipeline import check_train_strategy, sweep_run, train_run
-from .serialize import (atomic_write_text, load_model, load_projection,
-                        save_model, save_projection, write_embedding_csv,
-                        write_graph_csv)
+from .serialize import (atomic_write_text, load_model, save_model,
+                        write_embedding_csv, write_graph_csv)
 from .synth import SynthSpec, generate, write_roles_csv
 from .training import TrainConfig
 from .transfer import (TransferPlan, cross_year_eval,
@@ -165,9 +164,8 @@ def cmd_train(args):
                     ratios=ratios, theta=config["model.theta"])
     out_dir = config["run.out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    save_model(run.params, run.bundle.normalizer, os.path.join(out_dir, "model.stpf"))
-    if run.projection is not None:
-        save_projection(run.projection, os.path.join(out_dir, "proj.stpj"))
+    save_model(run.params, run.bundle.normalizer, os.path.join(out_dir, "model.stpf"),
+               run.projection)
     atomic_write_text(os.path.join(out_dir, "train_log.csv"),
                       _train_log_text(run.report))
     atomic_write_text(os.path.join(out_dir, "config.resolved"),
@@ -183,23 +181,24 @@ STRATEGY_ALIASES = {
 }
 
 
-def _projection(args, strategies):
-    """The --proj projection if one of `strategies` is pca_emb, else None."""
-    if "pca_emb" not in strategies:
-        return None
-    if not args.proj:
-        raise ConfigError("strategy pca requires --proj")
-    return load_projection(args.proj)
+def _load_model(path, projection_use):
+    """load_model's (params, normalizer, projection); a ConfigError if
+    `projection_use` names a use of the projection and the model has none."""
+    params, norm, proj = load_model(path)
+    if projection_use and proj is None:
+        raise ConfigError(f"{projection_use} needs a pca model, and {path} has "
+                          f"embedding strategy {params.embedding.strategy}")
+    return params, norm, proj
 
 
 def cmd_eval(args):
     ratios = parse_ratios(args.ratios, "--ratios")
-    params, norm = load_model(args.model)
+    strategy = STRATEGY_ALIASES[args.strategy]
+    params, norm, proj = _load_model(args.model,
+                                     strategy == "pca_emb" and "strategy pca")
     series = ingest_csv(args.data)
     ranges = split_chronological(series, ratios)
-    strategy = STRATEGY_ALIASES[args.strategy]
-    scored = with_strategy(params, strategy, series, ranges[0], norm,
-                           _projection(args, [strategy]))
+    scored = with_strategy(params, strategy, series, ranges[0], norm, proj)
     windows = make_windows(series, ranges[("train", "val", "test").index(args.split)],
                            params.config.l1, params.config.l2)
     report = evaluate(scored, None, windows, norm, metadata={
@@ -219,8 +218,8 @@ def cmd_transfer(args):
             raise ConfigError(f"unknown transfer strategy {name!r}")
         plans.append((name, TransferPlan(adaptation_fraction=args.adaptation_fraction,
                                          strategy=STRATEGY_ALIASES[name])))
-    params, norm = load_model(args.model)
-    proj = _projection(args, [plan.strategy for _, plan in plans])
+    uses_pca = any(plan.strategy == "pca_emb" for _, plan in plans)
+    params, norm, proj = _load_model(args.model, uses_pca and "strategy pca")
     target = ingest_csv(args.target)
     # the same sensors in a later year, or a foreign node set
     score = (cross_year_eval if target.num_nodes == params.num_nodes
@@ -310,14 +309,10 @@ def cmd_ingest(args):
 
 def cmd_export_embeddings(args):
     ratios = parse_ratios(args.ratios, "--ratios")
-    if args.model:
-        params, _ = load_model(args.model)
-        table = params.embedding
-        node_ids = [str(i) for i in range(table.num_nodes)]
-    else:
-        if not (args.proj and args.data):
-            raise ConfigError("need either --model or both --proj and --data")
-        proj = load_projection(args.proj)
+    params, _, proj = _load_model(args.model, args.data and "--data")
+    table = params.embedding
+    node_ids = [str(i) for i in range(table.num_nodes)]
+    if args.data:
         series = ingest_csv(args.data)
         ranges = split_chronological(series, ratios)
         table, _ = pca_table(series, ranges[0], fit_normalizer(series, ranges[0]), proj)
@@ -390,7 +385,6 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--strategy", choices=("vanilla", "zero", "pca"),
                    default="vanilla")
-    p.add_argument("--proj", default=None)
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.add_argument("--ratios", default=_RATIOS_TEXT)
     p.add_argument("--out", default="report.json")
@@ -398,7 +392,6 @@ def build_parser():
 
     p = sub.add_parser("transfer", help="run transfer strategies on target data")
     p.add_argument("--model", required=True)
-    p.add_argument("--proj", default=None)
     p.add_argument("--target", required=True)
     p.add_argument("--strategies", default="vanilla,zero,pca,finetune")
     p.add_argument("--adaptation-fraction", type=float,
@@ -415,9 +408,10 @@ def build_parser():
     p.set_defaults(func=cmd_sweep_components)
 
     p = sub.add_parser("export-embeddings", help="write an embedding table CSV")
-    p.add_argument("--model", default=None)
-    p.add_argument("--proj", default=None)
-    p.add_argument("--data", default=None)
+    p.add_argument("--model", required=True)
+    p.add_argument("--data", default=None,
+                   help="refresh the table from this series through the model's "
+                        "projection")
     p.add_argument("--ratios", default=_RATIOS_TEXT)
     p.add_argument("--out", default="embeddings.csv")
     p.add_argument("--graph-out", default=None,

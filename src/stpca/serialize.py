@@ -5,8 +5,11 @@ serialize to identical bytes. All writers go through an atomic temp-then-rename
 so interrupted runs never leave partial artifacts behind.
 """
 
+import csv
+import io
 import math
 import struct
+import zlib
 
 import numpy as np
 
@@ -17,7 +20,7 @@ from .pca import EmbeddingTable, PcaProjection
 
 PROJECTION_MAGIC = b"STPJ1"
 MODEL_MAGIC = b"STPF1"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 STRATEGY_TAGS = {"adaptive": 0, "pca": 1, "zero": 2}
 TAG_STRATEGIES = {v: k for k, v in STRATEGY_TAGS.items()}
 
@@ -26,12 +29,29 @@ def _f64(arr) -> bytes:
     return np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
-def save_projection(proj: PcaProjection, path):
-    """STPJ1: magic, u32 T, u32 C, f64 mean[T], components[TxC], eigenvalues[T]."""
+def _projection_bytes(proj: PcaProjection) -> bytes:
+    """u32 T, u32 C, f64 mean[T], components[TxC], eigenvalues[T]."""
     t, c = proj.components.shape
-    payload = (PROJECTION_MAGIC + struct.pack("<II", t, c)
-               + _f64(proj.mean) + _f64(proj.components) + _f64(proj.eigenvalues))
-    atomic_write_pieces(path, [payload])
+    return (struct.pack("<II", t, c) + _f64(proj.mean) + _f64(proj.components)
+            + _f64(proj.eigenvalues))
+
+
+def _parse_projection(raw, off: int, where):
+    """The `_projection_bytes` section at `off`, and the offset past it."""
+    t, c = struct.unpack_from("<II", raw, off)
+    if not 1 <= c <= t:
+        raise ValueError(f"{where}: bad projection shape T={t}, C={c}")
+    end = off + 8 + 8 * t * (c + 2)
+    if end > len(raw):
+        raise struct.error("projection data past the end of the file")
+    values = np.frombuffer(raw, "<f8", t * (c + 2), off + 8).copy()
+    return PcaProjection(mean=values[:t], components=values[t:-t].reshape(t, c),
+                         eigenvalues=values[-t:]), end
+
+
+def save_projection(proj: PcaProjection, path):
+    """STPJ1: magic, then the projection section of a pca model checkpoint."""
+    atomic_write_pieces(path, [PROJECTION_MAGIC + _projection_bytes(proj)])
 
 
 def load_projection(path) -> PcaProjection:
@@ -40,19 +60,12 @@ def load_projection(path) -> PcaProjection:
     if raw[:5] != PROJECTION_MAGIC:
         raise ValueError(f"{path}: not a projection checkpoint")
     try:
-        t, c = struct.unpack_from("<II", raw, 5)
+        proj, end = _parse_projection(raw, 5, path)
+        if end == len(raw):
+            return proj
     except struct.error:
-        raise ValueError(f"{path}: truncated projection checkpoint") from None
-    if not 1 <= c <= t:
-        raise ValueError(f"{path}: bad projection shape T={t}, C={c}")
-    off = 5 + 8
-    expect = off + 8 * (t + t * c + t)
-    if len(raw) != expect:
-        raise ValueError(f"{path}: truncated projection checkpoint")
-    mean = np.frombuffer(raw, "<f8", t, off).copy()
-    comps = np.frombuffer(raw, "<f8", t * c, off + 8 * t).reshape(t, c).copy()
-    eig = np.frombuffer(raw, "<f8", t, off + 8 * t * (1 + c)).copy()
-    return PcaProjection(mean=mean, components=comps, eigenvalues=eig)
+        pass
+    raise ValueError(f"{path}: truncated projection checkpoint")
 
 
 def _pack_tensor(arr: np.ndarray) -> bytes:
@@ -61,7 +74,7 @@ def _pack_tensor(arr: np.ndarray) -> bytes:
     return head + _f64(arr)
 
 
-def _unpack_tensor(raw: bytes, off: int, shape, where: str):
+def _unpack_tensor(raw, off: int, shape, where: str):
     """Read one tensor whose shape must be `shape`; None matches any positive size."""
     want = "x".join(str(d) if d else "N" for d in shape)
     (rank,) = struct.unpack_from("<I", raw, off)
@@ -80,9 +93,29 @@ def _unpack_tensor(raw: bytes, off: int, shape, where: str):
     return arr, off + 8 * size
 
 
-def save_model(params: ModelParams, normalizer: Normalizer, path):
-    """STPF1: magic, u32 version, config block (9 u32 + normalizer mean/std),
-    all tensors, embedding strategy tag byte."""
+def _check_pairing(params: ModelParams, projection, where):
+    """A pca table travels with the projection it was made through, of
+    steps_per_day x embed_dim components; no other table has one."""
+    strategy, cfg = params.embedding.strategy, params.config
+    if (strategy == "pca") != (projection is not None):
+        raise ValueError(f"{where}: a {strategy} table with "
+                         f"{'no' if projection is None else 'a'} projection; a pca "
+                         "table has the one it was made through, no other has one")
+    want = (cfg.steps_per_day, cfg.embed_dim)
+    if projection is not None and projection.components.shape != want:
+        raise ValueError(f"{where}: projection shape "
+                         f"{'x'.join(map(str, projection.components.shape))} does "
+                         f"not match the header config ({want[0]}x{want[1]})")
+
+
+def save_model(params: ModelParams, normalizer: Normalizer, path, projection=None):
+    """STPF version 2: magic, u32 version, config block (9 u32 + normalizer
+    mean/std), all tensors, embedding strategy tag byte, the projection
+    section when the tag is pca, and a CRC-32 of every byte before it.
+
+    A pca model must come with its projection, and any other without one.
+    """
+    _check_pairing(params, projection, path)
     cfg = params.config
     blob = [MODEL_MAGIC, struct.pack("<I", MODEL_VERSION)]
     blob.append(struct.pack(
@@ -93,29 +126,38 @@ def save_model(params: ModelParams, normalizer: Normalizer, path):
     for arr in params.tensors().values():
         blob.append(_pack_tensor(arr))
     blob.append(struct.pack("<B", STRATEGY_TAGS[params.embedding.strategy]))
-    atomic_write_pieces(path, blob)
+    if projection is not None:
+        blob.append(_projection_bytes(projection))
+    body = b"".join(blob)
+    atomic_write_pieces(path, [body, struct.pack("<I", zlib.crc32(body))])
 
 
 def load_model(path):
-    """Returns (params, normalizer).
+    """Returns (params, normalizer, projection); the projection is None
+    unless the table is pca.
 
-    A cut file, tensors whose shapes disagree with the header config, or a
-    zero-strategy table with a nonzero entry raise ValueError naming the path.
+    Another version, a CRC-32 that does not match, a cut file, tensors whose
+    shapes disagree with the header config, or a zero-strategy table with a
+    nonzero entry raise ValueError naming the path.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:5] != MODEL_MAGIC:
         raise ValueError(f"{path}: not a model checkpoint")
     try:
-        return _parse_model(raw, path)
+        (version,) = struct.unpack_from("<I", raw, 5)
+        if version != MODEL_VERSION:
+            raise ValueError(f"{path}: checkpoint version {version} is not "
+                             f"supported (this build reads version {MODEL_VERSION})")
+        body = memoryview(raw)[:-4]
+        if zlib.crc32(body) != struct.unpack_from("<I", raw, len(body))[0]:
+            raise ValueError(f"{path}: checksum mismatch")
+        return _parse_model(body, path)
     except struct.error:
         raise ValueError(f"{path}: truncated model checkpoint") from None
 
 
-def _parse_model(raw: bytes, path):
-    (version,) = struct.unpack_from("<I", raw, 5)
-    if version != MODEL_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+def _parse_model(raw, path):
     fields = struct.unpack_from("<9I", raw, 9)
     try:
         cfg = ModelConfig(
@@ -137,14 +179,26 @@ def _parse_model(raw: bytes, path):
     (tag,) = struct.unpack_from("<B", raw, off)
     if tag not in TAG_STRATEGIES:
         raise ValueError(f"{path}: unknown embedding strategy tag {tag}")
-    if off + 1 != len(raw):
+    projection, off = None, off + 1
+    if TAG_STRATEGIES[tag] == "pca":
+        projection, off = _parse_projection(raw, off, path)
+    if off != len(raw):
         raise ValueError(f"{path}: trailing bytes in checkpoint")
 
     try:
         params = _from_tensors(cfg, tensors, TAG_STRATEGIES[tag])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return params, Normalizer(mean=mean, std=std)
+    _check_pairing(params, projection, path)
+    return params, Normalizer(mean=mean, std=std), projection
+
+
+def _csv_field(text) -> str:
+    """`text` as one CSV field, quoted as `write_series_csv` quotes a header id
+    (one holding a comma, a quote or a line break)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text])
+    return buf.getvalue()[:-2]  # less the writer's \r\n
 
 
 def embedding_csv(table: EmbeddingTable, node_ids) -> str:
@@ -154,7 +208,7 @@ def embedding_csv(table: EmbeddingTable, node_ids) -> str:
     header = "node_id," + ",".join(f"c{j}" for j in range(table.dim))
     lines = [header]
     for nid, row in zip(node_ids, table.values):
-        lines.append(str(nid) + "," + ",".join(f"{v:.17g}" for v in row))
+        lines.append(_csv_field(nid) + "," + ",".join(f"{v:.17g}" for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -165,6 +219,7 @@ def write_embedding_csv(table: EmbeddingTable, node_ids, path):
 def write_graph_csv(graph, node_ids, path):
     """One `src,dst,weight` row per node pair of the [N x N] graph."""
     lines = ["src,dst,weight"]
+    node_ids = [_csv_field(nid) for nid in node_ids]
     for i, src in enumerate(node_ids):
         for j, dst in enumerate(node_ids):
             lines.append(f"{src},{dst},{graph[i, j]:.17g}")

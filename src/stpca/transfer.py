@@ -124,7 +124,10 @@ def zero_shot_transfer(params, source_normalizer, source_proj, target_series,
     """Foreign node set, no weight updates: recompute only the embedding.
 
     Only pca_emb builds a table for nodes the model never saw, so any other
-    plan is a DataError.
+    plan is a DataError. With the graph off, a node's predictions depend on
+    the rest of the target city only through the scalar tensor normalizer
+    that `_transfer` fits on the whole adaptation prefix; with the graph on,
+    every node feeds every other.
     """
     if plan.strategy != "pca_emb":
         raise DataError(f"only a PCA table transfers to another node set (model "

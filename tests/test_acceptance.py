@@ -389,14 +389,13 @@ def test_criterion_11_end_to_end_determinism(tmp_path):
                          "--data", str(synth / "train.csv"),
                          "--out", str(d / "report.json")]) == 0
         assert cli_main(["transfer", "--model", str(d / "out" / "model.stpf"),
-                         "--proj", str(d / "out" / "proj.stpj"),
                          "--target", str(synth / "shifted.csv"),
                          "--strategies", "vanilla,zero,pca,finetune",
                          "--adaptation-fraction", "0.3",
                          "--out", str(d / "comparison.json")]) == 0
         artifacts[tag] = {
             name: (d / "out" / name).read_bytes()
-            for name in ("model.stpf", "proj.stpj", "train_log.csv")
+            for name in ("model.stpf", "train_log.csv")
         }
         artifacts[tag]["report.json"] = (d / "report.json").read_bytes()
         artifacts[tag]["comparison.json"] = (d / "comparison.json").read_bytes()
@@ -424,7 +423,6 @@ def test_criterion_12_real_data_smoke(tmp_path):
                      "--data", str(data_dir / "train.csv"),
                      "--out", str(tmp_path / "report.json")]) == 0
     assert cli_main(["transfer", "--model", str(out / "model.stpf"),
-                     "--proj", str(out / "proj.stpj"),
                      "--target", str(data_dir / "shifted.csv"),
                      "--strategies", "pca,zero",
                      "--adaptation-fraction", "0.34",

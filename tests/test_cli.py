@@ -3,7 +3,6 @@ import ast
 import dataclasses
 import inspect
 import json
-import math
 import os
 import pathlib
 import re
@@ -22,10 +21,10 @@ from stpca.dataset import (Normalizer, fit_normalizer, ingest_csv, make_windows,
                            split_chronological)
 from stpca.metrics import evaluate
 from stpca.model import ModelConfig, init_params, set_embedding
-from stpca.pca import fit_projection, pca_table, zero_embedding
-from stpca.serialize import (embedding_csv, load_model, load_projection,
-                             save_model, save_projection)
+from stpca.pca import EmbeddingTable, fit_projection, pca_table, zero_embedding
+from stpca.serialize import embedding_csv, load_model, save_model
 from test_dataset import csv_texts
+from test_serialize import sealed
 
 SMALL_CONFIG = """
 data.csv={data}
@@ -221,7 +220,10 @@ class TestFaultExits:
     @pytest.mark.parametrize("command, removed", [
         ("transfer", ["--csv-out", "{tmp}/cmp.csv"]), ("transfer", ["--refit-projection"]),
         ("export-embeddings", ["--min-weight", "0.1"]),
-    ], ids=["transfer", "transfer-refit-projection", "export-embeddings"])
+        ("transfer", ["--proj", "{tmp}/proj.stpj"]),
+        ("export-embeddings", ["--proj", "{tmp}/proj.stpj"]),
+    ], ids=["transfer", "transfer-refit-projection", "export-embeddings",
+            "transfer-proj", "export-embeddings-proj"])
     def test_removed_flag_exit_2(self, synth_dir, trained_dir, tmp_path, command,
                                  removed):
         model = ["--model", str(trained_dir / "model.stpf")]
@@ -239,18 +241,15 @@ class TestFaultExits:
         ("train-without-data", 2,
          "config error: config key data.csv is required for this command"),
         ("unknown-strategy", 2, "config error: unknown transfer strategy 'banana'"),
-        ("export-without-source", 2,
-         "config error: need either --model or both --proj and --data"),
         ("header-l1-zero", 1,
          "error: {model}: bad header config: l1 must be in [1, inf), got 0"),
-    ], ids=["train-without-data", "unknown-strategy", "export-without-source",
-            "header-l1-zero"])
+    ], ids=["train-without-data", "unknown-strategy", "header-l1-zero"])
     def test_input_fault_exit(self, synth_dir, trained_dir, tmp_path, capsys, case,
                               code, line):
         model = tmp_path / "model.stpf"
-        raw = bytearray((trained_dir / "model.stpf").read_bytes())
+        raw = bytearray((trained_dir / "model.stpf").read_bytes()[:-4])
         raw[9:13] = (0).to_bytes(4, "little")  # the header's l1
-        model.write_bytes(bytes(raw))
+        model.write_bytes(sealed(bytes(raw)))
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"run.out_dir={tmp_path / 'o'}\n")
         out = str(tmp_path / "out.json")
@@ -258,7 +257,6 @@ class TestFaultExits:
                 "unknown-strategy": ["transfer", "--model", str(model),
                                      "--target", str(synth_dir / "shifted.csv"),
                                      "--strategies", "vanilla,banana", "--out", out],
-                "export-without-source": ["export-embeddings", "--out", out],
                 "header-l1-zero": ["eval", "--model", str(model),
                                    "--data", str(synth_dir / "train.csv"), "--out", out]}
         assert run_cli(*argv[case]) == code
@@ -281,8 +279,8 @@ class TestTrain:
         write_config(cfg, synth_dir / "train.csv", out)
         assert run_cli("train", "--config", str(cfg)) == 0
         names = sorted(p.name for p in out.iterdir())
-        assert names == ["config.resolved", "model.stpf", "proj.stpj",
-                         "train_log.csv"]
+        assert names == ["config.resolved", "model.stpf", "train_log.csv"]
+        assert load_model(out / "model.stpf")[2].num_components == 3
         log = (out / "train_log.csv").read_text().splitlines()
         assert log[0] == "epoch,train_loss,val_mae"
         assert len(log) == 3  # 2 epochs
@@ -297,7 +295,7 @@ class TestTrain:
             write_config(cfg, synth_dir / "train.csv", out)
             assert run_cli("train", "--config", str(cfg)) == 0
             outs.append(out)
-        for name in ("model.stpf", "proj.stpj", "train_log.csv"):
+        for name in ("model.stpf", "train_log.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     @pytest.mark.parametrize("strategy", ["adaptive", "zero"])
@@ -307,7 +305,8 @@ class TestTrain:
         write_config(cfg, synth_dir / "train.csv", out, strategy=strategy)
         assert run_cli("train", "--config", str(cfg)) == 0
         assert not (out / "proj.stpj").exists()
-        params, _ = load_model(out / "model.stpf")
+        params, _, proj = load_model(out / "model.stpf")
+        assert proj is None
         assert params.embedding.strategy == strategy
         assert params.embedding.values.any() == (strategy == "adaptive")
 
@@ -353,7 +352,8 @@ class TestTrain:
         write_config(tmp_path / "run.cfg", synth_dir / "train.csv", out,
                      extra="model.embed_dim=25\nmodel.theta=0.9\n")
         assert run_cli("train", "--config", str(tmp_path / "run.cfg")) == 0
-        assert (out / "proj.stpj").exists()
+        params, _, proj = load_model(out / "model.stpf")
+        assert proj.num_components == params.config.embed_dim < 25
 
 
 @pytest.fixture(scope="module")
@@ -390,17 +390,15 @@ class TestEval:
                                             strategy):
         out = tmp_path / "report.json"
         assert run_cli("eval", "--model", str(trained_dir / "model.stpf"),
-                       "--proj", str(trained_dir / "proj.stpj"),
                        "--data", str(synth_dir / "train.csv"),
                        "--strategy", strategy, "--out", str(out)) == 0
-        params, norm = load_model(trained_dir / "model.stpf")
+        params, norm, proj = load_model(trained_dir / "model.stpf")
         series = ingest_csv(synth_dir / "train.csv")
         ranges = split_chronological(series, (0.6, 0.2, 0.2))
         if strategy == "zero":
             table = zero_embedding(params.num_nodes, params.config.embed_dim)
         else:
-            table, _ = pca_table(series, ranges[0], norm,
-                                 load_projection(trained_dir / "proj.stpj"))
+            table, _ = pca_table(series, ranges[0], norm, proj)
         manual = evaluate(set_embedding(params, table), None,
                           make_windows(series, ranges[2], 6, 6), norm)
         reported = json.loads(out.read_text())["horizons"]
@@ -413,7 +411,7 @@ class TestEval:
     def test_dirty_zero_checkpoint_exit_1(self, synth_dir, trained_dir, tmp_path,
                                           capsys):
         # a zero-strategy checkpoint whose table was rewritten to 5.0
-        params, norm = load_model(trained_dir / "model.stpf")
+        params, norm, _ = load_model(trained_dir / "model.stpf")
         params.embedding = zero_embedding(params.num_nodes, params.config.embed_dim)
         params.embedding.values[:] = 5.0  # past the table's own check
         dirty = tmp_path / "dirty.stpf"
@@ -448,7 +446,6 @@ class TestTransfer:
     def test_four_strategy_comparison(self, synth_dir, trained_dir, tmp_path):
         out = tmp_path / "cmp.json"
         assert run_cli("transfer", "--model", str(trained_dir / "model.stpf"),
-                       "--proj", str(trained_dir / "proj.stpj"),
                        "--target", str(synth_dir / "shifted.csv"),
                        "--strategies", "vanilla,zero,pca,finetune",
                        "--adaptation-fraction", "0.3",
@@ -464,7 +461,6 @@ class TestTransfer:
                        "--steps-per-day", "48", "--seed", "1",
                        "--out-dir", str(other)) == 0
         code = run_cli("transfer", "--model", str(trained_dir / "model.stpf"),
-                       "--proj", str(trained_dir / "proj.stpj"),
                        "--target", str(other / "train.csv"),
                        "--strategies", "pca", "--adaptation-fraction", "0.3",
                        "--out", str(tmp_path / "x.json"))
@@ -488,7 +484,6 @@ class TestTransfer:
 
     def protocol_of(self, trained_dir, target, out):
         assert run_cli("transfer", "--model", str(trained_dir / "model.stpf"),
-                       "--proj", str(trained_dir / "proj.stpj"),
                        "--target", str(target),
                        "--strategies", "pca", "--adaptation-fraction", "0.3",
                        "--out", str(out)) == 0
@@ -506,7 +501,6 @@ class TestTransfer:
                                              capsys):
         out = tmp_path / "t.json"
         assert run_cli("transfer", "--model", str(trained_dir / "model.stpf"),
-                       "--proj", str(trained_dir / "proj.stpj"),
                        "--target", str(city_dir / "train.csv"),
                        "--strategies", "zero", "--adaptation-fraction", "0.3",
                        "--out", str(out)) == 1
@@ -522,14 +516,28 @@ class TestTransfer:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("command", ["eval", "transfer-same-nodes",
-                                         "transfer-5-nodes"])
+                                         "transfer-5-nodes", "export-data"])
     def test_pca_without_proj_exit_2(self, synth_dir, city_dir, trained_dir,
-                                     tmp_path, capsys, command):
-        model = ["--model", str(trained_dir / "model.stpf")]
+                                     tmp_path, capsys, monkeypatch, command):
+        # a model whose table is not pca has no projection to refresh one with
+        params, norm, _ = load_model(trained_dir / "model.stpf")
+        strategy = "zero" if command in ("eval", "transfer-5-nodes") else "adaptive"
+        params.embedding = EmbeddingTable(values=params.embedding.values * 0,
+                                          strategy=strategy)
+        path = tmp_path / "model.stpf"
+        save_model(params, norm, path)
+        reads = []
+        monkeypatch.setattr(cli, "ingest_csv", lambda *a, **k: reads.append(a))
+        model = ["--model", str(path)]
         out = ["--out", str(tmp_path / "out.json")]
+        use = "strategy pca"
         if command == "eval":
             argv = ["eval", *model, "--data", str(synth_dir / "train.csv"),
                     "--strategy", "pca", *out]
+        elif command == "export-data":
+            argv = ["export-embeddings", *model, "--data", str(synth_dir / "train.csv"),
+                    *out]
+            use = "--data"
         else:
             target = city_dir if command.endswith("5-nodes") else synth_dir
             argv = ["transfer", *model, "--target", str(target / "train.csv"),
@@ -537,15 +545,15 @@ class TestTransfer:
                     *out]
         assert run_cli(*argv) == 2
         err = assert_one_line_error(capsys, "config error: ")
-        assert err == "config error: strategy pca requires --proj\n"
-        assert not (tmp_path / "out.json").exists()
+        assert err == (f"config error: {use} needs a pca model, and {path} has "
+                       f"embedding strategy {strategy}\n")
+        assert reads == [] and sorted(tmp_path.iterdir()) == [path]
 
     def test_transfer_rerun_byte_identical(self, synth_dir, trained_dir, tmp_path):
         blobs = []
         for name in ("t1.json", "t2.json"):
             out = tmp_path / name
             assert run_cli("transfer", "--model", str(trained_dir / "model.stpf"),
-                           "--proj", str(trained_dir / "proj.stpj"),
                            "--target", str(synth_dir / "shifted.csv"),
                            "--strategies", "vanilla,pca",
                            "--adaptation-fraction", "0.3",
@@ -628,8 +636,7 @@ class TestExportAndReport:
 
     def test_export_from_projection(self, synth_dir, trained_dir, tmp_path):
         out = tmp_path / "emb2.csv"
-        assert run_cli("export-embeddings",
-                       "--proj", str(trained_dir / "proj.stpj"),
+        assert run_cli("export-embeddings", "--model", str(trained_dir / "model.stpf"),
                        "--data", str(synth_dir / "train.csv"),
                        "--out", str(out)) == 0
         assert out.read_text().splitlines()[1].split(",")[0] == "node_0"
@@ -637,12 +644,11 @@ class TestExportAndReport:
     def test_export_from_projection_is_the_training_table(self, synth_dir, trained_dir,
                                                           tmp_path):
         out = tmp_path / "emb.csv"
-        assert run_cli("export-embeddings",
-                       "--proj", str(trained_dir / "proj.stpj"),
+        assert run_cli("export-embeddings", "--model", str(trained_dir / "model.stpf"),
                        "--data", str(synth_dir / "train.csv"),
                        "--out", str(out)) == 0
         series = ingest_csv(str(synth_dir / "train.csv"))
-        proj = load_projection(str(trained_dir / "proj.stpj"))
+        params, _, proj = load_model(str(trained_dir / "model.stpf"))
         train_range = split_chronological(series, (0.6, 0.2, 0.2))[0]
         reference, _ = pca_table(series, train_range,
                                  fit_normalizer(series, train_range), proj)
@@ -650,14 +656,12 @@ class TestExportAndReport:
         # and it is the frozen table the pca training run installed
         exported = np.array([[float(v) for v in line.split(",")[1:]]
                              for line in out.read_text().splitlines()[1:]])
-        params, _ = load_model(str(trained_dir / "model.stpf"))
         np.testing.assert_array_equal(exported, params.embedding.values)
 
     def test_export_with_graph(self, synth_dir, trained_dir, tmp_path):
-        # from the model's own table, and from the projection over a series
-        for source in (["--model", str(trained_dir / "model.stpf")],
-                       ["--proj", str(trained_dir / "proj.stpj"),
-                        "--data", str(synth_dir / "train.csv")]):
+        # from the model's own table, and through its projection over a series
+        model = ["--model", str(trained_dir / "model.stpf")]
+        for source in (model, [*model, "--data", str(synth_dir / "train.csv")]):
             emb = tmp_path / "emb3.csv"
             graph = tmp_path / "graph.csv"
             assert run_cli("export-embeddings", *source, "--out", str(emb),
@@ -673,7 +677,6 @@ class TestExportAndReport:
                        "--data", str(synth_dir / "train.csv"),
                        "--out", str(rep)) == 0
         assert run_cli("transfer", "--model", str(trained_dir / "model.stpf"),
-                       "--proj", str(trained_dir / "proj.stpj"),
                        "--target", str(synth_dir / "shifted.csv"),
                        "--strategies", "vanilla,zero,pca",
                        "--adaptation-fraction", "0.3", "--include-baseline",
@@ -735,6 +738,18 @@ class TestExportAndReport:
             assert_one_line_error(capsys, f"error: {rep}: ")
 
 
+def save_pca_model(path):
+    """A small pca model checkpoint: 2 nodes, 4 slots a day, 2 components."""
+    cfg = ModelConfig(l1=1, l2=1, embed_dim=2, tod_dim=1, dow_dim=1,
+                      hidden_dim=1, num_blocks=1, use_graph=True, steps_per_day=4)
+    rng = np.random.default_rng(0)
+    proj = fit_projection(rng.normal(size=(3, 5, 4)), n_components=2)
+    params = set_embedding(init_params(cfg, 2, seed=0),
+                           EmbeddingTable(values=rng.normal(size=(2, 2)),
+                                          strategy="pca"))
+    save_model(params, Normalizer(0.0, 1.0), path, proj)
+
+
 class TestCutCheckpoints:
     """A checkpoint cut at any byte ends in exit 1 with one line, no traceback."""
 
@@ -758,14 +773,13 @@ class TestCutCheckpoints:
              "--out", str(tmp_path / "r.json")), capsys)
 
     def test_projection(self, synth_dir, tmp_path, capsys):
-        rng = np.random.default_rng(0)
-        good = tmp_path / "good.stpj"
-        save_projection(fit_projection(rng.normal(size=(3, 5, 4)), n_components=2),
-                        good)
-        cut = tmp_path / "cut.stpj"
+        # a pca model, whose projection section comes last
+        good = tmp_path / "good.stpf"
+        save_pca_model(good)
+        cut = tmp_path / "cut.stpf"
         self.assert_every_cut_exits_1(
             good.read_bytes(), cut,
-            ("export-embeddings", "--proj", str(cut),
+            ("export-embeddings", "--model", str(cut),
              "--data", str(synth_dir / "train.csv"),
              "--out", str(tmp_path / "e.csv")), capsys)
 
@@ -900,7 +914,7 @@ class TestNumericSettings:
                               "--out", t / "o"],
                  "sweep-components": ["--config", t / "sweep.cfg"],
                  "eval": ["--model", t / "m.stpf", "--data", t / "d.csv", "--out", t / "o"],
-                 "export-embeddings": ["--proj", t / "p.stpj", "--data", t / "d.csv",
+                 "export-embeddings": ["--model", t / "m.stpf", "--data", t / "d.csv",
                                        "--out", t / "o"]}
         write_config(t / "sweep.cfg", t / "train.csv", t / "o",
                      extra=f"data.shifted_csv={t / 'shifted.csv'}\n")
@@ -991,7 +1005,8 @@ class TestReadme:
                 if flag.startswith("--"):
                     shown.append(flag)
                     assert flag in known, f"{flag} in {text!r}"
-        assert {"--proj", "--graph-out", "--include-baseline"} <= set(shown)
+        assert {"--data", "--graph-out", "--include-baseline"} <= set(shown)
+        assert "--proj" not in shown
 
 
 def flip_bits(raw, positions):
@@ -1028,24 +1043,42 @@ FUZZ = settings(max_examples=60, deadline=None,
 
 
 class TestFuzzedInputs:
-    """Damaged checkpoints and generated configs end in exit 0, 1 or 2.
+    """Damaged checkpoints end in exit 1, generated configs in exit 0, 1 or 2,
+    and every failure in one line.
 
-    Neither checkpoint format carries a checksum, so a flip inside tensor data
-    can load and run; every other outcome must be a one-line error.
+    A model checkpoint ends in a CRC-32 of all its other bytes, which catches
+    every damage of up to three bits in a file of this size, the checksum's
+    own bits included.
     """
 
     @FUZZ
     @given(st.lists(st.integers(0, 10 ** 7), min_size=1, max_size=3))
     def test_bit_flipped_model_through_eval(self, synth_dir, trained_dir,
                                             tmp_path, capsys, positions):
+        good = (trained_dir / "model.stpf").read_bytes()
+        damaged = flip_bits(good, positions)
         model = tmp_path / "model.stpf"
-        model.write_bytes(flip_bits((trained_dir / "model.stpf").read_bytes(),
-                                    positions))
+        model.write_bytes(damaged)
         out = tmp_path / "report.json"
         code = run_fuzzed(capsys, "eval", "--model", str(model),
                           "--data", str(synth_dir / "train.csv"), "--out", str(out))
-        if code == 0:
-            assert "avg" in json.loads(out.read_text())["horizons"]
+        assert code == (0 if damaged == good else 1)  # two flips may cancel
+
+    def test_every_single_bit_flip_through_eval(self, synth_dir, tmp_path, capsys,
+                                                monkeypatch):
+        good = tmp_path / "good.stpf"
+        save_pca_model(good)
+        raw = good.read_bytes()
+        # one parser for all the runs: building it is most of a failed run's time
+        parser = build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        model = tmp_path / "model.stpf"
+        argv = ("eval", "--model", str(model), "--data", str(synth_dir / "train.csv"),
+                "--strategy", "pca", "--out", str(tmp_path / "r.json"))
+        for pos in range(8 * len(raw)):
+            model.write_bytes(flip_bits(raw, [pos]))
+            assert run_fuzzed(capsys, *argv) == 1, pos
+        assert not (tmp_path / "r.json").exists()
 
     # offsets of the normalizer mean and std and of the first w_x value; bits
     # 52-62 are a float64's exponent, 63 its sign
@@ -1057,25 +1090,25 @@ class TestFuzzedInputs:
         model.write_bytes(flip_bits((trained_dir / "model.stpf").read_bytes(),
                                     [8 * offset + bit]))
         out = tmp_path / "report.json"
-        code = run_fuzzed(capsys, "eval", "--model", str(model),
-                          "--data", str(synth_dir / "train.csv"), "--out", str(out))
-        if code == 0:
-            report = json.loads(out.read_text())
-            assert all(math.isfinite(v) for metrics in report["horizons"].values()
-                       for v in metrics.values())
+        assert run_fuzzed(capsys, "eval", "--model", str(model),
+                          "--data", str(synth_dir / "train.csv"), "--out", str(out)) == 1
+        assert not out.exists()
 
     @FUZZ
     @given(st.lists(st.integers(0, 10 ** 7), min_size=1, max_size=3))
     def test_bit_flipped_projection_through_export(self, synth_dir, trained_dir,
                                                    tmp_path, capsys, positions):
-        proj = tmp_path / "proj.stpj"
-        proj.write_bytes(flip_bits((trained_dir / "proj.stpj").read_bytes(),
-                                   positions))
+        # flips inside the projection section, the last before the checksum:
+        # u32 T, u32 C and T x (C + 2) float64 values, with T = 24 and C = 3
+        good = (trained_dir / "model.stpf").read_bytes()
+        size = 8 + 8 * 24 * (3 + 2)
+        start = 8 * (len(good) - 4 - size)
+        model = tmp_path / "model.stpf"
+        model.write_bytes(flip_bits(good, [start + p % (8 * size) for p in positions]))
         out = tmp_path / "emb.csv"
-        code = run_fuzzed(capsys, "export-embeddings", "--proj", str(proj),
+        code = run_fuzzed(capsys, "export-embeddings", "--model", str(model),
                           "--data", str(synth_dir / "train.csv"), "--out", str(out))
-        if code == 0:
-            assert out.read_text().startswith("node_id,")
+        assert code == (0 if model.read_bytes() == good else 1)
 
     # Numbers come only from small integers: a generated digit string such as
     # model.hidden_dim=99999999 would make the run allocate gigabytes.

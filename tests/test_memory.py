@@ -201,7 +201,7 @@ def test_pems04_length_cli_peaks(tmp_path):
         (85, ["train", "--config", str(d / "graph.cfg")]),
         (85, ["train", "--config", str(d / "pca.cfg")]),
         # the pca table of the 59-day series reads its days in place
-        (110, ["export-embeddings", "--proj", str(d / "pca" / "proj.stpj"),
+        (110, ["export-embeddings", "--model", str(d / "pca" / "model.stpf"),
                "--data", str(d / "data" / "train.csv"), "--out", str(d / "emb.csv")]),
         (200, ["transfer", "--model", str(d / "run" / "model.stpf"),
                "--target", str(d / "data" / "shifted.csv"), "--strategies", "zero",

@@ -213,7 +213,8 @@ class TestForward:
         params = init_params(toy_config(), 5, seed=0)
         params.weights["w2_1"][0, 0] = np.inf
         x, ti, di = batch(toy_windows(2, 5))
-        with pytest.raises(FloatingPointError, match="block 1"):
+        with pytest.raises(FloatingPointError, match="block 1"), \
+                pytest.warns(RuntimeWarning):  # the inf's own overflow
             forward(params, NORM, x, ti, di)
 
     def test_predict_independent_of_batch_size(self, monkeypatch):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from stpca.dataset import DataError, TrafficSeries, make_windows
+from stpca.dataset import DataError, TrafficSeries, fit_normalizer, make_windows
 from stpca.metrics import evaluate, horizon_report_from_arrays
-from stpca.model import ModelConfig, set_embedding
+from stpca.model import ModelConfig, predict, set_embedding
 from stpca.pca import refresh_embedding, zero_embedding
 from stpca.pipeline import prepare_data, train_run
 from stpca.serialize import load_model, save_model
@@ -135,7 +135,7 @@ class TestCrossYear:
         assert tuned.embedding.strategy == "adaptive"
         assert (tuned.embedding.values != params.embedding.values).any()
         save_model(tuned, run.bundle.normalizer, tmp_path / "tuned.stpf")
-        back, _ = load_model(tmp_path / "tuned.stpf")
+        back, _, _ = load_model(tmp_path / "tuned.stpf")
         assert back.embedding.strategy == "adaptive"
         assert back.embedding.values.tobytes() == tuned.embedding.values.tobytes()
 
@@ -210,6 +210,33 @@ class TestZeroShot:
                                  run.projection, city_b,
                                  TransferPlan(adaptation_fraction=0.25))
         assert np.isfinite(rep.horizons["avg"].mae)
+
+    def test_node_sees_the_city_only_through_the_tensor_normalizer(self, trained):
+        # graph off: a node subset's zero-shot predictions are the full city's
+        # rows for those nodes when the subset's table is scaled by the full
+        # city's normalizer, and differ when it gets its own
+        run, _, _ = trained
+        assert not run.params.config.use_graph
+        city = generate(SynthSpec(n_nodes=15, n_roles=4, days=21, steps_per_day=24,
+                                  shift_fraction=0.0, noise_std=2.0, seed=5))[0]
+        idx = [1, 4, 7, 9, 12]
+        subset = TrafficSeries(values=city.values[:, idx], steps_per_day=24,
+                               start_slot=city.start_slot, start_dow=city.start_dow,
+                               node_ids=[city.node_ids[i] for i in idx])
+        adapt, ev = split_adaptation(city, 0.25)
+
+        def predictions(series, tensor_norm):
+            # 5 or 15 nodes: every block has two or more rows (windows x nodes)
+            scored = with_strategy(run.params, "pca_emb", series, adapt, tensor_norm,
+                                   run.projection)
+            return predict(scored, make_windows(series, ev, 12, 12),
+                           run.bundle.normalizer)
+
+        full = predictions(city, fit_normalizer(city, adapt))[:, idx]
+        shared = predictions(subset, fit_normalizer(city, adapt))
+        own = predictions(subset, fit_normalizer(subset, adapt))
+        assert shared.tobytes() == full.tobytes()
+        assert (own != full).any()
 
     def test_identity_transfer_equals_in_distribution(self, trained):
         run, train_series, _ = trained
